@@ -40,7 +40,7 @@ from .montecarlo import (
     simulate_pnz,
     simulate_pnz_all,
 )
-from .specfun import ConvergenceError, FoxHParams, fox_h, fox_h_detailed, log_gamma_complex, lower_incomplete_gamma, upper_incomplete_gamma
-from .stochgeo import NetworkGeometry, intensity_pathloss_fading, ordered_path_gains, pdf_kth_distance_pow, sample_hppp, window_radius
+from .specfun import ConvergenceError, FoxHParams, fox_h, fox_h_detailed, lower_incomplete_gamma, upper_incomplete_gamma
+from .stochgeo import NetworkGeometry, ordered_path_gains, pdf_kth_distance_pow, sample_hppp, window_radius
 
 __version__ = "0.1.0"

@@ -25,10 +25,10 @@ import tempfile
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from . import figures, metrics, montecarlo, validation
+from . import figures, validation
 from .fading import MomentFitError
 from .metrics import ScenarioConfig
-from .montecarlo import MonteCarloConfig
+from .montecarlo import MetricEstimate, MonteCarloConfig
 from .specfun import ConvergenceError
 
 __all__ = ["ConfigError", "RunSpec", "main", "parse_config", "run"]
@@ -39,8 +39,15 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 _COMMANDS = ("eval", "sweep", "validate", "figure")
-_METRICS = ("cop", "pnz", "capacity", "esc")
-_METHODS = ("closed-form", "quadrature", "monte-carlo", "all")
+_METRICS = tuple(validation.METRICS)
+# Each evaluation method as (metric entry, scenario, case, mc) -> MetricEstimate.
+_ROUTES = {
+    "closed-form": lambda metric, cfg, case, mc: MetricEstimate(
+        metric.closed_form(cfg, case), 0.0, "closed-form", 0),
+    "quadrature": lambda metric, cfg, case, mc: metric.quadrature(cfg, case),
+    "monte-carlo": lambda metric, cfg, case, mc: metric.simulate(cfg, (case,), mc)[case],
+}
+_METHODS = (*_ROUTES, "all")
 
 
 class ConfigError(Exception):
@@ -257,16 +264,24 @@ def parse_config(text: str, command: str = "eval") -> RunSpec:
     if raw_subset is not None:
         figure_subset = tuple(f.strip() for f in raw_subset.split(",") if f.strip())
         bad = [f for f in figure_subset if f not in validation.VALIDATION_FIGURES]
-        if bad:
+        if bad or not figure_subset:
             raise _anchored(lines, "run", "figures",
-                            f"figures must come from {validation.VALIDATION_FIGURES}, got {bad}")
+                            f"figures must name one or more of {validation.VALIDATION_FIGURES}, "
+                            f"got {bad or raw_subset!r}")
 
-    return RunSpec(
+    spec = RunSpec(
         command=command, scenario=scenario, mc=mc, metric=metric, method=method,
         figure_id=figure_id, sweep_param=sweep_param, sweep_values=sweep_values,
         output_path=get("run", "out", None), output_format=fmt,
         scenario_kwargs=scenario_kwargs, figure_subset=figure_subset,
     )
+    for value in sweep_values or ():
+        try:
+            _rebuild(spec, sweep_param, value)
+        except (ValueError, MomentFitError) as exc:
+            raise _anchored(lines, "run", "sweep_values",
+                            f"sweep point {sweep_param} = {value:g} is invalid: {exc}") from exc
+    return spec
 
 
 def _parse_grid(raw: str, lines: dict) -> tuple[float, ...]:
@@ -309,8 +324,7 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
-def _emit(spec_or_path, fmt: str, header: list[str], rows: list[tuple],
-          meta: dict, out: str | None) -> None:
+def _emit(fmt: str, header: list[str], rows: list[tuple], meta: dict, out: str | None) -> None:
     if fmt == "csv":
         body = ",".join(header) + "\n"
         body += "\n".join(",".join(_fmt(v) for v in row) for row in rows)
@@ -330,71 +344,27 @@ def _emit(spec_or_path, fmt: str, header: list[str], rows: list[tuple],
             _atomic_write(out, payload)
 
 
-def _closed_form(cfg: ScenarioConfig, metric: str) -> float:
-    if metric == "cop":
-        return metrics.cop(cfg)
-    if metric == "pnz":
-        return metrics.pnz(cfg)
-    if metric == "capacity":
-        return (metrics.ergodic_capacity_nearest(cfg) if cfg.ordering == "nearest"
-                else metrics.ergodic_capacity_best(cfg))
-    return metrics.ergodic_secrecy_capacity(cfg)
-
-
-def _quadrature(cfg: ScenarioConfig, metric: str) -> montecarlo.MetricEstimate:
-    if metric == "cop":
-        return montecarlo.integrate_defining("cop", cfg)
-    if metric == "pnz":
-        return montecarlo.integrate_defining(f"pnz-{cfg.case}", cfg)
-    if metric == "capacity":
-        return montecarlo.integrate_defining(f"capacity-{cfg.ordering}", cfg)
-    return montecarlo.integrate_defining(f"esc-{cfg.case}", cfg)
-
-
-def _monte_carlo(cfg: ScenarioConfig, metric: str, mc: MonteCarloConfig) -> montecarlo.MetricEstimate:
-    if metric == "cop":
-        return montecarlo.simulate_cop(cfg, mc)
-    if metric == "pnz":
-        return montecarlo.simulate_pnz(cfg, None, mc)
-    if metric == "capacity":
-        return montecarlo.simulate_ergodic_capacity(cfg, mc)
-    return montecarlo.simulate_ergodic_secrecy(cfg, None, mc).clipped_difference
-
-
 def _metric_rows(cfg: ScenarioConfig, spec: RunSpec, swept=None) -> list[tuple]:
-    case = cfg.case if spec.metric in ("pnz", "esc") else cfg.ordering
+    metric = validation.METRICS[spec.metric]
+    case = metric.case_of(cfg)
     rows = []
-    methods = ("closed-form", "quadrature", "monte-carlo") if spec.method == "all" else (spec.method,)
-    for method in methods:
-        if method == "closed-form":
-            value, half = _closed_form(cfg, spec.metric), 0.0
-        elif method == "quadrature":
-            est = _quadrature(cfg, spec.metric)
-            value, half = est.value, est.half_width
-        else:
-            est = _monte_carlo(cfg, spec.metric, spec.mc)
-            value, half = est.value, est.half_width
-        row = (spec.metric, case, cfg.user_index, value, half, method)
+    for method in tuple(_ROUTES) if spec.method == "all" else (spec.method,):
+        est = _ROUTES[method](metric, cfg, case, spec.mc)
+        row = (spec.metric, case, cfg.user_index, est.value, est.half_width, method)
         rows.append(row + ((swept,) if swept is not None else ()))
     return rows
 
 
 def _rebuild(spec: RunSpec, param: str, value) -> tuple[ScenarioConfig, MonteCarloConfig]:
-    mc = spec.mc
+    value = _SWEEPABLE[param](value)
     if param == "trials":
-        return spec.scenario, replace(mc, trials=int(value))
+        return spec.scenario, replace(spec.mc, trials=value)
     kwargs = dict(spec.scenario_kwargs)
-    if param == "eta_k_db":
-        kwargs["eta_k"] = _db_to_linear(value)
-    elif param == "eta_e_db":
-        kwargs["eta_e"] = _db_to_linear(value)
-    elif param == "k":
-        kwargs["user_index"] = int(value)
-    elif param in ("d", "n_a", "n_b", "n_e"):
-        kwargs[param] = int(value)
+    if param.endswith("_db"):
+        kwargs[param[:-3]] = _db_to_linear(value)
     else:
-        kwargs[param] = value
-    return ScenarioConfig.build(**kwargs), mc
+        kwargs["user_index" if param == "k" else param] = value
+    return ScenarioConfig.build(**kwargs), spec.mc
 
 
 def _scenario_meta(spec: RunSpec) -> dict:
@@ -411,7 +381,7 @@ def run(spec: RunSpec) -> int:
     if spec.command == "eval":
         header = ["metric", "case", "k", "value", "half_width", "provenance"]
         rows = _metric_rows(spec.scenario, spec)
-        _emit(spec, spec.output_format, header, rows, _scenario_meta(spec), spec.output_path)
+        _emit(spec.output_format, header, rows, _scenario_meta(spec), spec.output_path)
         return EXIT_OK
 
     if spec.command == "sweep":
@@ -424,7 +394,7 @@ def run(spec: RunSpec) -> int:
         meta = _scenario_meta(spec)
         meta["sweep_param"] = spec.sweep_param
         meta["sweep_values"] = list(spec.sweep_values)
-        _emit(spec, spec.output_format, header, rows, meta, spec.output_path)
+        _emit(spec.output_format, header, rows, meta, spec.output_path)
         return EXIT_OK
 
     if spec.command == "figure":
@@ -432,7 +402,7 @@ def run(spec: RunSpec) -> int:
             raise ConfigError("figure command requires a figure id "
                               f"(positional argument or [run] figure = one of {figures.FIGURE_IDS})")
         meta, header, rows = figures.figure_table(spec.figure_id)
-        _emit(spec, spec.output_format, header, rows, meta, spec.output_path)
+        _emit(spec.output_format, header, rows, meta, spec.output_path)
         return EXIT_OK
 
     # validate
@@ -447,10 +417,9 @@ def run(spec: RunSpec) -> int:
     header = ["metric", "case", "k", "value", "half_width", "provenance", "figure", "status"]
     rows = []
     failures = 0
-    gate_z = rows_v[0].mc_gate_z if rows_v else None
-    if rows_v:
-        print(f"simulation gate: family-wise level {validation.GATE_LEVEL} over "
-              f"m={len(rows_v)} rows, |z| <= {gate_z:.3f} per row")
+    gate_z = rows_v[0].mc_gate_z
+    print(f"simulation gate: family-wise level {validation.GATE_LEVEL} over "
+          f"m={len(rows_v)} rows, |z| <= {gate_z:.3f} per row")
     for row in rows_v:
         status = "pass" if row.passed else "fail"
         failures += 0 if row.passed else 1
@@ -466,7 +435,7 @@ def run(spec: RunSpec) -> int:
             "trials": spec.mc.trials, "seed": spec.mc.master_seed,
             "gate_level": validation.GATE_LEVEL, "gate_z": gate_z}
     if spec.output_path is not None:
-        _emit(spec, spec.output_format, header, rows, meta, spec.output_path)
+        _emit(spec.output_format, header, rows, meta, spec.output_path)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILURE
 
 
@@ -507,12 +476,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         spec = parse_config(text, command=args.command)
         if args.command == "figure" and getattr(args, "figure_id", None):
             spec = replace(spec, figure_id=args.figure_id)
-        if args.seed is not None:
-            spec = replace(spec, mc=replace(spec.mc, master_seed=args.seed))
-        if args.trials is not None:
-            spec = replace(spec, mc=replace(spec.mc, trials=args.trials))
-        if args.workers is not None:
-            spec = replace(spec, mc=replace(spec.mc, worker_hint=args.workers))
+        overrides = {field: value for field, value in (
+            ("master_seed", args.seed), ("trials", args.trials), ("worker_hint", args.workers),
+        ) if value is not None}
+        try:
+            spec = replace(spec, mc=replace(spec.mc, **overrides))
+        except ValueError as exc:
+            raise ConfigError(f"invalid command-line override: {exc}") from exc
         if args.out is not None:
             spec = replace(spec, output_path=args.out)
         if args.format is not None:

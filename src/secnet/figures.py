@@ -1,8 +1,9 @@
 """Desk-scale reproduction of the study figures as data tables.
 
-Each figure id maps to a fully resolved parameter set and a generator that
-emits the x-grid and every curve as long-format rows (one row per curve
-point).  Outputs are numbers only; plotting is left to external tools.
+Each figure id maps to a fully resolved parameter set and a data table of
+its x-grid and curves; one loop emits every curve as long-format rows (one
+row per curve point).  Outputs are numbers only; plotting is left to
+external tools.
 
 Where a figure caption leaves a choice open it is resolved here and recorded
 in the table metadata: fig3's representative fading pairs, fig5's legitimate/
@@ -13,6 +14,7 @@ ratios.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import metrics
@@ -128,8 +130,90 @@ def scenario(fig_id: str, **overrides) -> ScenarioConfig:
     return _SCENARIOS[fig_id](**overrides)
 
 
-def _row(metric: str, curve: str, k: int, value: float, x) -> tuple:
-    return (metric, curve, k, value, 0.0, "closed-form", x)
+@dataclass(frozen=True)
+class _Figure:
+    """One figure as data.
+
+    ``groups`` holds (scenario overrides, curves); a curve is (metric,
+    label, value) with ``value(cfg, x)``.  Rows come out group by group,
+    then point by point along ``grid``, then curve by curve.  The scenario
+    is built once per group and point with ``axis`` set to the point, or
+    once per group when the axis is not a scenario field (``per_point``
+    false).  An integer value is a user count and fills the ``k`` column.
+    """
+
+    axis: str
+    grid: tuple
+    groups: tuple
+    meta: dict = field(default_factory=dict)
+    per_point: bool = True
+
+
+# Values look up ``metrics.*`` at call time, so a wrapper installed on those
+# module attributes sees every call.
+_FIG3_FADINGS = ((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (3.0, 2.0))
+_FIG5_TRIPLES = ((2.0, 1.0, 1.0), (2.0, 2.0, 3.0), (3.0, 2.0, 3.0))
+_FIG8_TAUS, _FIG8_RATIOS = (0.1, 0.3), (1.0, 2.0, 4.0)
+_K8 = tuple(range(1, 9))
+
+
+def _by_case(metric: str, value) -> tuple:
+    """One group per receiver/eavesdropper pairing, labelled by the pairing."""
+    return tuple(({"case": case}, ((metric, case, value),)) for case in CASES)
+
+
+_PNZ_BY_CASE = _by_case("pnz", lambda cfg, x: metrics.pnz(cfg))
+
+_FIGURES: dict[str, _Figure] = {
+    # z is the densities' argument, not a scenario field, and neither density
+    # reads the ordering: one scenario per k serves both curves.
+    "fig2": _Figure(
+        "z", tuple([0.02 * i for i in range(1, 13)] + [0.3, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0, 3.0, 4.0]),
+        tuple(({"k": k}, (("pdf", f"nearest|k={k}", lambda cfg, z: metrics.pdf_composite_nearest(cfg, z)),
+                          ("pdf", f"best|k={k}", lambda cfg, z: metrics.pdf_composite_best(cfg, z))))
+              for k in (1, 2, 3)),
+        per_point=False,
+    ),
+    "fig3": _Figure(
+        "k", tuple(range(1, 11)),
+        tuple(({"alpha": a, "mu": m},
+               (("cop", f"nearest|alpha={a}|mu={m}", lambda cfg, x: metrics.cop_nearest(cfg)),))
+              for a, m in _FIG3_FADINGS),
+        {"fading_pairs": [f"alpha={a}|mu={m}" for a, m in _FIG3_FADINGS]},
+    ),
+    "fig4": _Figure(
+        "lambda_b", (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
+        tuple(({"k": k}, (("cop", f"nearest|k={k}", lambda cfg, x: metrics.cop_nearest(cfg)),
+                          ("cop", f"best|k={k}", lambda cfg, x: metrics.cop_best(cfg))))
+              for k in (2, 4)),
+    ),
+    "fig5": _Figure(
+        "k", _K8,
+        tuple(({"alpha": a, "mu_m": mm, "mu_w": mw},
+               (("pnz", f"NN|alpha={a}|mu_m={mm}|mu_w={mw}", lambda cfg, x: metrics.pnz_nn(cfg)),))
+              for a, mm, mw in _FIG5_TRIPLES),
+        {"fading_triples": [f"alpha={a}|mu_m={mm}|mu_w={mw}" for a, mm, mw in _FIG5_TRIPLES],
+         "note": ("cluster parameters labelled mu_m/mu_w are interpreted as the "
+                  "legitimate and wiretap side mu values")},
+    ),
+    "fig6": _Figure("k", _K8, _PNZ_BY_CASE),
+    "fig7": _Figure(
+        "k", _K8,
+        tuple(({"upsilon": u, "case": case},
+               (("pnz", f"{case}|upsilon={u}", lambda cfg, x: metrics.pnz(cfg)),))
+              for u in (2.0, 3.0, 4.0) for case in ("NN", "BB")),
+    ),
+    "fig8": _Figure(
+        "varpi_db", tuple(-5.0 + i for i in range(21)),
+        tuple(({"ratio": ratio}, (("k_star", f"tau={tau}|ratio={ratio}",
+                                   lambda cfg, x, tau=tau: metrics.max_secure_best_users(cfg, tau)),))
+              for tau in _FIG8_TAUS for ratio in _FIG8_RATIOS),
+        {"secrecy_levels": list(_FIG8_TAUS), "density_ratios": list(_FIG8_RATIOS)},
+    ),
+    "fig9": _Figure("varpi_db", tuple(-10.0 + 2.0 * i for i in range(16)), _PNZ_BY_CASE),
+    "fig10": _Figure("n_b", _K8, _PNZ_BY_CASE),
+    "fig11": _Figure("k", _K8, _by_case("esc", lambda cfg, x: metrics.ergodic_secrecy_capacity(cfg))),
+}
 
 
 def figure_table(fig_id: str) -> tuple[dict, list[str], list[tuple]]:
@@ -138,113 +222,21 @@ def figure_table(fig_id: str) -> tuple[dict, list[str], list[tuple]]:
     Rows are long-format: metric, curve label, user index, value, half-width
     (zero for closed forms), provenance, and the swept x value.
     """
-    if fig_id not in _SCENARIOS:
+    if fig_id not in _FIGURES:
         raise ValueError(f"figure id must be one of {FIGURE_IDS}, got {fig_id!r}")
+    fig = _FIGURES[fig_id]
     rows: list[tuple] = []
-    meta: dict = {"figure": fig_id}
-
-    if fig_id == "fig2":
-        grid = [0.02 * i for i in range(1, 13)] + [0.3, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0, 3.0, 4.0]
-        meta["x"] = "z"
-        for k in (1, 2, 3):
-            cfg_n = _fig2_scenario(k, "nearest")
-            cfg_b = _fig2_scenario(k, "best")
-            for z in grid:
-                rows.append(_row("pdf", f"nearest|k={k}", k, metrics.pdf_composite_nearest(cfg_n, z), z))
-                rows.append(_row("pdf", f"best|k={k}", k, metrics.pdf_composite_best(cfg_b, z), z))
-        meta["scenario"] = describe_scenario(_fig2_scenario())
-
-    elif fig_id == "fig3":
-        meta["x"] = "k"
-        fadings = ((1.0, 2.0), (2.0, 2.0), (2.0, 3.0), (3.0, 2.0))
-        meta["fading_pairs"] = [f"alpha={a}|mu={m}" for a, m in fadings]
-        for a, m in fadings:
-            for k in range(1, 11):
-                cfg = _fig3_scenario(k, a, m)
-                rows.append(_row("cop", f"nearest|alpha={a}|mu={m}", k, metrics.cop_nearest(cfg), k))
-        meta["scenario"] = describe_scenario(_fig3_scenario())
-
-    elif fig_id == "fig4":
-        meta["x"] = "lambda_b"
-        grid = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0]
-        for k in (2, 4):
-            for lb in grid:
-                cfg = _fig4_scenario(k, lb)
-                rows.append(_row("cop", f"nearest|k={k}", k, metrics.cop_nearest(cfg), lb))
-                rows.append(_row("cop", f"best|k={k}", k, metrics.cop_best(cfg), lb))
-        meta["scenario"] = describe_scenario(_fig4_scenario())
-
-    elif fig_id == "fig5":
-        meta["x"] = "k"
-        triples = ((2.0, 1.0, 1.0), (2.0, 2.0, 3.0), (3.0, 2.0, 3.0))
-        meta["fading_triples"] = [f"alpha={a}|mu_m={mm}|mu_w={mw}" for a, mm, mw in triples]
-        meta["note"] = ("cluster parameters labelled mu_m/mu_w are interpreted as the "
-                        "legitimate and wiretap side mu values")
-        for a, mm, mw in triples:
-            for k in range(1, 9):
-                cfg = _fig5_scenario(k, a, mm, mw)
-                rows.append(_row("pnz", f"NN|alpha={a}|mu_m={mm}|mu_w={mw}", k, metrics.pnz_nn(cfg), k))
-        meta["scenario"] = describe_scenario(_fig5_scenario())
-
-    elif fig_id == "fig6":
-        meta["x"] = "k"
-        for case in CASES:
-            for k in range(1, 9):
-                cfg = _fig6_scenario(k, case)
-                rows.append(_row("pnz", case, k, metrics.pnz(cfg), k))
-        meta["scenario"] = describe_scenario(_fig6_scenario())
-
-    elif fig_id == "fig7":
-        meta["x"] = "k"
-        for upsilon in (2.0, 3.0, 4.0):
-            for case in ("NN", "BB"):
-                for k in range(1, 9):
-                    cfg = _fig7_scenario(k, upsilon, case)
-                    rows.append(_row("pnz", f"{case}|upsilon={upsilon}", k, metrics.pnz(cfg), k))
-        meta["scenario"] = describe_scenario(_fig7_scenario())
-
-    elif fig_id == "fig8":
-        meta["x"] = "varpi_db"
-        grid = [-5.0 + i for i in range(21)]
-        taus = (0.1, 0.3)
-        ratios = (1.0, 2.0, 4.0)
-        meta["secrecy_levels"] = list(taus)
-        meta["density_ratios"] = list(ratios)
-        for tau in taus:
-            for ratio in ratios:
-                for w in grid:
-                    cfg = _fig8_scenario(w, ratio)
-                    kstar = metrics.max_secure_best_users(cfg, tau)
-                    rows.append(_row("k_star", f"tau={tau}|ratio={ratio}", kstar, float(kstar), w))
-        meta["scenario"] = describe_scenario(_fig8_scenario())
-
-    elif fig_id == "fig9":
-        meta["x"] = "varpi_db"
-        grid = [-10.0 + 2.0 * i for i in range(16)]
-        for case in CASES:
-            for w in grid:
-                cfg = _fig9_scenario(w, case)
-                rows.append(_row("pnz", case, 1, metrics.pnz(cfg), w))
-        meta["scenario"] = describe_scenario(_fig9_scenario())
-
-    elif fig_id == "fig10":
-        meta["x"] = "n_b"
-        for case in CASES:
-            for n_b in range(1, 9):
-                cfg = _fig10_scenario(n_b, case)
-                rows.append(_row("pnz", case, 1, metrics.pnz(cfg), n_b))
-        meta["scenario"] = describe_scenario(_fig10_scenario())
-
-    elif fig_id == "fig11":
-        meta["x"] = "k"
-        for case in CASES:
-            for k in range(1, 9):
-                cfg = _fig11_scenario(k, case)
-                rows.append(_row("esc", case, k, metrics.ergodic_secrecy_capacity(cfg), k))
-        meta["scenario"] = describe_scenario(_fig11_scenario())
-
-    header = ["metric", "case", "k", "value", "half_width", "provenance", meta["x"]]
-    return meta, header, rows
+    for overrides, curves in fig.groups:
+        shared = None if fig.per_point else scenario(fig_id, **overrides)
+        for x in fig.grid:
+            cfg = shared or scenario(fig_id, **overrides, **{fig.axis: x})
+            for metric, label, value in curves:
+                v = value(cfg, x)
+                k, v = (v, float(v)) if isinstance(v, int) else (cfg.user_index, v)
+                rows.append((metric, label, k, v, 0.0, "closed-form", x))
+    meta = {"figure": fig_id, "x": fig.axis, **fig.meta,
+            "scenario": describe_scenario(scenario(fig_id))}
+    return meta, ["metric", "case", "k", "value", "half_width", "provenance", fig.axis], rows
 
 
 def describe_scenario(cfg: ScenarioConfig) -> dict:

@@ -66,6 +66,8 @@ class MonteCarloConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
         if self.window_radius is not None and self.window_radius <= 0:
             raise ValueError(f"window radius must be positive, got {self.window_radius}")
         if self.worker_hint < 1:
@@ -149,7 +151,7 @@ def _sample_side_batch(
     loss = np.where(occupied, radii**ups, np.inf)
     nearest = best = None
     if "best" in orderings:
-        gains = fad.omega * gen.standard_gamma(fad.mu, (size, width)) ** (2.0 / fad.alpha)
+        gains = fading.sample_power_gain(fad, gen, (size, width))
         weighted = np.where(occupied, loss / gains, np.inf)
         best = 1.0 / np.partition(weighted, k - 1, axis=1)[:, k - 1]
         best[~valid] = np.nan
@@ -161,7 +163,7 @@ def _sample_side_batch(
             nearest[~valid] = np.nan
     elif "nearest" in orderings:
         kth_loss = np.partition(loss, k - 1, axis=1)[:, k - 1]
-        gains = fad.omega * gen.standard_gamma(fad.mu, size) ** (2.0 / fad.alpha)
+        gains = fading.sample_power_gain(fad, gen, size)
         with np.errstate(invalid="ignore"):
             nearest = gains / kth_loss
         nearest[~valid] = np.nan

@@ -32,7 +32,6 @@ __all__ = [
     "FoxHValue",
     "fox_h",
     "fox_h_detailed",
-    "log_gamma_complex",
     "lower_incomplete_gamma",
     "upper_incomplete_gamma",
 ]
@@ -47,18 +46,6 @@ _MAX_TRUNCATION_GROWTH = 40
 
 class ConvergenceError(ArithmeticError):
     """A contour integral or iterative refinement failed to converge."""
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log-gamma for complex argument.
-
-    Raises ValueError on the gamma poles (non-positive integers on the
-    real axis), where no finite value exists.
-    """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise ValueError(f"log-gamma pole at z={z.real}")
-    return complex(loggamma(z))
 
 
 def lower_incomplete_gamma(a: float, x: float) -> float:

@@ -21,7 +21,6 @@ from .fading import AlphaMuParams
 
 __all__ = [
     "NetworkGeometry",
-    "intensity_pathloss_fading",
     "ordered_path_gains",
     "pdf_kth_distance_pow",
     "sample_hppp",
@@ -101,10 +100,6 @@ class NetworkGeometry:
         )
         return self.pathloss_rate(side) * boost
 
-    def intensity_coefficient(self, side: str) -> float:
-        """Prefactor of the fading-weighted intensity delta * rate * x^(delta-1)."""
-        return self.delta * self.composite_rate(side)
-
 
 def _check_side(side: str) -> None:
     if side not in SIDES:
@@ -148,15 +143,6 @@ def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
         raise ValueError("density is defined for y > 0 only")
     u = coeff * y**delta
     out = np.exp(-u + k * np.log(u) - gammaln(k)) * delta / y
-    return out if out.ndim else float(out)
-
-
-def intensity_pathloss_fading(geometry: NetworkGeometry, side: str, x):
-    """Intensity of the fading-weighted path-loss process at x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("intensity is defined for x > 0 only")
-    out = geometry.intensity_coefficient(side) * x ** (geometry.delta - 1.0)
     return out if out.ndim else float(out)
 
 

@@ -26,18 +26,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from scipy.special import ndtri
 
 from . import figures, metrics, montecarlo
-from .metrics import CASES, ScenarioConfig
-from .montecarlo import MonteCarloConfig
+from .metrics import CASES, ORDERINGS, ScenarioConfig
+from .montecarlo import MetricEstimate, MonteCarloConfig
 
-__all__ = ["ValidationRow", "run_validation", "family_gate_z", "VALIDATION_FIGURES"]
+__all__ = ["METRICS", "Metric", "ValidationRow", "run_validation", "family_gate_z", "VALIDATION_FIGURES"]
 
 QUAD_TOL_PROBABILITY = 1e-5
 QUAD_TOL_CAPACITY = 1e-4
-VALIDATION_FIGURES = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig11")
 # Confidence level of each row's reported half-width, and family-wise level
 # of the simulation gate over all rows of one run.
 CI_LEVEL = 0.997
@@ -102,61 +102,80 @@ class ValidationRow:
         return self.quad_ok and self.mc_ok
 
 
-def _row(figure, metric, case, k, closed, quad, tol, est) -> ValidationRow:
-    return ValidationRow(
-        figure=figure, metric=metric, case=case, k=k,
-        closed_form=closed, quadrature=quad, quad_tol=tol,
-        mc_value=est.value, mc_half_width=est.half_width,
-    )
+@dataclass(frozen=True)
+class Metric:
+    """One secrecy metric and its three routes.
+
+    ``cases`` are the orderings (COP, capacity) or the four receiver/
+    eavesdropper pairings (PNZ, ergodic secrecy capacity).  ``probability``
+    picks the quadrature tolerance and the simulation trial count.  The
+    closed form and the defining integral take ``(cfg, case)``; the
+    simulator takes ``(cfg, cases, mc)`` and returns one estimate per case.
+    """
+
+    cases: tuple[str, ...]
+    probability: bool
+    closed_form: Callable[[ScenarioConfig, str], float]
+    quadrature: Callable[[ScenarioConfig, str], MetricEstimate]
+    simulate: Callable[[ScenarioConfig, tuple[str, ...], MonteCarloConfig], dict[str, MetricEstimate]]
+
+    @property
+    def quad_tol(self) -> float:
+        return QUAD_TOL_PROBABILITY if self.probability else QUAD_TOL_CAPACITY
+
+    def case_of(self, cfg: ScenarioConfig) -> str:
+        """The case a scenario selects through its ordering and eavesdropper policy."""
+        return cfg.ordering if self.cases == ORDERINGS else cfg.case
 
 
-def _cop_rows(figure: str, cfg: ScenarioConfig, mc: MonteCarloConfig) -> list[ValidationRow]:
-    rows = []
-    for ordering in ("nearest", "best"):
-        c = replace(cfg, ordering=ordering)
-        closed = metrics.cop(c)
-        quadv = montecarlo.integrate_defining("cop", c).value
-        est = montecarlo.simulate_cop(c, mc)
-        rows.append(_row(figure, "cop", ordering, c.user_index, closed, quadv,
-                         QUAD_TOL_PROBABILITY, est))
-    return rows
+# Entries resolve ``metrics.*`` and ``montecarlo.*`` at call time, so a
+# wrapper installed on those module attributes sees every call.
+METRICS: dict[str, Metric] = {
+    "cop": Metric(
+        cases=ORDERINGS, probability=True,
+        closed_form=lambda cfg, case: metrics.cop(replace(cfg, ordering=case)),
+        quadrature=lambda cfg, case: montecarlo.integrate_defining("cop", replace(cfg, ordering=case)),
+        simulate=lambda cfg, cases, mc: {
+            case: montecarlo.simulate_cop(replace(cfg, ordering=case), mc) for case in cases},
+    ),
+    "pnz": Metric(
+        cases=CASES, probability=True,
+        closed_form=lambda cfg, case: metrics.pnz(cfg, case),
+        quadrature=lambda cfg, case: montecarlo.integrate_defining(f"pnz-{case}", cfg),
+        # All four pairings come from one set of realizations.
+        simulate=lambda cfg, cases, mc: (
+            montecarlo.simulate_pnz_all(cfg, mc) if set(cases) == set(CASES)
+            else {case: montecarlo.simulate_pnz(cfg, case, mc) for case in cases}),
+    ),
+    "capacity": Metric(
+        cases=ORDERINGS, probability=False,
+        closed_form=lambda cfg, case: getattr(metrics, f"ergodic_capacity_{case}")(cfg),
+        quadrature=lambda cfg, case: montecarlo.integrate_defining(f"capacity-{case}", cfg),
+        simulate=lambda cfg, cases, mc: {
+            case: montecarlo.simulate_ergodic_capacity(cfg, mc, ordering=case) for case in cases},
+    ),
+    "esc": Metric(
+        cases=CASES, probability=False,
+        closed_form=lambda cfg, case: metrics.ergodic_secrecy_capacity(cfg, case),
+        quadrature=lambda cfg, case: montecarlo.integrate_defining(f"esc-{case}", cfg),
+        simulate=lambda cfg, cases, mc: {
+            case: montecarlo.simulate_ergodic_secrecy(cfg, case, mc).clipped_difference
+            for case in cases},
+    ),
+}
 
-
-def _pnz_rows(figure: str, cfg: ScenarioConfig, mc: MonteCarloConfig,
-              cases: tuple[str, ...] = CASES) -> list[ValidationRow]:
-    ests = montecarlo.simulate_pnz_all(cfg, mc) if set(cases) == set(CASES) else {
-        case: montecarlo.simulate_pnz(cfg, case, mc) for case in cases
-    }
-    rows = []
-    for case in cases:
-        closed = metrics.pnz(cfg, case)
-        quadv = montecarlo.integrate_defining(f"pnz-{case}", cfg).value
-        rows.append(_row(figure, "pnz", case, cfg.user_index, closed, quadv,
-                         QUAD_TOL_PROBABILITY, ests[case]))
-    return rows
-
-
-def _capacity_rows(figure: str, cfg: ScenarioConfig, mc: MonteCarloConfig) -> list[ValidationRow]:
-    rows = []
-    for ordering, closed_fn in (("nearest", metrics.ergodic_capacity_nearest),
-                                ("best", metrics.ergodic_capacity_best)):
-        closed = closed_fn(cfg)
-        quadv = montecarlo.integrate_defining(f"capacity-{ordering}", cfg).value
-        est = montecarlo.simulate_ergodic_capacity(cfg, mc, ordering=ordering)
-        rows.append(_row(figure, "capacity", ordering, cfg.user_index, closed, quadv,
-                         QUAD_TOL_CAPACITY, est))
-    return rows
-
-
-def _esc_rows(figure: str, cfg: ScenarioConfig, mc: MonteCarloConfig) -> list[ValidationRow]:
-    rows = []
-    for case in CASES:
-        closed = metrics.ergodic_secrecy_capacity(cfg, case)
-        quadv = montecarlo.integrate_defining(f"esc-{case}", cfg).value
-        est = montecarlo.simulate_ergodic_secrecy(cfg, case, mc).clipped_difference
-        rows.append(_row(figure, "esc", case, cfg.user_index, closed, quadv,
-                         QUAD_TOL_CAPACITY, est))
-    return rows
+# The validation matrix: per figure, (scenario overrides, [(metric, cases)]).
+# Each scenario is built once and carries every metric listed with it.
+_PLAN: dict[str, list[tuple[dict, list[tuple[str, tuple[str, ...]]]]]] = {
+    "fig3": [({"k": k, "alpha": 2.0, "mu": 2.0}, [("cop", ("nearest",))]) for k in (1, 3)],
+    "fig4": [({"k": k, "lambda_b": 1.0}, [("cop", ORDERINGS)]) for k in (2, 4)],
+    "fig5": [({"k": k}, [("pnz", ("NN",))]) for k in (1, 2)],
+    "fig6": [({"k": k}, [("pnz", CASES)]) for k in (1, 4)],
+    "fig7": [({"k": 2, "upsilon": u}, [("pnz", CASES)]) for u in (2.0, 3.0, 4.0)],
+    "fig11": [({"k": 1}, [("capacity", ORDERINGS), ("esc", CASES)]),
+              ({"k": 2}, [("capacity", ORDERINGS)])],
+}
+VALIDATION_FIGURES = tuple(_PLAN)
 
 
 def run_validation(
@@ -170,45 +189,29 @@ def run_validation(
     """Run the full cross-validation matrix and return one row per check.
 
     Every row is simulation-gated, so the family size of each returned row
-    is the number of rows of the run.
+    is the number of rows of the run.  An empty ``figure_ids`` is an error,
+    not a run of zero checks.
     """
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
+    if not selected or not set(selected) <= set(_PLAN):
+        raise ValueError(f"figure_ids must name one or more of {VALIDATION_FIGURES}, got {selected}")
     mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers,
                                window_radius=window_radius, ci_level=CI_LEVEL)
-    mc_cap = MonteCarloConfig(trials=capacity_trials, master_seed=seed, worker_hint=workers,
-                              window_radius=window_radius, ci_level=CI_LEVEL)
+    mc_cap = replace(mc_prob, trials=capacity_trials)
     rows: list[ValidationRow] = []
     for fig in selected:
-        if fig == "fig3":
-            for k in (1, 3):
-                cfg = figures.scenario("fig3", k=k, alpha=2.0, mu=2.0)
-                closed = metrics.cop_nearest(cfg)
-                quadv = montecarlo.integrate_defining("cop", cfg).value
-                est = montecarlo.simulate_cop(cfg, mc_prob)
-                rows.append(_row(fig, "cop", "nearest", k, closed, quadv,
-                                 QUAD_TOL_PROBABILITY, est))
-        elif fig == "fig4":
-            for k in (2, 4):
-                cfg = figures.scenario("fig4", k=k, lambda_b=1.0)
-                rows.extend(_cop_rows(fig, cfg, mc_prob))
-        elif fig == "fig5":
-            for k in (1, 2):
-                cfg = figures.scenario("fig5", k=k)
-                rows.extend(_pnz_rows(fig, cfg, mc_prob, cases=("NN",)))
-        elif fig == "fig6":
-            for k in (1, 4):
-                cfg = figures.scenario("fig6", k=k)
-                rows.extend(_pnz_rows(fig, cfg, mc_prob))
-        elif fig == "fig7":
-            for upsilon in (2.0, 3.0, 4.0):
-                cfg = figures.scenario("fig7", k=2, upsilon=upsilon)
-                rows.extend(_pnz_rows(fig, cfg, mc_prob))
-        elif fig == "fig11":
-            for k in (1, 2):
-                cfg = figures.scenario("fig11", k=k)
-                rows.extend(_capacity_rows(fig, cfg, mc_cap))
-                if k == 1:
-                    rows.extend(_esc_rows(fig, cfg, mc_cap))
-        else:
-            raise ValueError(f"no validation checks defined for {fig!r}")
+        for overrides, blocks in _PLAN[fig]:
+            cfg = figures.scenario(fig, **overrides)
+            for name, cases in blocks:
+                metric = METRICS[name]
+                ests = metric.simulate(cfg, cases, mc_prob if metric.probability else mc_cap)
+                rows.extend(
+                    ValidationRow(
+                        figure=fig, metric=name, case=case, k=cfg.user_index,
+                        closed_form=metric.closed_form(cfg, case),
+                        quadrature=metric.quadrature(cfg, case).value, quad_tol=metric.quad_tol,
+                        mc_value=ests[case].value, mc_half_width=ests[case].half_width,
+                    )
+                    for case in cases
+                )
     return [replace(row, mc_family_size=len(rows)) for row in rows]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from secnet import cli
+from secnet import cli, validation
 from secnet.cli import ConfigError, parse_config
 
 MINIMAL = ""
@@ -39,6 +39,32 @@ seed = 99
 [run]
 metric = pnz
 """
+
+
+# fig11's scenario with k = 2 at rate 5: outage, PNZ and secrecy capacity all
+# lie well inside their ranges for both orderings and all four pairings.
+REGISTRY_DOC = """
+[geometry]
+lambda_b = 1
+lambda_e = 1
+
+[scenario]
+eta_k_db = 15
+eta_e_db = 0
+rate = 5
+k = 2
+ordering = {ordering}
+eavesdropper_policy = {policy}
+
+[mc]
+trials = {trials}
+seed = 2718
+
+[run]
+metric = {metric}
+method = all
+"""
+REGISTRY_CASES = [(m, c) for m, entry in validation.METRICS.items() for c in entry.cases]
 
 
 class TestParseConfig:
@@ -99,6 +125,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="figures"):
             parse_config("[run]\nfigures = fig99\n", command="validate")
 
+    def test_empty_validate_subset_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"line 2.*figures"):
+            parse_config("[run]\nfigures =\n", command="validate")
+        with pytest.raises(ValueError, match="figure_ids must name one or more"):
+            validation.run_validation(trials=16, capacity_trials=16, figure_ids=())
+
+    @pytest.mark.parametrize("param, values", [("lambda_b", "-1,1"), ("k", "0,1")])
+    def test_invalid_sweep_point_is_anchored_config_error(self, param, values):
+        doc = f"[run]\nsweep_param = {param}\nsweep_values = {values}\n"
+        with pytest.raises(ConfigError, match=rf"line 3.*{param} = (-1|0)\b"):
+            parse_config(doc, command="sweep")
+
+    def test_negative_seed_in_document_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"line 1.*seed"):
+            parse_config("[mc]\nseed = -3\n", command="eval")
+
     def test_branch_sum_is_applied(self):
         spec = parse_config(FIG6_DOC, command="eval")
         assert spec.scenario.fading_e.mean_power() == pytest.approx(4.0, rel=1e-9)
@@ -147,6 +189,35 @@ class TestEvalCommand:
         assert doc["columns"][0] == "metric"
         assert doc["meta"]["scenario"]["d"] == 2
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0"), ("--seed", "-3")])
+    def test_invalid_override_exits_with_config_error(self, tmp_path, capsys, flag, value):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(MINIMAL)
+        assert cli.main(["eval", "--config", str(cfg_path), flag, value]) == cli.EXIT_CONFIG_ERROR
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric, case", REGISTRY_CASES)
+    def test_eval_all_methods_agree_for_every_registered_case(self, tmp_path, metric, case):
+        entry = validation.METRICS[metric]
+        if case in ("nearest", "best"):
+            ordering, policy = case, "nearest"
+        else:
+            ordering, policy = ({"N": "nearest", "B": "best"}[c] for c in case)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(REGISTRY_DOC.format(ordering=ordering, policy=policy, metric=metric,
+                                                trials=20000 if entry.probability else 4000))
+        out = tmp_path / "out.csv"
+        assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[:3] for r in rows] == [[metric, case, "2"]] * 3
+        assert [r[5] for r in rows] == ["closed-form", "quadrature", "monte-carlo"]
+        closed, quad, sim = (float(r[3]) for r in rows)
+        half = float(rows[2][4])
+        assert closed > 0.0
+        assert abs(closed - quad) <= entry.quad_tol * abs(quad)
+        gate = validation.family_gate_z(len(REGISTRY_CASES))
+        assert abs(sim - closed) * validation.CI_Z <= half * gate
+
     def test_eval_requires_config(self, capsys):
         assert cli.main(["eval"]) == cli.EXIT_CONFIG_ERROR
         assert "config" in capsys.readouterr().err
@@ -175,6 +246,16 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         values = [float(l.split(",")[3]) for l in out.read_text().splitlines()[1:]]
         assert values[0] > values[1] > values[2]
+
+
+    @pytest.mark.parametrize("values", ["-1,1", "1,-1"])
+    def test_invalid_sweep_point_exits_before_any_output(self, tmp_path, capsys, values):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[run]\nsweep_param = lambda_b\nsweep_values = {values}\n")
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3" in captured.err
 
 
 class TestFigureCommand:

@@ -18,33 +18,9 @@ from secnet.specfun import (
     FoxHParams,
     fox_h,
     fox_h_detailed,
-    log_gamma_complex,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma_complex(1.0) == pytest.approx(0.0, abs=1e-14)
-
-    def test_at_half(self):
-        assert log_gamma_complex(0.5).real == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-
-    def test_complex_point_against_high_precision_reference(self):
-        # mpmath.loggamma(2.5 + 1.5j) at 40 digits
-        want = complex(-0.227112240793227322, 1.17129293466460303)
-        got = log_gamma_complex(2.5 + 1.5j)
-        assert abs(got - want) / abs(want) < 1e-13
-
-    @pytest.mark.parametrize("z", [3.0, 7.25, 0.75])
-    def test_exp_recovers_gamma(self, z):
-        assert math.exp(log_gamma_complex(z).real) == pytest.approx(spgamma(z), rel=1e-12)
-
-    @pytest.mark.parametrize("z", [0.0, -1.0, -7.0])
-    def test_pole_raises(self, z):
-        with pytest.raises(ValueError):
-            log_gamma_complex(z)
 
 
 class TestIncompleteGamma:

@@ -12,7 +12,6 @@ from scipy.stats import kstest
 from secnet.fading import AlphaMuParams, sample_power_gain
 from secnet.stochgeo import (
     NetworkGeometry,
-    intensity_pathloss_fading,
     ordered_path_gains,
     pdf_kth_distance_pow,
     sample_hppp,
@@ -39,11 +38,6 @@ class TestGeometry:
         geo = _geometry(lambda_b=2.0, lambda_e=0.5)
         assert geo.pathloss_rate("legitimate") == pytest.approx(2.0 * math.pi)
         assert geo.pathloss_rate("eavesdropper") == pytest.approx(0.5 * math.pi)
-
-    def test_intensity_coefficient_links_to_rate(self):
-        geo = _geometry(d=2, upsilon=4.0)
-        for side in ("legitimate", "eavesdropper"):
-            assert geo.intensity_coefficient(side) == pytest.approx(geo.delta * geo.composite_rate(side))
 
     def test_composite_rate_ratio_tracks_densities(self):
         # identical fading both sides: the composite-rate ratio reduces to the
@@ -132,24 +126,6 @@ class TestKthDistanceLaw:
 
 
 class TestFadingWeightedIntensity:
-    def test_constant_for_unit_delta(self):
-        geo = _geometry(d=2, upsilon=2.0)
-        assert intensity_pathloss_fading(geo, "legitimate", 0.3) == pytest.approx(
-            intensity_pathloss_fading(geo, "legitimate", 3.0)
-        )
-
-    def test_power_law_ratio(self):
-        geo = _geometry(d=2, upsilon=4.0)
-        for x in (0.5, 1.0, 2.7):
-            ratio = intensity_pathloss_fading(geo, "legitimate", 2 * x) / intensity_pathloss_fading(
-                geo, "legitimate", x
-            )
-            assert ratio == pytest.approx(2.0 ** (geo.delta - 1.0), rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            intensity_pathloss_fading(_geometry(), "legitimate", 0.0)
-
     def test_mean_measure_against_simulation(self):
         # count of weighted path losses below x should average rate * x^delta
         fading = AlphaMuParams.canonical(2.0, 3.0)
