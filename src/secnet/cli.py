@@ -20,6 +20,7 @@ import argparse
 import configparser
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -210,10 +211,8 @@ def parse_config(text: str, command: str = "eval") -> RunSpec:
         scenario = ScenarioConfig.build(**scenario_kwargs)
     except (ValueError, MomentFitError) as exc:
         message = str(exc)
-        anchor = next(
-            (lineno for (sec, key), lineno in lines.items() if key and key in message),
-            None,
-        )
+        anchor = next((lineno for (sec, key), lineno in lines.items()
+                       if key and re.search(rf"\b{re.escape(key)}\b", message)), None)
         where = f"line {anchor}: " if anchor else ""
         raise ConfigError(f"{where}invalid scenario: {message}") from exc
 
@@ -356,7 +355,10 @@ def _metric_rows(cfg: ScenarioConfig, spec: RunSpec, swept=None) -> list[tuple]:
 
 
 def _rebuild(spec: RunSpec, param: str, value) -> tuple[ScenarioConfig, MonteCarloConfig]:
-    value = _SWEEPABLE[param](value)
+    conv = _SWEEPABLE[param]
+    if conv is int and not float(value).is_integer():
+        raise ValueError(f"{param} takes integer values, got {value:g}")
+    value = conv(value)
     if param == "trials":
         return spec.scenario, replace(spec.mc, trials=value)
     kwargs = dict(spec.scenario_kwargs)

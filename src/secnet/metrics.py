@@ -153,7 +153,17 @@ class ScenarioConfig:
             "N" if self.eavesdropper_policy == "nearest" else "B"
         )
 
+    def order_index(self, side: str) -> int:
+        """Index of the order statistic the secrecy metrics read on one side:
+        the k-th legitimate receiver, the first eavesdropper."""
+        return self.user_index if side == "legitimate" else 1
+
+    def snr_scale(self, side: str) -> float:
+        """eta_k on the legitimate side, eta_e on the eavesdropper side."""
+        return self.eta_k if side == "legitimate" else self.eta_e
+
     def with_case(self, case: str) -> "ScenarioConfig":
+        """The scenario with the ordering and eavesdropper policy a case label names."""
         if case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {case!r}")
         return replace(
@@ -164,41 +174,43 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Fox H instances.  Each builder returns (prefactor, params, argument) such
-# that the quantity equals prefactor * H(argument) plus any affine offset
-# applied by the caller.
+# Fox H instances.  Each builder takes (cfg, side, k), where side and k name
+# the order statistic the instance is indexed by, and returns (prefactor,
+# params, scale) such that the quantity equals prefactor * H(scale * z) plus
+# any affine offset applied by the caller; z = 1 unless the instance is a
+# law evaluated at a gain level z.  The PNZ instances pair the k-th
+# legitimate receiver with the first eavesdropper and read only k.
 # ---------------------------------------------------------------------------
 
 
-def _pdf_nearest_instance(fad: AlphaMuParams, rate: float, delta: float, k: int):
-    inv_delta = 1.0 / delta
+def _pdf_nearest(cfg: ScenarioConfig, side: str, k: int):
+    geo = cfg.geometry
+    fad, rate, inv_delta = geo.fading(side), geo.pathloss_rate(side), 1.0 / geo.delta
     params = FoxHParams(
         m=1, n=1,
         upper_coeffs=((1.0 - k - inv_delta, inv_delta),),
         lower_coeffs=((fad.mu - 2.0 / fad.alpha, 2.0 / fad.alpha),),
     )
     pref = fad.epsilon / (rate**inv_delta * _gamma(k))
-    scale = fad.theta / rate**inv_delta
-    return pref, params, scale
+    return pref, params, fad.theta / rate**inv_delta
 
 
-def _cdf_nearest_instance(fad: AlphaMuParams, rate: float, delta: float, k: int):
-    inv_delta = 1.0 / delta
+def _cdf_nearest(cfg: ScenarioConfig, side: str, k: int):
+    geo = cfg.geometry
+    fad, rate, inv_delta = geo.fading(side), geo.pathloss_rate(side), 1.0 / geo.delta
     params = FoxHParams(
         m=2, n=1,
         upper_coeffs=((1.0 - k, inv_delta), (1.0, 1.0)),
         lower_coeffs=((0.0, 1.0), (fad.mu, 2.0 / fad.alpha)),
     )
     pref = 1.0 / (_gamma(fad.mu) * _gamma(k))
-    scale = fad.theta / rate**inv_delta
-    return pref, params, scale
+    return pref, params, fad.theta / rate**inv_delta
 
 
-def _pnz_nn_instance(cfg: ScenarioConfig):
+def _pnz_nn(cfg: ScenarioConfig, side: str, k: int):
     geo = cfg.geometry
     fb, fe = cfg.fading_b, cfg.fading_e
     inv_delta = 1.0 / geo.delta
-    k = cfg.user_index
     params = FoxHParams(
         m=3, n=2,
         upper_coeffs=((1.0 - fb.mu, 2.0 / fb.alpha), (0.0, inv_delta), (1.0, 1.0)),
@@ -211,11 +223,10 @@ def _pnz_nn_instance(cfg: ScenarioConfig):
     return pref, params, arg
 
 
-def _pnz_nb_instance(cfg: ScenarioConfig):
+def _pnz_nb(cfg: ScenarioConfig, side: str, k: int):
     geo = cfg.geometry
     fb = cfg.fading_b
     inv_delta = 1.0 / geo.delta
-    k = cfg.user_index
     params = FoxHParams(
         m=1, n=3,
         upper_coeffs=((1.0, 1.0), (1.0 - fb.mu, 2.0 / fb.alpha), (0.0, inv_delta)),
@@ -228,11 +239,10 @@ def _pnz_nb_instance(cfg: ScenarioConfig):
     return pref, params, arg
 
 
-def _pnz_bn_instance(cfg: ScenarioConfig):
+def _pnz_bn(cfg: ScenarioConfig, side: str, k: int):
     geo = cfg.geometry
     fe = cfg.fading_e
     inv_delta = 1.0 / geo.delta
-    k = cfg.user_index
     params = FoxHParams(
         m=1, n=3,
         upper_coeffs=((1.0, 1.0), (1.0 - fe.mu, 2.0 / fe.alpha), (1.0 - k, inv_delta)),
@@ -245,56 +255,67 @@ def _pnz_bn_instance(cfg: ScenarioConfig):
     return pref, params, arg
 
 
-def _capacity_nearest_instance(fad: AlphaMuParams, rate: float, delta: float, k: int, eta: float):
-    inv_delta = 1.0 / delta
+def _capacity_nearest(cfg: ScenarioConfig, side: str, k: int):
+    geo = cfg.geometry
+    fad, inv_delta = geo.fading(side), 1.0 / geo.delta
     params = FoxHParams(
         m=2, n=3,
         upper_coeffs=((1.0, 1.0), (1.0, 1.0), (1.0 - fad.mu, 2.0 / fad.alpha)),
         lower_coeffs=((1.0, 1.0), (float(k), inv_delta), (0.0, 1.0)),
     )
-    arg = eta * rate**inv_delta / fad.theta
+    arg = cfg.snr_scale(side) * geo.pathloss_rate(side)**inv_delta / fad.theta
     pref = 1.0 / (_gamma(fad.mu) * _gamma(k) * math.log(2.0))
     return pref, params, arg
 
 
-def _capacity_best_instance(comp_rate: float, delta: float, k: int, eta: float):
+def _capacity_best(cfg: ScenarioConfig, side: str, k: int):
+    delta = cfg.geometry.delta
     params = FoxHParams(
         m=2, n=2,
         upper_coeffs=((1.0, delta), (1.0, delta)),
         lower_coeffs=((float(k), 1.0), (1.0, delta), (0.0, delta)),
     )
-    arg = comp_rate * eta**delta
+    arg = cfg.geometry.composite_rate(side) * cfg.snr_scale(side)**delta
     pref = delta / (_gamma(k) * math.log(2.0))
     return pref, params, arg
+
+
+# Every Fox H instance the closed forms evaluate: name -> (builder, side,
+# whether it is a law evaluated at a gain level z).
+_FOX_H = {
+    "pdf_nearest": (_pdf_nearest, "legitimate", True),
+    "cdf_nearest": (_cdf_nearest, "legitimate", True),
+    "pnz_nn": (_pnz_nn, "legitimate", False),
+    "pnz_nb": (_pnz_nb, "legitimate", False),
+    "pnz_bn": (_pnz_bn, "legitimate", False),
+    "capacity_nearest": (_capacity_nearest, "legitimate", False),
+    "capacity_best": (_capacity_best, "legitimate", False),
+    "wiretap_nearest": (_capacity_nearest, "eavesdropper", False),
+    "wiretap_best": (_capacity_best, "eavesdropper", False),
+}
+
+
+def _fox_h_term(cfg: ScenarioConfig, name: str, z: float = 1.0, k: int | None = None) -> float:
+    """prefactor * H(scale * z) of one listed instance, at the side's order
+    index unless k is given."""
+    build, side, _ = _FOX_H[name]
+    pref, params, scale = build(cfg, side, cfg.order_index(side) if k is None else k)
+    return pref * fox_h(params, scale * z)
 
 
 def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
     """All Fox H instances a scenario's closed forms evaluate, with arguments.
 
     Exposed so that numerical invariants (contour independence, imaginary
-    residue) can be checked on exactly the in-scope instance set.
+    residue) can be checked on exactly the in-scope instance set.  Laws of
+    a gain level are listed at the reference level max(outage threshold,
+    0.25); the eavesdropper capacities at the first eavesdropper.
     """
-    geo = cfg.geometry
-    k = cfg.user_index
-    delta = geo.delta
     z_ref = max(cfg.outage_threshold, 0.25)
     out: dict[str, tuple[FoxHParams, float]] = {}
-    _, p, s = _pdf_nearest_instance(cfg.fading_b, geo.pathloss_rate("legitimate"), delta, k)
-    out["pdf_nearest"] = (p, s * z_ref)
-    _, p, s = _cdf_nearest_instance(cfg.fading_b, geo.pathloss_rate("legitimate"), delta, k)
-    out["cdf_nearest"] = (p, s * z_ref)
-    _, p, a = _pnz_nn_instance(cfg)
-    out["pnz_nn"] = (p, a)
-    _, p, a = _pnz_nb_instance(cfg)
-    out["pnz_nb"] = (p, a)
-    _, p, a = _pnz_bn_instance(cfg)
-    out["pnz_bn"] = (p, a)
-    _, p, a = _capacity_nearest_instance(
-        cfg.fading_b, geo.pathloss_rate("legitimate"), delta, k, cfg.eta_k
-    )
-    out["capacity_nearest"] = (p, a)
-    _, p, a = _capacity_best_instance(geo.composite_rate("legitimate"), delta, k, cfg.eta_k)
-    out["capacity_best"] = (p, a)
+    for name, (build, side, per_z) in _FOX_H.items():
+        _, params, scale = build(cfg, side, cfg.order_index(side))
+        out[name] = (params, scale * z_ref if per_z else scale)
     return out
 
 
@@ -307,11 +328,7 @@ def pdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Density of the k-th nearest receiver's composite gain g / r^upsilon."""
     if z <= 0:
         raise ValueError(f"composite-gain density needs z > 0, got {z}")
-    geo = cfg.geometry
-    pref, params, scale = _pdf_nearest_instance(
-        cfg.fading_b, geo.pathloss_rate("legitimate"), geo.delta, cfg.user_index
-    )
-    return pref * fox_h(params, scale * z)
+    return _fox_h_term(cfg, "pdf_nearest", z)
 
 
 def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
@@ -320,11 +337,7 @@ def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
         raise ValueError(f"composite-gain distribution needs z >= 0, got {z}")
     if z == 0:
         return 0.0
-    geo = cfg.geometry
-    pref, params, scale = _cdf_nearest_instance(
-        cfg.fading_b, geo.pathloss_rate("legitimate"), geo.delta, cfg.user_index
-    )
-    return min(max(1.0 - pref * fox_h(params, scale * z), 0.0), 1.0)
+    return min(max(1.0 - _fox_h_term(cfg, "cdf_nearest", z), 0.0), 1.0)
 
 
 def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
@@ -380,8 +393,7 @@ def cop(cfg: ScenarioConfig) -> float:
 
 def pnz_nn(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first nearest eavesdropper."""
-    pref, params, arg = _pnz_nn_instance(cfg)
-    return min(max(1.0 - pref * fox_h(params, arg), 0.0), 1.0)
+    return min(max(1.0 - _fox_h_term(cfg, "pnz_nn"), 0.0), 1.0)
 
 
 def pnz_bb(cfg: ScenarioConfig) -> float:
@@ -395,14 +407,12 @@ def pnz_bb(cfg: ScenarioConfig) -> float:
 
 def pnz_nb(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first best eavesdropper."""
-    pref, params, arg = _pnz_nb_instance(cfg)
-    return min(max(pref * fox_h(params, arg), 0.0), 1.0)
+    return min(max(_fox_h_term(cfg, "pnz_nb"), 0.0), 1.0)
 
 
 def pnz_bn(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first nearest eavesdropper."""
-    pref, params, arg = _pnz_bn_instance(cfg)
-    return min(max(1.0 - pref * fox_h(params, arg), 0.0), 1.0)
+    return min(max(1.0 - _fox_h_term(cfg, "pnz_bn"), 0.0), 1.0)
 
 
 _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}
@@ -410,10 +420,8 @@ _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}
 
 def pnz(cfg: ScenarioConfig, case: str | None = None) -> float:
     """Probability of non-zero secrecy capacity for the given pairing."""
-    case = cfg.case if case is None else case
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    return _PNZ_DISPATCH[case](cfg.with_case(case))
+    cfg = cfg.with_case(cfg.case if case is None else case)
+    return _PNZ_DISPATCH[cfg.case](cfg)
 
 
 def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
@@ -444,20 +452,12 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
 
 def ergodic_capacity_nearest(cfg: ScenarioConfig) -> float:
     """Mean link capacity (bits/s/Hz) of the k-th nearest receiver."""
-    geo = cfg.geometry
-    pref, params, arg = _capacity_nearest_instance(
-        cfg.fading_b, geo.pathloss_rate("legitimate"), geo.delta, cfg.user_index, cfg.eta_k
-    )
-    return max(pref * fox_h(params, arg), 0.0)
+    return max(_fox_h_term(cfg, "capacity_nearest"), 0.0)
 
 
 def ergodic_capacity_best(cfg: ScenarioConfig) -> float:
     """Mean link capacity (bits/s/Hz) of the k-th best receiver."""
-    geo = cfg.geometry
-    pref, params, arg = _capacity_best_instance(
-        geo.composite_rate("legitimate"), geo.delta, cfg.user_index, cfg.eta_k
-    )
-    return max(pref * fox_h(params, arg), 0.0)
+    return max(_fox_h_term(cfg, "capacity_best"), 0.0)
 
 
 def wiretap_capacity(cfg: ScenarioConfig, policy: str, k: int = 1) -> float:
@@ -469,24 +469,12 @@ def wiretap_capacity(cfg: ScenarioConfig, policy: str, k: int = 1) -> float:
     """
     if policy not in ORDERINGS:
         raise ValueError(f"policy must be one of {ORDERINGS}, got {policy!r}")
-    geo = cfg.geometry
-    if policy == "nearest":
-        pref, params, arg = _capacity_nearest_instance(
-            cfg.fading_e, geo.pathloss_rate("eavesdropper"), geo.delta, k, cfg.eta_e
-        )
-    else:
-        pref, params, arg = _capacity_best_instance(
-            geo.composite_rate("eavesdropper"), geo.delta, k, cfg.eta_e
-        )
-    return max(pref * fox_h(params, arg), 0.0)
+    return max(_fox_h_term(cfg, f"wiretap_{policy}", k=k), 0.0)
 
 
 def ergodic_secrecy_capacity(cfg: ScenarioConfig, case: str | None = None) -> float:
     """Clipped difference of legitimate and strongest-eavesdropper capacities."""
-    case = cfg.case if case is None else case
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    cfg = cfg.with_case(case)
-    main = ergodic_capacity_nearest(cfg) if case[0] == "N" else ergodic_capacity_best(cfg)
-    tap = wiretap_capacity(cfg, "nearest" if case[1] == "N" else "best", k=1)
+    cfg = cfg.with_case(cfg.case if case is None else case)
+    main = ergodic_capacity_nearest(cfg) if cfg.ordering == "nearest" else ergodic_capacity_best(cfg)
+    tap = wiretap_capacity(cfg, cfg.eavesdropper_policy, k=1)
     return max(main - tap, 0.0)

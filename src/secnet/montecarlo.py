@@ -26,7 +26,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gammaln, ndtri
 
 from . import fading, stochgeo
-from .metrics import CASES, ScenarioConfig
+from .metrics import CASES, ORDERINGS, ScenarioConfig
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _BATCH = 8192
-_LEGIT, _EAVE = 0, 1
 _QUAD_REL = 1e-9
 _QUAD_REL_INNER = 1e-10
 
@@ -110,20 +109,6 @@ class ErgodicSecrecyEstimate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _SideDraws:
-    nearest: np.ndarray
-    best: np.ndarray
-    valid: np.ndarray
-
-
-def _side_radius(cfg: ScenarioConfig, mc: MonteCarloConfig, side: str, k: int,
-                 orderings: tuple[str, ...]) -> float:
-    if mc.window_radius is not None:
-        return mc.window_radius
-    return stochgeo.window_radius(cfg.geometry, side, k, orderings=orderings)
-
-
 def _sample_side_batch(
     gen: np.random.Generator,
     geometry: stochgeo.NetworkGeometry,
@@ -132,13 +117,15 @@ def _sample_side_batch(
     radius: float,
     size: int,
     orderings: tuple[str, ...],
-) -> _SideDraws:
+) -> dict[str, np.ndarray]:
     """Composite gains of the k-th nearest and/or k-th best receiver for one batch.
 
-    Draw order (counts, radii, gains) is fixed, so for a given requested
-    ordering set identical streams yield identical draws.  When only the
-    distance ordering is needed, a single gain per realization suffices: the
-    gain attached to the k-th nearest point is independent of the distances.
+    Returns one array per requested ordering, NaN where a realization holds
+    fewer than k points.  Draw order (counts, radii, gains) is fixed, so for
+    a given requested ordering set identical streams yield identical draws.
+    When only the distance ordering is needed, a single gain per realization
+    suffices: the gain attached to the k-th nearest point is independent of
+    the distances.
     """
     fad = geometry.fading(side)
     d, ups = geometry.d, geometry.upsilon
@@ -146,33 +133,26 @@ def _sample_side_batch(
     counts = gen.poisson(mean_count, size)
     width = max(int(counts.max(initial=0)), k)
     radii = radius * gen.random((size, width)) ** (1.0 / d)
-    valid = counts >= k
     occupied = np.arange(width)[None, :] < counts[:, None]
     loss = np.where(occupied, radii**ups, np.inf)
-    nearest = best = None
+    out = {}
     if "best" in orderings:
         gains = fading.sample_power_gain(fad, gen, (size, width))
         weighted = np.where(occupied, loss / gains, np.inf)
-        best = 1.0 / np.partition(weighted, k - 1, axis=1)[:, k - 1]
-        best[~valid] = np.nan
+        out["best"] = 1.0 / np.partition(weighted, k - 1, axis=1)[:, k - 1]
         if "nearest" in orderings:
             rows = np.arange(size)
             order = np.argpartition(loss, k - 1, axis=1)[:, k - 1]
             with np.errstate(invalid="ignore"):
-                nearest = gains[rows, order] / loss[rows, order]
-            nearest[~valid] = np.nan
+                out["nearest"] = gains[rows, order] / loss[rows, order]
     elif "nearest" in orderings:
         kth_loss = np.partition(loss, k - 1, axis=1)[:, k - 1]
         gains = fading.sample_power_gain(fad, gen, size)
         with np.errstate(invalid="ignore"):
-            nearest = gains / kth_loss
-        nearest[~valid] = np.nan
-    blank = np.full(size, np.nan)
-    return _SideDraws(
-        nearest=blank if nearest is None else nearest,
-        best=blank if best is None else best,
-        valid=valid,
-    )
+            out["nearest"] = gains / kth_loss
+    for z in out.values():
+        z[counts < k] = np.nan
+    return out
 
 
 def _run_simulation(
@@ -180,39 +160,37 @@ def _run_simulation(
     mc: MonteCarloConfig,
     need_legit: tuple[str, ...],
     need_eave: tuple[str, ...],
-) -> dict[str, _SideDraws]:
+) -> dict[tuple[str, str], np.ndarray]:
     """Sample all requested composite gains for mc.trials realizations.
 
-    Each (batch, side) pair owns a counter-keyed generator, and batches write
+    Returns one array per requested (side, ordering), NaN where a
+    realization holds fewer points than the side's order index.  Each
+    (batch, side) pair owns a counter-keyed generator, and batches write
     disjoint slices of preallocated arrays, so the result is independent of
     worker scheduling.
     """
     trials = mc.trials
-    sides: list[tuple[str, int, int, float]] = []
-    if need_legit:
-        sides.append(("legitimate", _LEGIT, cfg.user_index,
-                      _side_radius(cfg, mc, "legitimate", cfg.user_index, need_legit)))
-    if need_eave:
-        sides.append(("eavesdropper", _EAVE, 1,
-                      _side_radius(cfg, mc, "eavesdropper", 1, need_eave)))
-    out = {
-        side: _SideDraws(np.empty(trials), np.empty(trials), np.empty(trials, dtype=bool))
-        for side, _, _, _ in sides
-    }
+    sides = []
+    # A side's position in SIDES is its stream key: reordering SIDES changes realizations.
+    for code, (side, need) in enumerate(zip(stochgeo.SIDES, (need_legit, need_eave))):
+        if need:
+            k = cfg.order_index(side)
+            radius = (mc.window_radius if mc.window_radius is not None
+                      else stochgeo.window_radius(cfg.geometry, side, k, orderings=need))
+            sides.append((side, code, k, radius, need))
+    out = {(side, ordering): np.empty(trials)
+           for side, _, _, _, need in sides for ordering in need}
     n_batches = (trials + _BATCH - 1) // _BATCH
-
-    needs = {"legitimate": need_legit, "eavesdropper": need_eave}
 
     def run_batch(j: int) -> None:
         lo = j * _BATCH
         hi = min(lo + _BATCH, trials)
-        for side, code, k, radius in sides:
+        for side, code, k, radius, need in sides:
             seq = np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, code))
             gen = np.random.Generator(np.random.Philox(seq))
-            draws = _sample_side_batch(gen, cfg.geometry, side, k, radius, hi - lo, needs[side])
-            out[side].nearest[lo:hi] = draws.nearest
-            out[side].best[lo:hi] = draws.best
-            out[side].valid[lo:hi] = draws.valid
+            draws = _sample_side_batch(gen, cfg.geometry, side, k, radius, hi - lo, need)
+            for ordering, z in draws.items():
+                out[side, ordering][lo:hi] = z
 
     if mc.worker_hint == 1 or n_batches == 1:
         for j in range(n_batches):
@@ -221,6 +199,14 @@ def _run_simulation(
         with ThreadPoolExecutor(max_workers=mc.worker_hint) as pool:
             list(pool.map(run_batch, range(n_batches)))
     return out
+
+
+def _case_gains(cfg: ScenarioConfig, draws: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Legitimate and eavesdropper gains of cfg's case where both exist."""
+    zb = draws["legitimate", cfg.ordering]
+    ze = draws["eavesdropper", cfg.eavesdropper_policy]
+    ok = ~(np.isnan(zb) | np.isnan(ze))
+    return zb[ok], ze[ok]
 
 
 def _binomial_estimate(hits: int, n: int, trials: int, mc: MonteCarloConfig) -> MetricEstimate:
@@ -257,41 +243,27 @@ def simulate_cop(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
         # Capacity log2(1 + eta*Z) is almost surely positive, so outage at
         # zero rate never occurs; the zero is exact, not sampled.
         return MetricEstimate(0.0, 0.0, "closed-form", 0)
-    draws = _run_simulation(cfg, mc, need_legit=(cfg.ordering,), need_eave=())["legitimate"]
-    z = draws.nearest if cfg.ordering == "nearest" else draws.best
-    ok = draws.valid
-    hits = int(np.count_nonzero(z[ok] < threshold))
-    return _binomial_estimate(hits, int(ok.sum()), mc.trials, mc)
+    z = _run_simulation(cfg, mc, (cfg.ordering,), ())["legitimate", cfg.ordering]
+    z = z[~np.isnan(z)]
+    return _binomial_estimate(int(np.count_nonzero(z < threshold)), z.size, mc.trials, mc)
 
 
-def _pnz_hits(case: str, legit: _SideDraws, eave: _SideDraws, varpi: float) -> tuple[int, int]:
-    zb = legit.nearest if case[0] == "N" else legit.best
-    ze = eave.nearest if case[1] == "N" else eave.best
-    ok = legit.valid & eave.valid
-    hits = int(np.count_nonzero(zb[ok] * varpi > ze[ok]))
-    return hits, int(ok.sum())
+def _pnz_estimate(cfg: ScenarioConfig, draws: dict, mc: MonteCarloConfig) -> MetricEstimate:
+    zb, ze = _case_gains(cfg, draws)
+    return _binomial_estimate(int(np.count_nonzero(zb * cfg.varpi > ze)), zb.size, mc.trials, mc)
 
 
 def simulate_pnz(cfg: ScenarioConfig, case: str | None, mc: MonteCarloConfig) -> MetricEstimate:
     """Frequency of the legitimate SNR exceeding the eavesdropper SNR."""
-    case = cfg.case if case is None else case
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    legit_need = ("nearest",) if case[0] == "N" else ("best",)
-    eave_need = ("nearest",) if case[1] == "N" else ("best",)
-    draws = _run_simulation(cfg, mc, legit_need, eave_need)
-    hits, n = _pnz_hits(case, draws["legitimate"], draws["eavesdropper"], cfg.varpi)
-    return _binomial_estimate(hits, n, mc.trials, mc)
+    cfg = cfg.with_case(cfg.case if case is None else case)
+    draws = _run_simulation(cfg, mc, (cfg.ordering,), (cfg.eavesdropper_policy,))
+    return _pnz_estimate(cfg, draws, mc)
 
 
 def simulate_pnz_all(cfg: ScenarioConfig, mc: MonteCarloConfig) -> dict[str, MetricEstimate]:
     """All four receiver/eavesdropper pairings from one set of realizations."""
-    draws = _run_simulation(cfg, mc, ("nearest", "best"), ("nearest", "best"))
-    out = {}
-    for case in CASES:
-        hits, n = _pnz_hits(case, draws["legitimate"], draws["eavesdropper"], cfg.varpi)
-        out[case] = _binomial_estimate(hits, n, mc.trials, mc)
-    return out
+    draws = _run_simulation(cfg, mc, ORDERINGS, ORDERINGS)
+    return {case: _pnz_estimate(cfg.with_case(case), draws, mc) for case in CASES}
 
 
 def simulate_ergodic_capacity(
@@ -306,22 +278,21 @@ def simulate_ergodic_capacity(
     The eavesdropper side defaults to the strongest receiver (k = 1) under
     the scenario's eavesdropper policy.
     """
+    if side not in stochgeo.SIDES:
+        raise ValueError(f"side must be one of {stochgeo.SIDES}, got {side!r}")
     if side == "legitimate":
         ordering = cfg.ordering if ordering is None else ordering
-        k = cfg.user_index if k is None else k
-        eta = cfg.eta_k
-        sim_cfg = cfg if k == cfg.user_index else replace(cfg, user_index=k)
-        draws = _run_simulation(sim_cfg, mc, (ordering,), ())["legitimate"]
+        cfg = replace(cfg, ordering=ordering, user_index=cfg.user_index if k is None else k)
+        need = ((ordering,), ())
+    elif k in (None, 1):
+        ordering = cfg.eavesdropper_policy if ordering is None else ordering
+        cfg = replace(cfg, eavesdropper_policy=ordering)
+        need = ((), (ordering,))
     else:
         # the engine keys eavesdropper order statistics to the strongest one
-        if k not in (None, 1):
-            raise ValueError("eavesdropper capacities are simulated for the strongest receiver only")
-        ordering = cfg.eavesdropper_policy if ordering is None else ordering
-        eta = cfg.eta_e
-        draws = _run_simulation(cfg, mc, (), (ordering,))["eavesdropper"]
-    z = draws.nearest if ordering == "nearest" else draws.best
-    caps = np.log2(1.0 + eta * z[draws.valid])
-    return _mean_estimate(caps, mc.trials, mc)
+        raise ValueError("eavesdropper capacities are simulated for the strongest receiver only")
+    z = _run_simulation(cfg, mc, *need)[side, ordering]
+    return _mean_estimate(np.log2(1.0 + cfg.snr_scale(side) * z[~np.isnan(z)]), mc.trials, mc)
 
 
 def simulate_ergodic_secrecy(
@@ -336,25 +307,11 @@ def simulate_ergodic_secrecy(
     mean-of-clipped variant averages per-realization clipped differences and
     is generally larger.
     """
-    case = cfg.case if case is None else case
-    if case not in CASES:
-        raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    legit_need = ("nearest",) if case[0] == "N" else ("best",)
-    eave_need = ("nearest",) if case[1] == "N" else ("best",)
-    draws = _run_simulation(cfg, mc, legit_need, eave_need)
-    legit, eave = draws["legitimate"], draws["eavesdropper"]
-    ok = legit.valid & eave.valid
-    zb = (legit.nearest if case[0] == "N" else legit.best)[ok]
-    ze = (eave.nearest if case[1] == "N" else eave.best)[ok]
-    main = np.log2(1.0 + cfg.eta_k * zb)
-    tap = np.log2(1.0 + cfg.eta_e * ze)
-    diff = main - tap
+    cfg = cfg.with_case(cfg.case if case is None else case)
+    zb, ze = _case_gains(cfg, _run_simulation(cfg, mc, (cfg.ordering,), (cfg.eavesdropper_policy,)))
+    diff = np.log2(1.0 + cfg.eta_k * zb) - np.log2(1.0 + cfg.eta_e * ze)
     diff_est = _mean_estimate(diff, mc.trials, mc)
-    clipped_difference = MetricEstimate(
-        value=max(diff_est.value, 0.0), half_width=diff_est.half_width,
-        provenance="monte-carlo", trials_used=diff_est.trials_used,
-        rejection_rate=diff_est.rejection_rate,
-    )
+    clipped_difference = replace(diff_est, value=max(diff_est.value, 0.0))
     mean_clipped = _mean_estimate(np.maximum(diff, 0.0), mc.trials, mc)
     return ErgodicSecrecyEstimate(clipped_difference=clipped_difference, mean_clipped=mean_clipped)
 
@@ -472,19 +429,10 @@ def _quad_pnz(cfg: ScenarioConfig, case: str) -> float:
     raise ValueError(f"case must be one of {CASES}, got {case!r}")
 
 
-def _quad_capacity(cfg: ScenarioConfig, side: str, ordering: str, k: int) -> float:
+def _quad_capacity(cfg: ScenarioConfig, side: str, ordering: str) -> float:
     geo = cfg.geometry
-    delta = geo.delta
-    if side == "legitimate":
-        fad, rate, comp, eta = (
-            cfg.fading_b, geo.pathloss_rate("legitimate"),
-            geo.composite_rate("legitimate"), cfg.eta_k,
-        )
-    else:
-        fad, rate, comp, eta = (
-            cfg.fading_e, geo.pathloss_rate("eavesdropper"),
-            geo.composite_rate("eavesdropper"), cfg.eta_e,
-        )
+    delta, k, eta = geo.delta, cfg.order_index(side), cfg.snr_scale(side)
+    fad, rate, comp = geo.fading(side), geo.pathloss_rate(side), geo.composite_rate(side)
     if ordering == "nearest":
         return _semi_infinite(
             lambda z: math.log2(1.0 + eta * z) * _pdf_composite_nearest_quad(fad, rate, delta, k, z),
@@ -517,13 +465,10 @@ def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
         value = _quad_cop(cfg)
     elif key.startswith("pnz-"):
         value = _quad_pnz(cfg, key[4:])
-    elif key == "capacity-nearest":
-        value = _quad_capacity(cfg, "legitimate", "nearest", cfg.user_index)
-    elif key == "capacity-best":
-        value = _quad_capacity(cfg, "legitimate", "best", cfg.user_index)
+    elif key.startswith("capacity-"):
+        value = _quad_capacity(cfg, "legitimate", key[9:])
     else:
-        case = key[4:]
-        main = _quad_capacity(cfg, "legitimate", "nearest" if case[0] == "N" else "best", cfg.user_index)
-        tap = _quad_capacity(cfg, "eavesdropper", "nearest" if case[1] == "N" else "best", 1)
-        value = max(main - tap, 0.0)
+        cfg = cfg.with_case(key[4:])
+        main = _quad_capacity(cfg, "legitimate", cfg.ordering)
+        value = max(main - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0)
     return MetricEstimate(value=float(value), half_width=0.0, provenance="quadrature", trials_used=0)

@@ -137,6 +137,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"line 3.*{param} = (-1|0)\b"):
             parse_config(doc, command="sweep")
 
+    @pytest.mark.parametrize("param, values, bad", [
+        ("k", "1,1.5,2", "1.5"), ("d", "2.7", "2.7"), ("n_b", "0.5:2.5:3", "0.5")])
+    def test_fractional_sweep_point_for_integer_field_is_config_error(self, param, values, bad):
+        doc = f"[run]\nsweep_param = {param}\nsweep_values = {values}\n"
+        with pytest.raises(ConfigError, match=rf"line 3.*{param} = {bad} .*integer"):
+            parse_config(doc, command="sweep")
+
+    def test_integral_grid_for_integer_field_is_accepted(self):
+        doc = "[run]\nsweep_param = k\nsweep_values = 1:3:3\n"
+        assert parse_config(doc, command="sweep").sweep_values == (1.0, 2.0, 3.0)
+
+    def test_scenario_error_anchors_at_whole_key(self):
+        # "d" occurs inside "and" of the message; the error belongs to alpha
+        doc = "[geometry]\nd = 2\n\n[fading_b]\nalpha = -1\n"
+        with pytest.raises(ConfigError, match=r"^line 5: .*alpha"):
+            parse_config(doc, command="eval")
+
     def test_negative_seed_in_document_is_config_error(self):
         with pytest.raises(ConfigError, match=r"line 1.*seed"):
             parse_config("[mc]\nseed = -3\n", command="eval")

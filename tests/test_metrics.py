@@ -309,7 +309,7 @@ class TestErgodicCapacity:
         cfg = figures.scenario("fig11", k=2)
         for policy in ("nearest", "best"):
             closed = metrics.wiretap_capacity(cfg, policy)
-            oracle = montecarlo._quad_capacity(cfg, "eavesdropper", policy, 1)
+            oracle = montecarlo._quad_capacity(cfg, "eavesdropper", policy)
             assert closed == pytest.approx(oracle, rel=1e-4)
 
 

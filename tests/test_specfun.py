@@ -6,6 +6,7 @@ independent Mellin-Barnes integration along a different contour abscissa).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,15 +141,48 @@ class TestFoxHValues:
             fox_h(params, 1.0)
 
 
+# Two representative scenarios: one with integer delta, one with d=3 and
+# fractional delta.
+_INSCOPE_SCENARIOS = (("fig6", {"k": 2}), ("fig7", {"k": 2, "upsilon": 4.0}))
+
+
 def _inscope_instances():
-    """Every Fox H instance the metric layer evaluates on two representative
-    scenarios (one with integer delta, one with d=3 and fractional delta)."""
+    """Every Fox H instance the metric layer evaluates on the representative scenarios."""
     out = []
-    for fig, kwargs in (("fig6", {"k": 2}), ("fig7", {"k": 2, "upsilon": 4.0})):
+    for fig, kwargs in _INSCOPE_SCENARIOS:
         cfg = figures.scenario(fig, **kwargs)
         for name, (params, arg) in metrics.fox_h_instances(cfg).items():
             out.append(pytest.param(params, arg, id=f"{fig}-{name}"))
     return out
+
+
+@pytest.mark.parametrize("fig, kwargs", _INSCOPE_SCENARIOS, ids=[f for f, _ in _INSCOPE_SCENARIOS])
+def test_instance_list_is_exactly_what_the_closed_forms_evaluate(fig, kwargs, monkeypatch):
+    cfg = figures.scenario(fig, **kwargs)
+    calls = []
+
+    def recording_fox_h(params, arg, *args, **kw):
+        calls.append((params, arg))
+        return fox_h(params, arg, *args, **kw)
+
+    monkeypatch.setattr(metrics, "fox_h", recording_fox_h)
+    z_ref = max(cfg.outage_threshold, 0.25)
+    metrics.pdf_composite_nearest(cfg, z_ref)
+    metrics.cdf_composite_nearest(cfg, z_ref)
+    for ordering in metrics.ORDERINGS:
+        metrics.cop(replace(cfg, ordering=ordering))
+        metrics.wiretap_capacity(cfg, ordering, k=1)
+    for case in metrics.CASES:
+        metrics.pnz(cfg, case)
+        metrics.ergodic_secrecy_capacity(cfg, case)
+    metrics.ergodic_capacity_nearest(cfg)
+    metrics.ergodic_capacity_best(cfg)
+
+    listed = metrics.fox_h_instances(cfg)
+    unlisted = [call for call in calls if call not in listed.values()]
+    assert not unlisted, f"{len(unlisted)} of {len(calls)} fox_h calls are not listed"
+    unused = [name for name, inst in listed.items() if inst not in calls]
+    assert not unused, f"listed but never evaluated: {unused}"
 
 
 class TestFoxHInvariants:
