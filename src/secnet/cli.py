@@ -98,6 +98,18 @@ _SCHEMA = {
     },
 }
 
+# Each ScenarioConfig.build keyword with the (section, key) that sets it.
+_SCENARIO_KEYS = {
+    "d": ("geometry", "d"), "upsilon": ("geometry", "upsilon"),
+    "lambda_b": ("geometry", "lambda_b"), "lambda_e": ("geometry", "lambda_e"),
+    "alpha_b": ("fading_b", "alpha"), "mu_b": ("fading_b", "mu"),
+    "alpha_e": ("fading_e", "alpha"), "mu_e": ("fading_e", "mu"),
+    "n_a": ("scenario", "n_a"), "n_b": ("scenario", "n_b"), "n_e": ("scenario", "n_e"),
+    "eta_k": ("scenario", "eta_k"), "eta_e": ("scenario", "eta_e"), "rate": ("scenario", "rate"),
+    "user_index": ("scenario", "k"), "ordering": ("scenario", "ordering"),
+    "eavesdropper_policy": ("scenario", "eavesdropper_policy"),
+}
+
 _SWEEPABLE = {
     "lambda_b": float, "lambda_e": float, "upsilon": float, "d": int,
     "alpha_b": float, "mu_b": float, "alpha_e": float, "mu_e": float,
@@ -179,42 +191,20 @@ def parse_config(text: str, command: str = "eval") -> RunSpec:
             raise _anchored(lines, side, eta_key,
                             f"give either {eta_key} or {eta_key}_db, not both")
 
-    eta_k = get("scenario", "eta_k", None)
-    if eta_k is None:
-        db = get("scenario", "eta_k_db", None)
-        eta_k = _db_to_linear(db) if db is not None else 1.0
-    eta_e = get("scenario", "eta_e", None)
-    if eta_e is None:
-        db = get("scenario", "eta_e_db", None)
-        eta_e = _db_to_linear(db) if db is not None else 1.0
-
-    scenario_kwargs = dict(
-        d=get("geometry", "d", 2),
-        upsilon=get("geometry", "upsilon", 2.0),
-        lambda_b=get("geometry", "lambda_b", 1.0),
-        lambda_e=get("geometry", "lambda_e", 1.0),
-        alpha_b=get("fading_b", "alpha", 2.0),
-        mu_b=get("fading_b", "mu", 1.0),
-        alpha_e=get("fading_e", "alpha", 2.0),
-        mu_e=get("fading_e", "mu", 1.0),
-        n_a=get("scenario", "n_a", 1),
-        n_b=get("scenario", "n_b", 1),
-        n_e=get("scenario", "n_e", 1),
-        eta_k=eta_k,
-        eta_e=eta_e,
-        rate=get("scenario", "rate", 1.0),
-        user_index=get("scenario", "k", 1),
-        ordering=get("scenario", "ordering", "nearest"),
-        eavesdropper_policy=get("scenario", "eavesdropper_policy", "nearest"),
-    )
+    scenario_kwargs = {kw: values[sec][key] for kw, (sec, key) in _SCENARIO_KEYS.items()
+                       if key in values.get(sec, {})}
+    for eta_key in ("eta_k", "eta_e"):
+        db = get("scenario", eta_key + "_db", None)
+        if db is not None:
+            scenario_kwargs[eta_key] = _db_to_linear(db)
     try:
         scenario = ScenarioConfig.build(**scenario_kwargs)
     except (ValueError, MomentFitError) as exc:
-        message = str(exc)
-        anchor = next((lineno for (sec, key), lineno in lines.items()
-                       if key and re.search(rf"\b{re.escape(key)}\b", message)), None)
-        where = f"line {anchor}: " if anchor else ""
-        raise ConfigError(f"{where}invalid scenario: {message}") from exc
+        # The scenario's messages name the offending build keyword; anchor at its key.
+        named = sorted((match.start(), kw) for kw in _SCENARIO_KEYS
+                       if (match := re.search(rf"\b{kw}\b", str(exc))))
+        section, key = _SCENARIO_KEYS[named[0][1]] if named else ("", "")
+        raise _anchored(lines, section, key, f"invalid scenario: {exc}") from exc
 
     try:
         mc = MonteCarloConfig(

@@ -77,11 +77,11 @@ def pdf_power_gain(p: AlphaMuParams, x):
     if np.any(x <= 0):
         raise ValueError("power-gain density is defined for x > 0 only")
     half_alpha = 0.5 * p.alpha
-    out = (
-        p.alpha
-        * x ** (half_alpha * p.mu - 1.0)
-        / (2.0 * p.omega ** (half_alpha * p.mu) * _gamma(p.mu))
-        * np.exp(-((x / p.omega) ** half_alpha))
+    # in logs, so that a power of a far-tail x cannot overflow before the
+    # exponential factor takes it to zero
+    out = np.exp(
+        np.log(half_alpha) - gammaln(p.mu) + half_alpha * p.mu * np.log(x / p.omega)
+        - np.log(x) - (x / p.omega) ** half_alpha
     )
     return out if out.ndim else float(out)
 

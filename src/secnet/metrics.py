@@ -74,20 +74,18 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.geometry.fading_b is None or self.geometry.fading_e is None:
             raise ValueError("scenario geometry must embed composite fading for both sides")
-        if min(self.n_a, self.n_b, self.n_e) < 1:
-            raise ValueError("antenna counts must be positive integers")
-        if self.eta_k <= 0 or self.eta_e <= 0:
-            raise ValueError("SNR scale factors must be positive")
+        # Each message names the offending field, which is also its keyword in build.
+        for name in ("n_a", "n_b", "n_e", "user_index"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("eta_k", "eta_e"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"SNR scale {name} must be positive, got {getattr(self, name)}")
         if self.rate < 0:
-            raise ValueError(f"transmission rate must be non-negative, got {self.rate}")
-        if self.user_index < 1:
-            raise ValueError(f"user index must be >= 1, got {self.user_index}")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
-        if self.eavesdropper_policy not in ORDERINGS:
-            raise ValueError(
-                f"eavesdropper policy must be one of {ORDERINGS}, got {self.eavesdropper_policy!r}"
-            )
+            raise ValueError(f"transmission rate must be non-negative, got rate={self.rate}")
+        for name in ("ordering", "eavesdropper_policy"):
+            if getattr(self, name) not in ORDERINGS:
+                raise ValueError(f"{name} must be one of {ORDERINGS}, got {getattr(self, name)!r}")
 
     @classmethod
     def build(
@@ -117,6 +115,11 @@ class ScenarioConfig:
         summed gain of the n_a * n_b (or n_a * n_e) branches is reduced to a
         single alpha-mu variable by the three-moment fit.
         """
+        # Named here, before the branch-sum fit sees them as one link or one count.
+        for name, value in (("alpha_b", alpha_b), ("mu_b", mu_b), ("alpha_e", alpha_e),
+                            ("mu_e", mu_e), ("n_a", n_a), ("n_b", n_b), ("n_e", n_e)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         comp_b = fit_sum_params(AlphaMuParams.canonical(alpha_b, mu_b), n_a * n_b)
         comp_e = fit_sum_params(AlphaMuParams.canonical(alpha_e, mu_e), n_a * n_e)
         geometry = NetworkGeometry(
@@ -396,13 +399,18 @@ def pnz_nn(cfg: ScenarioConfig) -> float:
     return min(max(1.0 - _fox_h_term(cfg, "pnz_nn"), 0.0), 1.0)
 
 
-def pnz_bb(cfg: ScenarioConfig) -> float:
-    """k-th best receiver against the first best eavesdropper."""
+def _best_pnz_base(cfg: ScenarioConfig) -> float:
+    """rate_b / (rate_b + rate_e * varpi^-delta), the base in which the
+    best/best non-zero-secrecy probability decays with the user index."""
     geo = cfg.geometry
     rb = geo.composite_rate("legitimate")
     re = geo.composite_rate("eavesdropper")
-    base = rb / (rb + re * cfg.varpi ** (-geo.delta))
-    return base**cfg.user_index
+    return rb / (rb + re * cfg.varpi ** (-geo.delta))
+
+
+def pnz_bb(cfg: ScenarioConfig) -> float:
+    """k-th best receiver against the first best eavesdropper."""
+    return _best_pnz_base(cfg) ** cfg.user_index
 
 
 def pnz_nb(cfg: ScenarioConfig) -> float:
@@ -434,11 +442,7 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"secrecy level must lie in (0, 1), got {tau}")
-    geo = cfg.geometry
-    rb = geo.composite_rate("legitimate")
-    re = geo.composite_rate("eavesdropper")
-    base = rb / (rb + re * cfg.varpi ** (-geo.delta))
-    exact = math.log(tau) / math.log(base)
+    exact = math.log(tau) / math.log(_best_pnz_base(cfg))
     nearest = round(exact)
     if abs(exact - nearest) < 1e-9:
         return max(int(nearest), 0)

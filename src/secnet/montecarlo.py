@@ -8,22 +8,20 @@ Two independent validation routes live here:
   counter-based per batch, so results are bit-identical for a given master
   seed no matter how many workers execute the batches.
 
-* **Defining-integral quadrature** — direct adaptive integration of each
-  metric's probability/expectation integral using only gamma-family
-  building blocks, deliberately bypassing the Fox H route the closed forms
-  take.
+* **Defining-integral quadrature** — direct integration of each metric's
+  probability/expectation integral over one composite-gain law per (side,
+  ordering), using only gamma-family building blocks, deliberately
+  bypassing the Fox H route the closed forms take.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammaln, ndtri
+from scipy.special import ndtri
 
 from . import fading, stochgeo
 from .metrics import CASES, ORDERINGS, ScenarioConfig
@@ -42,8 +40,12 @@ __all__ = [
 ]
 
 _BATCH = 8192
+# Quadrature: successive exp-sinh levels must agree to _QUAD_REL.  Nodes lie
+# within 150 e-folds of their scale: no gain law here holds mass beyond, and
+# powers of such nodes stay finite for delta < 2.3.
 _QUAD_REL = 1e-9
-_QUAD_REL_INNER = 1e-10
+_LEVELS = (3, 4, 5, 6, 7)
+_T_MAX = math.asinh(150.0 / (0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -317,137 +319,142 @@ def simulate_ergodic_secrecy(
 
 
 # ---------------------------------------------------------------------------
-# Defining-integral quadrature.  These oracles use only gamma-family
-# primitives and adaptive quadrature; they never call the Fox H evaluator.
+# Defining-integral quadrature, from gamma-family primitives only (never Fox
+# H).  By the mapping theorem the k-th nearest receiver is the k-th point Y
+# of {r^upsilon}, with gain G / Y, and the k-th best one the k-th point Y of
+# {r^upsilon / g}, with gain 1 / Y; both processes have mean measure
+# rate * y^delta.  One law per (side, ordering) gives the CDF and the
+# expectations of that gain, and each metric is a functional of the laws.
 # ---------------------------------------------------------------------------
 
 
-def _quad_guarded(f, lo: float, hi: float, epsrel: float, check: bool = False) -> float:
-    """Adaptive quadrature that tolerates roundoff-limited convergence.
+def _exp_sinh(level: int, scale: float, lo=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the exp-sinh rule for an integral over (lo, inf).
 
-    The innermost integrals of the nested oracles are driven to near machine
-    precision, where the integrator may flag roundoff; the residual check on
-    the outermost level is what guards the oracle contract.
+    x = lo + scale * exp(pi/2 sinh t) on t-steps of 2^-level, so that
+    log((x - lo) / scale) spans [-150, 150]: mass decades away from
+    ``scale`` is still sampled, and the trapezoid sum converges
+    exponentially in the level for analytic integrands.  An array ``lo``
+    adds its shape as leading axes.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, lo, hi, epsabs=1e-13, epsrel=epsrel, limit=300)
-    if check and err > max(1e-6 * abs(val), 1e-9):
-        raise ConvergenceError(
-            f"defining-integral quadrature residual {err:.3g} too large for value {val:.6g}"
-        )
-    return val
+    step = 2.0**-level
+    n = int(_T_MAX / step)
+    t = step * np.arange(-n, n + 1)
+    x = scale * np.exp(0.5 * math.pi * np.sinh(t))
+    return np.asarray(lo)[..., None] + x, step * 0.5 * math.pi * np.cosh(t) * x
 
 
-def _semi_infinite(f, epsrel: float = _QUAD_REL, check: bool = False) -> float:
-    """Integrate f over (0, inf) through the map x = t / (1 - t)."""
-    return _quad_guarded(
-        lambda t: f(t / (1.0 - t)) / (1.0 - t) ** 2, 0.0, 1.0, epsrel, check=check
-    )
+def _converged(integral) -> float:
+    """integral(level) at increasing levels until two successive values agree."""
+    # Far-tail powers overflow to inf where a density factor is 0, and a
+    # gain that underflows to 0 divides by zero in V's lower limit.
+    with np.errstate(over="ignore", divide="ignore"):
+        previous = integral(_LEVELS[0])
+        for level in _LEVELS[1:]:
+            value = float(integral(level))
+            if abs(value - previous) <= _QUAD_REL * abs(value):
+                return value
+            previous = value
+    raise ConvergenceError(
+        f"defining-integral quadrature did not converge: {previous:.12g} at step 2^-{_LEVELS[-1]}")
 
 
-def _dist_pow_pdf(rate: float, delta: float, k: int, y: float) -> float:
-    return stochgeo.pdf_kth_distance_pow(k, rate, delta, y)
+@dataclass(frozen=True)
+class _NearestLaw:
+    """Gain Z = G / Y of the k-th nearest receiver, at one rule level."""
+
+    fad: fading.AlphaMuParams
+    rate: float
+    delta: float
+    k: int
+    level: int
+
+    def cdf(self, z):
+        """P(Z <= z) by the conditioning integral over the distance law."""
+        y, wy = _exp_sinh(self.level, (self.k / self.rate) ** (1.0 / self.delta))
+        pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y)
+        return fading.cdf_power_gain(self.fad, np.multiply.outer(z, y)) @ (pdf_y * wy)
+
+    def expect(self, h):
+        """E[h(Z)] over W = 1 / Z = Y / G, whose density is the integral
+        over g of g f_G(g) f_Y(w g)."""
+        mean_gain = self.fad.mean_power()
+        w, ww = _exp_sinh(self.level, (self.k / self.rate) ** (1.0 / self.delta) / mean_gain)
+        g, wg = _exp_sinh(self.level, mean_gain)
+        pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, np.multiply.outer(w, g))
+        pdf_w = pdf_y @ (g * fading.pdf_power_gain(self.fad, g) * wg)
+        return np.sum(h(1.0 / w) * pdf_w * ww)
 
 
-def _cdf_composite_nearest_quad(fad, rate, delta, k, z, epsrel=_QUAD_REL_INNER, check=False) -> float:
+@dataclass(frozen=True)
+class _BestLaw:
+    """Gain Z = 1 / Y of the k-th best receiver, at one rule level;
+    V = rate * Y^delta is Gamma(k, 1) in every scenario."""
+
+    rate: float
+    delta: float
+    k: int
+    level: int
+
+    def cdf(self, z):
+        """P(Z <= z) = P(V >= rate * z^-delta); the limit is capped where z underflowed to 0."""
+        lo = np.minimum(self.rate * np.asarray(z, dtype=float) ** -self.delta, 1e300)
+        v, wv = _exp_sinh(self.level, self.k, lo)
+        return np.sum(stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wv, axis=-1)
+
+    def expect(self, h):
+        v, wv = _exp_sinh(self.level, self.k)
+        pdf_v = stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v)
+        return np.sum(h((self.rate / v) ** (1.0 / self.delta)) * pdf_v * wv)
+
+
+# Each ordering's law, built from (geometry, side, order index, rule level).
+_LAWS = {
+    "nearest": lambda geo, side, k, level: _NearestLaw(
+        geo.fading(side), geo.pathloss_rate(side), geo.delta, k, level),
+    "best": lambda geo, side, k, level: _BestLaw(geo.composite_rate(side), geo.delta, k, level),
+}
+
+
+def _law(cfg: ScenarioConfig, side: str, ordering: str, level: int):
+    """Law of the side's ordered gain: the k-th legitimate, the first eavesdropper."""
+    return _LAWS[ordering](cfg.geometry, side, cfg.order_index(side), level)
+
+
+def _cdf_composite_nearest_quad(fad, rate, delta, k, z) -> float:
     """Distribution of the k-th nearest composite gain, straight from the
     conditioning integral over the distance law."""
-    if z <= 0:
-        return 0.0
-    return _semi_infinite(
-        lambda y: fading.cdf_power_gain(fad, y * z) * _dist_pow_pdf(rate, delta, k, y),
-        epsrel=epsrel, check=check,
-    )
-
-
-def _pdf_composite_nearest_quad(fad, rate, delta, k, z, epsrel=_QUAD_REL_INNER, check=False) -> float:
-    return _semi_infinite(
-        lambda y: y * fading.pdf_power_gain(fad, y * z) * _dist_pow_pdf(rate, delta, k, y),
-        epsrel=epsrel, check=check,
-    )
-
-
-def _xi_pdf(rate: float, delta: float, k: int, x: float) -> float:
-    u = rate * x**delta
-    return math.exp(-u + k * math.log(u) - gammaln(k)) * delta / x
-
-
-def _xi_cdf_first(rate: float, delta: float, x: float) -> float:
-    return -math.expm1(-rate * x**delta)
-
-
-def _quad_cop(cfg: ScenarioConfig) -> float:
-    geo = cfg.geometry
-    threshold = cfg.outage_threshold
-    if cfg.ordering == "nearest":
-        return _cdf_composite_nearest_quad(
-            cfg.fading_b, geo.pathloss_rate("legitimate"), geo.delta,
-            cfg.user_index, threshold, epsrel=_QUAD_REL, check=True,
-        )
-    if threshold == 0.0:
-        return 0.0
-    rate = geo.composite_rate("legitimate")
-    inside = _quad_guarded(
-        lambda x: _xi_pdf(rate, geo.delta, cfg.user_index, x),
-        0.0, 1.0 / threshold, _QUAD_REL, check=True,
-    )
-    return 1.0 - inside
-
-
-def _quad_pnz(cfg: ScenarioConfig, case: str) -> float:
-    geo = cfg.geometry
-    delta = geo.delta
-    k = cfg.user_index
-    varpi = cfg.varpi
-    fb, fe = cfg.fading_b, cfg.fading_e
-    rb, re = geo.pathloss_rate("legitimate"), geo.pathloss_rate("eavesdropper")
-    cb, ce = geo.composite_rate("legitimate"), geo.composite_rate("eavesdropper")
-    if case == "NN":
-        return _semi_infinite(
-            lambda y: _cdf_composite_nearest_quad(fe, re, delta, 1, varpi * y)
-            * _pdf_composite_nearest_quad(fb, rb, delta, k, y),
-            epsrel=1e-8, check=True,
-        )
-    if case == "BB":
-        return 1.0 - _semi_infinite(
-            lambda y: _xi_cdf_first(ce, delta, y / varpi) * _xi_pdf(cb, delta, k, y),
-            check=True,
-        )
-    if case == "NB":
-        return 1.0 - _semi_infinite(
-            lambda y: _cdf_composite_nearest_quad(fb, rb, delta, k, 1.0 / (varpi * y))
-            * _xi_pdf(ce, delta, 1, y),
-            epsrel=1e-8, check=True,
-        )
-    if case == "BN":
-        return _semi_infinite(
-            lambda y: _cdf_composite_nearest_quad(fe, re, delta, 1, varpi / y)
-            * _xi_pdf(cb, delta, k, y),
-            epsrel=1e-8, check=True,
-        )
-    raise ValueError(f"case must be one of {CASES}, got {case!r}")
+    return _converged(lambda level: _NearestLaw(fad, rate, delta, k, level).cdf(z))
 
 
 def _quad_capacity(cfg: ScenarioConfig, side: str, ordering: str) -> float:
-    geo = cfg.geometry
-    delta, k, eta = geo.delta, cfg.order_index(side), cfg.snr_scale(side)
-    fad, rate, comp = geo.fading(side), geo.pathloss_rate(side), geo.composite_rate(side)
-    if ordering == "nearest":
-        return _semi_infinite(
-            lambda z: math.log2(1.0 + eta * z) * _pdf_composite_nearest_quad(fad, rate, delta, k, z),
-            epsrel=1e-8, check=True,
-        )
-    return _semi_infinite(
-        lambda x: math.log2(1.0 + eta / x) * _xi_pdf(comp, delta, k, x), check=True
-    )
+    """Mean capacity E[log2(1 + eta Z)] of the side's ordered receiver."""
+    eta = cfg.snr_scale(side)
+    return _converged(lambda level: _law(cfg, side, ordering, level).expect(lambda z: np.log2(1.0 + eta * z)))
 
 
-_METRIC_ALIASES = {
-    "cop": "cop",
-    "pnz-nn": "pnz-NN", "pnz-bb": "pnz-BB", "pnz-nb": "pnz-NB", "pnz-bn": "pnz-BN",
-    "capacity-nearest": "capacity-nearest", "capacity-best": "capacity-best",
-    "esc-nn": "esc-NN", "esc-bb": "esc-BB", "esc-nb": "esc-NB", "esc-bn": "esc-BN",
+def _pnz_at(cfg: ScenarioConfig, level: int) -> float:
+    """P(varpi Z_b > Z_e) = E_b[F_e(varpi Z_b)] at one rule level."""
+    eave = _law(cfg, "eavesdropper", cfg.eavesdropper_policy, level)
+    return _law(cfg, "legitimate", cfg.ordering, level).expect(lambda z: eave.cdf(cfg.varpi * z))
+
+
+# Metric id -> (the cases its keys name, how a case resolves the scenario,
+# the metric of the resolved scenario).  ``cop`` names no case and honors
+# cfg.ordering.
+_DEFINING = {
+    "cop": (("",), lambda cfg, case: cfg, lambda cfg: _converged(
+        lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold))),
+    "pnz": (CASES, ScenarioConfig.with_case, lambda cfg: _converged(lambda level: _pnz_at(cfg, level))),
+    "capacity": (ORDERINGS, lambda cfg, case: replace(cfg, ordering=case),
+                 lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering)),
+    "esc": (CASES, ScenarioConfig.with_case, lambda cfg: max(
+        _quad_capacity(cfg, "legitimate", cfg.ordering)
+        - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0)),
+}
+_KEYS = {
+    f"{name}-{case}".rstrip("-").lower(): (case, resolve, integral)
+    for name, (cases, resolve, integral) in _DEFINING.items() for case in cases
 }
 
 
@@ -456,19 +463,11 @@ def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
 
     ``metric`` is one of ``cop`` (honoring cfg.ordering), ``pnz-XY``,
     ``capacity-nearest``/``capacity-best`` or ``esc-XY`` with XY in
-    {NN, BB, NB, BN}.
+    {NN, BB, NB, BN}, in any letter case and with ``_`` or ``-``.
     """
-    key = _METRIC_ALIASES.get(metric.strip().lower().replace("_", "-"))
-    if key is None:
+    entry = _KEYS.get(metric.strip().lower().replace("_", "-"))
+    if entry is None:
         raise ValueError(f"unknown metric {metric!r}")
-    if key == "cop":
-        value = _quad_cop(cfg)
-    elif key.startswith("pnz-"):
-        value = _quad_pnz(cfg, key[4:])
-    elif key.startswith("capacity-"):
-        value = _quad_capacity(cfg, "legitimate", key[9:])
-    else:
-        cfg = cfg.with_case(key[4:])
-        main = _quad_capacity(cfg, "legitimate", cfg.ordering)
-        value = max(main - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0)
-    return MetricEstimate(value=float(value), half_width=0.0, provenance="quadrature", trials_used=0)
+    case, resolve, integral = entry
+    return MetricEstimate(value=float(integral(resolve(cfg, case))), half_width=0.0,
+                          provenance="quadrature", trials_used=0)

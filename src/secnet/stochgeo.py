@@ -55,13 +55,12 @@ class NetworkGeometry:
 
     def __post_init__(self) -> None:
         if self.d < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.d}")
+            raise ValueError(f"dimension must be a positive integer, got d={self.d}")
         if self.upsilon <= 0:
-            raise ValueError(f"path-loss exponent must be positive, got {self.upsilon}")
-        if self.lambda_b <= 0 or self.lambda_e <= 0:
-            raise ValueError(
-                f"densities must be positive, got lambda_b={self.lambda_b}, lambda_e={self.lambda_e}"
-            )
+            raise ValueError(f"path-loss exponent must be positive, got upsilon={self.upsilon}")
+        for name in ("lambda_b", "lambda_e"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"density {name} must be positive, got {getattr(self, name)}")
 
     @property
     def delta(self) -> float:

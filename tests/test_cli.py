@@ -154,6 +154,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^line 5: .*alpha"):
             parse_config(doc, command="eval")
 
+    @pytest.mark.parametrize("doc, line", [
+        ("[fading_b]\nalpha = 2\n\n[fading_e]\nalpha = -1\n", 5),
+        ("[geometry]\nlambda_b = 1\nlambda_e = -1\n", 3),
+    ], ids=["alpha-in-fading_e", "lambda_e"])
+    def test_scenario_error_anchors_at_offending_key(self, doc, line):
+        # the same key name in another section, and a message naming both
+        # densities, used to anchor these at line 2
+        with pytest.raises(ConfigError, match=rf"^line {line}: "):
+            parse_config(doc, command="eval")
+
     def test_negative_seed_in_document_is_config_error(self):
         with pytest.raises(ConfigError, match=r"line 1.*seed"):
             parse_config("[mc]\nseed = -3\n", command="eval")

@@ -5,8 +5,10 @@ insensitivity."""
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secnet import figures, metrics
+from secnet import figures, metrics, specfun, validation
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import (
     MonteCarloConfig,
@@ -17,10 +19,21 @@ from secnet.montecarlo import (
     simulate_pnz,
     simulate_pnz_all,
 )
+from secnet.specfun import ConvergenceError
+from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
 
 
 def _mc(trials=10**5, seed=1234, workers=4, **kw):
     return MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers, **kw)
+
+
+def _dense_cfg(d, upsilon):
+    """A dense, high-SNR legitimate side against a sparse eavesdropper with
+    heavy fading: the k-th nearest gain sits near 40, far from 1."""
+    return ScenarioConfig.build(
+        d=d, upsilon=upsilon, alpha_b=2, mu_b=4, alpha_e=1.2, mu_e=1,
+        lambda_b=2, lambda_e=0.05, eta_k=20, eta_e=1, rate=3,
+    )
 
 
 def _symmetric_cfg(k=1):
@@ -193,3 +206,73 @@ class TestIntegrateDefining:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             integrate_defining("sop", figures.scenario("fig6", k=1))
+
+    @pytest.mark.parametrize("metric", ["PNZ_bb", "Pnz-Bb", " pnz_BB "])
+    def test_keys_ignore_letter_case_and_separator(self, metric):
+        cfg = figures.scenario("fig6", k=2)
+        assert integrate_defining(metric, cfg) == integrate_defining("pnz-BB", cfg)
+
+    @pytest.mark.parametrize(
+        "metric", ["pnz", "capacity", "cop-nearest", "pnz-nearest", "capacity-NN", "esc-XX"])
+    def test_keys_outside_the_eleven_rejected(self, metric):
+        with pytest.raises(ValueError, match="unknown metric"):
+            integrate_defining(metric, figures.scenario("fig6", k=1))
+
+    @pytest.mark.parametrize("d, upsilon", [(2, 4.0), (3, 4.0)])
+    def test_nearest_capacity_keeps_mass_far_from_unit_gain(self, d, upsilon):
+        # a quadrature map scaled to gains near 1 dropped 12% (d = 2) and
+        # 2.1% (d = 3) of this capacity; simulation agrees with the closed form
+        cfg = _dense_cfg(d, upsilon)
+        value = integrate_defining("capacity-nearest", cfg).value
+        assert value == pytest.approx(metrics.ergodic_capacity_nearest(cfg), rel=QUAD_TOL_CAPACITY)
+
+    def test_nearest_pnz_keeps_mass_far_from_unit_gain(self):
+        cfg = _dense_cfg(3, 4.0)
+        value = integrate_defining("pnz-NN", cfg).value
+        assert value == pytest.approx(metrics.pnz_nn(cfg), rel=QUAD_TOL_PROBABILITY)
+
+    @pytest.mark.parametrize("fig", ["fig6", "fig11"])
+    def test_oracle_never_reaches_the_closed_forms(self, fig, monkeypatch):
+        cfg = figures.scenario(fig, k=2)
+        rows = [(name, case, metric.closed_form(cfg, case))
+                for name, metric in validation.METRICS.items() for case in metric.cases]
+
+        def forbidden(name):
+            def stub(*args, **kwargs):
+                raise AssertionError(f"the quadrature oracle called {name}")
+            return stub
+
+        monkeypatch.setattr(specfun, "fox_h", forbidden("specfun.fox_h"))
+        monkeypatch.setattr(metrics, "fox_h", forbidden("metrics.fox_h"))
+        for name in metrics.__all__:
+            if name not in ("CASES", "ScenarioConfig"):
+                monkeypatch.setattr(metrics, name, forbidden(f"metrics.{name}"))
+        for name, case, closed in rows:
+            metric = validation.METRICS[name]
+            assert metric.quadrature(cfg, case).value == pytest.approx(closed, rel=metric.quad_tol)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        delta=st.floats(0.5, 1.5),
+        alpha_b=st.floats(0.8, 3.0), mu_b=st.floats(0.5, 4.0),
+        alpha_e=st.floats(0.8, 3.0), mu_e=st.floats(0.5, 4.0),
+        lambda_b=st.floats(0.05, 2.0), lambda_e=st.floats(0.05, 2.0),
+        k=st.integers(1, 5),
+        eta_k_db=st.floats(-10.0, 15.0),
+        rate=st.floats(0.1, 3.0),
+    )
+    def test_best_ordering_matches_elementary_forms(
+        self, d, delta, alpha_b, mu_b, alpha_e, mu_e, lambda_b, lambda_e, k, eta_k_db, rate,
+    ):
+        cfg = ScenarioConfig.build(
+            d=d, upsilon=d / delta, alpha_b=alpha_b, mu_b=mu_b, alpha_e=alpha_e, mu_e=mu_e,
+            lambda_b=lambda_b, lambda_e=lambda_e, user_index=k, eta_k=10 ** (eta_k_db / 10),
+            rate=rate, ordering="best",
+        )
+        for metric, elementary in (("cop", metrics.cop_best), ("pnz-BB", metrics.pnz_bb)):
+            try:
+                value = integrate_defining(metric, cfg).value
+            except ConvergenceError:
+                continue
+            assert abs(value - elementary(cfg)) <= 1e-8, metric
