@@ -8,6 +8,7 @@ canonical single-link normalization picks omega so that E[g] = 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,7 @@ def _log_moment_ratios(log_alpha: np.ndarray, log_mu: np.ndarray) -> tuple[float
     return r2, r3
 
 
+@functools.lru_cache(maxsize=256)
 def fit_sum_params(link: AlphaMuParams, count: int) -> AlphaMuParams:
     """Alpha-mu parameters matching the first three moments of a branch sum.
 
@@ -143,7 +145,8 @@ def fit_sum_params(link: AlphaMuParams, count: int) -> AlphaMuParams:
     scale is eliminated through the first moment, which therefore matches
     exactly; the remaining two moment-ratio equations are solved for
     (alpha, mu) by a bounded damped least-squares iteration.  `count = 1`
-    returns the link parameters unchanged.
+    returns the link parameters unchanged.  Results are memoised on
+    (link, count); a failed fit raises again on every call.
     """
     if count < 1:
         raise ValueError(f"branch count must be >= 1, got {count}")

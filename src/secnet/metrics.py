@@ -19,7 +19,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import gammaincc, gammaln
 
 from .fading import AlphaMuParams, fit_sum_params
-from .specfun import FoxHParams, fox_h
+from .specfun import ConvergenceError, FoxHParams, fox_h
 from .stochgeo import NetworkGeometry
 
 __all__ = [
@@ -49,6 +49,9 @@ ORDERINGS = ("nearest", "best")
 # Case labels: first letter is the legitimate ordering, second the
 # eavesdropper policy (N = nearest, B = best).
 CASES = ("NN", "BB", "NB", "BN")
+# Rounding allowance, relative to max(1, |value|), of a closed form's final
+# arithmetic (the 1 - H offsets) when it is clipped into its range.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -298,12 +301,24 @@ _FOX_H = {
 }
 
 
-def _fox_h_term(cfg: ScenarioConfig, name: str, z: float = 1.0, k: int | None = None) -> float:
-    """prefactor * H(scale * z) of one listed instance, at the side's order
-    index unless k is given."""
+def _fox_h_term(cfg: ScenarioConfig, name: str, z: float = 1.0,
+                k: int | None = None) -> tuple[float, float]:
+    """prefactor * H(scale * z) of one listed instance and its error bound,
+    at the side's order index unless k is given."""
     build, side, _ = _FOX_H[name]
     pref, params, scale = build(cfg, side, cfg.order_index(side) if k is None else k)
-    return pref * fox_h(params, scale * z)
+    h = fox_h(params, scale * z)
+    return pref * h.value, abs(pref) * h.error
+
+
+def _clip(value: float, error: float, lo: float = 0.0, hi: float = math.inf) -> float:
+    """value clipped into [lo, hi], which it may leave only by its error
+    bound plus rounding; farther out is a numerical failure."""
+    slack = error + _ROUNDING * max(1.0, abs(value))
+    if not lo - slack <= value <= hi + slack:
+        raise ConvergenceError(
+            f"closed form {value:.12g} (error bound {error:.3g}) lies outside [{lo}, {hi}]")
+    return min(max(value, lo), hi)
 
 
 def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
@@ -331,7 +346,7 @@ def pdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Density of the k-th nearest receiver's composite gain g / r^upsilon."""
     if z <= 0:
         raise ValueError(f"composite-gain density needs z > 0, got {z}")
-    return _fox_h_term(cfg, "pdf_nearest", z)
+    return _fox_h_term(cfg, "pdf_nearest", z)[0]
 
 
 def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
@@ -340,7 +355,8 @@ def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
         raise ValueError(f"composite-gain distribution needs z >= 0, got {z}")
     if z == 0:
         return 0.0
-    return min(max(1.0 - _fox_h_term(cfg, "cdf_nearest", z), 0.0), 1.0)
+    h, err = _fox_h_term(cfg, "cdf_nearest", z)
+    return _clip(1.0 - h, err, hi=1.0)
 
 
 def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
@@ -354,7 +370,10 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
         raise ValueError(f"composite-gain density needs z > 0, got {z}")
     geo = cfg.geometry
     k = cfg.user_index
-    u = geo.composite_rate("legitimate") * z ** (-geo.delta)
+    with np.errstate(over="ignore"):
+        # Where u overflows the density is exp(-u) = 0; the cap keeps
+        # -u + k log u from becoming -inf + inf.
+        u = np.minimum(geo.composite_rate("legitimate") * np.float64(z) ** (-geo.delta), 1e300)
     return float(np.exp(-u + k * np.log(u) - gammaln(k)) * geo.delta / z)
 
 
@@ -396,7 +415,8 @@ def cop(cfg: ScenarioConfig) -> float:
 
 def pnz_nn(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first nearest eavesdropper."""
-    return min(max(1.0 - _fox_h_term(cfg, "pnz_nn"), 0.0), 1.0)
+    h, err = _fox_h_term(cfg, "pnz_nn")
+    return _clip(1.0 - h, err, hi=1.0)
 
 
 def _best_pnz_base(cfg: ScenarioConfig) -> float:
@@ -415,12 +435,13 @@ def pnz_bb(cfg: ScenarioConfig) -> float:
 
 def pnz_nb(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first best eavesdropper."""
-    return min(max(_fox_h_term(cfg, "pnz_nb"), 0.0), 1.0)
+    return _clip(*_fox_h_term(cfg, "pnz_nb"), hi=1.0)
 
 
 def pnz_bn(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first nearest eavesdropper."""
-    return min(max(1.0 - _fox_h_term(cfg, "pnz_bn"), 0.0), 1.0)
+    h, err = _fox_h_term(cfg, "pnz_bn")
+    return _clip(1.0 - h, err, hi=1.0)
 
 
 _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}
@@ -456,12 +477,12 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
 
 def ergodic_capacity_nearest(cfg: ScenarioConfig) -> float:
     """Mean link capacity (bits/s/Hz) of the k-th nearest receiver."""
-    return max(_fox_h_term(cfg, "capacity_nearest"), 0.0)
+    return _clip(*_fox_h_term(cfg, "capacity_nearest"))
 
 
 def ergodic_capacity_best(cfg: ScenarioConfig) -> float:
     """Mean link capacity (bits/s/Hz) of the k-th best receiver."""
-    return max(_fox_h_term(cfg, "capacity_best"), 0.0)
+    return _clip(*_fox_h_term(cfg, "capacity_best"))
 
 
 def wiretap_capacity(cfg: ScenarioConfig, policy: str, k: int = 1) -> float:
@@ -473,7 +494,7 @@ def wiretap_capacity(cfg: ScenarioConfig, policy: str, k: int = 1) -> float:
     """
     if policy not in ORDERINGS:
         raise ValueError(f"policy must be one of {ORDERINGS}, got {policy!r}")
-    return max(_fox_h_term(cfg, f"wiretap_{policy}", k=k), 0.0)
+    return _clip(*_fox_h_term(cfg, f"wiretap_{policy}", k=k))
 
 
 def ergodic_secrecy_capacity(cfg: ScenarioConfig, case: str | None = None) -> float:

@@ -140,7 +140,10 @@ def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("density is defined for y > 0 only")
-    u = coeff * y**delta
+    with np.errstate(over="ignore"):
+        # Where u overflows the density is exp(-u) = 0; the cap keeps
+        # -u + k log u from becoming -inf + inf.
+        u = np.minimum(coeff * y**delta, 1e300)
     out = np.exp(-u + k * np.log(u) - gammaln(k)) * delta / y
     return out if out.ndim else float(out)
 

@@ -37,7 +37,6 @@ from secnet.montecarlo import MonteCarloConfig
 from secnet.specfun import (
     FoxHParams,
     fox_h,
-    fox_h_detailed,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -69,7 +68,7 @@ def test_criterion_1_special_function_suite():
     started = time.time()
     exp_params = FoxHParams(m=1, n=0, upper_coeffs=(), lower_coeffs=((0.0, 1.0),))
     for z in np.geomspace(1e-3, 50.0, 40):
-        assert abs(fox_h(exp_params, float(z)) - math.exp(-z)) <= 1e-8 * max(1.0, math.exp(-z))
+        assert abs(fox_h(exp_params, float(z)).value - math.exp(-z)) <= 1e-8 * max(1.0, math.exp(-z))
 
     checked = 0
     for cfg in _validation_scenarios():
@@ -80,8 +79,8 @@ def test_criterion_1_special_function_suite():
             shifted = base + 0.2 * width
             if not shifted < hi:
                 shifted = base - 0.2 * width
-            first = fox_h_detailed(params, arg, abscissa=base)
-            second = fox_h(params, arg, abscissa=shifted)
+            first = fox_h(params, arg, abscissa=base)
+            second = fox_h(params, arg, abscissa=shifted).value
             assert abs(first.value - second) <= 1e-6 * abs(first.value), (name, arg)
             assert first.imag_ratio <= 1e-8, (name, arg)
             checked += 1

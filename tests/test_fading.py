@@ -15,6 +15,7 @@ from scipy.stats import kstest
 
 from secnet.fading import (
     AlphaMuParams,
+    MomentFitError,
     cdf_power_gain,
     fit_sum_params,
     moment_power_gain,
@@ -133,6 +134,18 @@ class TestSumFit:
     def test_zero_branches_rejected(self):
         with pytest.raises(ValueError):
             fit_sum_params(RAYLEIGH, 0)
+
+    def test_fit_is_memoised_on_link_and_count(self):
+        link = AlphaMuParams.canonical(1.7, 0.8)
+        first = fit_sum_params(link, 3)
+        assert fit_sum_params(AlphaMuParams.canonical(1.7, 0.8), 3) is first
+        assert fit_sum_params(link, 5) is not first
+
+    def test_failed_fit_raises_on_every_call(self):
+        # 200 exponential branches need mu = 200, past the fit's bound of 50
+        for _ in range(2):
+            with pytest.raises(MomentFitError):
+                fit_sum_params(RAYLEIGH, 200)
 
     def test_exponential_sum_recovers_gamma(self):
         # four unit exponentials sum to a shape-4 gamma, which the family

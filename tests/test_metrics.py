@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from secnet import figures, metrics, montecarlo
+from secnet import figures, metrics, montecarlo, specfun
 from secnet.fading import AlphaMuParams, moment_power_gain
 from secnet.metrics import ScenarioConfig
 
@@ -131,6 +131,13 @@ class TestCompositeBest:
         )
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("z", [1e-250, np.float64(1e-300), 5e-324])
+    def test_density_vanishes_where_rate_term_overflows(self, z):
+        # u = rate * z^-delta overflows; the density is exp(-u) = 0 there
+        cfg = figures.scenario("fig7", k=2, upsilon=2.0)
+        assert cfg.geometry.delta == 1.5
+        assert metrics.pdf_composite_best(cfg, z) == 0.0
+
     def test_pdf_is_cdf_derivative(self):
         cfg = figures.scenario("fig2", k=2, ordering="best")
         h = 1e-6
@@ -247,6 +254,53 @@ class TestPnz:
             for case in metrics.CASES:
                 value = metrics.pnz(cfg, case)
                 assert 0.0 <= value <= 1.0
+
+
+# (closed form, Fox H instance, whether the form is 1 - term, readings 1e-9
+# outside its range paired with the range end they clip to)
+_PROBABILITY_MISS = ((-1e-9, 0.0), (1.0 + 1e-9, 1.0))
+_CAPACITY_MISS = ((-1e-9, 0.0),)
+_CLIPPED_FORMS = (
+    (lambda cfg: metrics.cdf_composite_nearest(cfg, 0.5), "cdf_nearest", True, _PROBABILITY_MISS),
+    (metrics.pnz_nn, "pnz_nn", True, _PROBABILITY_MISS),
+    (metrics.pnz_nb, "pnz_nb", False, _PROBABILITY_MISS),
+    (metrics.pnz_bn, "pnz_bn", True, _PROBABILITY_MISS),
+    (metrics.ergodic_capacity_nearest, "capacity_nearest", False, _CAPACITY_MISS),
+    (metrics.ergodic_capacity_best, "capacity_best", False, _CAPACITY_MISS),
+    (lambda cfg: metrics.wiretap_capacity(cfg, "nearest"), "wiretap_nearest", False, _CAPACITY_MISS),
+    (lambda cfg: metrics.wiretap_capacity(cfg, "best"), "wiretap_best", False, _CAPACITY_MISS),
+)
+
+
+class TestClipsWithinError:
+    """A closed form is clipped into its range only by as much as its Fox H
+    error bound allows; farther out it raises."""
+
+    @staticmethod
+    def _evaluate_at(monkeypatch, form, name, complement, reading, error):
+        """The closed form with its Fox H term forced so that it reads
+        `reading` before clipping, with error bound `error`."""
+        cfg = figures.scenario("fig6", k=2)
+        build, side, _ = metrics._FOX_H[name]
+        pref, _, _ = build(cfg, side, cfg.order_index(side))
+        term = 1.0 - reading if complement else reading
+        monkeypatch.setattr(metrics, "fox_h", lambda params, z: specfun.FoxHValue(
+            value=term / pref, error=error / abs(pref), imag_ratio=0.0,
+            abscissa=0.0, truncation_height=1.0))
+        return form(cfg)
+
+    @pytest.mark.parametrize("form, name, complement, misses", _CLIPPED_FORMS,
+                             ids=[row[1] for row in _CLIPPED_FORMS])
+    def test_clip_within_error_bound(self, monkeypatch, form, name, complement, misses):
+        for reading, clipped in misses:
+            assert self._evaluate_at(monkeypatch, form, name, complement, reading, 2e-9) == clipped
+
+    @pytest.mark.parametrize("form, name, complement, misses", _CLIPPED_FORMS,
+                             ids=[row[1] for row in _CLIPPED_FORMS])
+    def test_beyond_error_bound_raises(self, monkeypatch, form, name, complement, misses):
+        for reading, _ in misses:
+            with pytest.raises(specfun.ConvergenceError):
+                self._evaluate_at(monkeypatch, form, name, complement, reading, 1e-12)
 
 
 class TestMaxSecureBestUsers:

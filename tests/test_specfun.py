@@ -8,6 +8,7 @@ independent Mellin-Barnes integration along a different contour abscissa).
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,7 +19,6 @@ from secnet.specfun import (
     ConvergenceError,
     FoxHParams,
     fox_h,
-    fox_h_detailed,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -92,12 +92,12 @@ class TestFoxHConstruction:
 
 class TestFoxHValues:
     def test_exponential_reduction_at_one(self):
-        assert fox_h(_exp_reduction_params(), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-10)
+        assert fox_h(_exp_reduction_params(), 1.0).value == pytest.approx(math.exp(-1.0), rel=1e-10)
 
     def test_exponential_reduction_log_grid(self):
         params = _exp_reduction_params()
         for z in np.geomspace(1e-3, 50.0, 40):
-            err = abs(fox_h(params, float(z)) - math.exp(-z))
+            err = abs(fox_h(params, float(z)).value - math.exp(-z))
             assert err <= 1e-8 * max(1.0, math.exp(-z))
 
     def test_incomplete_gamma_reduction(self):
@@ -109,7 +109,7 @@ class TestFoxHValues:
             upper_coeffs=((1.0, 1.0),),
             lower_coeffs=((0.0, 1.0), (mu, 1.0)),
         )
-        assert fox_h(params, 1.0) == pytest.approx(upper_incomplete_gamma(mu, 1.0), rel=1e-9)
+        assert fox_h(params, 1.0).value == pytest.approx(upper_incomplete_gamma(mu, 1.0), rel=1e-9)
 
     def test_composite_gain_instance_against_independent_contour(self):
         # k=2, delta=0.5 nearest-composite density instance at z=0.3; the
@@ -123,8 +123,8 @@ class TestFoxHValues:
         theta = 3.0
         arg = theta * 0.3 / math.pi**2
         want = 1.83792292996718602
-        assert fox_h(params, arg) == pytest.approx(want, rel=1e-6)
-        assert fox_h(params, arg, abscissa=0.8) == pytest.approx(want, rel=1e-6)
+        assert fox_h(params, arg).value == pytest.approx(want, rel=1e-6)
+        assert fox_h(params, arg, abscissa=0.8).value == pytest.approx(want, rel=1e-6)
 
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
@@ -192,11 +192,76 @@ class TestFoxHInvariants:
         width = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 2.0
         shift = 0.2 * width
         base = params.default_abscissa()
-        first = fox_h(params, arg, abscissa=base)
-        second = fox_h(params, arg, abscissa=base + shift if base + shift < hi else base - shift)
+        first = fox_h(params, arg, abscissa=base).value
+        second = fox_h(params, arg, abscissa=base + shift if base + shift < hi else base - shift).value
         assert second == pytest.approx(first, rel=1e-6)
 
     @pytest.mark.parametrize("params,arg", _inscope_instances())
     def test_imaginary_residue_negligible(self, params, arg):
-        detail = fox_h_detailed(params, arg)
-        assert detail.imag_ratio <= 1e-8
+        assert fox_h(params, arg).imag_ratio <= 1e-8
+
+
+# With delta = 1 and alpha = 2 on both sides every gamma slope is 1, so these
+# instances are Meijer G-functions, which mpmath evaluates from residue series.
+# mu is non-integer: integer mu puts confluent poles in the series.
+_UNIT_SLOPE_SCENARIOS = (
+    {"mu_b": 1.5, "mu_e": 2.5, "user_index": 2, "lambda_b": 1.0},
+    {"mu_b": 0.7, "mu_e": 1.3, "user_index": 3, "lambda_b": 3.0},
+)
+_UNIT_SLOPE_FORMS = {
+    # instance -> (closed form at the listed argument, whether it is 1 - term)
+    "pdf_nearest": (metrics.pdf_composite_nearest, False),
+    "cdf_nearest": (metrics.cdf_composite_nearest, True),
+    "pnz_nn": (lambda cfg, z: metrics.pnz_nn(cfg), True),
+    "capacity_best": (lambda cfg, z: metrics.ergodic_capacity_best(cfg), False),
+}
+
+
+def _unit_slope_scenario(**kwargs):
+    return metrics.ScenarioConfig.build(
+        d=2, upsilon=2.0, alpha_b=2.0, alpha_e=2.0, lambda_e=0.5,
+        eta_k=4.0, eta_e=1.0, rate=1.0, **kwargs,
+    )
+
+
+def _meijer_g(params: FoxHParams, z: float):
+    assert all(slope == 1.0 for _, slope in params.upper_coeffs + params.lower_coeffs)
+    a = [a for a, _ in params.upper_coeffs]
+    b = [b for b, _ in params.lower_coeffs]
+    with mpmath.workdps(30):
+        value = mpmath.meijerg([a[: params.n], a[params.n:]], [b[: params.m], b[params.m:]], z)
+        # confluent poles are resolved by perturbation, which leaves a tiny imaginary part
+        assert abs(mpmath.im(value)) <= 1e-25 * abs(value)
+        return mpmath.re(value)
+
+
+class TestFoxHErrorEstimate:
+    @pytest.mark.parametrize("name", sorted(_UNIT_SLOPE_FORMS))
+    @pytest.mark.parametrize("kwargs", _UNIT_SLOPE_SCENARIOS, ids=["k2", "k3"])
+    def test_unit_slope_instance_against_meijer_g(self, name, kwargs):
+        cfg = _unit_slope_scenario(**kwargs)
+        params, arg = metrics.fox_h_instances(cfg)[name]
+        want = _meijer_g(params, arg)
+        got = fox_h(params, arg)
+        actual = abs(mpmath.mpf(got.value) - want)
+        assert actual <= 1e-10 * abs(want)
+        assert actual <= got.error
+
+        closed_form, complement = _UNIT_SLOPE_FORMS[name]
+        build, side, _ = metrics._FOX_H[name]
+        pref, _, scale = build(cfg, side, cfg.order_index(side))
+        term = pref * want
+        expected = 1 - term if complement else term
+        assert abs(closed_form(cfg, arg / scale) - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-7])
+    def test_abscissa_next_to_a_pole_raises(self, gap):
+        # the exponential instance has its poles at s = 0, -1, -2, ...
+        with pytest.raises(ConvergenceError):
+            fox_h(_exp_reduction_params(), 1.0, abscissa=gap)
+
+    def test_instance_abscissa_next_to_a_pole_raises(self):
+        params, arg = metrics.fox_h_instances(figures.scenario("fig6", k=2))["pnz_nn"]
+        lo, _ = params.contour_interval()
+        with pytest.raises(ConvergenceError):
+            fox_h(params, arg, abscissa=lo + 1e-6)

@@ -118,6 +118,14 @@ class TestKthDistanceLaw:
         cdf = lambda t: gammainc(k, lam * math.pi * t)
         assert kstest(y, cdf).pvalue > 0.01
 
+    def test_vanishes_where_rate_term_overflows(self):
+        # a product of two exp-sinh nodes that each sit 250 e-folds above
+        # their scale: at delta = 1.5, coeff * y^delta overflows to inf
+        y = np.exp(np.array([2 * 250.0, 250.0, 1.0]))
+        out = pdf_kth_distance_pow(2, 1.0, 1.5, y)
+        assert out[0] == 0.0 and out[1] == 0.0
+        assert out[2] == pytest.approx(math.exp(-math.exp(1.5) + 3.0) * 1.5 / math.e, rel=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             pdf_kth_distance_pow(0, 1.0, 1.0, 1.0)
