@@ -35,4 +35,4 @@ for workers in (1, 2, 8):
     mc_w = MonteCarloConfig(trials=50_000, master_seed=37, worker_hint=workers)
     values = [simulate_pnz_all(cfg, mc_w)[c].value for c in ("NN", "BB", "NB", "BN")]
     print(f"  workers={workers}: {values}")
-print("(bit-identical by construction: counter-keyed batch streams)")
+print("(bit-identical by construction: one SeedSequence-keyed PCG64 stream per batch and side)")

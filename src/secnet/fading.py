@@ -9,6 +9,7 @@ canonical single-link normalization picks omega so that E[g] = 1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,10 @@ from scipy.special import gamma as _gamma
 from scipy.special import gammainc, gammaln
 
 __all__ = ["AlphaMuParams", "MomentFitError", "cdf_power_gain", "fit_sum_params",
-           "moment_power_gain", "pdf_power_gain", "sample_power_gain"]
+           "moment_power_gain", "pdf_power_gain", "power_gain_of_shape", "sample_power_gain"]
 
 _FIT_LOG_ALPHA_BOUNDS = (np.log(0.2), np.log(20.0))
-_FIT_LOG_MU_BOUNDS = (np.log(0.1), np.log(50.0))
+_FIT_LOG_MU_BOUNDS = (np.log(0.1), np.log(1e4))
 _FIT_RESIDUAL_TOL = 1e-10
 
 
@@ -46,9 +47,9 @@ class AlphaMuParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0 or self.mu <= 0 or self.omega <= 0:
+        if not all(0 < v < math.inf for v in (self.alpha, self.mu, self.omega)):
             raise ValueError(
-                f"alpha-mu parameters must be positive, got "
+                f"alpha-mu parameters must be positive and finite, got "
                 f"(alpha={self.alpha}, mu={self.mu}, omega={self.omega})"
             )
 
@@ -108,10 +109,14 @@ def moment_power_gain(p: AlphaMuParams, order: float) -> float:
     return p.omega**order * np.exp(gammaln(p.mu + 2.0 * order / p.alpha) - gammaln(p.mu))
 
 
+def power_gain_of_shape(p: AlphaMuParams, shape):
+    """The power gain omega * G^(2/alpha) of a standard-gamma shape draw G."""
+    return p.omega * shape ** (2.0 / p.alpha)
+
+
 def sample_power_gain(p: AlphaMuParams, rng: np.random.Generator, size=None):
     """Draw power-gain samples: g = omega * G^(2/alpha) with G ~ Gamma(mu, 1)."""
-    g = rng.standard_gamma(p.mu, size=size)
-    return p.omega * g ** (2.0 / p.alpha)
+    return power_gain_of_shape(p, rng.standard_gamma(p.mu, size=size))
 
 
 def _sum_moments(link: AlphaMuParams, count: int) -> tuple[float, float, float]:
@@ -179,5 +184,5 @@ def fit_sum_params(link: AlphaMuParams, count: int) -> AlphaMuParams:
         )
     alpha_hat = float(np.exp(sol.x[0]))
     mu_hat = float(np.exp(sol.x[1]))
-    omega_hat = s1 * _gamma(mu_hat) / _gamma(mu_hat + 2.0 / alpha_hat)
+    omega_hat = s1 * np.exp(gammaln(mu_hat) - gammaln(mu_hat + 2.0 / alpha_hat))
     return AlphaMuParams(alpha_hat, mu_hat, float(omega_hat))

@@ -4,9 +4,10 @@ Two independent validation routes live here:
 
 * **Network simulation** — full Poisson realizations of both receiver
   populations inside an automatically sized window, reduced to the composite
-  gains of the ordered users, with confidence intervals.  Random streams are
-  counter-based per batch, so results are bit-identical for a given master
-  seed no matter how many workers execute the batches.
+  gains of the ordered users, with confidence intervals.  Each (batch,
+  side) pair draws from its own PCG64 stream keyed by a SeedSequence on
+  (master seed, batch, side), so results are bit-identical for a given
+  master seed no matter how many workers execute the batches.
 
 * **Defining-integral quadrature** — direct integration of each metric's
   probability/expectation integral over one composite-gain law per (side,
@@ -123,35 +124,44 @@ def _sample_side_batch(
     """Composite gains of the k-th nearest and/or k-th best receiver for one batch.
 
     Returns one array per requested ordering, NaN where a realization holds
-    fewer than k points.  Draw order (counts, radii, gains) is fixed, so for
-    a given requested ordering set identical streams yield identical draws.
-    When only the distance ordering is needed, a single gain per realization
-    suffices: the gain attached to the k-th nearest point is independent of
-    the distances.
+    fewer than k points.  Draw order (counts, uniforms, gamma shapes) is
+    fixed, so for a given requested ordering set identical streams yield
+    identical draws.  A point at uniform draw U and standard-gamma shape G
+    has path loss R^upsilon U^(upsilon/d) and fading-weighted loss
+    (R^upsilon / omega) (U^c / G)^(2/alpha) with c = alpha upsilon / (2d),
+    both increasing in their key (U, resp. U^c / G).  So the k-th point is
+    selected on the key of the raw draws, and only that point is mapped to
+    its composite gain.  Empty slots get U = +inf, hence key +inf under
+    both orderings (a finite mark such as U + 1 would not order above every
+    U^c / G).  A point at U = 0 has infinite gain; one with G = 0 has key
+    +inf and is never preferred to a point of positive gain.  When only the
+    distance ordering is needed, one gain per realization suffices: the
+    gain attached to the k-th nearest point is independent of the distances.
     """
     fad = geometry.fading(side)
     d, ups = geometry.d, geometry.upsilon
     mean_count = geometry.density(side) * geometry.unit_ball_volume * radius**d
     counts = gen.poisson(mean_count, size)
     width = max(int(counts.max(initial=0)), k)
-    radii = radius * gen.random((size, width)) ** (1.0 / d)
-    occupied = np.arange(width)[None, :] < counts[:, None]
-    loss = np.where(occupied, radii**ups, np.inf)
+    u = gen.random((size, width))
+    u[np.arange(width)[None, :] >= counts[:, None]] = np.inf
+    loss_scale = radius**ups
     out = {}
-    if "best" in orderings:
-        gains = fading.sample_power_gain(fad, gen, (size, width))
-        weighted = np.where(occupied, loss / gains, np.inf)
-        out["best"] = 1.0 / np.partition(weighted, k - 1, axis=1)[:, k - 1]
-        if "nearest" in orderings:
-            rows = np.arange(size)
-            order = np.argpartition(loss, k - 1, axis=1)[:, k - 1]
-            with np.errstate(invalid="ignore"):
-                out["nearest"] = gains[rows, order] / loss[rows, order]
-    elif "nearest" in orderings:
-        kth_loss = np.partition(loss, k - 1, axis=1)[:, k - 1]
-        gains = fading.sample_power_gain(fad, gen, size)
-        with np.errstate(invalid="ignore"):
-            out["nearest"] = gains / kth_loss
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if "best" not in orderings:
+            u_k = np.partition(u, k - 1, axis=1)[:, k - 1]
+            out["nearest"] = fading.sample_power_gain(fad, gen, size) / (loss_scale * u_k ** (ups / d))
+        else:
+            shapes = gen.standard_gamma(fad.mu, (size, width))
+            if "nearest" in orderings:
+                rows = np.arange(size)
+                at = np.argpartition(u, k - 1, axis=1)[:, k - 1]
+                out["nearest"] = (fading.power_gain_of_shape(fad, shapes[rows, at])
+                                  / (loss_scale * u[rows, at] ** (ups / d)))
+            key = np.power(u, 0.5 * fad.alpha * ups / d, out=u)
+            key /= shapes
+            key_k = np.partition(key, k - 1, axis=1)[:, k - 1]
+            out["best"] = fading.power_gain_of_shape(fad, 1.0 / key_k) / loss_scale
     for z in out.values():
         z[counts < k] = np.nan
     return out
@@ -167,7 +177,8 @@ def _run_simulation(
 
     Returns one array per requested (side, ordering), NaN where a
     realization holds fewer points than the side's order index.  Each
-    (batch, side) pair owns a counter-keyed generator, and batches write
+    (batch, side) pair owns a PCG64 generator seeded by
+    SeedSequence(master_seed, spawn_key=(batch, side)), and batches write
     disjoint slices of preallocated arrays, so the result is independent of
     worker scheduling.
     """
@@ -189,7 +200,7 @@ def _run_simulation(
         hi = min(lo + _BATCH, trials)
         for side, code, k, radius, need in sides:
             seq = np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, code))
-            gen = np.random.Generator(np.random.Philox(seq))
+            gen = np.random.Generator(np.random.PCG64(seq))
             draws = _sample_side_batch(gen, cfg.geometry, side, k, radius, hi - lo, need)
             for ordering, z in draws.items():
                 out[side, ordering][lo:hi] = z

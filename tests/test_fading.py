@@ -20,8 +20,10 @@ from secnet.fading import (
     fit_sum_params,
     moment_power_gain,
     pdf_power_gain,
+    power_gain_of_shape,
     sample_power_gain,
 )
+from secnet.metrics import ScenarioConfig
 
 RAYLEIGH = AlphaMuParams(2.0, 1.0, 1.0)
 
@@ -38,6 +40,13 @@ class TestParams:
     @pytest.mark.parametrize("alpha,mu", [(2.0, 1.0), (3.0, 2.0), (1.5, 0.7), (4.0, 4.0)])
     def test_canonical_means_unit_power(self, alpha, mu):
         assert AlphaMuParams.canonical(alpha, mu).mean_power() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "mu", "omega"])
+    def test_non_finite_rejected(self, field, value):
+        values = {"alpha": 2.0, "mu": 1.0, "omega": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            AlphaMuParams(**values)
 
     def test_derived_constants_consistent(self):
         p = AlphaMuParams(2.5, 1.7, 0.4)
@@ -125,6 +134,12 @@ class TestSampler:
         b = sample_power_gain(RAYLEIGH, np.random.default_rng(42), size=16)
         assert np.array_equal(a, b)
 
+    def test_sampler_maps_shapes_through_the_gain_law(self):
+        p = AlphaMuParams.canonical(1.3, 0.7)
+        shapes = np.random.default_rng(42).standard_gamma(p.mu, size=16)
+        assert np.array_equal(sample_power_gain(p, np.random.default_rng(42), size=16),
+                              power_gain_of_shape(p, shapes))
+
 
 class TestSumFit:
     def test_single_branch_identity(self):
@@ -142,10 +157,23 @@ class TestSumFit:
         assert fit_sum_params(link, 5) is not first
 
     def test_failed_fit_raises_on_every_call(self):
-        # 200 exponential branches need mu = 200, past the fit's bound of 50
+        # sixteen alpha = 0.8 branches: the solve stalls at residuals near 7e-3
+        link = AlphaMuParams.canonical(0.8, 1.0)
         for _ in range(2):
             with pytest.raises(MomentFitError):
-                fit_sum_params(RAYLEIGH, 200)
+                fit_sum_params(link, 16)
+
+    @pytest.mark.parametrize("count", [60, 64, 200, 1000])
+    def test_many_exponential_branches_recover_gamma(self, count):
+        # from 200 branches on, mu = count lies past 171, where Gamma(mu) overflows
+        fitted = fit_sum_params(RAYLEIGH, count)
+        assert abs(fitted.alpha - 2.0) <= 1e-6
+        assert fitted.mu == pytest.approx(count, rel=1e-6)
+        assert fitted.mean_power() == pytest.approx(count, rel=1e-12)
+
+    def test_eight_by_eight_antennas_build(self):
+        cfg = ScenarioConfig.build(n_a=8, n_b=8)
+        assert cfg.geometry.fading_b.mu == pytest.approx(64.0, rel=1e-6)
 
     def test_exponential_sum_recovers_gamma(self):
         # four unit exponentials sum to a shape-4 gamma, which the family

@@ -4,14 +4,17 @@ insensitivity."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secnet import figures, metrics, specfun, validation
+from secnet.fading import AlphaMuParams
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import (
     MonteCarloConfig,
+    _sample_side_batch,
     integrate_defining,
     simulate_cop,
     simulate_ergodic_capacity,
@@ -20,6 +23,7 @@ from secnet.montecarlo import (
     simulate_pnz_all,
 )
 from secnet.specfun import ConvergenceError
+from secnet.stochgeo import NetworkGeometry
 from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
 
 
@@ -176,6 +180,111 @@ class TestDeterminism:
         a = simulate_cop(cfg, _mc(trials=2 * 10**4, seed=1))
         b = simulate_cop(cfg, _mc(trials=2 * 10**4, seed=2))
         assert a.value != b.value
+
+
+def _map_then_select(gen, geometry, side, k, radius, size, orderings):
+    """Reference for the simulator kernel: map every point of the window to
+    its path loss and composite gain, then select the k-th one, drawing
+    counts, uniforms and gamma shapes in the kernel's order."""
+    fad = geometry.fading(side)
+    d, ups = geometry.d, geometry.upsilon
+    counts = gen.poisson(geometry.density(side) * geometry.unit_ball_volume * radius**d, size)
+    width = max(int(counts.max(initial=0)), k)
+    radii = radius * gen.random((size, width)) ** (1.0 / d)
+    occupied = np.arange(width)[None, :] < counts[:, None]
+    loss = np.where(occupied, radii**ups, np.inf)
+    out = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if "best" in orderings:
+            gains = fad.omega * gen.standard_gamma(fad.mu, (size, width)) ** (2.0 / fad.alpha)
+            weighted = np.where(occupied, loss / gains, np.inf)
+            out["best"] = 1.0 / np.partition(weighted, k - 1, axis=1)[:, k - 1]
+            if "nearest" in orderings:
+                rows = np.arange(size)
+                at = np.argpartition(loss, k - 1, axis=1)[:, k - 1]
+                out["nearest"] = gains[rows, at] / loss[rows, at]
+        else:
+            kth_loss = np.partition(loss, k - 1, axis=1)[:, k - 1]
+            gains = fad.omega * gen.standard_gamma(fad.mu, size) ** (2.0 / fad.alpha)
+            out["nearest"] = gains / kth_loss
+    for z in out.values():
+        z[counts < k] = np.nan
+    return out
+
+
+class _PlantedDraws:
+    """Generator stand-in that returns fixed draws, so edge values can be planted."""
+
+    def __init__(self, counts, uniforms, shapes):
+        self.counts, self.uniforms, self.shapes = counts, uniforms, shapes
+
+    def poisson(self, lam, size):
+        return np.array(self.counts)
+
+    def random(self, shape):
+        return np.array(self.uniforms, dtype=float).reshape(shape)
+
+    def standard_gamma(self, mu, size):
+        shapes = np.array(self.shapes, dtype=float)
+        return shapes.reshape(size) if np.size(size) > 1 else shapes[:, 0]
+
+
+_KERNEL_FADING = {
+    "rayleigh": AlphaMuParams.canonical(2.0, 1.0),
+    "alpha1.3": AlphaMuParams.canonical(1.3, 0.7),
+}
+
+
+class TestSelectionKernel:
+    """The kernel selects on keys of the raw draws; the reference maps every
+    point first.  On the same stream both must pick the same point."""
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    @pytest.mark.parametrize("d,upsilon", [(2, 2.0), (2, 3.0), (2, 4.0), (3, 2.0), (3, 3.0), (3, 4.0)])
+    def test_matches_map_then_select(self, orderings, d, upsilon):
+        for name, fad in _KERNEL_FADING.items():
+            geo = NetworkGeometry(d, upsilon, 0.5, 0.5, fad, fad)
+            # about four points per realization, so some rows hold fewer than k
+            radius = (4.0 / (0.5 * geo.unit_ball_volume)) ** (1.0 / d)
+            for k in (1, 2, 3, 4):
+                seed = np.random.SeedSequence(entropy=99, spawn_key=(d, int(upsilon), k))
+                got = _sample_side_batch(np.random.Generator(np.random.PCG64(seed)),
+                                         geo, "legitimate", k, radius, 3000, orderings)
+                want = _map_then_select(np.random.Generator(np.random.PCG64(seed)),
+                                        geo, "legitimate", k, radius, 3000, orderings)
+                assert sorted(got) == sorted(orderings)
+                for ordering in orderings:
+                    empty = np.isnan(want[ordering])
+                    assert 0 < np.count_nonzero(empty) < empty.size, (name, k)
+                    np.testing.assert_allclose(got[ordering], want[ordering], rtol=1e-12,
+                                               err_msg=f"{name} k={k} {ordering}")
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    def test_planted_edge_draws_match_map_then_select(self, orderings):
+        fad = _KERNEL_FADING["alpha1.3"]
+        geo = NetworkGeometry(2, 3.0, 0.5, 0.5, fad, fad)
+        counts = [3, 3, 2, 1]
+        # row 0: a point at the origin; row 1: a point with zero gamma shape;
+        # row 2: both at once on different points; row 3: fewer than k points
+        uniforms = [[0.0, 0.5, 0.7], [0.1, 0.5, 0.7], [0.0, 0.2, 0.3], [0.4, 0.9, 0.1]]
+        shapes = [[1.0, 2.0, 0.5], [0.0, 1.0, 2.0], [1.5, 0.0, 0.3], [1.0, 1.0, 1.0]]
+        for k in (1, 2):
+            got = _sample_side_batch(_PlantedDraws(counts, uniforms, shapes),
+                                     geo, "legitimate", k, 2.0, 4, orderings)
+            want = _map_then_select(_PlantedDraws(counts, uniforms, shapes),
+                                    geo, "legitimate", k, 2.0, 4, orderings)
+            for ordering in orderings:
+                np.testing.assert_allclose(got[ordering], want[ordering], rtol=1e-12)
+                assert np.isnan(got[ordering][3]) == (k > 1)
+        got = _sample_side_batch(_PlantedDraws(counts, uniforms, shapes),
+                                 geo, "legitimate", 1, 2.0, 4, orderings)
+        # a point at the origin has infinite gain under either ordering
+        assert all(z[0] == np.inf for z in got.values())
+        if "best" in orderings:
+            # a zero shape is never the strongest point
+            gains = fad.omega * np.array([1.0, 2.0]) ** (2.0 / fad.alpha)
+            loss = (2.0 * np.array([0.5, 0.7]) ** 0.5) ** 3.0
+            assert got["best"][1] == pytest.approx(max(gains / loss), rel=1e-12)
 
 
 class TestIntegrateDefining:
