@@ -55,10 +55,11 @@ class AlphaMuParams:
 
     @classmethod
     def canonical(cls, alpha: float, mu: float) -> "AlphaMuParams":
-        """Unit-mean normalization: omega = Gamma(mu) / Gamma(mu + 2/alpha)."""
+        """Unit-mean normalization: omega = Gamma(mu) / Gamma(mu + 2/alpha),
+        in logs, so that it stays finite where both gammas overflow (mu > 171)."""
         if alpha <= 0 or mu <= 0:
             raise ValueError(f"alpha and mu must be positive, got ({alpha}, {mu})")
-        return cls(alpha, mu, _gamma(mu) / _gamma(mu + 2.0 / alpha))
+        return cls(alpha, mu, np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha)))
 
     @property
     def epsilon(self) -> float:

@@ -2,12 +2,17 @@
 
 Two independent validation routes live here:
 
-* **Network simulation** — full Poisson realizations of both receiver
+* **Network simulation** — Poisson realizations of both receiver
   populations inside an automatically sized window, reduced to the composite
-  gains of the ordered users, with confidence intervals.  Each (batch,
-  side) pair draws from its own PCG64 stream keyed by a SeedSequence on
-  (master seed, batch, side), so results are bit-identical for a given
-  master seed no matter how many workers execute the batches.
+  gains of the ordered users, with confidence intervals.  Each window is
+  split into an inner ball, large enough to hold k points except with
+  probability under the rejection budget, which is drawn in full, and a far
+  ring, of which only the points that can still reach the top k are drawn:
+  an exact Poisson thinning on the gamma shape, above a threshold set by
+  the inner ball's k-th point.  Each (batch, side) pair draws from its own
+  PCG64 stream keyed by a SeedSequence on (master seed, batch, side), so
+  results are bit-identical for a given master seed no matter how many
+  workers execute the batches.
 
 * **Defining-integral quadrature** — direct integration of each metric's
   probability/expectation integral over one composite-gain law per (side,
@@ -22,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammaincc, gammainccinv, ndtri
 
 from . import fading, stochgeo
 from .metrics import CASES, ORDERINGS, ScenarioConfig
@@ -112,6 +117,53 @@ class ErgodicSecrecyEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _far_ring(
+    gen: np.random.Generator,
+    mean: float,
+    u0: float,
+    q: np.ndarray,
+    mu: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The far ring u0 < U <= 1 of one batch, thinned to the points whose
+    gamma shape G exceeds a per-row threshold t.
+
+    Row i holds Poisson(mean * q_i) survivors, where q_i = Q(mu, t_i) is the
+    chance that a shape exceeds t_i.  Each survivor has U uniform on
+    (u0, 1] and G = Q^-1(mu, q_i V) with V uniform on (0, 1], which is
+    Gamma(mu) truncated to (t_i, inf).  Rows at q_i = 1 keep every point and
+    draw plain standard-gamma shapes.  Without ``mu`` no shape is drawn.
+    Returns the survivor count of each row and the survivors' U and G,
+    row after row.
+    """
+    counts = gen.poisson(mean * q)
+    u = 1.0 - (1.0 - u0) * gen.random(int(counts.sum()))
+    if mu is None:
+        return counts, u, None
+    q_each = np.repeat(q, counts)
+    full = q_each == 1.0
+    shapes = np.empty(u.size)
+    shapes[full] = gen.standard_gamma(mu, int(np.count_nonzero(full)))
+    thin = ~full
+    shapes[thin] = gammainccinv(mu, q_each[thin] * (1.0 - gen.random(int(np.count_nonzero(thin)))))
+    return counts, u, shapes
+
+
+def _smallest_per_row(counts: np.ndarray, key: np.ndarray, k: int, *columns: np.ndarray) -> list[np.ndarray]:
+    """The k entries of smallest key in each row of entries stored row after
+    row (counts[i] of them in row i): the key and each column as a
+    (rows, k) array, padded with +inf."""
+    row = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((key, row))
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pick = rank < k
+    out = []
+    for values in (key, *columns):
+        padded = np.full((counts.size, k), np.inf)
+        padded[row[pick], rank[pick]] = values[order[pick]]
+        out.append(padded)
+    return out
+
+
 def _sample_side_batch(
     gen: np.random.Generator,
     geometry: stochgeo.NetworkGeometry,
@@ -124,42 +176,86 @@ def _sample_side_batch(
     """Composite gains of the k-th nearest and/or k-th best receiver for one batch.
 
     Returns one array per requested ordering, NaN where a realization holds
-    fewer than k points.  Draw order (counts, uniforms, gamma shapes) is
-    fixed, so for a given requested ordering set identical streams yield
-    identical draws.  A point at uniform draw U and standard-gamma shape G
-    has path loss R^upsilon U^(upsilon/d) and fading-weighted loss
+    fewer than k points.  A point at uniform draw U (its share of the
+    window's volume) and standard-gamma shape G has path loss
+    R^upsilon U^(upsilon/d) and fading-weighted loss
     (R^upsilon / omega) (U^c / G)^(2/alpha) with c = alpha upsilon / (2d),
     both increasing in their key (U, resp. U^c / G).  So the k-th point is
     selected on the key of the raw draws, and only that point is mapped to
-    its composite gain.  Empty slots get U = +inf, hence key +inf under
-    both orderings (a finite mark such as U + 1 would not order above every
-    U^c / G).  A point at U = 0 has infinite gain; one with G = 0 has key
-    +inf and is never preferred to a point of positive gain.  When only the
-    distance ordering is needed, one gain per realization suffices: the
-    gain attached to the k-th nearest point is independent of the distances.
+    its composite gain.
+
+    The window is split into an inner ball U < u0 and a far ring.  The
+    inner ball holds ``stochgeo.min_count_mean(k)`` points on average, so it
+    holds fewer than k with probability under the rejection budget; u0 = 1
+    when the window holds fewer.  The inner ball is drawn in full (counts,
+    uniforms scaled by u0, then shapes when the best ordering is requested).
+    With K_in its k-th key, a far point has key U^c / G > u0^c / G, so it
+    can enter the top k only if G > t = u0^c / K_in.  The far ring is
+    therefore drawn as one Poisson layer thinned to G > t (``_far_ring``),
+    which is exact: the points of a Poisson process that pass an
+    independent mark test form a Poisson process again (Kingman, Poisson
+    Processes, 1993, section 5.1), and the ring is independent of K_in.
+    For the nearest ordering alone the k-th point lies in the inner ball
+    unless it holds fewer than k points, and only those rows draw a far
+    ring (in full).  A row with fewer than k inner points has K_in = +inf,
+    t = 0, and also draws its far ring in full.  The survivors are appended
+    to the inner points and selected as above; with u0 = 1 there is no far
+    ring and the draws are those of the full window.  Draw order (counts,
+    uniforms, shapes of the inner ball, then the far ring) is fixed, so for
+    a given requested ordering set identical streams yield identical draws.
+
+    Empty slots get U = +inf, hence key +inf under both orderings (a
+    finite mark such as U + 1 would not order above every U^c / G).  A
+    point at U = 0 has infinite gain; one with G = 0 has key +inf and is
+    never preferred to a point of positive gain.  When only the distance
+    ordering is needed, one gain per realization suffices: the gain
+    attached to the k-th nearest point is independent of the distances.
     """
     fad = geometry.fading(side)
     d, ups = geometry.d, geometry.upsilon
+    c = 0.5 * fad.alpha * ups / d
+    nearest, best = "nearest" in orderings, "best" in orderings
     mean_count = geometry.density(side) * geometry.unit_ball_volume * radius**d
-    counts = gen.poisson(mean_count, size)
+    u0 = min(1.0, stochgeo.min_count_mean(k) / mean_count)
+    counts = gen.poisson(mean_count * u0, size)
     width = max(int(counts.max(initial=0)), k)
     u = gen.random((size, width))
+    u *= u0
     u[np.arange(width)[None, :] >= counts[:, None]] = np.inf
-    loss_scale = radius**ups
-    out = {}
+    shapes = gen.standard_gamma(fad.mu, (size, width)) if best else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        if "best" not in orderings:
+        key = u**c / shapes if best else None
+        if u0 < 1.0:
+            if best:
+                key.partition(k - 1, axis=1)
+                q = gammaincc(fad.mu, u0**c / key[:, k - 1])
+                key = key[:, :k]
+            else:
+                q = (counts < k).astype(float)
+            far_counts, far_u, far_shapes = _far_ring(
+                gen, mean_count * (1.0 - u0), u0, q, fad.mu if best else None)
+            counts = counts + far_counts
+            # Only the k smallest of each part can be among the k smallest
+            # of the union.
+            if nearest and far_u.size:
+                far = _smallest_per_row(far_counts, far_u, k, *([far_shapes] if best else []))
+                u = np.concatenate((u, far[0]), axis=1)
+                if best:
+                    shapes = np.concatenate((shapes, far[1]), axis=1)
+            if best:
+                far_key, = _smallest_per_row(far_counts, far_u**c / far_shapes, k)
+                key = np.concatenate((key, far_key), axis=1)
+        loss_scale = radius**ups
+        out = {}
+        if nearest and not best:
             u_k = np.partition(u, k - 1, axis=1)[:, k - 1]
             out["nearest"] = fading.sample_power_gain(fad, gen, size) / (loss_scale * u_k ** (ups / d))
-        else:
-            shapes = gen.standard_gamma(fad.mu, (size, width))
-            if "nearest" in orderings:
-                rows = np.arange(size)
-                at = np.argpartition(u, k - 1, axis=1)[:, k - 1]
-                out["nearest"] = (fading.power_gain_of_shape(fad, shapes[rows, at])
-                                  / (loss_scale * u[rows, at] ** (ups / d)))
-            key = np.power(u, 0.5 * fad.alpha * ups / d, out=u)
-            key /= shapes
+        elif nearest:
+            rows = np.arange(size)
+            at = np.argpartition(u, k - 1, axis=1)[:, k - 1]
+            out["nearest"] = (fading.power_gain_of_shape(fad, shapes[rows, at])
+                              / (loss_scale * u[rows, at] ** (ups / d)))
+        if best:
             key_k = np.partition(key, k - 1, axis=1)[:, k - 1]
             out["best"] = fading.power_gain_of_shape(fad, 1.0 / key_k) / loss_scale
     for z in out.values():

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as _gamma
-from scipy.special import gammaincc, gammainccinv, gammaln, pdtr
+from scipy.special import gammaincc, gammainccinv, gammaln, pdtr, pdtri
 
 from .fading import AlphaMuParams
 
 __all__ = [
     "NetworkGeometry",
+    "min_count_mean",
     "ordered_path_gains",
     "pdf_kth_distance_pow",
     "sample_hppp",
@@ -167,6 +168,12 @@ def ordered_path_gains(
         return np.empty(0)
     radii = np.linalg.norm(points, axis=1)
     return np.sort(radii**geometry.upsilon / gains)
+
+
+def min_count_mean(k: int) -> float:
+    """Smallest Poisson mean at which fewer than k points occur with
+    probability at most the rejection budget."""
+    return float(pdtri(k - 1, _REJECTION_BUDGET))
 
 
 def _min_count_radius(density: float, geometry: NetworkGeometry, k: int) -> float:

@@ -7,6 +7,7 @@ formulas and integrals.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -40,6 +41,19 @@ class TestParams:
     @pytest.mark.parametrize("alpha,mu", [(2.0, 1.0), (3.0, 2.0), (1.5, 0.7), (4.0, 4.0)])
     def test_canonical_means_unit_power(self, alpha, mu):
         assert AlphaMuParams.canonical(alpha, mu).mean_power() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.5, 3.0, 170.0, 200.0, 1e4])
+    def test_canonical_scale_past_gamma_overflow(self, mu):
+        # Gamma(mu) overflows past mu = 171.6; the scale is a ratio of two
+        # such gammas and must stay finite and exact
+        p = AlphaMuParams.canonical(2.0, mu)
+        assert p.mean_power() == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert p.omega == pytest.approx(1.0 / mu, rel=1e-12)
+        q = AlphaMuParams.canonical(1.3, mu)
+        assert q.mean_power() == pytest.approx(1.0, rel=1e-12, abs=0)
+        with mpmath.workdps(40):
+            want = mpmath.exp(mpmath.loggamma(mu) - mpmath.loggamma(mpmath.mpf(mu) + 2 / mpmath.mpf(1.3)))
+        assert q.omega == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["alpha", "mu", "omega"])

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc, pdtr
+from scipy.stats import kstest, ks_2samp
 
-from secnet import figures, metrics, specfun, validation
+from secnet import figures, metrics, montecarlo, specfun, stochgeo, validation
 from secnet.fading import AlphaMuParams
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import (
     MonteCarloConfig,
+    _far_ring,
     _sample_side_batch,
     integrate_defining,
     simulate_cop,
@@ -285,6 +288,183 @@ class TestSelectionKernel:
             gains = fad.omega * np.array([1.0, 2.0]) ** (2.0 / fad.alpha)
             loss = (2.0 * np.array([0.5, 0.7]) ** 0.5) ** 3.0
             assert got["best"][1] == pytest.approx(max(gains / loss), rel=1e-12)
+
+
+def _kth(values, k):
+    return np.partition(values, k - 1, axis=1)[:, k - 1]
+
+
+def _gen(*key):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=2024, spawn_key=key)))
+
+
+class _CountingDraws:
+    """Generator stand-in that forwards to a real generator, keeps every
+    draw and counts the variates each method returns."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.drawn = {"poisson": 0, "random": 0, "standard_gamma": 0}
+        self.draws = {name: [] for name in self.drawn}
+
+    def _count(self, name, draws):
+        self.drawn[name] += np.size(draws)
+        self.draws[name].append(np.copy(draws))  # the kernel writes into its draws
+        return draws
+
+    def poisson(self, lam, size=None):
+        return self._count("poisson", self.gen.poisson(lam, size))
+
+    def random(self, size=None):
+        return self._count("random", self.gen.random(size))
+
+    def standard_gamma(self, shape, size=None):
+        return self._count("standard_gamma", self.gen.standard_gamma(shape, size))
+
+
+class TestThinnedKernel:
+    """Windows holding more points than the inner ball: the far ring is
+    drawn as a Poisson layer thinned to the points that can reach the top k."""
+
+    @pytest.mark.parametrize("mu,c", [(1.0, 1.0), (0.7, 0.65), (4.0, 2.0 / 3.0)])
+    def test_inner_points_and_survivors_hold_the_top_k(self, mu, c):
+        # Full-window draws of 200 points; the inner ball U < 0.02 holds
+        # four on average, so many rows hold fewer than k of them.
+        gen = _gen(int(100 * mu), int(100 * c))
+        size, n, u0 = 4000, 200, 0.02
+        u = gen.random((size, n))
+        g = gen.standard_gamma(mu, (size, n))
+        inner = u < u0
+        for k in (1, 2, 3, 4):
+            key = u**c / g
+            k_in = _kth(np.where(inner, key, np.inf), k)
+            survive = inner | (g > u0**c / k_in[:, None])
+            # a good share of the far points is thinned away, also at k = 4
+            assert np.count_nonzero(~survive) > 0.25 * np.count_nonzero(~inner)
+            assert 0 < np.count_nonzero(np.count_nonzero(inner, axis=1) < k) < size
+            for ordering, values in (("nearest", u), ("best", key)):
+                np.testing.assert_array_equal(_kth(np.where(survive, values, np.inf), k),
+                                              _kth(values, k), err_msg=f"k={k} {ordering}")
+            # the nearest ordering alone needs the far ring only where the
+            # inner ball holds fewer than k points
+            few = np.count_nonzero(inner, axis=1) < k
+            np.testing.assert_array_equal(_kth(np.where(inner | few[:, None], u, np.inf), k), _kth(u, k))
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    def test_far_ring_is_thinned_at_the_inner_kth_key(self, orderings, monkeypatch):
+        # A threshold off by a factor changes too few realizations for a
+        # test in law to see, so the kernel's own threshold is checked here.
+        fad = _KERNEL_FADING["alpha1.3"]
+        geo = NetworkGeometry(2, 4.0, 0.5, 0.5, fad, fad)
+        c = 0.5 * fad.alpha * 4.0 / 2
+        radius, k, size = 12.0, 3, 2000
+        mean = 0.5 * geo.unit_ball_volume * radius**2
+        rings = []
+        far_ring = montecarlo._far_ring
+        monkeypatch.setattr(montecarlo, "_far_ring",
+                            lambda gen, *args: rings.append(args) or far_ring(gen, *args))
+        draws = _CountingDraws(_gen(11))
+        _sample_side_batch(draws, geo, "legitimate", k, radius, size, orderings)
+        (ring_mean, u0, q, mu), = rings
+        assert u0 == stochgeo.min_count_mean(k) / mean
+        assert ring_mean == pytest.approx(mean * (1.0 - u0), rel=1e-15)
+        counts = draws.draws["poisson"][0]
+        if "best" not in orderings:
+            assert mu is None
+            np.testing.assert_array_equal(q, counts < k)
+            return
+        assert mu == fad.mu
+        u = draws.draws["random"][0] * u0
+        u[np.arange(u.shape[1])[None, :] >= counts[:, None]] = np.inf
+        k_in = _kth(u**c / draws.draws["standard_gamma"][0], k)
+        np.testing.assert_allclose(q, gammaincc(fad.mu, u0**c / k_in), rtol=1e-14, atol=0)
+        assert 0.0 < np.median(q) < 1.0
+
+    @pytest.mark.parametrize("mu", [0.7, 4.0, 16.0])
+    def test_survivors_follow_the_truncated_gamma_law(self, mu):
+        # thresholds from 0 (q = 1, the whole ring) up to the upper tail
+        t = np.repeat([0.0, 0.5 * mu, mu, 2.0 * mu, 3.0 * mu + 5.0], 4000)
+        q = gammaincc(mu, t)
+        u0, mean = 0.1, 60.0
+        counts, u, g = _far_ring(_gen(int(10 * mu)), mean, u0, q, mu)
+        assert counts.shape == t.shape and u.shape == g.shape == (counts.sum(),)
+        t_each = np.repeat(t, counts)
+        q_each = np.repeat(q, counts)
+        assert np.all(g > t_each)
+        assert np.all((u > u0) & (u <= 1.0))
+        assert kstest(gammaincc(mu, g) / q_each, "uniform").pvalue > 1e-3
+        assert kstest((u - u0) / (1.0 - u0), "uniform").pvalue > 1e-3
+        for level in np.unique(t):
+            rows = t == level
+            want = mean * gammaincc(mu, level) * np.count_nonzero(rows)
+            assert abs(counts[rows].sum() - want) <= 5.0 * np.sqrt(want) + 1.0, level
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    @pytest.mark.parametrize("d,upsilon", [(2, 2.0), (2, 4.0), (3, 3.0)])
+    def test_matches_map_then_select_in_law(self, orderings, d, upsilon):
+        fad = _KERNEL_FADING["alpha1.3"] if d == 2 else _KERNEL_FADING["rayleigh"]
+        geo = NetworkGeometry(d, upsilon, 0.5, 0.5, fad, fad)
+        # 150 points per window against an inner ball of 24-30
+        radius = (150.0 / (0.5 * geo.unit_ball_volume)) ** (1.0 / d)
+        for k in (1, 2, 4):
+            assert stochgeo.min_count_mean(k) < 150.0
+            got = self._batches(_sample_side_batch, geo, k, radius, orderings, (d, k, 1))
+            want = self._batches(_map_then_select, geo, k, radius, orderings, (d, k, 2))
+            for ordering in orderings:
+                assert not np.isnan(got[ordering]).any()
+                p = ks_2samp(got[ordering], want[ordering]).pvalue
+                assert p > 1e-3, (k, ordering, p)
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    def test_fallback_rows_match_map_then_select(self, orderings, monkeypatch):
+        # A budget of 0.5 shrinks the inner ball to 3.7 points for k = 4, so
+        # half the rows hold fewer than k inner points and draw the whole far
+        # ring; 4.2% of the windows (mean 8 points) hold fewer than k points.
+        monkeypatch.setattr(stochgeo, "_REJECTION_BUDGET", 0.5)
+        fad = _KERNEL_FADING["alpha1.3"]
+        geo = NetworkGeometry(2, 3.0, 0.5, 0.5, fad, fad)
+        k, mean = 4, 8.0
+        radius = (mean / (0.5 * geo.unit_ball_volume)) ** 0.5
+        assert stochgeo.min_count_mean(k) < 0.5 * mean
+        counting = _CountingDraws(_gen(7, 1))
+        got = self._batches(_sample_side_batch, geo, k, radius, orderings, (7, 1), counting)
+        want = self._batches(_map_then_select, geo, k, radius, orderings, (7, 2))
+        nan_prob = pdtr(k - 1, mean)
+        for ordering in orderings:
+            rates = [np.isnan(z[ordering]).mean() for z in (got, want)]
+            for rate in rates:
+                assert abs(rate - nan_prob) <= 4.0 * np.sqrt(nan_prob * (1 - nan_prob) / 20000), ordering
+            finite = [z[ordering][~np.isnan(z[ordering])] for z in (got, want)]
+            assert ks_2samp(*finite).pvalue > 1e-3, ordering
+        # the far ring was drawn: more uniforms than the inner ball holds
+        assert counting.drawn["random"] > 20000 * stochgeo.min_count_mean(k) * 1.5
+
+    @staticmethod
+    def _batches(sampler, geo, k, radius, orderings, key, gen=None):
+        """20,000 realizations in four batches of 5000."""
+        parts = [sampler(gen or _gen(*key, j), geo, "legitimate", k, radius, 5000, orderings)
+                 for j in range(4)]
+        return {o: np.concatenate([part[o] for part in parts]) for o in orderings}
+
+    def test_far_ring_work_stays_small(self, monkeypatch):
+        # fig7 at upsilon = 2, legitimate side: 838 points per window
+        cfg = figures.scenario("fig7", k=2, upsilon=2.0)
+        geo, k = cfg.geometry, cfg.order_index("legitimate")
+        orderings = ("nearest", "best")
+        radius = stochgeo.window_radius(geo, "legitimate", k, orderings=orderings)
+        mean = geo.density("legitimate") * geo.unit_ball_volume * radius**geo.d
+        inverted = []
+        inverse = montecarlo.gammainccinv
+        monkeypatch.setattr(montecarlo, "gammainccinv",
+                            lambda a, y: inverted.append(np.size(y)) or inverse(a, y))
+        counting = _CountingDraws(_gen(8))
+        size = 8192
+        out = _sample_side_batch(counting, geo, "legitimate", k, radius, size, orderings)
+        assert not any(np.isnan(z).any() for z in out.values())
+        shapes = counting.drawn["standard_gamma"] + sum(inverted)
+        assert mean > 800
+        assert shapes / size <= 0.1 * mean
+        assert counting.drawn["random"] / size <= 0.1 * mean
 
 
 class TestIntegrateDefining:
