@@ -130,8 +130,9 @@ def _far_ring(
     Row i holds Poisson(mean * q_i) survivors, where q_i = Q(mu, t_i) is the
     chance that a shape exceeds t_i.  Each survivor has U uniform on
     (u0, 1] and G = Q^-1(mu, q_i V) with V uniform on (0, 1], which is
-    Gamma(mu) truncated to (t_i, inf).  Rows at q_i = 1 keep every point and
-    draw plain standard-gamma shapes.  Without ``mu`` no shape is drawn.
+    Gamma(mu) truncated to (t_i, inf); at q_i = 1 (t_i = 0) that is plain
+    Gamma(mu), so rows that keep every point need no second path.  Without
+    ``mu`` no shape is drawn.
     Returns the survivor count of each row and the survivors' U and G,
     row after row.
     """
@@ -139,13 +140,7 @@ def _far_ring(
     u = 1.0 - (1.0 - u0) * gen.random(int(counts.sum()))
     if mu is None:
         return counts, u, None
-    q_each = np.repeat(q, counts)
-    full = q_each == 1.0
-    shapes = np.empty(u.size)
-    shapes[full] = gen.standard_gamma(mu, int(np.count_nonzero(full)))
-    thin = ~full
-    shapes[thin] = gammainccinv(mu, q_each[thin] * (1.0 - gen.random(int(np.count_nonzero(thin)))))
-    return counts, u, shapes
+    return counts, u, gammainccinv(mu, np.repeat(q, counts) * (1.0 - gen.random(u.size)))
 
 
 def _smallest_per_row(counts: np.ndarray, key: np.ndarray, k: int, *columns: np.ndarray) -> list[np.ndarray]:
@@ -198,7 +193,8 @@ def _sample_side_batch(
     For the nearest ordering alone the k-th point lies in the inner ball
     unless it holds fewer than k points, and only those rows draw a far
     ring (in full).  A row with fewer than k inner points has K_in = +inf,
-    t = 0, and also draws its far ring in full.  The survivors are appended
+    t = 0 and q = 1, and also draws its far ring in full, on the same
+    path (the truncated law at t = 0 is Gamma(mu)).  The survivors are appended
     to the inner points and selected as above; with u0 = 1 there is no far
     ring and the draws are those of the full window.  Draw order (counts,
     uniforms, shapes of the inner ball, then the far ring) is fixed, so for
