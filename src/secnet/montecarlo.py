@@ -4,13 +4,17 @@ Two independent validation routes live here:
 
 * **Network simulation** — Poisson realizations of both receiver
   populations inside an automatically sized window, reduced to the composite
-  gains of the ordered users, with confidence intervals.  Each window is
-  split into an inner ball, large enough to hold k points except with
-  probability under the rejection budget, which is drawn in full, and a far
-  ring, of which only the points that can still reach the top k are drawn:
-  an exact Poisson thinning on the gamma shape, above a threshold set by
-  the inner ball's k-th point.  Each (batch, side) pair draws from its own
-  PCG64 stream keyed by a SeedSequence on (master seed, batch, side), so
+  gains of the ordered users, with confidence intervals.  The k-th nearest
+  receiver is drawn as one order statistic of the window's Poisson count:
+  the k-th smallest of N uniforms is Beta(k, N + 1 - k).  For the k-th
+  best one, each window is split into an inner ball, large enough to hold
+  k points except with probability under the rejection budget, which is
+  drawn in full, and a far ring, of which only the points that can still
+  reach the top k are drawn: an exact Poisson thinning on the gamma shape,
+  above a threshold set by the inner ball's k-th point.  Each (batch,
+  side, ordering) draws from its own PCG64 stream keyed by a SeedSequence
+  on (master seed, batch, side, ordering), in a window sized for that
+  ordering, so a gain does not depend on which others were requested, and
   results are bit-identical for a given master seed no matter how many
   workers execute the batches.
 
@@ -23,6 +27,7 @@ Two independent validation routes live here:
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -122,8 +127,8 @@ def _far_ring(
     mean: float,
     u0: float,
     q: np.ndarray,
-    mu: float | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    mu: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The far ring u0 < U <= 1 of one batch, thinned to the points whose
     gamma shape G exceeds a per-row threshold t.
 
@@ -131,132 +136,124 @@ def _far_ring(
     chance that a shape exceeds t_i.  Each survivor has U uniform on
     (u0, 1] and G = Q^-1(mu, q_i V) with V uniform on (0, 1], which is
     Gamma(mu) truncated to (t_i, inf); at q_i = 1 (t_i = 0) that is plain
-    Gamma(mu), so rows that keep every point need no second path.  Without
-    ``mu`` no shape is drawn.
+    Gamma(mu), so rows that keep every point need no second path.
     Returns the survivor count of each row and the survivors' U and G,
     row after row.
     """
     counts = gen.poisson(mean * q)
     u = 1.0 - (1.0 - u0) * gen.random(int(counts.sum()))
-    if mu is None:
-        return counts, u, None
     return counts, u, gammainccinv(mu, np.repeat(q, counts) * (1.0 - gen.random(u.size)))
 
 
-def _smallest_per_row(counts: np.ndarray, key: np.ndarray, k: int, *columns: np.ndarray) -> list[np.ndarray]:
-    """The k entries of smallest key in each row of entries stored row after
-    row (counts[i] of them in row i): the key and each column as a
-    (rows, k) array, padded with +inf."""
+def _smallest_per_row(counts: np.ndarray, key: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest keys of each row of keys stored row after row, as a
+    (rows, k) array padded with +inf."""
     row = np.repeat(np.arange(counts.size), counts)
     order = np.lexsort((key, row))
     rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
     pick = rank < k
-    out = []
-    for values in (key, *columns):
-        padded = np.full((counts.size, k), np.inf)
-        padded[row[pick], rank[pick]] = values[order[pick]]
-        out.append(padded)
-    return out
+    padded = np.full((counts.size, k), np.inf)
+    padded[row[pick], rank[pick]] = key[order[pick]]
+    return padded
 
 
-def _sample_side_batch(
+def _window_mean(geometry: stochgeo.NetworkGeometry, side: str, radius: float) -> float:
+    return geometry.density(side) * geometry.unit_ball_volume * radius**geometry.d
+
+
+def _sample_nearest_batch(
     gen: np.random.Generator,
     geometry: stochgeo.NetworkGeometry,
     side: str,
     k: int,
     radius: float,
     size: int,
-    orderings: tuple[str, ...],
-) -> dict[str, np.ndarray]:
-    """Composite gains of the k-th nearest and/or k-th best receiver for one batch.
+) -> np.ndarray:
+    """Composite gains of the k-th nearest receiver for one batch, NaN where
+    a realization holds fewer than k points.
 
-    Returns one array per requested ordering, NaN where a realization holds
-    fewer than k points.  A point at uniform draw U (its share of the
-    window's volume) and standard-gamma shape G has path loss
-    R^upsilon U^(upsilon/d) and fading-weighted loss
+    A point at uniform draw U (its share of the window's volume) has path
+    loss R^upsilon U^(upsilon/d), increasing in U.  Given the window's
+    Poisson count N, the k-th smallest of N i.i.d. uniforms is exactly
+    Beta(k, N + 1 - k) (David & Nagaraja, Order Statistics, 2003, section
+    2.2), so each realization draws its count, that one order statistic
+    (Beta(k, 1) stands in where N < k, and the row is NaN) and one gain:
+    the gain attached to the k-th nearest point is independent of the
+    distances.  Draw order: counts, order statistics, gain shapes.  A draw
+    U = 0 is a point at the origin, of infinite gain.
+    """
+    counts = gen.poisson(_window_mean(geometry, side, radius), size)
+    u_k = gen.beta(k, np.maximum(counts + 1 - k, 1))
+    gains = fading.sample_power_gain(geometry.fading(side), gen, size)
+    with np.errstate(divide="ignore"):
+        z = gains / (radius**geometry.upsilon * u_k ** (geometry.upsilon / geometry.d))
+    z[counts < k] = np.nan
+    return z
+
+
+def _sample_best_batch(
+    gen: np.random.Generator,
+    geometry: stochgeo.NetworkGeometry,
+    side: str,
+    k: int,
+    radius: float,
+    size: int,
+) -> np.ndarray:
+    """Composite gains of the k-th best receiver for one batch, NaN where a
+    realization holds fewer than k points.
+
+    A point at uniform draw U (its share of the window's volume) and
+    standard-gamma shape G has fading-weighted loss
     (R^upsilon / omega) (U^c / G)^(2/alpha) with c = alpha upsilon / (2d),
-    both increasing in their key (U, resp. U^c / G).  So the k-th point is
-    selected on the key of the raw draws, and only that point is mapped to
-    its composite gain.
+    increasing in the key U^c / G.  So the k-th point is selected on the key
+    of the raw draws, and only that point is mapped to its composite gain.
 
     The window is split into an inner ball U < u0 and a far ring.  The
     inner ball holds ``stochgeo.min_count_mean(k)`` points on average, so it
     holds fewer than k with probability under the rejection budget; u0 = 1
-    when the window holds fewer.  The inner ball is drawn in full (counts,
-    uniforms scaled by u0, then shapes when the best ordering is requested).
-    With K_in its k-th key, a far point has key U^c / G > u0^c / G, so it
-    can enter the top k only if G > t = u0^c / K_in.  The far ring is
-    therefore drawn as one Poisson layer thinned to G > t (``_far_ring``),
-    which is exact: the points of a Poisson process that pass an
-    independent mark test form a Poisson process again (Kingman, Poisson
-    Processes, 1993, section 5.1), and the ring is independent of K_in.
-    For the nearest ordering alone the k-th point lies in the inner ball
-    unless it holds fewer than k points, and only those rows draw a far
-    ring (in full).  A row with fewer than k inner points has K_in = +inf,
-    t = 0 and q = 1, and also draws its far ring in full, on the same
-    path (the truncated law at t = 0 is Gamma(mu)).  The survivors are appended
-    to the inner points and selected as above; with u0 = 1 there is no far
-    ring and the draws are those of the full window.  Draw order (counts,
-    uniforms, shapes of the inner ball, then the far ring) is fixed, so for
-    a given requested ordering set identical streams yield identical draws.
+    when the window holds fewer.  The inner ball is drawn in full: counts,
+    then one uniform (scaled by u0) and one shape per point, row after row,
+    scattered into a +inf-padded array of keys.  With K_in its k-th key, a
+    far point has key U^c / G > u0^c / G, so it can enter the top k only if
+    G > t = u0^c / K_in.  The far ring is therefore drawn as one Poisson
+    layer thinned to G > t (``_far_ring``), which is exact: the points of a
+    Poisson process that pass an independent mark test form a Poisson
+    process again (Kingman, Poisson Processes, 1993, section 5.1), and the
+    ring is independent of K_in.  A row with fewer than k inner points has
+    K_in = +inf, t = 0 and q = 1, and draws its far ring in full on the same
+    path (the truncated law at t = 0 is Gamma(mu)).  Only the k smallest
+    keys of each part can be among the k smallest of the union, so those
+    are concatenated and selected; with u0 = 1 there is no far ring.
 
-    Empty slots get U = +inf, hence key +inf under both orderings (a
-    finite mark such as U + 1 would not order above every U^c / G).  A
-    point at U = 0 has infinite gain; one with G = 0 has key +inf and is
-    never preferred to a point of positive gain.  When only the distance
-    ordering is needed, one gain per realization suffices: the gain
-    attached to the k-th nearest point is independent of the distances.
+    A point at U = 0 has infinite gain; one with G = 0 has key +inf and is
+    never preferred to a point of positive gain.
     """
     fad = geometry.fading(side)
-    d, ups = geometry.d, geometry.upsilon
-    c = 0.5 * fad.alpha * ups / d
-    nearest, best = "nearest" in orderings, "best" in orderings
-    mean_count = geometry.density(side) * geometry.unit_ball_volume * radius**d
+    c = 0.5 * fad.alpha * geometry.upsilon / geometry.d
+    mean_count = _window_mean(geometry, side, radius)
     u0 = min(1.0, stochgeo.min_count_mean(k) / mean_count)
     counts = gen.poisson(mean_count * u0, size)
-    width = max(int(counts.max(initial=0)), k)
-    u = gen.random((size, width))
+    n = int(counts.sum())
+    u = gen.random(n)
     u *= u0
-    u[np.arange(width)[None, :] >= counts[:, None]] = np.inf
-    shapes = gen.standard_gamma(fad.mu, (size, width)) if best else None
+    width = max(int(counts.max(initial=0)), k)
+    key = np.full((size, width), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        key = u**c / shapes if best else None
+        # row-major boolean indexing fills each row's leading slots in turn
+        key[np.arange(width) < counts[:, None]] = u**c / gen.standard_gamma(fad.mu, n)
         if u0 < 1.0:
-            if best:
-                key.partition(k - 1, axis=1)
-                q = gammaincc(fad.mu, u0**c / key[:, k - 1])
-                key = key[:, :k]
-            else:
-                q = (counts < k).astype(float)
-            far_counts, far_u, far_shapes = _far_ring(
-                gen, mean_count * (1.0 - u0), u0, q, fad.mu if best else None)
+            key.partition(k - 1, axis=1)
+            q = gammaincc(fad.mu, u0**c / key[:, k - 1])
+            far_counts, far_u, far_shapes = _far_ring(gen, mean_count * (1.0 - u0), u0, q, fad.mu)
             counts = counts + far_counts
-            # Only the k smallest of each part can be among the k smallest
-            # of the union.
-            if nearest and far_u.size:
-                far = _smallest_per_row(far_counts, far_u, k, *([far_shapes] if best else []))
-                u = np.concatenate((u, far[0]), axis=1)
-                if best:
-                    shapes = np.concatenate((shapes, far[1]), axis=1)
-            if best:
-                far_key, = _smallest_per_row(far_counts, far_u**c / far_shapes, k)
-                key = np.concatenate((key, far_key), axis=1)
-        loss_scale = radius**ups
-        out = {}
-        if nearest and not best:
-            u_k = np.partition(u, k - 1, axis=1)[:, k - 1]
-            out["nearest"] = fading.sample_power_gain(fad, gen, size) / (loss_scale * u_k ** (ups / d))
-        elif nearest:
-            rows = np.arange(size)
-            at = np.argpartition(u, k - 1, axis=1)[:, k - 1]
-            out["nearest"] = (fading.power_gain_of_shape(fad, shapes[rows, at])
-                              / (loss_scale * u[rows, at] ** (ups / d)))
-        if best:
-            key_k = np.partition(key, k - 1, axis=1)[:, k - 1]
-            out["best"] = fading.power_gain_of_shape(fad, 1.0 / key_k) / loss_scale
-    for z in out.values():
-        z[counts < k] = np.nan
-    return out
+            key = np.concatenate((key[:, :k], _smallest_per_row(far_counts, far_u**c / far_shapes, k)), axis=1)
+        key_k = np.partition(key, k - 1, axis=1)[:, k - 1]
+        z = fading.power_gain_of_shape(fad, 1.0 / key_k) / radius**geometry.upsilon
+    z[counts < k] = np.nan
+    return z
+
+
+_SAMPLERS = {"nearest": _sample_nearest_batch, "best": _sample_best_batch}
 
 
 def _run_simulation(
@@ -269,39 +266,41 @@ def _run_simulation(
 
     Returns one array per requested (side, ordering), NaN where a
     realization holds fewer points than the side's order index.  Each
-    (batch, side) pair owns a PCG64 generator seeded by
-    SeedSequence(master_seed, spawn_key=(batch, side)), and batches write
-    disjoint slices of preallocated arrays, so the result is independent of
-    worker scheduling.
+    (side, ordering) has its own window, sized for that ordering alone, and
+    each (batch, side, ordering) owns a PCG64 generator seeded by
+    SeedSequence(master_seed, spawn_key=(batch, side, ordering)).  So a
+    gain does not depend on which other gains were requested, and since
+    batches write disjoint slices of preallocated arrays, it does not depend
+    on worker scheduling either.
     """
     trials = mc.trials
-    sides = []
-    # A side's position in SIDES is its stream key: reordering SIDES changes realizations.
-    for code, (side, need) in enumerate(zip(stochgeo.SIDES, (need_legit, need_eave))):
-        if need:
-            k = cfg.order_index(side)
-            radius = (mc.window_radius if mc.window_radius is not None
-                      else stochgeo.window_radius(cfg.geometry, side, k, orderings=need))
-            sides.append((side, code, k, radius, need))
-    out = {(side, ordering): np.empty(trials)
-           for side, _, _, _, need in sides for ordering in need}
+    streams = []
+    # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
+    for side_code, (side, need) in enumerate(zip(stochgeo.SIDES, (need_legit, need_eave))):
+        for ordering_code, ordering in enumerate(ORDERINGS):
+            if ordering in need:
+                k = cfg.order_index(side)
+                radius = (mc.window_radius if mc.window_radius is not None
+                          else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
+                streams.append((side, ordering, (side_code, ordering_code), k, radius))
+    out = {(side, ordering): np.empty(trials) for side, ordering, *_ in streams}
     n_batches = (trials + _BATCH - 1) // _BATCH
 
     def run_batch(j: int) -> None:
         lo = j * _BATCH
         hi = min(lo + _BATCH, trials)
-        for side, code, k, radius, need in sides:
-            seq = np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, code))
-            gen = np.random.Generator(np.random.PCG64(seq))
-            draws = _sample_side_batch(gen, cfg.geometry, side, k, radius, hi - lo, need)
-            for ordering, z in draws.items():
-                out[side, ordering][lo:hi] = z
+        for side, ordering, code, k, radius in streams:
+            gen = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
+            out[side, ordering][lo:hi] = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
 
-    if mc.worker_hint == 1 or n_batches == 1:
+    # More threads than batches or cores only add start-up cost.
+    workers = min(mc.worker_hint, n_batches, os.cpu_count() or 1)
+    if workers == 1:
         for j in range(n_batches):
             run_batch(j)
     else:
-        with ThreadPoolExecutor(max_workers=mc.worker_hint) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_batch, range(n_batches)))
     return out
 

@@ -13,11 +13,13 @@ from scipy.stats import kstest, ks_2samp
 
 from secnet import figures, metrics, montecarlo, specfun, stochgeo, validation
 from secnet.fading import AlphaMuParams
-from secnet.metrics import ScenarioConfig
+from secnet.metrics import ORDERINGS, ScenarioConfig
 from secnet.montecarlo import (
+    _SAMPLERS,
     MonteCarloConfig,
     _far_ring,
-    _sample_side_batch,
+    _sample_best_batch,
+    _sample_nearest_batch,
     integrate_defining,
     simulate_cop,
     simulate_ergodic_capacity,
@@ -185,109 +187,33 @@ class TestDeterminism:
         assert a.value != b.value
 
 
-def _map_then_select(gen, geometry, side, k, radius, size, orderings):
-    """Reference for the simulator kernel: map every point of the window to
-    its path loss and composite gain, then select the k-th one, drawing
-    counts, uniforms and gamma shapes in the kernel's order."""
+def _map_then_select(gen, geometry, side, k, radius, size, ordering):
+    """Reference for the simulator kernel: map every point of the whole
+    window to its path loss and composite gain, then select the k-th one.
+    Draws counts, then one uniform per point, row after row, then one gamma
+    shape per point (best ordering, the kernel's order) or per realization
+    (nearest ordering)."""
     fad = geometry.fading(side)
     d, ups = geometry.d, geometry.upsilon
     counts = gen.poisson(geometry.density(side) * geometry.unit_ball_volume * radius**d, size)
-    width = max(int(counts.max(initial=0)), k)
-    radii = radius * gen.random((size, width)) ** (1.0 / d)
-    occupied = np.arange(width)[None, :] < counts[:, None]
-    loss = np.where(occupied, radii**ups, np.inf)
-    out = {}
+    loss = _padded(counts, (radius * gen.random(int(counts.sum())) ** (1.0 / d)) ** ups, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if "best" in orderings:
-            gains = fad.omega * gen.standard_gamma(fad.mu, (size, width)) ** (2.0 / fad.alpha)
-            weighted = np.where(occupied, loss / gains, np.inf)
-            out["best"] = 1.0 / np.partition(weighted, k - 1, axis=1)[:, k - 1]
-            if "nearest" in orderings:
-                rows = np.arange(size)
-                at = np.argpartition(loss, k - 1, axis=1)[:, k - 1]
-                out["nearest"] = gains[rows, at] / loss[rows, at]
+        if ordering == "best":
+            gains = _padded(counts, fad.omega * gen.standard_gamma(fad.mu, int(counts.sum())) ** (2.0 / fad.alpha), k)
+            z = 1.0 / _kth(loss / gains, k)
         else:
-            kth_loss = np.partition(loss, k - 1, axis=1)[:, k - 1]
-            gains = fad.omega * gen.standard_gamma(fad.mu, size) ** (2.0 / fad.alpha)
-            out["nearest"] = gains / kth_loss
-    for z in out.values():
-        z[counts < k] = np.nan
+            z = fad.omega * gen.standard_gamma(fad.mu, size) ** (2.0 / fad.alpha) / _kth(loss, k)
+    z[counts < k] = np.nan
+    return z
+
+
+def _padded(counts, values, k):
+    """Values stored row after row as rows of width max(counts.max(), k), padded with +inf."""
+    counts = np.asarray(counts)
+    width = max(int(counts.max(initial=0)), k)
+    out = np.full((counts.size, width), np.inf)
+    out[np.arange(width) < counts[:, None]] = values
     return out
-
-
-class _PlantedDraws:
-    """Generator stand-in that returns fixed draws, so edge values can be planted."""
-
-    def __init__(self, counts, uniforms, shapes):
-        self.counts, self.uniforms, self.shapes = counts, uniforms, shapes
-
-    def poisson(self, lam, size):
-        return np.array(self.counts)
-
-    def random(self, shape):
-        return np.array(self.uniforms, dtype=float).reshape(shape)
-
-    def standard_gamma(self, mu, size):
-        shapes = np.array(self.shapes, dtype=float)
-        return shapes.reshape(size) if np.size(size) > 1 else shapes[:, 0]
-
-
-_KERNEL_FADING = {
-    "rayleigh": AlphaMuParams.canonical(2.0, 1.0),
-    "alpha1.3": AlphaMuParams.canonical(1.3, 0.7),
-}
-
-
-class TestSelectionKernel:
-    """The kernel selects on keys of the raw draws; the reference maps every
-    point first.  On the same stream both must pick the same point."""
-
-    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
-    @pytest.mark.parametrize("d,upsilon", [(2, 2.0), (2, 3.0), (2, 4.0), (3, 2.0), (3, 3.0), (3, 4.0)])
-    def test_matches_map_then_select(self, orderings, d, upsilon):
-        for name, fad in _KERNEL_FADING.items():
-            geo = NetworkGeometry(d, upsilon, 0.5, 0.5, fad, fad)
-            # about four points per realization, so some rows hold fewer than k
-            radius = (4.0 / (0.5 * geo.unit_ball_volume)) ** (1.0 / d)
-            for k in (1, 2, 3, 4):
-                seed = np.random.SeedSequence(entropy=99, spawn_key=(d, int(upsilon), k))
-                got = _sample_side_batch(np.random.Generator(np.random.PCG64(seed)),
-                                         geo, "legitimate", k, radius, 3000, orderings)
-                want = _map_then_select(np.random.Generator(np.random.PCG64(seed)),
-                                        geo, "legitimate", k, radius, 3000, orderings)
-                assert sorted(got) == sorted(orderings)
-                for ordering in orderings:
-                    empty = np.isnan(want[ordering])
-                    assert 0 < np.count_nonzero(empty) < empty.size, (name, k)
-                    np.testing.assert_allclose(got[ordering], want[ordering], rtol=1e-12,
-                                               err_msg=f"{name} k={k} {ordering}")
-
-    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
-    def test_planted_edge_draws_match_map_then_select(self, orderings):
-        fad = _KERNEL_FADING["alpha1.3"]
-        geo = NetworkGeometry(2, 3.0, 0.5, 0.5, fad, fad)
-        counts = [3, 3, 2, 1]
-        # row 0: a point at the origin; row 1: a point with zero gamma shape;
-        # row 2: both at once on different points; row 3: fewer than k points
-        uniforms = [[0.0, 0.5, 0.7], [0.1, 0.5, 0.7], [0.0, 0.2, 0.3], [0.4, 0.9, 0.1]]
-        shapes = [[1.0, 2.0, 0.5], [0.0, 1.0, 2.0], [1.5, 0.0, 0.3], [1.0, 1.0, 1.0]]
-        for k in (1, 2):
-            got = _sample_side_batch(_PlantedDraws(counts, uniforms, shapes),
-                                     geo, "legitimate", k, 2.0, 4, orderings)
-            want = _map_then_select(_PlantedDraws(counts, uniforms, shapes),
-                                    geo, "legitimate", k, 2.0, 4, orderings)
-            for ordering in orderings:
-                np.testing.assert_allclose(got[ordering], want[ordering], rtol=1e-12)
-                assert np.isnan(got[ordering][3]) == (k > 1)
-        got = _sample_side_batch(_PlantedDraws(counts, uniforms, shapes),
-                                 geo, "legitimate", 1, 2.0, 4, orderings)
-        # a point at the origin has infinite gain under either ordering
-        assert all(z[0] == np.inf for z in got.values())
-        if "best" in orderings:
-            # a zero shape is never the strongest point
-            gains = fad.omega * np.array([1.0, 2.0]) ** (2.0 / fad.alpha)
-            loss = (2.0 * np.array([0.5, 0.7]) ** 0.5) ** 3.0
-            assert got["best"][1] == pytest.approx(max(gains / loss), rel=1e-12)
 
 
 def _kth(values, k):
@@ -298,13 +224,135 @@ def _gen(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=2024, spawn_key=key)))
 
 
+def _reference(ordering):
+    return lambda *args: _map_then_select(*args, ordering)
+
+
+class _PlantedDraws:
+    """Generator stand-in that returns fixed draws, so edge values can be
+    planted; it keeps the parameters of every Beta draw."""
+
+    def __init__(self, counts, uniforms=(), shapes=(), betas=()):
+        self.counts, self.uniforms, self.shapes, self.betas = counts, uniforms, shapes, betas
+        self.beta_params = []
+
+    def poisson(self, lam, size):
+        return np.array(self.counts)
+
+    @staticmethod
+    def _planted(values, size):
+        values = np.array(values, dtype=float)
+        assert values.size == size
+        return values
+
+    def random(self, size):
+        return self._planted(self.uniforms, size)
+
+    def standard_gamma(self, mu, size):
+        return self._planted(self.shapes, size)
+
+    def beta(self, a, b):
+        self.beta_params.append((a, np.copy(b)))
+        return self._planted(self.betas, np.size(b))
+
+
+_KERNEL_FADING = {
+    "rayleigh": AlphaMuParams.canonical(2.0, 1.0),
+    "alpha1.3": AlphaMuParams.canonical(1.3, 0.7),
+}
+
+
+class TestSelectionKernel:
+    """Windows of about four points, which the best ordering draws whole:
+    on the same stream it must pick the point the reference picks after
+    mapping every point.  The nearest ordering draws one order statistic
+    instead of the points, so only its counts share the stream."""
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    @pytest.mark.parametrize("d,upsilon", [(2, 2.0), (2, 3.0), (2, 4.0), (3, 2.0), (3, 3.0), (3, 4.0)])
+    def test_matches_map_then_select(self, orderings, d, upsilon):
+        size, mean = 3000, 4.0
+        for name, fad in _KERNEL_FADING.items():
+            geo = NetworkGeometry(d, upsilon, 0.5, 0.5, fad, fad)
+            radius = (mean / (0.5 * geo.unit_ball_volume)) ** (1.0 / d)
+            for k in (1, 2, 3, 4):
+                nan_prob = pdtr(k - 1, mean)
+                for ordering in orderings:
+                    seed = np.random.SeedSequence(entropy=99, spawn_key=(d, int(upsilon), k, len(orderings)))
+                    got = _SAMPLERS[ordering](np.random.Generator(np.random.PCG64(seed)),
+                                              geo, "legitimate", k, radius, size)
+                    want = _map_then_select(np.random.Generator(np.random.PCG64(seed)),
+                                            geo, "legitimate", k, radius, size, ordering)
+                    empty = np.isnan(want)
+                    np.testing.assert_array_equal(np.isnan(got), empty)
+                    assert abs(empty.mean() - nan_prob) <= 4.0 * np.sqrt(nan_prob * (1 - nan_prob) / size)
+                    if ordering == "best":
+                        np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=f"{name} k={k}")
+
+    @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
+    def test_planted_edge_draws_match_map_then_select(self, orderings):
+        fad = _KERNEL_FADING["alpha1.3"]
+        geo = NetworkGeometry(2, 3.0, 0.5, 0.5, fad, fad)
+        counts = [3, 3, 2, 1]
+        # row 0: a point at the origin; row 1: a point with zero gamma shape;
+        # row 2: both at once on different points; row 3: fewer than k points
+        uniforms = [[0.0, 0.5, 0.7], [0.1, 0.5, 0.7], [0.0, 0.2], [0.4]]
+        shapes = [[1.0, 2.0, 0.5], [0.0, 1.0, 2.0], [1.5, 0.0], [1.0]]
+        flat_u, flat_g = np.concatenate(uniforms), np.concatenate(shapes)
+        row_shapes = [1.0, 0.0, 1.5, 1.0]
+        for k in (1, 2):
+            got, want = {}, {}
+            if "best" in orderings:
+                got["best"] = _sample_best_batch(_PlantedDraws(counts, flat_u, flat_g),
+                                                 geo, "legitimate", k, 2.0, 4)
+                want["best"] = _map_then_select(_PlantedDraws(counts, flat_u, flat_g),
+                                                geo, "legitimate", k, 2.0, 4, "best")
+            if "nearest" in orderings:
+                # the order statistic the kernel draws, planted as the k-th
+                # smallest of the row's planted uniforms
+                betas = [sorted(row)[k - 1] if len(row) >= k else 0.5 for row in uniforms]
+                got["nearest"] = _sample_nearest_batch(_PlantedDraws(counts, shapes=row_shapes, betas=betas),
+                                                       geo, "legitimate", k, 2.0, 4)
+                want["nearest"] = _map_then_select(_PlantedDraws(counts, flat_u, row_shapes),
+                                                   geo, "legitimate", k, 2.0, 4, "nearest")
+            for ordering in orderings:
+                np.testing.assert_allclose(got[ordering], want[ordering], rtol=1e-12)
+                assert np.isnan(got[ordering][3]) == (k > 1)
+                if k == 1:
+                    # a point at the origin has infinite gain under either ordering
+                    assert got[ordering][0] == np.inf
+        if "best" in orderings:
+            # a zero shape is never the strongest point
+            gains = fad.omega * np.array([1.0, 2.0]) ** (2.0 / fad.alpha)
+            loss = (2.0 * np.array([0.5, 0.7]) ** 0.5) ** 3.0
+            best = _sample_best_batch(_PlantedDraws(counts, flat_u, flat_g), geo, "legitimate", 1, 2.0, 4)
+            assert best[1] == pytest.approx(max(gains / loss), rel=1e-12)
+
+    def test_planted_order_statistic_gives_the_exact_gain(self):
+        fad = _KERNEL_FADING["alpha1.3"]
+        geo = NetworkGeometry(3, 4.0, 0.5, 0.5, fad, fad)
+        k, radius = 2, 3.0
+        counts, betas, shapes = [5, 2, 9, 1], [0.25, 0.5, 0.1, 0.3], [2.0, 0.5, 1.0, 3.0]
+        draws = _PlantedDraws(counts, shapes=shapes, betas=betas)
+        z = _sample_nearest_batch(draws, geo, "legitimate", k, radius, 4)
+        # the k-th smallest of N uniforms is Beta(k, N + 1 - k); Beta(k, 1)
+        # stands in for a row with fewer than k points
+        (a, b), = draws.beta_params
+        assert a == k
+        np.testing.assert_array_equal(b, [4, 1, 8, 1])
+        # gain omega G^(2/alpha) over path loss (R U^(1/d))^upsilon
+        want = fad.omega * np.array(shapes) ** (2.0 / fad.alpha) / (radius * np.array(betas) ** (1.0 / 3.0)) ** 4.0
+        np.testing.assert_allclose(z[:3], want[:3], rtol=1e-14)
+        assert np.isnan(z[3])
+
+
 class _CountingDraws:
     """Generator stand-in that forwards to a real generator, keeps every
     draw and counts the variates each method returns."""
 
     def __init__(self, gen):
         self.gen = gen
-        self.drawn = {"poisson": 0, "random": 0, "standard_gamma": 0}
+        self.drawn = {"poisson": 0, "random": 0, "standard_gamma": 0, "beta": 0}
         self.draws = {name: [] for name in self.drawn}
 
     def _count(self, name, draws):
@@ -321,10 +369,15 @@ class _CountingDraws:
     def standard_gamma(self, shape, size=None):
         return self._count("standard_gamma", self.gen.standard_gamma(shape, size))
 
+    def beta(self, a, b, size=None):
+        return self._count("beta", self.gen.beta(a, b, size))
+
 
 class TestThinnedKernel:
-    """Windows holding more points than the inner ball: the far ring is
-    drawn as a Poisson layer thinned to the points that can reach the top k."""
+    """Best-ordering windows holding more points than the inner ball: the
+    far ring is drawn as a Poisson layer thinned to the points that can
+    reach the top k.  The nearest ordering draws neither, whatever the
+    window."""
 
     @pytest.mark.parametrize("mu,c", [(1.0, 1.0), (0.7, 0.65), (4.0, 2.0 / 3.0)])
     def test_inner_points_and_survivors_hold_the_top_k(self, mu, c):
@@ -342,13 +395,8 @@ class TestThinnedKernel:
             # a good share of the far points is thinned away, also at k = 4
             assert np.count_nonzero(~survive) > 0.25 * np.count_nonzero(~inner)
             assert 0 < np.count_nonzero(np.count_nonzero(inner, axis=1) < k) < size
-            for ordering, values in (("nearest", u), ("best", key)):
-                np.testing.assert_array_equal(_kth(np.where(survive, values, np.inf), k),
-                                              _kth(values, k), err_msg=f"k={k} {ordering}")
-            # the nearest ordering alone needs the far ring only where the
-            # inner ball holds fewer than k points
-            few = np.count_nonzero(inner, axis=1) < k
-            np.testing.assert_array_equal(_kth(np.where(inner | few[:, None], u, np.inf), k), _kth(u, k))
+            np.testing.assert_array_equal(_kth(np.where(survive, key, np.inf), k), _kth(key, k),
+                                          err_msg=f"k={k}")
 
     @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
     def test_far_ring_is_thinned_at_the_inner_kth_key(self, orderings, monkeypatch):
@@ -359,26 +407,25 @@ class TestThinnedKernel:
         c = 0.5 * fad.alpha * 4.0 / 2
         radius, k, size = 12.0, 3, 2000
         mean = 0.5 * geo.unit_ball_volume * radius**2
-        rings = []
         far_ring = montecarlo._far_ring
-        monkeypatch.setattr(montecarlo, "_far_ring",
-                            lambda gen, *args: rings.append(args) or far_ring(gen, *args))
-        draws = _CountingDraws(_gen(11))
-        _sample_side_batch(draws, geo, "legitimate", k, radius, size, orderings)
-        (ring_mean, u0, q, mu), = rings
-        assert u0 == stochgeo.min_count_mean(k) / mean
-        assert ring_mean == pytest.approx(mean * (1.0 - u0), rel=1e-15)
-        counts = draws.draws["poisson"][0]
-        if "best" not in orderings:
-            assert mu is None
-            np.testing.assert_array_equal(q, counts < k)
-            return
-        assert mu == fad.mu
-        u = draws.draws["random"][0] * u0
-        u[np.arange(u.shape[1])[None, :] >= counts[:, None]] = np.inf
-        k_in = _kth(u**c / draws.draws["standard_gamma"][0], k)
-        np.testing.assert_allclose(q, gammaincc(fad.mu, u0**c / k_in), rtol=1e-14, atol=0)
-        assert 0.0 < np.median(q) < 1.0
+        for ordering in orderings:
+            rings = []
+            monkeypatch.setattr(montecarlo, "_far_ring",
+                                lambda gen, *args: rings.append(args) or far_ring(gen, *args))
+            draws = _CountingDraws(_gen(11))
+            _SAMPLERS[ordering](draws, geo, "legitimate", k, radius, size)
+            if ordering == "nearest":
+                assert rings == []
+                continue
+            (ring_mean, u0, q, mu), = rings
+            assert u0 == stochgeo.min_count_mean(k) / mean
+            assert ring_mean == pytest.approx(mean * (1.0 - u0), rel=1e-15)
+            assert mu == fad.mu
+            counts = draws.draws["poisson"][0]
+            keys = (draws.draws["random"][0] * u0) ** c / draws.draws["standard_gamma"][0]
+            k_in = _kth(_padded(counts, keys, k), k)
+            np.testing.assert_allclose(q, gammaincc(fad.mu, u0**c / k_in), rtol=1e-14, atol=0)
+            assert 0.0 < np.median(q) < 1.0
 
     @pytest.mark.parametrize("mu", [0.7, 4.0, 16.0])
     def test_survivors_follow_the_truncated_gamma_law(self, mu):
@@ -408,11 +455,11 @@ class TestThinnedKernel:
         radius = (150.0 / (0.5 * geo.unit_ball_volume)) ** (1.0 / d)
         for k in (1, 2, 4):
             assert stochgeo.min_count_mean(k) < 150.0
-            got = self._batches(_sample_side_batch, geo, k, radius, orderings, (d, k, 1))
-            want = self._batches(_map_then_select, geo, k, radius, orderings, (d, k, 2))
             for ordering in orderings:
-                assert not np.isnan(got[ordering]).any()
-                p = ks_2samp(got[ordering], want[ordering]).pvalue
+                got = self._batches(_SAMPLERS[ordering], geo, k, radius, (d, k, len(orderings), 1))
+                want = self._batches(_reference(ordering), geo, k, radius, (d, k, len(orderings), 2))
+                assert not np.isnan(got).any()
+                p = ks_2samp(got, want).pvalue
                 assert p > 1e-3, (k, ordering, p)
 
     @pytest.mark.parametrize("orderings", [("nearest",), ("best",), ("nearest", "best")])
@@ -426,32 +473,29 @@ class TestThinnedKernel:
         k, mean = 4, 8.0
         radius = (mean / (0.5 * geo.unit_ball_volume)) ** 0.5
         assert stochgeo.min_count_mean(k) < 0.5 * mean
-        counting = _CountingDraws(_gen(7, 1))
-        got = self._batches(_sample_side_batch, geo, k, radius, orderings, (7, 1), counting)
-        want = self._batches(_map_then_select, geo, k, radius, orderings, (7, 2))
         nan_prob = pdtr(k - 1, mean)
         for ordering in orderings:
-            rates = [np.isnan(z[ordering]).mean() for z in (got, want)]
-            for rate in rates:
-                assert abs(rate - nan_prob) <= 4.0 * np.sqrt(nan_prob * (1 - nan_prob) / 20000), ordering
-            finite = [z[ordering][~np.isnan(z[ordering])] for z in (got, want)]
-            assert ks_2samp(*finite).pvalue > 1e-3, ordering
-        # the far ring was drawn: more uniforms than the inner ball holds
-        assert counting.drawn["random"] > 20000 * stochgeo.min_count_mean(k) * 1.5
+            counting = _CountingDraws(_gen(7, len(orderings), 1))
+            got = self._batches(_SAMPLERS[ordering], geo, k, radius, (7, 1), counting)
+            want = self._batches(_reference(ordering), geo, k, radius, (7, len(orderings), 2))
+            for z in (got, want):
+                assert abs(np.isnan(z).mean() - nan_prob) <= 4.0 * np.sqrt(nan_prob * (1 - nan_prob) / 20000)
+            assert ks_2samp(got[~np.isnan(got)], want[~np.isnan(want)]).pvalue > 1e-3, ordering
+            if ordering == "best":
+                # the far ring was drawn: more uniforms than the inner ball holds
+                assert counting.drawn["random"] > 20000 * stochgeo.min_count_mean(k) * 1.5
 
     @staticmethod
-    def _batches(sampler, geo, k, radius, orderings, key, gen=None):
+    def _batches(sampler, geo, k, radius, key, gen=None):
         """20,000 realizations in four batches of 5000."""
-        parts = [sampler(gen or _gen(*key, j), geo, "legitimate", k, radius, 5000, orderings)
-                 for j in range(4)]
-        return {o: np.concatenate([part[o] for part in parts]) for o in orderings}
+        return np.concatenate([sampler(gen or _gen(*key, j), geo, "legitimate", k, radius, 5000)
+                               for j in range(4)])
 
     def test_far_ring_work_stays_small(self, monkeypatch):
         # fig7 at upsilon = 2, legitimate side: 838 points per window
         cfg = figures.scenario("fig7", k=2, upsilon=2.0)
         geo, k = cfg.geometry, cfg.order_index("legitimate")
-        orderings = ("nearest", "best")
-        radius = stochgeo.window_radius(geo, "legitimate", k, orderings=orderings)
+        radius = stochgeo.window_radius(geo, "legitimate", k, orderings=("best",))
         mean = geo.density("legitimate") * geo.unit_ball_volume * radius**geo.d
         inverted = []
         inverse = montecarlo.gammainccinv
@@ -459,12 +503,73 @@ class TestThinnedKernel:
                             lambda a, y: inverted.append(np.size(y)) or inverse(a, y))
         counting = _CountingDraws(_gen(8))
         size = 8192
-        out = _sample_side_batch(counting, geo, "legitimate", k, radius, size, orderings)
-        assert not any(np.isnan(z).any() for z in out.values())
+        z = _sample_best_batch(counting, geo, "legitimate", k, radius, size)
+        assert not np.isnan(z).any()
         shapes = counting.drawn["standard_gamma"] + sum(inverted)
         assert mean > 800
         assert shapes / size <= 0.1 * mean
         assert counting.drawn["random"] / size <= 0.1 * mean
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nearest_draws_a_few_variates_per_realization(self, k):
+        # fig3: 314 points per window on either side
+        cfg = figures.scenario("fig3", k=k, alpha=2.0, mu=2.0)
+        geo = cfg.geometry
+        radius = stochgeo.window_radius(geo, "legitimate", k, orderings=("nearest",))
+        assert geo.density("legitimate") * geo.unit_ball_volume * radius**geo.d > 300
+        counting = _CountingDraws(_gen(9, k))
+        size = 8192
+        z = _sample_nearest_batch(counting, geo, "legitimate", k, radius, size)
+        assert not np.isnan(z).any()
+        assert sum(counting.drawn.values()) <= 4 * size
+
+
+class TestStreams:
+    """Each (batch, side, ordering) draws from its own stream, in a window
+    sized for that ordering alone."""
+
+    def test_single_case_matches_all_cases_bitwise(self):
+        cfg = figures.scenario("fig6", k=2)
+        mc = _mc(trials=2 * 8192 + 1000, seed=31, workers=1)
+        every = simulate_pnz_all(cfg, mc)
+        for case in metrics.CASES:
+            assert simulate_pnz(cfg, case, mc) == every[case], case
+
+    def test_gains_do_not_depend_on_the_other_orderings_requested(self):
+        cfg = figures.scenario("fig7", k=2, upsilon=3.0)
+        mc = _mc(trials=5000, seed=5, workers=1)
+        both = montecarlo._run_simulation(cfg, mc, ORDERINGS, ORDERINGS)
+        for side, ordering in both:
+            need = ((ordering,), ()) if side == "legitimate" else ((), (ordering,))
+            alone = montecarlo._run_simulation(cfg, mc, *need)
+            np.testing.assert_array_equal(alone[side, ordering], both[side, ordering])
+
+    @pytest.mark.parametrize("cores,trials,want", [(3, 5 * 8192, [3]), (3, 2 * 8192, [2]),
+                                                   (None, 5 * 8192, []), (3, 8192, [])])
+    def test_threads_capped_at_batches_and_cores(self, cores, trials, want, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+        cfg = figures.scenario("fig4", k=2, lambda_b=1.0)
+        mc = _mc(trials=trials, seed=3, workers=10**6)
+        est = simulate_cop(cfg, mc)
+        assert started == want
+        # outputs do not depend on the worker count
+        assert est == simulate_cop(cfg, replace(mc, worker_hint=1))
 
 
 class TestIntegrateDefining:
