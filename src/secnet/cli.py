@@ -8,10 +8,13 @@
     secrecy figure   [FIG_ID] [--config cfg.ini] ...
 
 The configuration document is an INI file with sections [geometry],
-[fading_b], [fading_e], [scenario], [mc] and [run]; every key has a default,
-so the empty document is valid.  Keys with the suffix ``_db`` are converted
-from decibels to linear scale at parse time.  Exit codes: 0 success,
-1 validation failure, 2 configuration error, 3 numeric error.
+[fading_b], [fading_e], [scenario], [mc] and [run], in any letter case;
+every key has a default, so the empty document is valid.  Keys with the
+suffix ``_db`` are converted from decibels to linear scale at parse time,
+``%`` is literal, and numbers must be finite.  The flags --seed, --trials,
+--workers, --out, --format and the figure id replace the keys they name.
+Exit codes: 0 success, 1 validation failure, 2 configuration error,
+3 numeric error.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import figures, validation
 from .fading import MomentFitError
@@ -77,51 +81,65 @@ class RunSpec:
 # Config document
 # ---------------------------------------------------------------------------
 
-_SCHEMA = {
-    "geometry": {
-        "d": int, "upsilon": float, "lambda_b": float, "lambda_e": float,
-    },
-    "fading_b": {"alpha": float, "mu": float},
-    "fading_e": {"alpha": float, "mu": float},
-    "scenario": {
-        "n_a": int, "n_b": int, "n_e": int,
-        "eta_k": float, "eta_k_db": float, "eta_e": float, "eta_e_db": float,
-        "rate": float, "k": int, "ordering": str, "eavesdropper_policy": str,
-    },
-    "mc": {
-        "trials": int, "seed": int, "workers": int,
-        "window_radius": float, "ci_level": float,
-    },
-    "run": {
-        "metric": str, "method": str, "figure": str, "figures": str,
-        "sweep_param": str, "sweep_values": str, "out": str, "format": str,
-    },
+def _decibels(raw) -> float:
+    return 10.0 ** (float(raw) / 10.0)
+
+
+# A document key's parser, the field it sets on its target (a ScenarioConfig.build keyword,
+# a MonteCarloConfig field or a RunSpec field), its sweep axis name, and its default
+# (None leaves the field to the target).
+class _Key(NamedTuple):
+    parse: Callable
+    target: str
+    field: str
+    sweep: str | None = None
+    default: object = None
+
+
+_KEYS = {
+    ("geometry", "d"): _Key(int, "scenario", "d", sweep="d"),
+    ("geometry", "upsilon"): _Key(float, "scenario", "upsilon", sweep="upsilon"),
+    ("geometry", "lambda_b"): _Key(float, "scenario", "lambda_b", sweep="lambda_b"),
+    ("geometry", "lambda_e"): _Key(float, "scenario", "lambda_e", sweep="lambda_e"),
+    ("fading_b", "alpha"): _Key(float, "scenario", "alpha_b", sweep="alpha_b"),
+    ("fading_b", "mu"): _Key(float, "scenario", "mu_b", sweep="mu_b"),
+    ("fading_e", "alpha"): _Key(float, "scenario", "alpha_e", sweep="alpha_e"),
+    ("fading_e", "mu"): _Key(float, "scenario", "mu_e", sweep="mu_e"),
+    ("scenario", "n_a"): _Key(int, "scenario", "n_a", sweep="n_a"),
+    ("scenario", "n_b"): _Key(int, "scenario", "n_b", sweep="n_b"),
+    ("scenario", "n_e"): _Key(int, "scenario", "n_e", sweep="n_e"),
+    ("scenario", "eta_k"): _Key(float, "scenario", "eta_k", sweep="eta_k"),
+    ("scenario", "eta_k_db"): _Key(_decibels, "scenario", "eta_k", sweep="eta_k_db"),
+    ("scenario", "eta_e"): _Key(float, "scenario", "eta_e", sweep="eta_e"),
+    ("scenario", "eta_e_db"): _Key(_decibels, "scenario", "eta_e", sweep="eta_e_db"),
+    ("scenario", "rate"): _Key(float, "scenario", "rate", sweep="rate"),
+    ("scenario", "k"): _Key(int, "scenario", "user_index", sweep="k"),
+    ("scenario", "ordering"): _Key(str, "scenario", "ordering"),
+    ("scenario", "eavesdropper_policy"): _Key(str, "scenario", "eavesdropper_policy"),
+    ("mc", "trials"): _Key(int, "mc", "trials", sweep="trials", default=10**6),
+    ("mc", "seed"): _Key(int, "mc", "master_seed", default=20260810),
+    ("mc", "workers"): _Key(int, "mc", "worker_hint", default=1),
+    ("mc", "window_radius"): _Key(float, "mc", "window_radius"),
+    ("mc", "ci_level"): _Key(float, "mc", "ci_level", default=0.997),
+    ("run", "metric"): _Key(str.lower, "run", "metric", default="cop"),
+    ("run", "method"): _Key(str.lower, "run", "method", default="closed-form"),
+    ("run", "figure"): _Key(str, "run", "figure_id"),
+    ("run", "figures"): _Key(str, "run", "figure_subset"),
+    ("run", "sweep_param"): _Key(str.lower, "run", "sweep_param"),
+    ("run", "sweep_values"): _Key(str, "run", "sweep_values"),
+    ("run", "out"): _Key(str, "run", "output_path"),
+    ("run", "format"): _Key(str.lower, "run", "output_format", default="csv"),
 }
-
-# Each ScenarioConfig.build keyword with the (section, key) that sets it.
-_SCENARIO_KEYS = {
-    "d": ("geometry", "d"), "upsilon": ("geometry", "upsilon"),
-    "lambda_b": ("geometry", "lambda_b"), "lambda_e": ("geometry", "lambda_e"),
-    "alpha_b": ("fading_b", "alpha"), "mu_b": ("fading_b", "mu"),
-    "alpha_e": ("fading_e", "alpha"), "mu_e": ("fading_e", "mu"),
-    "n_a": ("scenario", "n_a"), "n_b": ("scenario", "n_b"), "n_e": ("scenario", "n_e"),
-    "eta_k": ("scenario", "eta_k"), "eta_e": ("scenario", "eta_e"), "rate": ("scenario", "rate"),
-    "user_index": ("scenario", "k"), "ordering": ("scenario", "ordering"),
-    "eavesdropper_policy": ("scenario", "eavesdropper_policy"),
-}
-
-_SWEEPABLE = {
-    "lambda_b": float, "lambda_e": float, "upsilon": float, "d": int,
-    "alpha_b": float, "mu_b": float, "alpha_e": float, "mu_e": float,
-    "n_a": int, "n_b": int, "n_e": int,
-    "eta_k": float, "eta_k_db": float, "eta_e": float, "eta_e_db": float,
-    "rate": float, "k": int, "trials": int,
-}
+_SECTIONS = {section for section, _ in _KEYS}
+_SWEEPS = {entry.sweep: key for key, entry in _KEYS.items() if entry.sweep}
+# Each command-line flag (or positional argument) with the key it overrides.
+_FLAGS = {"--seed": ("mc", "seed"), "--trials": ("mc", "trials"), "--workers": ("mc", "workers"),
+          "--out": ("run", "out"), "--format": ("run", "format"), "figure_id": ("run", "figure")}
 
 
-def _line_index(text: str) -> dict[tuple[str, str], int]:
-    """Map (section, key) to its 1-based line number in the document."""
-    index: dict[tuple[str, str], int] = {}
+def _line_index(text: str) -> dict[tuple[str, str], str]:
+    """Map (section, key) to "line N", its 1-based line in the document."""
+    index: dict[tuple[str, str], str] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -129,152 +147,147 @@ def _line_index(text: str) -> dict[tuple[str, str], int]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            index[(section, "")] = lineno
+            index[(section, "")] = f"line {lineno}"
             continue
         if section is not None and ("=" in line or ":" in line):
             sep = min((line.find(c) for c in "=:" if c in line))
             key = line[:sep].strip().lower()
-            index[(section, key)] = lineno
+            index[(section, key)] = f"line {lineno}"
     return index
 
 
-def _anchored(lines: dict, section: str, key: str, message: str) -> ConfigError:
-    lineno = lines.get((section, key)) or lines.get((section, ""))
-    where = f"line {lineno}: " if lineno else ""
-    return ConfigError(f"{where}{message}")
+def _anchored(where: dict, section: str, key: str, message: str) -> ConfigError:
+    """Prefix message with where the key was set: its line or flag, else its section's line."""
+    at = where.get((section, key)) or where.get((section, ""))
+    return ConfigError(f"{at}: {message}" if at else message)
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _named_key(exc: Exception, keys) -> tuple[str, str] | None:
+    """Of keys, the first whose field exc's message names earliest, as a
+    whole word with ``_`` or a space between its parts; None if none is named."""
+    named = [(match.start(), i, key) for i, key in enumerate(keys)
+             if (match := re.search(rf"\b{_KEYS[key].field.replace('_', '[_ ]')}\b", str(exc)))]
+    return min(named)[2] if named else None
 
 
-def parse_config(text: str, command: str = "eval") -> RunSpec:
+def _parse_value(where: dict, section: str, key: str, raw: str):
+    parse = _KEYS[section, key].parse
+    try:
+        return parse(raw.strip())
+    except ValueError as exc:
+        raise _anchored(where, section, key, f"key {key!r} in [{section}]: cannot parse {raw!r} as "
+                                             f"{'int' if parse is int else 'float'}") from exc
+
+
+def parse_config(text: str, command: str = "eval",
+                 overrides: Mapping[str, str] | None = None) -> RunSpec:
     """Parse and validate a configuration document into a RunSpec.
 
+    ``overrides`` maps command-line flags (``--seed``, ``--trials``,
+    ``--workers``, ``--out``, ``--format``, and ``figure_id`` for the
+    positional figure) to raw values that replace the keys they name.
     Unknown keys, malformed values and invariant violations raise
-    ConfigError with the offending line number where one exists.
+    ConfigError with the offending line number, or flag, where one exists.
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")
-    lines = _line_index(text)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    where = _line_index(text)
+    # No header can name the empty section, so [DEFAULT] is read as an
+    # ordinary (and unknown) section instead of being applied to every other.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config document: {exc}") from exc
 
-    values: dict[str, dict[str, object]] = {}
+    given: dict[tuple[str, str], object] = {}
+    spellings: dict[str, str] = {}
     for section in parser.sections():
         sec = section.strip().lower()
-        if sec not in _SCHEMA:
-            raise _anchored(lines, sec, "", f"unknown section [{section}]")
-        values[sec] = {}
-        for key, raw in parser.items(sec):
-            key = key.strip().lower()
-            if key not in _SCHEMA[sec]:
-                raise _anchored(lines, sec, key, f"unknown key {key!r} in [{sec}]")
-            conv = _SCHEMA[sec][key]
-            if conv is str:
-                values[sec][key] = raw.strip()
-                continue
-            try:
-                values[sec][key] = conv(raw.strip())
-            except ValueError as exc:
-                raise _anchored(lines, sec, key,
-                                f"key {key!r} in [{sec}]: cannot parse {raw!r} as {conv.__name__}") from exc
+        if sec not in _SECTIONS:
+            raise _anchored(where, sec, "", f"unknown section [{section}]")
+        if sec in spellings:
+            raise _anchored(where, sec, "", f"section [{section}] repeats [{spellings[sec]}]")
+        spellings[sec] = section
+        for key, raw in parser[section].items():
+            if (sec, key) not in _KEYS:
+                raise _anchored(where, sec, key, f"unknown key {key!r} in [{sec}]")
+            given[sec, key] = _parse_value(where, sec, key, raw)
+    overrides = overrides or {}
+    for flag, raw in overrides.items():
+        where[_FLAGS[flag]] = flag
+        given[_FLAGS[flag]] = _parse_value(where, *_FLAGS[flag], raw)
 
-    def get(section: str, key: str, default):
-        return values.get(section, {}).get(key, default)
+    values: dict[str, dict] = {"scenario": {}, "mc": {},
+                               "run": {e.field: None for e in _KEYS.values() if e.target == "run"}}
+    set_by: dict[tuple[str, str], tuple[str, str]] = {}
+    for key, entry in _KEYS.items():
+        if key in given and (first := set_by.setdefault((entry.target, entry.field), key)) != key:
+            raise _anchored(where, *first, f"give either {first[1]} or {key[1]}, not both")
+        if key in given or entry.default is not None:
+            values[entry.target][entry.field] = given.get(key, entry.default)
 
-    for side, eta_key in (("scenario", "eta_k"), ("scenario", "eta_e")):
-        if get(side, eta_key, None) is not None and get(side, eta_key + "_db", None) is not None:
-            raise _anchored(lines, side, eta_key,
-                            f"give either {eta_key} or {eta_key}_db, not both")
-
-    scenario_kwargs = {kw: values[sec][key] for kw, (sec, key) in _SCENARIO_KEYS.items()
-                       if key in values.get(sec, {})}
-    for eta_key in ("eta_k", "eta_e"):
-        db = get("scenario", eta_key + "_db", None)
-        if db is not None:
-            scenario_kwargs[eta_key] = _db_to_linear(db)
     try:
-        scenario = ScenarioConfig.build(**scenario_kwargs)
+        scenario = ScenarioConfig.build(**values["scenario"])
     except (ValueError, MomentFitError) as exc:
-        # The scenario's messages name the offending build keyword; anchor at its key.
-        named = sorted((match.start(), kw) for kw in _SCENARIO_KEYS
-                       if (match := re.search(rf"\b{kw}\b", str(exc))))
-        section, key = _SCENARIO_KEYS[named[0][1]] if named else ("", "")
-        raise _anchored(lines, section, key, f"invalid scenario: {exc}") from exc
-
+        # The scenario's messages name the offending build keyword; anchor at the key that set it.
+        keys = [key for key in (*given, *_KEYS) if _KEYS[key].target == "scenario"]
+        raise _anchored(where, *(_named_key(exc, keys) or ("", "")),
+                        f"invalid scenario: {exc}") from exc
     try:
-        mc = MonteCarloConfig(
-            trials=get("mc", "trials", 10**6),
-            master_seed=get("mc", "seed", 20260810),
-            window_radius=get("mc", "window_radius", None),
-            worker_hint=get("mc", "workers", 1),
-            ci_level=get("mc", "ci_level", 0.997),
-        )
+        mc = MonteCarloConfig(**values["mc"])
     except ValueError as exc:
-        raise _anchored(lines, "mc", "", f"invalid mc section: {exc}") from exc
+        # Anchored at the flag that set the field the message names, else at [mc].
+        flagged = [_FLAGS[flag] for flag in overrides]
+        raise _anchored(where, *(_named_key(exc, flagged) or ("mc", "")),
+                        f"invalid mc section: {exc}") from exc
 
-    metric = get("run", "metric", "cop").lower()
-    if metric not in _METRICS:
-        raise _anchored(lines, "run", "metric", f"metric must be one of {_METRICS}, got {metric!r}")
-    method = get("run", "method", "closed-form").lower()
-    if method not in _METHODS:
-        raise _anchored(lines, "run", "method", f"method must be one of {_METHODS}, got {method!r}")
-    figure_id = get("run", "figure", None)
-    if command == "figure" and figure_id is not None and figure_id not in figures.FIGURE_IDS:
-        raise _anchored(lines, "run", "figure",
-                        f"figure must be one of {figures.FIGURE_IDS}, got {figure_id!r}")
+    run = values["run"]
+    for key, choices in (("metric", _METRICS), ("method", _METHODS)):
+        if run[key] not in choices:
+            raise _anchored(where, "run", key, f"{key} must be one of {choices}, got {run[key]!r}")
+    if command == "figure" and run["figure_id"] not in (None, *figures.FIGURE_IDS):
+        raise _anchored(where, "run", "figure",
+                        f"figure must be one of {figures.FIGURE_IDS}, got {run['figure_id']!r}")
 
-    sweep_param = get("run", "sweep_param", None)
-    sweep_values = None
-    if command == "sweep":
-        if sweep_param is None:
-            raise _anchored(lines, "run", "sweep_param", "sweep command requires sweep_param")
-        sweep_param = sweep_param.lower()
-        if sweep_param not in _SWEEPABLE:
-            raise _anchored(lines, "run", "sweep_param",
-                            f"sweep_param must name a scenario or mc field: {sorted(_SWEEPABLE)}")
-        raw_values = get("run", "sweep_values", None)
-        if raw_values is None:
-            raise _anchored(lines, "run", "sweep_values", "sweep command requires sweep_values")
-        sweep_values = _parse_grid(raw_values, lines)
-    elif sweep_param is not None:
-        raise _anchored(lines, "run", "sweep_param", "sweep_param is only valid for the sweep command")
+    if command != "sweep":
+        if run["sweep_param"] is not None:
+            raise _anchored(where, "run", "sweep_param", "sweep_param is only valid for the sweep command")
+        run["sweep_values"] = None
+    elif run["sweep_param"] is None:
+        raise _anchored(where, "run", "sweep_param", "sweep command requires sweep_param")
+    elif run["sweep_param"] not in _SWEEPS:
+        raise _anchored(where, "run", "sweep_param",
+                        f"sweep_param must name a scenario or mc field: {sorted(_SWEEPS)}")
+    elif run["sweep_values"] is None:
+        raise _anchored(where, "run", "sweep_values", "sweep command requires sweep_values")
+    else:
+        run["sweep_values"] = _parse_grid(run["sweep_values"], where)
 
-    fmt = get("run", "format", "csv").lower()
-    if fmt not in ("csv", "json"):
-        raise _anchored(lines, "run", "format", f"format must be csv or json, got {fmt!r}")
+    if run["output_format"] not in ("csv", "json"):
+        raise _anchored(where, "run", "format", f"format must be csv or json, got {run['output_format']!r}")
 
-    figure_subset = None
-    raw_subset = get("run", "figures", None)
+    raw_subset = run["figure_subset"]
     if raw_subset is not None:
-        figure_subset = tuple(f.strip() for f in raw_subset.split(",") if f.strip())
-        bad = [f for f in figure_subset if f not in validation.VALIDATION_FIGURES]
-        if bad or not figure_subset:
-            raise _anchored(lines, "run", "figures",
+        run["figure_subset"] = tuple(f.strip() for f in raw_subset.split(",") if f.strip())
+        bad = [f for f in run["figure_subset"] if f not in validation.VALIDATION_FIGURES]
+        if bad or not run["figure_subset"]:
+            raise _anchored(where, "run", "figures",
                             f"figures must name one or more of {validation.VALIDATION_FIGURES}, "
                             f"got {bad or raw_subset!r}")
 
-    spec = RunSpec(
-        command=command, scenario=scenario, mc=mc, metric=metric, method=method,
-        figure_id=figure_id, sweep_param=sweep_param, sweep_values=sweep_values,
-        output_path=get("run", "out", None), output_format=fmt,
-        scenario_kwargs=scenario_kwargs, figure_subset=figure_subset,
-    )
-    for value in sweep_values or ():
+    spec = RunSpec(command=command, scenario=scenario, mc=mc, scenario_kwargs=values["scenario"], **run)
+    for value in spec.sweep_values or ():
         try:
-            _rebuild(spec, sweep_param, value)
+            _rebuild(spec, value)
         except (ValueError, MomentFitError) as exc:
-            raise _anchored(lines, "run", "sweep_values",
-                            f"sweep point {sweep_param} = {value:g} is invalid: {exc}") from exc
+            raise _anchored(where, "run", "sweep_values",
+                            f"sweep point {spec.sweep_param} = {value:g} is invalid: {exc}") from exc
     return spec
 
 
-def _parse_grid(raw: str, lines: dict) -> tuple[float, ...]:
-    raw = raw.strip()
+def _parse_grid(raw: str, where: dict) -> tuple[float, ...]:
     try:
         if ":" in raw:
             start, stop, count = raw.split(":")
@@ -283,9 +296,12 @@ def _parse_grid(raw: str, lines: dict) -> tuple[float, ...]:
                 raise ValueError("grid needs at least 2 points")
             step = (stop - start) / (count - 1)
             return tuple(start + i * step for i in range(count))
-        return tuple(float(v) for v in raw.split(",") if v.strip())
+        grid = tuple(float(v) for v in raw.split(",") if v.strip())
+        if not grid:
+            raise ValueError("no points")
+        return grid
     except ValueError as exc:
-        raise _anchored(lines, "run", "sweep_values",
+        raise _anchored(where, "run", "sweep_values",
                         f"cannot parse sweep_values {raw!r}: {exc}") from exc
 
 
@@ -313,27 +329,35 @@ def _atomic_write(path: str, payload: str) -> None:
         raise
 
 
+def _json_value(x):
+    """JSON has no inf or nan (RFC 8259): a non-finite float is written as null."""
+    if isinstance(x, float):
+        return float(_fmt(x)) if math.isfinite(x) else None
+    return x
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _emit(fmt: str, header: list[str], rows: list[tuple], meta: dict, out: str | None) -> None:
     if fmt == "csv":
-        body = ",".join(header) + "\n"
-        body += "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-        body += "\n"
-        if out is None:
-            sys.stdout.write(body)
-        else:
-            _atomic_write(out, body)
-            _atomic_write(out + ".meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        payload = ",".join(header) + "\n"
+        payload += "\n".join(",".join(_fmt(v) for v in row) for row in rows)
+        payload += "\n"
     else:
-        doc = {"meta": meta, "columns": header,
-               "rows": [[v if not isinstance(v, float) else float(_fmt(v)) for v in row] for row in rows]}
-        payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        if out is None:
-            sys.stdout.write(payload)
-        else:
-            _atomic_write(out, payload)
+        doc = {"meta": meta, "columns": header, "rows": [[_json_value(v) for v in row] for row in rows]}
+        payload = _json(doc)
+    if out is None:
+        sys.stdout.write(payload)
+        return
+    _atomic_write(out, payload)
+    if fmt == "csv":
+        _atomic_write(out + ".meta.json", _json(meta))
 
 
-def _metric_rows(cfg: ScenarioConfig, spec: RunSpec, swept=None) -> list[tuple]:
+def _metric_rows(spec: RunSpec, swept=None) -> list[tuple]:
+    cfg = spec.scenario
     metric = validation.METRICS[spec.metric]
     case = metric.case_of(cfg)
     rows = []
@@ -344,48 +368,35 @@ def _metric_rows(cfg: ScenarioConfig, spec: RunSpec, swept=None) -> list[tuple]:
     return rows
 
 
-def _rebuild(spec: RunSpec, param: str, value) -> tuple[ScenarioConfig, MonteCarloConfig]:
-    conv = _SWEEPABLE[param]
-    if conv is int and not float(value).is_integer():
-        raise ValueError(f"{param} takes integer values, got {value:g}")
-    value = conv(value)
-    if param == "trials":
-        return spec.scenario, replace(spec.mc, trials=value)
-    kwargs = dict(spec.scenario_kwargs)
-    if param.endswith("_db"):
-        kwargs[param[:-3]] = _db_to_linear(value)
-    else:
-        kwargs["user_index" if param == "k" else param] = value
-    return ScenarioConfig.build(**kwargs), spec.mc
+def _rebuild(spec: RunSpec, value: float) -> RunSpec:
+    """The spec at one point of its sweep: the swept key set to value."""
+    entry = _KEYS[_SWEEPS[spec.sweep_param]]
+    if entry.parse is int and not float(value).is_integer():
+        raise ValueError(f"{spec.sweep_param} takes integer values, got {value:g}")
+    build, kwargs = {"scenario": (ScenarioConfig.build, spec.scenario_kwargs),
+                     "mc": (MonteCarloConfig, asdict(spec.mc))}[entry.target]
+    return replace(spec, **{entry.target: build(**{**kwargs, entry.field: entry.parse(value)})})
 
 
 def _scenario_meta(spec: RunSpec) -> dict:
-    meta = {"scenario": figures.describe_scenario(spec.scenario),
-            "mc": {"trials": spec.mc.trials, "seed": spec.mc.master_seed,
-                   "workers": spec.mc.worker_hint, "ci_level": spec.mc.ci_level,
-                   "window_radius": spec.mc.window_radius},
+    return {"scenario": figures.describe_scenario(spec.scenario),
+            "mc": {key: getattr(spec.mc, entry.field) for (_, key), entry in _KEYS.items()
+                   if entry.target == "mc"},
             "metric": spec.metric, "method": spec.method}
-    return meta
 
 
 def run(spec: RunSpec) -> int:
     """Execute a RunSpec; returns the process exit code."""
-    if spec.command == "eval":
+    if spec.command in ("eval", "sweep"):
         header = ["metric", "case", "k", "value", "half_width", "provenance"]
-        rows = _metric_rows(spec.scenario, spec)
-        _emit(spec.output_format, header, rows, _scenario_meta(spec), spec.output_path)
-        return EXIT_OK
-
-    if spec.command == "sweep":
-        header = ["metric", "case", "k", "value", "half_width", "provenance", spec.sweep_param]
-        rows = []
-        for value in spec.sweep_values:
-            cfg, mc = _rebuild(spec, spec.sweep_param, value)
-            swept_spec = replace(spec, mc=mc)
-            rows.extend(_metric_rows(cfg, swept_spec, swept=value))
         meta = _scenario_meta(spec)
-        meta["sweep_param"] = spec.sweep_param
-        meta["sweep_values"] = list(spec.sweep_values)
+        if spec.command == "eval":
+            rows = _metric_rows(spec)
+        else:
+            header.append(spec.sweep_param)
+            meta.update(sweep_param=spec.sweep_param, sweep_values=list(spec.sweep_values))
+            rows = [row for value in spec.sweep_values
+                    for row in _metric_rows(_rebuild(spec, value), swept=value)]
         _emit(spec.output_format, header, rows, meta, spec.output_path)
         return EXIT_OK
 
@@ -408,18 +419,17 @@ def run(spec: RunSpec) -> int:
     )
     header = ["metric", "case", "k", "value", "half_width", "provenance", "figure", "status"]
     rows = []
-    failures = 0
+    failures = sum(not row.passed for row in rows_v)
     gate_z = rows_v[0].mc_gate_z
     print(f"simulation gate: family-wise level {validation.GATE_LEVEL} over "
           f"m={len(rows_v)} rows, |z| <= {gate_z:.3f} per row")
     for row in rows_v:
         status = "pass" if row.passed else "fail"
-        failures += 0 if row.passed else 1
-        rows.append((row.metric, row.case, row.k, row.closed_form, 0.0, "closed-form", row.figure, status))
-        rows.append((row.metric, row.case, row.k, row.quadrature, 0.0, "quadrature", row.figure,
-                     "pass" if row.quad_ok else "fail"))
-        rows.append((row.metric, row.case, row.k, row.mc_value, row.mc_half_width, "monte-carlo",
-                     row.figure, "pass" if row.mc_ok else "fail"))
+        checks = ((row.closed_form, 0.0, row.passed), (row.quadrature, 0.0, row.quad_ok),
+                  (row.mc_value, row.mc_half_width, row.mc_ok))
+        for method, (value, half_width, ok) in zip(_ROUTES, checks):
+            rows.append((row.metric, row.case, row.k, value, half_width, method, row.figure,
+                         "pass" if ok else "fail"))
         print(f"[{status}] {row.figure} {row.metric} {row.case} k={row.k} "
               f"closed={row.closed_form:.6g} quad={row.quadrature:.6g} "
               f"mc={row.mc_value:.6g}+-{row.mc_half_width:.2g} z={row.mc_z:+.2f}")
@@ -446,14 +456,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the INI configuration document")
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-        p.add_argument("--seed", type=int, help="override the Monte Carlo master seed")
-        p.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
-        p.add_argument("--workers", type=int, help="override the Monte Carlo worker count")
+        p.add_argument("--seed", help="override the Monte Carlo master seed")
+        p.add_argument("--trials", help="override the Monte Carlo trial count")
+        p.add_argument("--workers", help="override the Monte Carlo worker count")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {flag: value for flag in _FLAGS
+                 if (value := getattr(args, flag.lstrip("-"), None)) is not None}
     try:
         if args.config is not None:
             try:
@@ -465,21 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.command in ("eval", "sweep"):
                 raise ConfigError(f"{args.command} requires --config")
             text = ""
-        spec = parse_config(text, command=args.command)
-        if args.command == "figure" and getattr(args, "figure_id", None):
-            spec = replace(spec, figure_id=args.figure_id)
-        overrides = {field: value for field, value in (
-            ("master_seed", args.seed), ("trials", args.trials), ("worker_hint", args.workers),
-        ) if value is not None}
-        try:
-            spec = replace(spec, mc=replace(spec.mc, **overrides))
-        except ValueError as exc:
-            raise ConfigError(f"invalid command-line override: {exc}") from exc
-        if args.out is not None:
-            spec = replace(spec, output_path=args.out)
-        if args.format is not None:
-            spec = replace(spec, output_format=args.format)
-        return run(spec)
+        return run(parse_config(text, command=args.command, overrides=overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -82,10 +82,10 @@ class ScenarioConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("eta_k", "eta_e"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"SNR scale {name} must be positive, got {getattr(self, name)}")
-        if self.rate < 0:
-            raise ValueError(f"transmission rate must be non-negative, got rate={self.rate}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"SNR scale {name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"transmission rate must be non-negative and finite, got rate={self.rate}")
         for name in ("ordering", "eavesdropper_policy"):
             if getattr(self, name) not in ORDERINGS:
                 raise ValueError(f"{name} must be one of {ORDERINGS}, got {getattr(self, name)!r}")
@@ -121,8 +121,8 @@ class ScenarioConfig:
         # Named here, before the branch-sum fit sees them as one link or one count.
         for name, value in (("alpha_b", alpha_b), ("mu_b", mu_b), ("alpha_e", alpha_e),
                             ("mu_e", mu_e), ("n_a", n_a), ("n_b", n_b), ("n_e", n_e)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         comp_b = fit_sum_params(AlphaMuParams.canonical(alpha_b, mu_b), n_a * n_b)
         comp_e = fit_sum_params(AlphaMuParams.canonical(alpha_e, mu_e), n_a * n_e)
         geometry = NetworkGeometry(

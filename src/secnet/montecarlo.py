@@ -80,8 +80,8 @@ class MonteCarloConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
-        if self.window_radius is not None and self.window_radius <= 0:
-            raise ValueError(f"window radius must be positive, got {self.window_radius}")
+        if self.window_radius is not None and not 0 < self.window_radius < math.inf:
+            raise ValueError(f"window_radius must be positive and finite, got {self.window_radius}")
         if self.worker_hint < 1:
             raise ValueError(f"worker hint must be >= 1, got {self.worker_hint}")
         if not 0.0 < self.ci_level < 1.0:

@@ -57,11 +57,11 @@ class NetworkGeometry:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got d={self.d}")
-        if self.upsilon <= 0:
-            raise ValueError(f"path-loss exponent must be positive, got upsilon={self.upsilon}")
+        if not 0 < self.upsilon < math.inf:
+            raise ValueError(f"path-loss exponent must be positive and finite, got upsilon={self.upsilon}")
         for name in ("lambda_b", "lambda_e"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"density {name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"density {name} must be positive and finite, got {getattr(self, name)}")
 
     @property
     def delta(self) -> float:

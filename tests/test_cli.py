@@ -7,6 +7,8 @@ import pytest
 
 from secnet import cli, validation
 from secnet.cli import ConfigError, parse_config
+from secnet.metrics import ScenarioConfig
+from secnet.montecarlo import MetricEstimate, MonteCarloConfig
 
 MINIMAL = ""
 
@@ -65,6 +67,43 @@ metric = {metric}
 method = all
 """
 REGISTRY_CASES = [(m, c) for m, entry in validation.METRICS.items() for c in entry.cases]
+
+# Each sweep name, a point off its default, the ScenarioConfig.build or
+# MonteCarloConfig keyword it sets, the value it sets, and where it lands.
+SWEEP_TARGETS = [
+    ("lambda_b", 0.5, "lambda_b", 0.5, lambda cfg, mc: cfg.geometry.lambda_b),
+    ("lambda_e", 0.5, "lambda_e", 0.5, lambda cfg, mc: cfg.geometry.lambda_e),
+    ("upsilon", 3, "upsilon", 3.0, lambda cfg, mc: cfg.geometry.upsilon),
+    ("d", 3, "d", 3, lambda cfg, mc: cfg.geometry.d),
+    ("alpha_b", 3, "alpha_b", 3.0, lambda cfg, mc: cfg.fading_b.alpha),
+    ("mu_b", 2, "mu_b", 2.0, lambda cfg, mc: cfg.fading_b.mu),
+    ("alpha_e", 3, "alpha_e", 3.0, lambda cfg, mc: cfg.fading_e.alpha),
+    ("mu_e", 2, "mu_e", 2.0, lambda cfg, mc: cfg.fading_e.mu),
+    ("n_a", 2, "n_a", 2, lambda cfg, mc: cfg.n_a),
+    ("n_b", 2, "n_b", 2, lambda cfg, mc: cfg.n_b),
+    ("n_e", 2, "n_e", 2, lambda cfg, mc: cfg.n_e),
+    ("eta_k", 2, "eta_k", 2.0, lambda cfg, mc: cfg.eta_k),
+    ("eta_k_db", 10, "eta_k", 10.0, lambda cfg, mc: cfg.eta_k),
+    ("eta_e", 2, "eta_e", 2.0, lambda cfg, mc: cfg.eta_e),
+    ("eta_e_db", 10, "eta_e", 10.0, lambda cfg, mc: cfg.eta_e),
+    ("rate", 2, "rate", 2.0, lambda cfg, mc: cfg.rate),
+    ("k", 2, "user_index", 2, lambda cfg, mc: cfg.user_index),
+    ("trials", 7, "trials", 7, lambda cfg, mc: mc.trials),
+]
+DEFAULT_MC = {"trials": 10**6, "master_seed": 20260810, "worker_hint": 1}
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Replace the closed-form route by one that records each (scenario, mc) it is given."""
+    seen = []
+
+    def record(metric, cfg, case, mc):
+        seen.append((cfg, mc))
+        return MetricEstimate(0.5, 0.0, "closed-form", 0)
+
+    monkeypatch.setitem(cli._ROUTES, "closed-form", record)
+    return seen
 
 
 class TestParseConfig:
@@ -137,6 +176,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"line 3.*{param} = (-1|0)\b"):
             parse_config(doc, command="sweep")
 
+    @pytest.mark.parametrize("values", [",", "", " , ,"])
+    def test_empty_sweep_grid_is_anchored_config_error(self, values):
+        doc = f"[run]\nsweep_param = lambda_b\nsweep_values = {values}\n"
+        with pytest.raises(ConfigError, match=r"^line 3: .*sweep_values"):
+            parse_config(doc, command="sweep")
+
+    @pytest.mark.parametrize("doc, line, field", [
+        ("[geometry]\nlambda_b = nan\n", 2, "lambda_b"),
+        ("[geometry]\nd = 2\nlambda_e = inf\n", 3, "lambda_e"),
+        ("[geometry]\nupsilon = inf\n", 2, "upsilon"),
+        ("[scenario]\nrate = nan\n", 2, "rate"),
+        ("[scenario]\nrate = inf\n", 2, "rate"),
+        ("[scenario]\nk = 2\neta_k_db = 1e400\n", 3, "eta_k"),
+        ("[scenario]\neta_e = nan\n", 2, "eta_e"),
+        ("[fading_e]\nmu = inf\n", 2, "mu_e"),
+        ("[mc]\ntrials = 10\nwindow_radius = nan\n", 1, "window_radius"),
+        ("[mc]\nwindow_radius = inf\n", 1, "window_radius"),
+        ("[run]\nsweep_param = lambda_b\nsweep_values = 1, nan\n", 3, "lambda_b = nan"),
+        ("[run]\nsweep_param = upsilon\nsweep_values = inf\n", 3, "upsilon = inf"),
+    ], ids=["lambda_b-nan", "lambda_e-inf", "upsilon-inf", "rate-nan", "rate-inf", "eta_k_db-1e400",
+            "eta_e-nan", "mu_e-inf", "window_radius-nan", "window_radius-inf", "sweep-nan", "sweep-inf"])
+    def test_non_finite_number_is_anchored_config_error(self, tmp_path, capsys, doc, line, field):
+        command = "sweep" if "sweep_param" in doc else "eval"
+        with pytest.raises(ConfigError, match=rf"^line {line}: .*{field}.*(nan|inf)"):
+            parse_config(doc, command=command)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(doc)
+        assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+
     @pytest.mark.parametrize("param, values, bad", [
         ("k", "1,1.5,2", "1.5"), ("d", "2.7", "2.7"), ("n_b", "0.5:2.5:3", "0.5")])
     def test_fractional_sweep_point_for_integer_field_is_config_error(self, param, values, bad):
@@ -171,6 +240,41 @@ class TestParseConfig:
     def test_branch_sum_is_applied(self):
         spec = parse_config(FIG6_DOC, command="eval")
         assert spec.scenario.fading_e.mean_power() == pytest.approx(4.0, rel=1e-9)
+
+
+class TestIniInput:
+    """Section names in any case, literal percent signs and [DEFAULT] are
+    read as configuration, not as crashes or silent defaults."""
+
+    def run_doc(self, tmp_path, capsys, doc, *flags):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(doc)
+        code = cli.main(["eval", "--config", str(cfg_path), *flags])
+        return code, capsys.readouterr()
+
+    def test_section_name_in_any_case(self, tmp_path, capsys):
+        spec = parse_config("[Geometry]\nd = 3\n[MC]\nseed = 5\n", command="eval")
+        assert spec.scenario.geometry.d == 3
+        assert spec.mc.master_seed == 5
+        code, captured = self.run_doc(tmp_path, capsys, "[geometry]\nd = 3\n\n[Geometry]\nupsilon = 3\n")
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert captured.err.startswith("config error: line 4: ")
+        assert "[Geometry]" in captured.err
+
+    def test_percent_sign_is_literal(self, tmp_path, capsys):
+        out = tmp_path / "res%.csv"
+        code, _ = self.run_doc(tmp_path, capsys, f"[run]\nout = {out}\n")
+        assert code == cli.EXIT_OK
+        assert out.read_text().startswith("metric,case,k,value,half_width,provenance\n")
+        code, captured = self.run_doc(tmp_path, capsys, "[run]\nmetric = cop\nformat = cs%v\n")
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert captured.err.startswith("config error: line 3: ")
+        assert "'cs%v'" in captured.err
+
+    def test_default_section_is_rejected(self, tmp_path, capsys):
+        code, captured = self.run_doc(tmp_path, capsys, "[geometry]\nd = 2\n\n[DEFAULT]\nd = 3\n")
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert captured.err == "config error: line 4: unknown section [DEFAULT]\n"
 
 
 class TestEvalCommand:
@@ -216,6 +320,19 @@ class TestEvalCommand:
         assert doc["columns"][0] == "metric"
         assert doc["meta"]["scenario"]["d"] == 2
 
+    def test_json_output_has_no_non_finite_constant(self, tmp_path):
+        # one trial leaves the capacity estimate with an infinite half-width
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[run]\nmetric = capacity\nmethod = monte-carlo\n[mc]\ntrials = 1\n")
+        out = tmp_path / "out.json"
+        assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out), "--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["rows"][0][doc["columns"].index("half_width")] is None
+
     @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0"), ("--seed", "-3")])
     def test_invalid_override_exits_with_config_error(self, tmp_path, capsys, flag, value):
         cfg_path = tmp_path / "cfg.ini"
@@ -244,6 +361,28 @@ class TestEvalCommand:
         assert abs(closed - quad) <= entry.quad_tol * abs(quad)
         gate = validation.family_gate_z(len(REGISTRY_CASES))
         assert abs(sim - closed) * validation.CI_Z <= half * gate
+
+    def test_flags_override_the_documents_mc_values(self, tmp_path, evaluated):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[mc]\ntrials = 5\nseed = 1\nworkers = 1\nci_level = 0.9\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+                         "--seed", "9", "--trials", "7", "--workers", "2"]) == cli.EXIT_OK
+        [(_, mc)] = evaluated
+        assert mc == MonteCarloConfig(trials=7, master_seed=9, worker_hint=2, ci_level=0.9)
+        meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["mc"] == {"trials": 7, "seed": 9, "workers": 2, "ci_level": 0.9,
+                              "window_radius": None}
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "invalid mc section: trials must be >= 1, got 0"),
+        ("--seed", "x", "key 'seed' in [mc]: cannot parse 'x' as int"),
+    ])
+    def test_invalid_override_is_anchored_at_its_flag(self, tmp_path, capsys, flag, value, message):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[mc]\ntrials = 5\nseed = 1\n")
+        assert cli.main(["eval", "--config", str(cfg_path), flag, value]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {flag}: {message}\n"
 
     def test_eval_requires_config(self, capsys):
         assert cli.main(["eval"]) == cli.EXIT_CONFIG_ERROR
@@ -274,6 +413,24 @@ class TestSweepCommand:
         values = [float(l.split(",")[3]) for l in out.read_text().splitlines()[1:]]
         assert values[0] > values[1] > values[2]
 
+
+    @pytest.mark.parametrize("param, point, keyword, value, landed", SWEEP_TARGETS,
+                             ids=[case[0] for case in SWEEP_TARGETS])
+    def test_sweep_point_sets_exactly_its_target_field(self, evaluated, capsys,
+                                                        param, point, keyword, value, landed):
+        spec = parse_config(f"[run]\nsweep_param = {param}\nsweep_values = {point}\n", command="sweep")
+        assert cli.run(spec) == cli.EXIT_OK
+        [(cfg, mc)] = evaluated
+        assert landed(cfg, mc) == value
+        mc_kwargs = dict(DEFAULT_MC)
+        if keyword in mc_kwargs:
+            mc_kwargs[keyword] = value
+            scenario_kwargs = {}
+        else:
+            scenario_kwargs = {keyword: value}
+        assert cfg == ScenarioConfig.build(**scenario_kwargs)
+        assert mc == MonteCarloConfig(**mc_kwargs)
+        assert capsys.readouterr().out.splitlines()[0].endswith(f",{param}")
 
     @pytest.mark.parametrize("values", ["-1,1", "1,-1"])
     def test_invalid_sweep_point_exits_before_any_output(self, tmp_path, capsys, values):
