@@ -40,7 +40,7 @@ from .montecarlo import (
     simulate_pnz,
     simulate_pnz_all,
 )
-from .specfun import ConvergenceError, FoxHParams, FoxHValue, fox_h, lower_incomplete_gamma, upper_incomplete_gamma
-from .stochgeo import NetworkGeometry, ordered_path_gains, pdf_kth_distance_pow, sample_hppp, window_radius
+from .specfun import ConvergenceError, FoxHParams, FoxHValue, fox_h
+from .stochgeo import NetworkGeometry, pdf_kth_distance_pow, window_radius
 
 __version__ = "0.1.0"

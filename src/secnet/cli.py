@@ -82,7 +82,11 @@ class RunSpec:
 # ---------------------------------------------------------------------------
 
 def _decibels(raw) -> float:
-    return 10.0 ** (float(raw) / 10.0)
+    try:
+        return 10.0 ** (float(raw) / 10.0)
+    except OverflowError:
+        # past the float range: infinite, which the scenario then rejects at its line
+        return math.inf
 
 
 # A document key's parser, the field it sets on its target (a ScenarioConfig.build keyword,
@@ -469,10 +473,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.config is not None:
             try:
-                with open(args.config) as handle:
+                with open(args.config, encoding="utf-8") as handle:
                     text = handle.read()
             except OSError as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+            except UnicodeDecodeError as exc:
+                line = exc.object.count(b"\n", 0, exc.start) + 1
+                raise ConfigError(f"line {line}: config {args.config!r} is not UTF-8: {exc.reason} "
+                                  f"(byte 0x{exc.object[exc.start]:02x})") from exc
         else:
             if args.command in ("eval", "sweep"):
                 raise ConfigError(f"{args.command} requires --config")

@@ -75,8 +75,6 @@ class ScenarioConfig:
     eavesdropper_policy: str = "nearest"
 
     def __post_init__(self) -> None:
-        if self.geometry.fading_b is None or self.geometry.fading_e is None:
-            raise ValueError("scenario geometry must embed composite fading for both sides")
         # Each message names the offending field, which is also its keyword in build.
         for name in ("n_a", "n_b", "n_e", "user_index"):
             if getattr(self, name) < 1:
@@ -301,12 +299,11 @@ _FOX_H = {
 }
 
 
-def _fox_h_term(cfg: ScenarioConfig, name: str, z: float = 1.0,
-                k: int | None = None) -> tuple[float, float]:
+def _fox_h_term(cfg: ScenarioConfig, name: str, z: float = 1.0) -> tuple[float, float]:
     """prefactor * H(scale * z) of one listed instance and its error bound,
-    at the side's order index unless k is given."""
+    at the side's order index."""
     build, side, _ = _FOX_H[name]
-    pref, params, scale = build(cfg, side, cfg.order_index(side) if k is None else k)
+    pref, params, scale = build(cfg, side, cfg.order_index(side))
     h = fox_h(params, scale * z)
     return pref * h.value, abs(pref) * h.error
 
@@ -485,21 +482,17 @@ def ergodic_capacity_best(cfg: ScenarioConfig) -> float:
     return _clip(*_fox_h_term(cfg, "capacity_best"))
 
 
-def wiretap_capacity(cfg: ScenarioConfig, policy: str, k: int = 1) -> float:
-    """Mean capacity of the k-th nearest/best eavesdropper link.
-
-    The secrecy-capacity cases only ever use k = 1 (the strongest
-    eavesdropper under either policy); other indices are available for
-    completeness.
-    """
+def wiretap_capacity(cfg: ScenarioConfig, policy: str) -> float:
+    """Mean capacity of the strongest eavesdropper link under the nearest or
+    best policy."""
     if policy not in ORDERINGS:
         raise ValueError(f"policy must be one of {ORDERINGS}, got {policy!r}")
-    return _clip(*_fox_h_term(cfg, f"wiretap_{policy}", k=k))
+    return _clip(*_fox_h_term(cfg, f"wiretap_{policy}"))
 
 
 def ergodic_secrecy_capacity(cfg: ScenarioConfig, case: str | None = None) -> float:
     """Clipped difference of legitimate and strongest-eavesdropper capacities."""
     cfg = cfg.with_case(cfg.case if case is None else case)
     main = ergodic_capacity_nearest(cfg) if cfg.ordering == "nearest" else ergodic_capacity_best(cfg)
-    tap = wiretap_capacity(cfg, cfg.eavesdropper_policy, k=1)
+    tap = wiretap_capacity(cfg, cfg.eavesdropper_policy)
     return max(main - tap, 0.0)

@@ -373,30 +373,13 @@ def simulate_pnz_all(cfg: ScenarioConfig, mc: MonteCarloConfig) -> dict[str, Met
 def simulate_ergodic_capacity(
     cfg: ScenarioConfig,
     mc: MonteCarloConfig,
-    side: str = "legitimate",
     ordering: str | None = None,
-    k: int | None = None,
 ) -> MetricEstimate:
-    """Sample mean of the link capacity log2(1 + eta * Z) on one side.
-
-    The eavesdropper side defaults to the strongest receiver (k = 1) under
-    the scenario's eavesdropper policy.
-    """
-    if side not in stochgeo.SIDES:
-        raise ValueError(f"side must be one of {stochgeo.SIDES}, got {side!r}")
-    if side == "legitimate":
-        ordering = cfg.ordering if ordering is None else ordering
-        cfg = replace(cfg, ordering=ordering, user_index=cfg.user_index if k is None else k)
-        need = ((ordering,), ())
-    elif k in (None, 1):
-        ordering = cfg.eavesdropper_policy if ordering is None else ordering
-        cfg = replace(cfg, eavesdropper_policy=ordering)
-        need = ((), (ordering,))
-    else:
-        # the engine keys eavesdropper order statistics to the strongest one
-        raise ValueError("eavesdropper capacities are simulated for the strongest receiver only")
-    z = _run_simulation(cfg, mc, *need)[side, ordering]
-    return _mean_estimate(np.log2(1.0 + cfg.snr_scale(side) * z[~np.isnan(z)]), mc.trials, mc)
+    """Sample mean of the legitimate link capacity log2(1 + eta_k * Z) of
+    the k-th receiver under ``ordering`` (default cfg.ordering)."""
+    cfg = replace(cfg, ordering=cfg.ordering if ordering is None else ordering)
+    z = _run_simulation(cfg, mc, (cfg.ordering,), ())["legitimate", cfg.ordering]
+    return _mean_estimate(np.log2(1.0 + cfg.eta_k * z[~np.isnan(z)]), mc.trials, mc)
 
 
 def simulate_ergodic_secrecy(
@@ -521,12 +504,6 @@ _LAWS = {
 def _law(cfg: ScenarioConfig, side: str, ordering: str, level: int):
     """Law of the side's ordered gain: the k-th legitimate, the first eavesdropper."""
     return _LAWS[ordering](cfg.geometry, side, cfg.order_index(side), level)
-
-
-def _cdf_composite_nearest_quad(fad, rate, delta, k, z) -> float:
-    """Distribution of the k-th nearest composite gain, straight from the
-    conditioning integral over the distance law."""
-    return _converged(lambda level: _NearestLaw(fad, rate, delta, k, level).cdf(z))
 
 
 def _quad_capacity(cfg: ScenarioConfig, side: str, ordering: str) -> float:

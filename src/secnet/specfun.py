@@ -1,4 +1,4 @@
-"""Gamma-family special functions and a general Fox H-function evaluator.
+"""A general Fox H-function evaluator.
 
 The Fox H-function is computed directly from its Mellin-Barnes representation
 by a nested trapezoid rule along a vertical contour.  For parameter lists
@@ -30,16 +30,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import gammainc, gammaincc, loggamma
+from scipy.special import loggamma
 
 __all__ = [
     "ConvergenceError",
     "FoxHParams",
     "FoxHValue",
     "fox_h",
-    "lower_incomplete_gamma",
-    "upper_incomplete_gamma",
 ]
 
 # Integrand tail must drop below this fraction of the peak before truncating
@@ -62,24 +59,6 @@ _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 class ConvergenceError(ArithmeticError):
     """A contour integral or iterative refinement failed to converge."""
-
-
-def lower_incomplete_gamma(a: float, x: float) -> float:
-    """Unregularized lower incomplete gamma integral from 0 to x of t^(a-1) e^(-t)."""
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got a={a}")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("lower incomplete gamma requires x >= 0")
-    return gammainc(a, x) * _gamma(a)
-
-
-def upper_incomplete_gamma(a: float, x: float) -> float:
-    """Unregularized upper incomplete gamma, the complement of the lower one."""
-    if a <= 0:
-        raise ValueError(f"shape parameter must be positive, got a={a}")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("upper incomplete gamma requires x >= 0")
-    return gammaincc(a, x) * _gamma(a)
 
 
 @dataclass(frozen=True)

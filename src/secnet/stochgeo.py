@@ -1,5 +1,5 @@
-"""Point-process geometry: homogeneous Poisson sampling in d dimensions, the
-k-th nearest distance law, and the fading-weighted path-loss process.
+"""Point-process geometry: network constants in d dimensions, the k-th
+nearest distance law, and the simulation window sized from the mean measures.
 
 Two ordered processes drive every metric downstream.  For a receiver at
 distance r with composite power gain g, the path-loss process collects the
@@ -13,18 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
-from scipy.special import gammaincc, gammainccinv, gammaln, pdtr, pdtri
+from scipy.special import gammaincc, gammainccinv, gammaln, pdtri
 
 from .fading import AlphaMuParams
 
 __all__ = [
     "NetworkGeometry",
     "min_count_mean",
-    "ordered_path_gains",
     "pdf_kth_distance_pow",
-    "sample_hppp",
     "window_radius",
 ]
 
@@ -42,17 +39,16 @@ _DEFAULT_MIN_RADIUS = 10.0
 class NetworkGeometry:
     """Network dimension, path loss, densities, and derived rate constants.
 
-    The optional fading entries are the composite-gain (post branch-sum fit)
-    parameters of each side; they are required for the fading-weighted rate
-    constants but not for plain distance geometry.
+    The fading entries are the composite-gain (post branch-sum fit)
+    parameters of each side.
     """
 
     d: int
     upsilon: float
     lambda_b: float
     lambda_e: float
-    fading_b: AlphaMuParams | None = None
-    fading_e: AlphaMuParams | None = None
+    fading_b: AlphaMuParams
+    fading_e: AlphaMuParams
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -78,10 +74,7 @@ class NetworkGeometry:
 
     def fading(self, side: str) -> AlphaMuParams:
         _check_side(side)
-        fad = self.fading_b if side == "legitimate" else self.fading_e
-        if fad is None:
-            raise ValueError(f"geometry carries no composite fading parameters for side {side!r}")
-        return fad
+        return self.fading_b if side == "legitimate" else self.fading_e
 
     def pathloss_rate(self, side: str) -> float:
         """Mean-measure coefficient of {r^upsilon <= x}: density * c_d."""
@@ -106,29 +99,6 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
 
 
-def sample_hppp(
-    density: float,
-    geometry: NetworkGeometry,
-    radius: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One realization of a homogeneous Poisson process inside a d-ball.
-
-    Returns an (N, d) array of positions; N is Poisson with mean
-    density * c_d * radius^d and the positions are uniform in the ball.
-    """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    mean_count = density * geometry.unit_ball_volume * radius**geometry.d
-    count = int(rng.poisson(mean_count))
-    if count == 0:
-        return np.empty((0, geometry.d))
-    radii = radius * rng.random(count) ** (1.0 / geometry.d)
-    directions = rng.standard_normal((count, geometry.d))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    return radii[:, None] * directions
-
-
 def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
     """Density of the k-th smallest point of a process with mean measure coeff * x^delta.
 
@@ -149,40 +119,34 @@ def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
     return out if out.ndim else float(out)
 
 
-def ordered_path_gains(
-    points: np.ndarray,
-    gains: np.ndarray,
-    geometry: NetworkGeometry,
-) -> np.ndarray:
-    """Ascending fading-weighted path losses xi = r^upsilon / g.
-
-    Each point must be paired with an independent composite-gain draw; index
-    k-1 of the result belongs to the k-th best receiver (the k-th largest
-    composite channel gain).
-    """
-    points = np.asarray(points, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    if points.shape[0] != gains.shape[0]:
-        raise ValueError("each point needs exactly one gain draw")
-    if points.shape[0] == 0:
-        return np.empty(0)
-    radii = np.linalg.norm(points, axis=1)
-    return np.sort(radii**geometry.upsilon / gains)
-
-
 def min_count_mean(k: int) -> float:
     """Smallest Poisson mean at which fewer than k points occur with
     probability at most the rejection budget."""
     return float(pdtri(k - 1, _REJECTION_BUDGET))
 
 
-def _min_count_radius(density: float, geometry: NetworkGeometry, k: int) -> float:
-    """Smallest ball radius keeping P(fewer than k points) under the budget."""
-    c_d = geometry.unit_ball_volume
-    radius = 1.0
-    while pdtr(k - 1, density * c_d * radius**geometry.d) > _REJECTION_BUDGET:
-        radius *= 1.25
-    return radius
+def _far_cutoff(geometry: NetworkGeometry, side: str, k: int) -> float:
+    """Fading-weighted loss that the k-th order statistic exceeds with
+    probability one tenth of the far-point budget."""
+    rate = geometry.composite_rate(side)
+    return (gammainccinv(k, _FAR_POINT_BUDGET / 10.0) / rate) ** (1.0 / geometry.delta)
+
+
+def _far_count(geometry: NetworkGeometry, side: str, xi: float, radius: float) -> float:
+    """Expected number of points beyond ``radius`` whose fading-weighted
+    loss r^upsilon / g is at most xi.
+
+    That is the integral over r > R of lambda d c_d r^(d-1) Q(mu, T(r)),
+    T(r) = (r^upsilon / (xi omega))^(alpha/2) and Q the regularized upper
+    incomplete gamma function; integrated by parts, it is
+
+        composite_rate xi^delta Q(mu + 2 delta/alpha, T(R)) - lambda c_d R^d Q(mu, T(R)).
+    """
+    fad = geometry.fading(side)
+    t = (radius**geometry.upsilon / (xi * fad.omega)) ** (0.5 * fad.alpha)
+    return (geometry.composite_rate(side) * xi**geometry.delta
+            * gammaincc(fad.mu + 2.0 * geometry.delta / fad.alpha, t)
+            - geometry.pathloss_rate(side) * radius**geometry.d * gammaincc(fad.mu, t))
 
 
 def _far_point_radius(
@@ -194,33 +158,14 @@ def _far_point_radius(
     """Grow the radius until points beyond it are unlikely to reach the k
     smallest fading-weighted path losses.
 
-    The cutoff uses a high quantile of the k-th order statistic together
-    with the stretched-exponential survival of the fading gain: the expected
-    number of outside points falling below the cutoff bounds the probability
-    that any of them enters the top k.
+    The k-th order statistic exceeds the cutoff with probability budget/10,
+    and the expected number of outside points below the cutoff, which
+    bounds the probability that any of them enters the top k, is held under
+    the remaining 9/10.
     """
-    fad = geometry.fading(side)
-    density = geometry.density(side)
-    rate = geometry.composite_rate(side)
-    d, ups = geometry.d, geometry.upsilon
-    c_d = geometry.unit_ball_volume
-    # budget split: the k-th order statistic exceeds the cutoff with
-    # probability budget/10, and the expected number of outside points below
-    # the cutoff is held under the remaining 9/10
-    xi_hi = (gammainccinv(k, _FAR_POINT_BUDGET / 10.0) / rate) ** (1.0 / geometry.delta)
-
-    def expected_far(radius: float) -> float:
-        def integrand(r):
-            return (
-                density * d * c_d * r ** (d - 1)
-                * gammaincc(fad.mu, (r**ups / (xi_hi * fad.omega)) ** (0.5 * fad.alpha))
-            )
-
-        val, _ = quad(integrand, radius, np.inf, epsabs=1e-12, epsrel=1e-8, limit=200)
-        return val
-
+    xi = _far_cutoff(geometry, side, k)
     radius = start
-    while expected_far(radius) > 0.9 * _FAR_POINT_BUDGET:
+    while _far_count(geometry, side, xi, radius) > 0.9 * _FAR_POINT_BUDGET:
         radius *= 1.25
         if radius > 1e4:
             raise RuntimeError("window radius rule diverged; fading tail too heavy")
@@ -232,18 +177,19 @@ def window_radius(
     side: str,
     k: int,
     orderings: tuple[str, ...] = ("nearest", "best"),
-    min_radius: float = _DEFAULT_MIN_RADIUS,
 ) -> float:
     """Simulation ball radius for order statistics up to index k on one side.
 
-    Always large enough that a realization has at least k points except with
-    probability below the rejection budget; when the best (fading-weighted)
-    ordering is required, additionally large enough that the k first order
-    statistics are insensitive to the truncation.
+    At least 10, and always large enough that a realization has at least k
+    points except with probability below the rejection budget: the ball's
+    mean count is then at least ``min_count_mean(k)``.  When the best
+    (fading-weighted) ordering is required, additionally large enough that
+    the k first order statistics are insensitive to the truncation.
     """
     if k < 1:
         raise ValueError(f"order index must be >= 1, got {k}")
-    radius = max(_min_count_radius(geometry.density(side), geometry, k), min_radius)
+    count_radius = (min_count_mean(k) / geometry.pathloss_rate(side)) ** (1.0 / geometry.d)
+    radius = max(count_radius, _DEFAULT_MIN_RADIUS)
     if "best" in orderings:
         radius = _far_point_radius(geometry, side, k, radius)
     return radius

@@ -20,7 +20,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as spgamma
 from scipy.special import gammainc
 from scipy.stats import kstest
 
@@ -34,12 +33,7 @@ from secnet.fading import (
 )
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import MonteCarloConfig
-from secnet.specfun import (
-    FoxHParams,
-    fox_h,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
-)
+from secnet.specfun import FoxHParams, fox_h
 
 SEED = 20260810
 WORKERS = 2
@@ -85,11 +79,6 @@ def test_criterion_1_special_function_suite():
             assert first.imag_ratio <= 1e-8, (name, arg)
             checked += 1
 
-    for a in (0.5, 1.0, 2.5, 7.0):
-        for x in (0.1, 1.0, 10.0):
-            s = lower_incomplete_gamma(a, x) + upper_incomplete_gamma(a, x)
-            assert abs(s - spgamma(a)) <= 1e-10 * spgamma(a)
-
     elapsed = time.time() - started
     _report("criterion 1: special-function suite",
             True, f"{checked} contour-independence checks, {elapsed:.1f}s")
@@ -132,10 +121,10 @@ def test_criterion_3_ordered_law_oracle_suite():
         cfg = figures.scenario("fig2", k=k)
         for z in (0.1, 0.4, 1.0, 2.5):
             closed = metrics.cdf_composite_nearest(cfg, z)
-            oracle = montecarlo._cdf_composite_nearest_quad(
+            oracle = montecarlo._converged(lambda level: montecarlo._NearestLaw(
                 cfg.fading_b, cfg.geometry.pathloss_rate("legitimate"),
-                cfg.geometry.delta, k, z,
-            )
+                cfg.geometry.delta, k, level,
+            ).cdf(z))
             assert abs(closed - oracle) <= 1e-6, (k, z)
 
     # k-th smallest fading-weighted loss against its regularized-gamma law

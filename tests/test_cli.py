@@ -189,14 +189,17 @@ class TestParseConfig:
         ("[scenario]\nrate = nan\n", 2, "rate"),
         ("[scenario]\nrate = inf\n", 2, "rate"),
         ("[scenario]\nk = 2\neta_k_db = 1e400\n", 3, "eta_k"),
+        ("[scenario]\neta_k_db = 5000\n", 2, "eta_k"),
         ("[scenario]\neta_e = nan\n", 2, "eta_e"),
         ("[fading_e]\nmu = inf\n", 2, "mu_e"),
         ("[mc]\ntrials = 10\nwindow_radius = nan\n", 1, "window_radius"),
         ("[mc]\nwindow_radius = inf\n", 1, "window_radius"),
         ("[run]\nsweep_param = lambda_b\nsweep_values = 1, nan\n", 3, "lambda_b = nan"),
         ("[run]\nsweep_param = upsilon\nsweep_values = inf\n", 3, "upsilon = inf"),
+        ("[run]\nsweep_param = eta_e_db\nsweep_values = 0, 4000\n", 3, "eta_e_db = 4000"),
     ], ids=["lambda_b-nan", "lambda_e-inf", "upsilon-inf", "rate-nan", "rate-inf", "eta_k_db-1e400",
-            "eta_e-nan", "mu_e-inf", "window_radius-nan", "window_radius-inf", "sweep-nan", "sweep-inf"])
+            "eta_k_db-5000", "eta_e-nan", "mu_e-inf", "window_radius-nan", "window_radius-inf",
+            "sweep-nan", "sweep-inf", "sweep-eta_e_db-4000"])
     def test_non_finite_number_is_anchored_config_error(self, tmp_path, capsys, doc, line, field):
         command = "sweep" if "sweep_param" in doc else "eval"
         with pytest.raises(ConfigError, match=rf"^line {line}: .*{field}.*(nan|inf)"):
@@ -275,6 +278,15 @@ class TestIniInput:
         code, captured = self.run_doc(tmp_path, capsys, "[geometry]\nd = 2\n\n[DEFAULT]\nd = 3\n")
         assert code == cli.EXIT_CONFIG_ERROR
         assert captured.err == "config error: line 4: unknown section [DEFAULT]\n"
+
+    def test_file_that_is_not_utf8_is_anchored_config_error(self, tmp_path, capsys):
+        # a Latin-1 "été" in a comment on line 2
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_bytes(b"[geometry]\nd = 2 ; \xe9t\xe9\n")
+        assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: line 2: ")
+        assert "UTF-8" in err
 
 
 class TestEvalCommand:

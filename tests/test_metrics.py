@@ -91,10 +91,10 @@ class TestCompositeNearest:
         cfg = figures.scenario("fig2", k=3)
         for z in (0.1, 0.5, 1.5):
             closed = metrics.cdf_composite_nearest(cfg, z)
-            oracle = montecarlo._cdf_composite_nearest_quad(
+            oracle = montecarlo._converged(lambda level: montecarlo._NearestLaw(
                 cfg.fading_b, cfg.geometry.pathloss_rate("legitimate"),
-                cfg.geometry.delta, cfg.user_index, z,
-            )
+                cfg.geometry.delta, cfg.user_index, level,
+            ).cdf(z))
             assert closed == pytest.approx(oracle, abs=1e-6)
 
     def test_domain_errors(self):

@@ -1,22 +1,17 @@
-"""Point-process layer: Poisson sampling, ordered distance laws, and the
-fading-weighted path-loss process."""
+"""Point-process layer: ordered distance laws, the fading-weighted
+path-loss process, and the simulation window rule."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc, pdtr
 from scipy.stats import kstest
 
+from secnet import stochgeo
 from secnet.fading import AlphaMuParams, sample_power_gain
-from secnet.stochgeo import (
-    NetworkGeometry,
-    ordered_path_gains,
-    pdf_kth_distance_pow,
-    sample_hppp,
-    window_radius,
-)
+from secnet.stochgeo import NetworkGeometry, pdf_kth_distance_pow, window_radius
 
 
 def _geometry(d=2, upsilon=2.0, lambda_b=1.0, lambda_e=1.0, fading=None):
@@ -57,38 +52,6 @@ class TestGeometry:
             _geometry().fading("somewhere")
 
 
-class TestHpppSampling:
-    def test_mean_count_within_three_sigma(self):
-        geo = _geometry()
-        rng = np.random.default_rng(5)
-        draws = 10**4
-        counts = [sample_hppp(1.0, geo, 5.0, rng).shape[0] for _ in range(draws)]
-        want = math.pi * 25.0
-        sigma_mean = math.sqrt(want / draws)
-        assert abs(np.mean(counts) - want) < 3.0 * sigma_mean
-
-    def test_vanishing_density_gives_empty_sets(self):
-        geo = _geometry()
-        rng = np.random.default_rng(6)
-        assert all(sample_hppp(1e-9, geo, 5.0, rng).shape[0] == 0 for _ in range(50))
-
-    def test_points_fall_inside_ball(self):
-        geo = _geometry(d=3)
-        pts = sample_hppp(1.0, geo, 2.0, np.random.default_rng(7))
-        assert np.all(np.linalg.norm(pts, axis=1) <= 2.0)
-        assert pts.shape[1] == 3
-
-    def test_fixed_seed_reproducible(self):
-        geo = _geometry()
-        a = sample_hppp(1.0, geo, 4.0, np.random.default_rng(11))
-        b = sample_hppp(1.0, geo, 4.0, np.random.default_rng(11))
-        assert np.array_equal(a, b)
-
-    def test_radius_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sample_hppp(1.0, _geometry(), 0.0, np.random.default_rng(0))
-
-
 class TestKthDistanceLaw:
     def test_exponential_special_case(self):
         assert pdf_kth_distance_pow(1, 1.0, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -103,20 +66,26 @@ class TestKthDistanceLaw:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_third_nearest_distance_pow_matches_simulation(self):
-        # lambda=1, d=2, upsilon=2: simulate the 3rd nearest distance squared
+        # lambda=1, d=2: the 3rd smallest r^upsilon follows the 3rd point of
+        # a process with mean measure lambda*pi*x^delta, and the mean count
+        # of {r^upsilon <= x} is lambda*pi*x^delta (the mapping theorem)
         rng = np.random.default_rng(2718)
-        k, lam, radius = 3, 1.0, 4.0
+        k, lam, radius, x = 3, 1.0, 4.0, 3.0
         trials = 10**5
-        mean = lam * math.pi * radius**2
-        counts = rng.poisson(mean, trials)
-        width = counts.max()
-        u = rng.random((trials, width))
-        mask = np.arange(width)[None, :] < counts[:, None]
-        r2 = np.where(mask, (radius * u ** 0.5) ** 2, np.inf)
-        ok = counts >= k
-        y = np.partition(r2, k - 1, axis=1)[:, k - 1][ok]
-        cdf = lambda t: gammainc(k, lam * math.pi * t)
-        assert kstest(y, cdf).pvalue > 0.01
+        for upsilon in (2.0, 4.0):
+            delta = 2.0 / upsilon
+            counts = rng.poisson(lam * math.pi * radius**2, trials)
+            width = counts.max()
+            u = rng.random((trials, width))
+            mask = np.arange(width)[None, :] < counts[:, None]
+            loss = np.where(mask, (radius * u ** 0.5) ** upsilon, np.inf)
+            ok = counts >= k
+            y = np.partition(loss, k - 1, axis=1)[:, k - 1][ok]
+            cdf = lambda t: gammainc(k, lam * math.pi * t**delta)
+            assert kstest(y, cdf).pvalue > 0.01, upsilon
+            want = lam * math.pi * x**delta
+            hits = (loss <= x).sum(axis=1)
+            assert abs(hits.mean() - want) < 3.0 * math.sqrt(want / trials), upsilon
 
     def test_vanishes_where_rate_term_overflows(self):
         # a product of two exp-sinh nodes that each sit 250 e-folds above
@@ -136,47 +105,27 @@ class TestKthDistanceLaw:
 class TestFadingWeightedIntensity:
     def test_mean_measure_against_simulation(self):
         # count of weighted path losses below x should average rate * x^delta
+        # (the displacement theorem)
         fading = AlphaMuParams.canonical(2.0, 3.0)
-        geo = _geometry(d=2, upsilon=4.0, fading=fading)
-        x = 2.0
-        radius = window_radius(geo, "legitimate", 1)
         rng = np.random.default_rng(31415)
         trials = 10**5
-        mean = geo.pathloss_rate("legitimate") * radius**geo.d
-        counts = rng.poisson(mean, trials)
-        width = counts.max()
-        mask = np.arange(width)[None, :] < counts[:, None]
-        r = radius * rng.random((trials, width)) ** (1.0 / geo.d)
-        g = sample_power_gain(fading, rng, size=(trials, width))
-        xi = np.where(mask, r**geo.upsilon / g, np.inf)
-        hits = (xi <= x).sum(axis=1)
-        want = geo.composite_rate("legitimate") * x**geo.delta
-        sigma_mean = math.sqrt(want / trials)
-        assert abs(hits.mean() - want) < 3.0 * sigma_mean
+        for upsilon, x in ((4.0, 2.0), (2.0, 0.5)):
+            geo = _geometry(d=2, upsilon=upsilon, fading=fading)
+            radius = window_radius(geo, "legitimate", 1)
+            mean = geo.pathloss_rate("legitimate") * radius**geo.d
+            counts = rng.poisson(mean, trials)
+            width = counts.max()
+            mask = np.arange(width)[None, :] < counts[:, None]
+            r = radius * rng.random((trials, width)) ** (1.0 / geo.d)
+            g = sample_power_gain(fading, rng, size=(trials, width))
+            xi = np.where(mask, r**geo.upsilon / g, np.inf)
+            hits = (xi <= x).sum(axis=1)
+            want = geo.composite_rate("legitimate") * x**geo.delta
+            sigma_mean = math.sqrt(want / trials)
+            assert abs(hits.mean() - want) < 3.0 * sigma_mean, upsilon
 
 
 class TestOrderedPathGains:
-    def test_single_point(self):
-        geo = _geometry(d=2, upsilon=2.0)
-        xi = ordered_path_gains(np.array([[3.0, 4.0]]), np.array([2.0]), geo)
-        assert xi.shape == (1,)
-        assert xi[0] == pytest.approx(25.0 / 2.0)
-
-    def test_empty_input(self):
-        assert ordered_path_gains(np.empty((0, 2)), np.empty(0), _geometry()).size == 0
-
-    def test_sorted_output(self):
-        geo = _geometry()
-        rng = np.random.default_rng(8)
-        pts = sample_hppp(2.0, geo, 5.0, rng)
-        gains = sample_power_gain(geo.fading_b, rng, size=pts.shape[0])
-        xi = ordered_path_gains(pts, gains, geo)
-        assert np.all(np.diff(xi) >= 0)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            ordered_path_gains(np.zeros((3, 2)), np.ones(2), _geometry())
-
     def test_kth_best_weighted_loss_law(self):
         # empirical distribution of the k-th smallest weighted loss against
         # the regularized-gamma distribution of its mean measure
@@ -200,42 +149,6 @@ class TestOrderedPathGains:
         assert kstest(xi_k, cdf).pvalue > 0.01
 
 
-class TestMeanMeasureTheorems:
-    def test_pathloss_mapping(self):
-        # mean number of points with r^upsilon below x equals rate * x^delta
-        geo = _geometry(d=2, upsilon=4.0)
-        rng = np.random.default_rng(92)
-        x = 3.0
-        radius = max(x ** (1.0 / geo.upsilon) * 1.5, 3.0)
-        trials = 10**4
-        counts = []
-        for _ in range(trials):
-            pts = sample_hppp(geo.lambda_b, geo, radius, rng)
-            if pts.shape[0] == 0:
-                counts.append(0)
-                continue
-            counts.append(int(np.sum(np.linalg.norm(pts, axis=1) ** geo.upsilon <= x)))
-        want = geo.pathloss_rate("legitimate") * x**geo.delta
-        sigma_mean = math.sqrt(want / trials)
-        assert abs(np.mean(counts) - want) < 3.0 * sigma_mean
-
-    def test_fading_weighted_displacement(self):
-        geo = _geometry(d=2, upsilon=2.0)
-        rng = np.random.default_rng(93)
-        x = 0.5
-        radius = window_radius(geo, "legitimate", 1)
-        trials = 10**4
-        counts = []
-        for _ in range(trials):
-            pts = sample_hppp(geo.lambda_b, geo, radius, rng)
-            gains = sample_power_gain(geo.fading_b, rng, size=pts.shape[0])
-            xi = ordered_path_gains(pts, gains, geo)
-            counts.append(int(np.searchsorted(xi, x, side="right")))
-        want = geo.composite_rate("legitimate") * x**geo.delta
-        sigma_mean = math.sqrt(want / trials)
-        assert abs(np.mean(counts) - want) < 3.0 * sigma_mean
-
-
 class TestWindowRadius:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -251,3 +164,37 @@ class TestWindowRadius:
         full = window_radius(geo, "legitimate", 4)
         nearest_only = window_radius(geo, "legitimate", 4, orderings=("nearest",))
         assert nearest_only <= full
+
+    @pytest.mark.parametrize("lam", [0.01, 5.0])
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("mu", [1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_window_meets_its_budgets(self, d, alpha, mu, k, lam):
+        geo = _geometry(d=d, upsilon=3.0, lambda_b=lam, fading=AlphaMuParams.canonical(alpha, mu))
+        fad, side = geo.fading_b, "legitimate"
+        xi = stochgeo._far_cutoff(geo, side, k)
+
+        def far_reference(radius):
+            # the defining integral over r > radius of the point density times
+            # the chance that a point at r has fading-weighted loss below xi
+            integrand = lambda r: (lam * d * geo.unit_ball_volume * r ** (d - 1)
+                                   * gammaincc(fad.mu, (r**geo.upsilon / (xi * fad.omega)) ** (0.5 * fad.alpha)))
+            return quad(integrand, radius, np.inf, epsabs=0.0, epsrel=1e-10, limit=500)[0]
+
+        # pdtri and pdtr round-trip to within a few ulps of the budget
+        count_budget = stochgeo._REJECTION_BUDGET * (1.0 + 1e-12)
+        far_budget = 0.9 * stochgeo._FAR_POINT_BUDGET
+
+        def breaks_a_budget(radius, orderings):
+            if pdtr(k - 1, geo.pathloss_rate(side) * radius**d) > count_budget:
+                return True
+            return "best" in orderings and stochgeo._far_count(geo, side, xi, radius) > far_budget
+
+        for orderings in (("nearest",), ("nearest", "best")):
+            radius = window_radius(geo, side, k, orderings=orderings)
+            assert not breaks_a_budget(radius, orderings), orderings
+            smaller = radius / 1.25
+            assert smaller < 10.0 or breaks_a_budget(smaller, orderings), orderings
+            for r in (10.0, smaller, radius):
+                assert stochgeo._far_count(geo, side, xi, r) == pytest.approx(far_reference(r), rel=1e-6, abs=1e-300)
