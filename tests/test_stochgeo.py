@@ -66,26 +66,20 @@ class TestKthDistanceLaw:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_third_nearest_distance_pow_matches_simulation(self):
-        # lambda=1, d=2: the 3rd smallest r^upsilon follows the 3rd point of
-        # a process with mean measure lambda*pi*x^delta, and the mean count
-        # of {r^upsilon <= x} is lambda*pi*x^delta (the mapping theorem)
+        # lambda=1, d=2, upsilon=2: simulate the 3rd nearest distance squared
         rng = np.random.default_rng(2718)
-        k, lam, radius, x = 3, 1.0, 4.0, 3.0
+        k, lam, radius = 3, 1.0, 4.0
         trials = 10**5
-        for upsilon in (2.0, 4.0):
-            delta = 2.0 / upsilon
-            counts = rng.poisson(lam * math.pi * radius**2, trials)
-            width = counts.max()
-            u = rng.random((trials, width))
-            mask = np.arange(width)[None, :] < counts[:, None]
-            loss = np.where(mask, (radius * u ** 0.5) ** upsilon, np.inf)
-            ok = counts >= k
-            y = np.partition(loss, k - 1, axis=1)[:, k - 1][ok]
-            cdf = lambda t: gammainc(k, lam * math.pi * t**delta)
-            assert kstest(y, cdf).pvalue > 0.01, upsilon
-            want = lam * math.pi * x**delta
-            hits = (loss <= x).sum(axis=1)
-            assert abs(hits.mean() - want) < 3.0 * math.sqrt(want / trials), upsilon
+        mean = lam * math.pi * radius**2
+        counts = rng.poisson(mean, trials)
+        width = counts.max()
+        u = rng.random((trials, width))
+        mask = np.arange(width)[None, :] < counts[:, None]
+        r2 = np.where(mask, (radius * u ** 0.5) ** 2, np.inf)
+        ok = counts >= k
+        y = np.partition(r2, k - 1, axis=1)[:, k - 1][ok]
+        cdf = lambda t: gammainc(k, lam * math.pi * t)
+        assert kstest(y, cdf).pvalue > 0.01
 
     def test_vanishes_where_rate_term_overflows(self):
         # a product of two exp-sinh nodes that each sit 250 e-folds above
@@ -105,24 +99,62 @@ class TestKthDistanceLaw:
 class TestFadingWeightedIntensity:
     def test_mean_measure_against_simulation(self):
         # count of weighted path losses below x should average rate * x^delta
-        # (the displacement theorem)
         fading = AlphaMuParams.canonical(2.0, 3.0)
+        geo = _geometry(d=2, upsilon=4.0, fading=fading)
+        x = 2.0
+        radius = window_radius(geo, "legitimate", 1)
         rng = np.random.default_rng(31415)
         trials = 10**5
-        for upsilon, x in ((4.0, 2.0), (2.0, 0.5)):
-            geo = _geometry(d=2, upsilon=upsilon, fading=fading)
-            radius = window_radius(geo, "legitimate", 1)
-            mean = geo.pathloss_rate("legitimate") * radius**geo.d
-            counts = rng.poisson(mean, trials)
-            width = counts.max()
-            mask = np.arange(width)[None, :] < counts[:, None]
-            r = radius * rng.random((trials, width)) ** (1.0 / geo.d)
-            g = sample_power_gain(fading, rng, size=(trials, width))
-            xi = np.where(mask, r**geo.upsilon / g, np.inf)
-            hits = (xi <= x).sum(axis=1)
-            want = geo.composite_rate("legitimate") * x**geo.delta
-            sigma_mean = math.sqrt(want / trials)
-            assert abs(hits.mean() - want) < 3.0 * sigma_mean, upsilon
+        mean = geo.pathloss_rate("legitimate") * radius**geo.d
+        counts = rng.poisson(mean, trials)
+        width = counts.max()
+        mask = np.arange(width)[None, :] < counts[:, None]
+        r = radius * rng.random((trials, width)) ** (1.0 / geo.d)
+        g = sample_power_gain(fading, rng, size=(trials, width))
+        xi = np.where(mask, r**geo.upsilon / g, np.inf)
+        hits = (xi <= x).sum(axis=1)
+        want = geo.composite_rate("legitimate") * x**geo.delta
+        sigma_mean = math.sqrt(want / trials)
+        assert abs(hits.mean() - want) < 3.0 * sigma_mean
+
+
+def _ball_radii(rng, geo, radius, trials):
+    """Distances of `trials` independent realizations of the legitimate
+    receivers in the d-ball of `radius`, one row each, padded with inf."""
+    counts = rng.poisson(geo.pathloss_rate("legitimate") * radius**geo.d, trials)
+    width = counts.max()
+    mask = np.arange(width)[None, :] < counts[:, None]
+    return np.where(mask, radius * rng.random((trials, width)) ** (1.0 / geo.d), np.inf)
+
+
+class TestMeanMeasureTheorems:
+    def test_pathloss_mapping(self):
+        # mean number of points with r^upsilon below x equals rate * x^delta
+        geo = _geometry(d=2, upsilon=4.0)
+        rng = np.random.default_rng(92)
+        x = 3.0
+        radius = max(x ** (1.0 / geo.upsilon) * 1.5, 3.0)
+        trials = 10**4
+        r = _ball_radii(rng, geo, radius, trials)
+        hits = (r**geo.upsilon <= x).sum(axis=1)
+        want = geo.pathloss_rate("legitimate") * x**geo.delta
+        sigma_mean = math.sqrt(want / trials)
+        assert abs(hits.mean() - want) < 3.0 * sigma_mean
+
+    def test_fading_weighted_displacement(self):
+        # weighting each path loss by 1/gain keeps a Poisson process whose
+        # mean count below x is the composite rate times x^delta
+        geo = _geometry(d=2, upsilon=2.0)
+        rng = np.random.default_rng(93)
+        x = 0.5
+        radius = window_radius(geo, "legitimate", 1)
+        trials = 10**4
+        r = _ball_radii(rng, geo, radius, trials)
+        g = sample_power_gain(geo.fading_b, rng, size=r.shape)
+        hits = (r**geo.upsilon / g <= x).sum(axis=1)
+        want = geo.composite_rate("legitimate") * x**geo.delta
+        sigma_mean = math.sqrt(want / trials)
+        assert abs(hits.mean() - want) < 3.0 * sigma_mean
 
 
 class TestOrderedPathGains:
