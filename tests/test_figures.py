@@ -11,6 +11,7 @@ import os
 import pytest
 
 from secnet import figures
+from secnet.metrics import ScenarioConfig
 from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
@@ -34,3 +35,118 @@ def test_figure_table_matches_snapshot(fig_id, reference_rows):
         assert row[:3] + row[4:] == ref[:3] + ref[4:], f"{fig_id} row {i}"
         tol = QUAD_TOL_CAPACITY if row[0] == "esc" else QUAD_TOL_PROBABILITY
         assert row[3] == pytest.approx(ref[3], rel=tol, abs=0.0), f"{fig_id} row {i}"
+
+
+def _db(x: float) -> float:
+    return 10.0 ** (x / 10.0)
+
+
+# Each figure's captioned scenario, written out as build keywords.
+_CAPTIONS = {
+    "fig2": dict(d=2, upsilon=2.0, lambda_b=2.0, lambda_e=1.0, alpha_b=2.0, mu_b=3.0,
+                 eta_k=_db(0.0), user_index=1, ordering="nearest"),
+    "fig3": dict(d=2, upsilon=2.0, lambda_b=1.0, lambda_e=1.0, alpha_b=2.0, mu_b=2.0,
+                 eta_k=_db(5.0), rate=1.0, user_index=1),
+    "fig4": dict(d=2, upsilon=4.0, lambda_b=1.0, lambda_e=1.0, alpha_b=2.0, mu_b=3.0,
+                 eta_k=_db(0.0), rate=1.0, user_index=2, ordering="nearest"),
+    "fig5": dict(d=2, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=1.0,
+                 alpha_e=2.0, mu_e=1.0, eta_k=_db(0.0), eta_e=1.0, user_index=1,
+                 ordering="nearest", eavesdropper_policy="nearest"),
+    "fig6": dict(d=2, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=1.0,
+                 alpha_e=2.0, mu_e=4.0, n_a=2, n_b=1, n_e=2, eta_k=_db(0.0), eta_e=1.0,
+                 user_index=1),
+    "fig7": dict(d=3, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=2.0,
+                 alpha_e=2.0, mu_e=3.0, n_a=2, n_b=1, n_e=2, eta_k=_db(0.0), eta_e=1.0,
+                 user_index=1),
+    "fig8": dict(d=2, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=3.0,
+                 alpha_e=2.0, mu_e=3.0, eta_k=_db(0.0), eta_e=1.0,
+                 ordering="best", eavesdropper_policy="best"),
+    "fig9": dict(d=3, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=2.0,
+                 alpha_e=2.0, mu_e=3.0, n_a=2, n_b=2, n_e=2, eta_k=_db(0.0), eta_e=1.0,
+                 user_index=1),
+    "fig10": dict(d=3, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=1.0,
+                  alpha_e=2.0, mu_e=3.0, n_a=2, n_b=1, n_e=2, eta_k=_db(10.0), eta_e=1.0,
+                  user_index=1),
+    "fig11": dict(d=2, upsilon=2.0, lambda_b=1.0, lambda_e=1.0, alpha_b=2.0, mu_b=1.0,
+                  alpha_e=2.0, mu_e=1.0, eta_k=_db(15.0), eta_e=_db(0.0), user_index=1),
+}
+
+# (figure, axis overrides, the build keywords they change, case or None).
+# Between them they move every axis of every figure off its default.
+_OVERRIDES = (
+    ("fig2", {"k": 3, "ordering": "best"}, {"user_index": 3, "ordering": "best"}, None),
+    ("fig3", {"k": 4, "alpha": 1.0, "mu": 3.0}, {"user_index": 4, "alpha_b": 1.0, "mu_b": 3.0}, None),
+    ("fig4", {"k": 4, "lambda_b": 0.6, "ordering": "best"},
+     {"user_index": 4, "lambda_b": 0.6, "ordering": "best"}, None),
+    ("fig5", {"k": 3, "alpha": 3.0, "mu_m": 2.0, "mu_w": 3.0},
+     {"user_index": 3, "alpha_b": 3.0, "alpha_e": 3.0, "mu_b": 2.0, "mu_e": 3.0}, None),
+    ("fig6", {"k": 4, "case": "NB"}, {"user_index": 4}, "NB"),
+    ("fig7", {"k": 2, "upsilon": 4.0, "case": "BB"}, {"user_index": 2, "upsilon": 4.0}, "BB"),
+    ("fig8", {"varpi_db": 3.0, "ratio": 4.0, "alpha": 1.0, "mu": 2.0},
+     {"eta_k": _db(3.0), "lambda_b": 0.4, "alpha_b": 1.0, "alpha_e": 1.0, "mu_b": 2.0, "mu_e": 2.0},
+     None),
+    ("fig9", {"varpi_db": -4.0, "case": "BN"}, {"eta_k": _db(-4.0)}, "BN"),
+    ("fig10", {"n_b": 3, "case": "BB"}, {"n_b": 3}, "BB"),
+    ("fig11", {"k": 5, "case": "NB"}, {"user_index": 5}, "NB"),
+)
+
+
+@pytest.mark.parametrize("fig_id", figures.FIGURE_IDS)
+def test_default_scenario_is_the_caption(fig_id):
+    assert figures.scenario(fig_id) == ScenarioConfig.build(**_CAPTIONS[fig_id])
+
+
+@pytest.mark.parametrize("fig_id, overrides, changed, case", _OVERRIDES,
+                         ids=[row[0] for row in _OVERRIDES])
+def test_axis_overrides_set_their_build_keywords(fig_id, overrides, changed, case):
+    expected = ScenarioConfig.build(**{**_CAPTIONS[fig_id], **changed})
+    if case is not None:
+        expected = expected.with_case(case)
+    assert figures.scenario(fig_id, **overrides) == expected
+
+
+@pytest.mark.parametrize("fig_id, axis", [("fig6", "alpha"), ("fig2", "case"), ("fig8", "k"),
+                                          ("fig3", "mu_m"), ("fig11", "z")])
+def test_axis_the_figure_lacks_is_a_type_error(fig_id, axis):
+    with pytest.raises(TypeError):
+        figures.scenario(fig_id, **{axis: 1.0})
+
+
+def test_bad_case_is_a_value_error():
+    with pytest.raises(ValueError, match="case"):
+        figures.scenario("fig6", case="XX")
+
+
+@pytest.mark.parametrize("call", [figures.scenario, figures.figure_table])
+def test_unknown_figure_id_is_a_value_error(call):
+    with pytest.raises(ValueError, match="figure id"):
+        call("fig1")
+
+
+# Keys each table's metadata carries besides figure, x and scenario, verbatim.
+_META = {
+    "fig2": ("z", {}),
+    "fig3": ("k", {"fading_pairs": ["alpha=1.0|mu=2.0", "alpha=2.0|mu=2.0",
+                                    "alpha=2.0|mu=3.0", "alpha=3.0|mu=2.0"]}),
+    "fig4": ("lambda_b", {}),
+    "fig5": ("k", {"fading_triples": ["alpha=2.0|mu_m=1.0|mu_w=1.0", "alpha=2.0|mu_m=2.0|mu_w=3.0",
+                                      "alpha=3.0|mu_m=2.0|mu_w=3.0"],
+                   "note": ("cluster parameters labelled mu_m/mu_w are interpreted as the "
+                            "legitimate and wiretap side mu values")}),
+    "fig6": ("k", {}),
+    "fig7": ("k", {}),
+    "fig8": ("varpi_db", {"secrecy_levels": [0.1, 0.3], "density_ratios": [1.0, 2.0, 4.0]}),
+    "fig9": ("varpi_db", {}),
+    "fig10": ("n_b", {}),
+    "fig11": ("k", {}),
+}
+
+
+@pytest.mark.parametrize("fig_id", figures.FIGURE_IDS)
+def test_figure_metadata_is_pinned(fig_id):
+    meta, _, _ = figures.figure_table(fig_id)
+    x, extra = _META[fig_id]
+    assert list(meta) == ["figure", "x", *extra, "scenario"]
+    assert meta["x"] == x
+    assert {key: meta[key] for key in extra} == extra
+    assert meta["scenario"] == figures.describe_scenario(figures.scenario(fig_id))
