@@ -315,7 +315,7 @@ def _case_gains(cfg: ScenarioConfig, draws: dict) -> tuple[np.ndarray, np.ndarra
 
 def _binomial_estimate(hits: int, n: int, trials: int, mc: MonteCarloConfig) -> MetricEstimate:
     if n == 0:
-        raise RuntimeError("no valid realizations; window radius too small for the order index")
+        raise ConvergenceError("no valid realizations; window radius too small for the order index")
     p = hits / n
     z = mc.z_score
     half = z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -331,7 +331,7 @@ def _binomial_estimate(hits: int, n: int, trials: int, mc: MonteCarloConfig) -> 
 def _mean_estimate(samples: np.ndarray, trials: int, mc: MonteCarloConfig) -> MetricEstimate:
     n = samples.size
     if n == 0:
-        raise RuntimeError("no valid realizations; window radius too small for the order index")
+        raise ConvergenceError("no valid realizations; window radius too small for the order index")
     mean = float(samples.mean())
     half = mc.z_score * float(samples.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
     return MetricEstimate(

@@ -58,7 +58,8 @@ _ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
 class ConvergenceError(ArithmeticError):
-    """A contour integral or iterative refinement failed to converge."""
+    """A contour integral or iterative rule failed to converge, or a
+    simulation kept no valid realization to estimate from."""
 
 
 @dataclass(frozen=True)

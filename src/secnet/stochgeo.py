@@ -17,6 +17,7 @@ from scipy.special import gamma as _gamma
 from scipy.special import gammaincc, gammainccinv, gammaln, pdtri
 
 from .fading import AlphaMuParams
+from .specfun import ConvergenceError
 
 __all__ = [
     "NetworkGeometry",
@@ -168,7 +169,7 @@ def _far_point_radius(
     while _far_count(geometry, side, xi, radius) > 0.9 * _FAR_POINT_BUDGET:
         radius *= 1.25
         if radius > 1e4:
-            raise RuntimeError("window radius rule diverged; fading tail too heavy")
+            raise ConvergenceError("window radius rule diverged; fading tail too heavy")
     return radius
 
 

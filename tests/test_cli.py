@@ -400,6 +400,26 @@ class TestEvalCommand:
         assert cli.main(["eval"]) == cli.EXIT_CONFIG_ERROR
         assert "config" in capsys.readouterr().err
 
+    # A heavy-tailed best-ordering side on a line, whose window rule gives
+    # up, and a window too small to hold four users, which rejects every
+    # realization.
+    @pytest.mark.parametrize("doc, message", [
+        ("[geometry]\nd = 1\nupsilon = 3\nlambda_b = 0.01\n[fading_b]\nalpha = 1\nmu = 0.5\n"
+         "[scenario]\nk = 4\nordering = best\n[run]\nmethod = monte-carlo\n",
+         "window radius rule diverged"),
+        ("[scenario]\nk = 4\n[run]\nmethod = monte-carlo\n[mc]\ntrials = 100\nwindow_radius = 0.01\n",
+         "no valid realizations"),
+    ], ids=["window-rule-diverges", "no-valid-realization"])
+    def test_simulation_that_cannot_estimate_is_numeric_error(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(doc)
+        assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_sweep_appends_axis_column(self, tmp_path):
