@@ -52,6 +52,10 @@ CASES = ("NN", "BB", "NB", "BN")
 # Rounding allowance, relative to max(1, |value|), of a closed form's final
 # arithmetic (the 1 - H offsets) when it is clipped into its range.
 _ROUNDING = 8.0 * np.finfo(float).eps
+# Relative accuracy of a probability: the quadrature oracle is held to it
+# (``validation.QUAD_TOL_PROBABILITY`` is this constant), and a 1 - H form
+# whose rounding alone passes it raises.
+QUAD_TOL_PROBABILITY = 1e-5
 
 
 @dataclass(frozen=True)
@@ -318,6 +322,28 @@ def _clip(value: float, error: float, lo: float = 0.0, hi: float = math.inf) -> 
     return min(max(value, lo), hi)
 
 
+def _complement(h: float, error: float) -> float:
+    """1 - h as a probability, h carrying the given error bound.
+
+    The subtraction keeps h's absolute error, so a small result loses its
+    relative accuracy.  It is a numerical failure when the bound reaches the
+    result itself, or when the subtraction's rounding alone passes the
+    probability tolerance relative to it.  The bound is not held to that
+    tolerance: it is the difference of the last two trapezoid levels, which
+    overstates the error of the finer one, 30 to 130 times on the 1 - H
+    forms checked against the quadrature oracle.  A reading below 0 is
+    clipped to 0 within its bound, as every closed form is, and claims no
+    size.
+    """
+    value = 1.0 - h
+    rounding = _ROUNDING * max(1.0, abs(value))
+    if value >= 0.0 and (error + rounding >= value or rounding > QUAD_TOL_PROBABILITY * value):
+        raise ConvergenceError(
+            f"1 - H = {value:.6g} has lost its relative accuracy "
+            f"(error bound {error:.3g}, rounding {rounding:.3g})")
+    return _clip(value, error, hi=1.0)
+
+
 def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
     """All Fox H instances a scenario's closed forms evaluate, with arguments.
 
@@ -352,8 +378,7 @@ def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
         raise ValueError(f"composite-gain distribution needs z >= 0, got {z}")
     if z == 0:
         return 0.0
-    h, err = _fox_h_term(cfg, "cdf_nearest", z)
-    return _clip(1.0 - h, err, hi=1.0)
+    return _complement(*_fox_h_term(cfg, "cdf_nearest", z))
 
 
 def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
@@ -412,8 +437,7 @@ def cop(cfg: ScenarioConfig) -> float:
 
 def pnz_nn(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first nearest eavesdropper."""
-    h, err = _fox_h_term(cfg, "pnz_nn")
-    return _clip(1.0 - h, err, hi=1.0)
+    return _complement(*_fox_h_term(cfg, "pnz_nn"))
 
 
 def _best_pnz_base(cfg: ScenarioConfig) -> float:
@@ -437,8 +461,7 @@ def pnz_nb(cfg: ScenarioConfig) -> float:
 
 def pnz_bn(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first nearest eavesdropper."""
-    h, err = _fox_h_term(cfg, "pnz_bn")
-    return _clip(1.0 - h, err, hi=1.0)
+    return _complement(*_fox_h_term(cfg, "pnz_bn"))
 
 
 _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}

@@ -22,11 +22,27 @@ step starts at a fraction of that half-width and is halved, reusing every
 earlier node, until two levels agree.  The returned error bound is their
 difference plus the truncated tails and a rounding floor; levels that never
 agree raise :class:`ConvergenceError`.
+
+The argument z enters the integrand only through the factor z^(-s); the
+log-gamma sum, and the sum of its terms' magnitudes that scales the rounding
+bound, depend only on the parameters and the contour node.  On the contour
+|z^(-s)| = z^(-c) is the same at every node, so the truncation height and
+the node lattice do not depend on z either, and one parameter set evaluated
+at many arguments visits the same node sets.  Those two sums are therefore
+kept across calls, keyed on (parameters, abscissa, node bytes), and -s ln z
+is added to them last, in the order the full sum would take: a value read
+through the cache is bit-identical to one computed afresh.  The cache is a
+least-recently-used map held to a fixed byte budget (``_CACHE_BUDGET``,
+256 KiB) under a lock; a node set larger than the whole budget is never
+kept, so the largest lattice an evaluation may reach (``_MAX_NODES``) lives
+only as long as that call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +71,15 @@ _MAX_HALVINGS = 8
 _MAX_NODES = 2**18
 # A log-gamma value is good to a few ulps of its own size.
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
+# Byte budget of the log-gamma sums kept across calls, least recently used
+# first out; a node set larger than the whole budget is never kept.  Each
+# entry is charged its node bytes (key, sum, magnitude sum) plus a fixed
+# allowance for the tuples, array headers and dictionary slot around them.
+_CACHE_BUDGET = 256 * 1024
+_ENTRY_OVERHEAD = 512
+_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
+_CACHE_LOCK = threading.Lock()
+_cache_bytes = 0
 
 
 class ConvergenceError(ArithmeticError):
@@ -141,26 +166,55 @@ class FoxHValue:
     truncation_height: float
 
 
-def _log_integrand(params: FoxHParams, s: np.ndarray, ln_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the Mellin-Barnes integrand at the contour points s, and the
-    summed magnitude of its terms, which scales its rounding error."""
+def _gamma_sums(params: FoxHParams, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed log-gamma terms at the contour points c + i t, and the sum of
+    their magnitudes, read from the cache when this node set was seen."""
+    global _cache_bytes
+    key = (params, c, t.tobytes())
+    with _CACHE_LOCK:
+        if key in _CACHE:
+            _CACHE.move_to_end(key)
+            return _CACHE[key][:2]
+    s = c + 1j * t
     terms = [
         *(loggamma(b + big_b * s) if j < params.m else -loggamma(1.0 - b - big_b * s)
           for j, (b, big_b) in enumerate(params.lower_coeffs)),
         *(loggamma(1.0 - a - big_a * s) if j < params.n else -loggamma(a + big_a * s)
           for j, (a, big_a) in enumerate(params.upper_coeffs)),
-        -s * ln_z,
     ]
-    return sum(terms), sum(np.abs(term) for term in terms)
+    total, size = sum(terms), sum(np.abs(term) for term in terms)
+    nbytes = _ENTRY_OVERHEAD + len(key[2]) + total.nbytes + size.nbytes
+    if nbytes <= _CACHE_BUDGET:
+        total.flags.writeable = size.flags.writeable = False
+        with _CACHE_LOCK:
+            if key not in _CACHE:
+                _CACHE[key] = (total, size, nbytes)
+                _cache_bytes += nbytes
+                while _cache_bytes > _CACHE_BUDGET:
+                    _cache_bytes -= _CACHE.popitem(last=False)[1][2]
+    return total, size
 
 
-def _trapezoid_sums(params: FoxHParams, s: np.ndarray, ln_z: float, step: float) -> tuple[complex, float]:
-    """step * sum of the integrand over the nodes s, and its rounding bound.
+def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the Mellin-Barnes integrand at the contour points c + i t, and
+    the summed magnitude of its terms, which scales its rounding error.
+
+    The argument enters only through the last term, -s ln z, so the sums of
+    the other terms are shared by every argument; adding it last keeps the
+    left-to-right order of the full sums.
+    """
+    gamma_sum, gamma_size = _gamma_sums(params, c, t)
+    z_term = -(c + 1j * t) * ln_z
+    return gamma_sum + z_term, gamma_size + np.abs(z_term)
+
+
+def _trapezoid_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float, step: float) -> tuple[complex, float]:
+    """step * sum of the integrand over the nodes c + i t, and its rounding bound.
 
     A term of the log that is computed to a few ulps of its own size puts
     that much relative error, in modulus and phase, on the node's value.
     """
-    log_f, size = _log_integrand(params, s, ln_z)
+    log_f, size = _log_integrand(params, c, t, ln_z)
     f = np.exp(log_f)
     rounding = _ROUNDING * step * float(np.sum(np.abs(f) * (1.0 + size)))
     return step * complex(f.sum()), rounding
@@ -210,7 +264,7 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None) -> FoxHVa
     ln_z = math.log(z)
 
     def modulus(t: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(_log_integrand(params, c + 1j * t, ln_z)[0]))
+        return np.abs(np.exp(_log_integrand(params, c, t, ln_z)[0]))
 
     # Far-tail nodes underflow to 0, and a log that overflows means a peak
     # or level that is not finite, which the checks below reject.
@@ -242,7 +296,7 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None) -> FoxHVa
             # only the odd multiples of its halved step.
             stride = 2 if level else 1
             nodes = step * np.arange(stride - 1 - half, half + 1, stride)
-            level_sum, level_rounding = _trapezoid_sums(params, c + 1j * nodes, ln_z, step)
+            level_sum, level_rounding = _trapezoid_sums(params, c, nodes, ln_z, step)
             previous, total, rounding = total, 0.5 * total + level_sum, 0.5 * rounding + level_rounding
             change = abs(total - previous)
             if level and change <= max(_REL_TOL * abs(total), _ABS_TOL * peak):

@@ -31,12 +31,11 @@ from typing import Callable
 from scipy.special import ndtri
 
 from . import figures, metrics, montecarlo
-from .metrics import CASES, ORDERINGS, ScenarioConfig
+from .metrics import CASES, ORDERINGS, QUAD_TOL_PROBABILITY, ScenarioConfig
 from .montecarlo import MetricEstimate, MonteCarloConfig
 
 __all__ = ["METRICS", "Metric", "ValidationRow", "run_validation", "family_gate_z", "VALIDATION_FIGURES"]
 
-QUAD_TOL_PROBABILITY = 1e-5
 QUAD_TOL_CAPACITY = 1e-4
 # Confidence level of each row's reported half-width, and family-wise level
 # of the simulation gate over all rows of one run.

@@ -421,6 +421,17 @@ class TestEvalCommand:
         assert captured.err.count("\n") == 1
 
 
+    def test_closed_form_without_relative_accuracy_is_numeric_error(self, tmp_path, capsys):
+        # Nearest COP on 8 x 8 antennas: 1 - H cannot resolve an outage of 3e-40.
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scenario]\nn_a = 8\nn_b = 8\n")
+        assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: 1 - H = ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_sweep_appends_axis_column(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"

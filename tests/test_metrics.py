@@ -303,6 +303,36 @@ class TestClipsWithinError:
                 self._evaluate_at(monkeypatch, form, name, complement, reading, 1e-12)
 
 
+_COMPLEMENT_FORMS = [row[:3] for row in _CLIPPED_FORMS if row[2]]
+
+
+class TestComplementRelativeAccuracy:
+    """A 1 - H form whose error bound and rounding pass the probability
+    tolerance relative to its value raises instead of returning it."""
+
+    @pytest.mark.parametrize("form, name, complement", _COMPLEMENT_FORMS,
+                             ids=[row[1] for row in _COMPLEMENT_FORMS])
+    def test_small_value_without_relative_accuracy_raises(self, monkeypatch, form, name, complement):
+        evaluate = TestClipsWithinError._evaluate_at
+        assert evaluate(monkeypatch, form, name, complement, 1e-3, 1e-12) == pytest.approx(1e-3, rel=1e-9)
+        # The bound reaches the value; the rounding of 1 - H alone passes 1e-5 of it.
+        for reading, error in ((1e-3, 2e-3), (1e-12, 1e-20)):
+            with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
+                evaluate(monkeypatch, form, name, complement, reading, error)
+
+    def test_eight_by_eight_nearest_cop_raises(self):
+        # The true outage is 3.17e-40 (quadrature oracle); 1 - H read 5.54e-14.
+        cfg = ScenarioConfig.build(n_a=8, n_b=8)
+        with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
+            metrics.cop(cfg)
+
+    def test_small_pnz_bn_keeps_its_accuracy(self):
+        cfg = ScenarioConfig.build(lambda_b=1e-4, user_index=2, eta_k=0.01).with_case("BN")
+        closed = metrics.pnz_bn(cfg)
+        assert closed == pytest.approx(1.0e-6, rel=0.05)
+        assert closed == pytest.approx(montecarlo.integrate_defining("pnz-BN", cfg).value, rel=1e-5)
+
+
 class TestMaxSecureBestUsers:
     def _symmetric(self):
         return _unit_rate_scenario(ordering="best", eavesdropper_policy="best")

@@ -6,7 +6,9 @@ independent Mellin-Barnes integration along a different contour abscissa).
 """
 
 import math
-from dataclasses import replace
+import sys
+from collections import OrderedDict
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from scipy.special import gamma as spgamma
 from scipy.special import gammaincc
 
-from secnet import figures, metrics
+from secnet import figures, metrics, specfun
 from secnet.specfun import ConvergenceError, FoxHParams, fox_h
 
 
@@ -222,3 +224,90 @@ class TestFoxHErrorEstimate:
         lo, _ = params.contour_interval()
         with pytest.raises(ConvergenceError):
             fox_h(params, arg, abscissa=lo + 1e-6)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty log-gamma cache for the test; calling the fixture's value
+    empties it again."""
+    def clear():
+        monkeypatch.setattr(specfun, "_CACHE", OrderedDict())
+        monkeypatch.setattr(specfun, "_cache_bytes", 0)
+    clear()
+    return clear
+
+
+def _shifted_abscissa(params: FoxHParams) -> float:
+    """An admissible abscissa away from the default one, as the
+    contour-independence test uses."""
+    lo, hi = params.contour_interval()
+    width = (hi - lo) if math.isfinite(hi) and math.isfinite(lo) else 2.0
+    base = params.default_abscissa()
+    return base + 0.2 * width if base + 0.2 * width < hi else base - 0.2 * width
+
+
+# Arguments over six decades about each instance's own argument.
+_DECADES = np.geomspace(1e-3, 1e3, 7)
+
+
+class TestContourCache:
+    """The log-gamma sums kept across calls change no evaluation."""
+
+    @pytest.mark.parametrize("params,arg", _inscope_instances())
+    def test_warm_cache_gives_cold_values(self, params, arg, cold_cache):
+        shifted = _shifted_abscissa(params)
+        calls = [(arg * float(z), c) for z in _DECADES for c in (None, shifted)]
+        cold = []
+        for z, c in calls:
+            cold_cache()
+            cold.append(astuple(fox_h(params, z, abscissa=c)))
+        # Every call now reads the sums the calls before it left, at both
+        # abscissas in turn.
+        warm = [astuple(fox_h(params, z, abscissa=c)) for z, c in calls]
+        assert warm == cold
+        assert cold[0] != cold[1], "the shifted contour must differ in its lattice"
+
+    @pytest.mark.parametrize("params,arg", _inscope_instances())
+    def test_truncation_height_independent_of_argument(self, params, arg, cold_cache):
+        heights = {fox_h(params, arg * float(z)).truncation_height for z in _DECADES}
+        assert len(heights) == 1
+
+    def test_warm_cache_raises_the_same_errors(self, cold_cache):
+        params, arg = metrics.fox_h_instances(figures.scenario("fig6", k=2))["pnz_nn"]
+        lo, _ = params.contour_interval()
+        for _ in range(2):
+            fox_h(params, arg)
+            with pytest.raises(ValueError):
+                fox_h(params, 0.0)
+            with pytest.raises(ValueError):
+                fox_h(params, -arg)
+            with pytest.raises(ConvergenceError):
+                fox_h(params, arg, abscissa=lo + 1e-6)
+        assert specfun._CACHE
+
+    def test_cache_stays_within_budget(self, cold_cache):
+        # z^b exp(-z) for many shifts b, each with its own lattice, until
+        # far more entries were made than the budget holds.
+        evaluated = 0
+        for b in np.linspace(0.5, 3.0, 60):
+            params = FoxHParams(m=1, n=0, upper_coeffs=(), lower_coeffs=((float(b), 1.0),))
+            assert fox_h(params, 2.0).value == pytest.approx(2.0**b * math.exp(-2.0), rel=1e-8)
+            evaluated += sum(key[0] == params for key in specfun._CACHE)
+            assert specfun._cache_bytes <= specfun._CACHE_BUDGET
+        assert evaluated > len(specfun._CACHE)
+        entries = specfun._CACHE.items()
+        assert specfun._cache_bytes == sum(nbytes for _, (_, _, nbytes) in entries)
+        # The charge per entry covers the objects it holds.
+        held = sum(sys.getsizeof(key) + sys.getsizeof(key[2]) + sys.getsizeof(value)
+                   + sys.getsizeof(value[0]) + sys.getsizeof(value[1]) for key, value in entries)
+        assert held <= specfun._cache_bytes
+
+    def test_node_set_larger_than_budget_is_not_kept(self, cold_cache):
+        params = _exp_reduction_params()
+        fox_h(params, 1.0)
+        kept = list(specfun._CACHE)
+        nodes = np.arange(float(specfun._CACHE_BUDGET // 8))
+        total, size = specfun._gamma_sums(params, 0.5, nodes)
+        assert total.shape == size.shape == nodes.shape
+        # Neither kept nor allowed to push out what the cache held.
+        assert list(specfun._CACHE) == kept
