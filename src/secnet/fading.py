@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.special import gamma as _gamma
 from scipy.special import gammainc, gammaln
 
 __all__ = ["AlphaMuParams", "MomentFitError", "cdf_power_gain", "fit_sum_params",
@@ -38,8 +37,8 @@ class AlphaMuParams:
     """Fading triple (alpha, mu, omega) with the derived scale constants.
 
     alpha > 0 is the medium non-linearity exponent, mu > 0 the multipath
-    cluster count, omega > 0 the gain scale.  epsilon = 1/(omega*Gamma(mu))
-    and theta = 1/omega recur in every closed form built on this family.
+    cluster count, omega > 0 the gain scale.  theta = 1/omega recurs in
+    every closed form built on this family.
     """
 
     alpha: float
@@ -60,10 +59,6 @@ class AlphaMuParams:
         if alpha <= 0 or mu <= 0:
             raise ValueError(f"alpha and mu must be positive, got ({alpha}, {mu})")
         return cls(alpha, mu, np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha)))
-
-    @property
-    def epsilon(self) -> float:
-        return 1.0 / (self.omega * _gamma(self.mu))
 
     @property
     def theta(self) -> float:

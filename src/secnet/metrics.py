@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as _gamma
 from scipy.special import gammaincc, gammaln
 
 from .fading import AlphaMuParams, fit_sum_params
@@ -49,9 +48,10 @@ ORDERINGS = ("nearest", "best")
 # Case labels: first letter is the legitimate ordering, second the
 # eavesdropper policy (N = nearest, B = best).
 CASES = ("NN", "BB", "NB", "BN")
-# Rounding allowance, relative to max(1, |value|), of a closed form's final
-# arithmetic (the 1 - H offsets) when it is clipped into its range.
+# Rounding allowance of a closed form's final arithmetic, relative to its
+# value (and to 1 for the 1 - H forms).
 _ROUNDING = 8.0 * np.finfo(float).eps
+_LOG_LN2 = math.log(math.log(2.0))
 # Relative accuracy of a probability: the quadrature oracle is held to it
 # (``validation.QUAD_TOL_PROBABILITY`` is this constant), and a 1 - H form
 # whose rounding alone passes it raises.
@@ -183,11 +183,12 @@ class ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # Fox H instances.  Each builder takes (cfg, side, k), where side and k name
-# the order statistic the instance is indexed by, and returns (prefactor,
-# params, scale) such that the quantity equals prefactor * H(scale * z) plus
-# any affine offset applied by the caller; z = 1 unless the instance is a
-# law evaluated at a gain level z.  The PNZ instances pair the k-th
-# legitimate receiver with the first eavesdropper and read only k.
+# the order statistic the instance is indexed by, and returns (log prefactor,
+# params, scale) such that the quantity is exp(log prefactor) * H(scale * z),
+# or one minus that; z = 1 unless the instance is a law evaluated at a gain
+# level z.  Prefactors are taken in logs, so that Gamma(mu) may overflow.
+# The PNZ instances pair the k-th legitimate receiver with the first
+# eavesdropper and read only k.
 # ---------------------------------------------------------------------------
 
 
@@ -199,8 +200,8 @@ def _pdf_nearest(cfg: ScenarioConfig, side: str, k: int):
         upper_coeffs=((1.0 - k - inv_delta, inv_delta),),
         lower_coeffs=((fad.mu - 2.0 / fad.alpha, 2.0 / fad.alpha),),
     )
-    pref = fad.epsilon / (rate**inv_delta * _gamma(k))
-    return pref, params, fad.theta / rate**inv_delta
+    log_pref = math.log(fad.theta) - inv_delta * math.log(rate) - gammaln(fad.mu) - gammaln(k)
+    return log_pref, params, fad.theta / rate**inv_delta
 
 
 def _cdf_nearest(cfg: ScenarioConfig, side: str, k: int):
@@ -211,8 +212,7 @@ def _cdf_nearest(cfg: ScenarioConfig, side: str, k: int):
         upper_coeffs=((1.0 - k, inv_delta), (1.0, 1.0)),
         lower_coeffs=((0.0, 1.0), (fad.mu, 2.0 / fad.alpha)),
     )
-    pref = 1.0 / (_gamma(fad.mu) * _gamma(k))
-    return pref, params, fad.theta / rate**inv_delta
+    return -gammaln(fad.mu) - gammaln(k), params, fad.theta / rate**inv_delta
 
 
 def _pnz_nn(cfg: ScenarioConfig, side: str, k: int):
@@ -227,8 +227,7 @@ def _pnz_nn(cfg: ScenarioConfig, side: str, k: int):
     arg = (fe.theta * cfg.varpi / fb.theta) * (
         geo.pathloss_rate("legitimate") / geo.pathloss_rate("eavesdropper")
     ) ** inv_delta
-    pref = 1.0 / (_gamma(fb.mu) * _gamma(fe.mu) * _gamma(k))
-    return pref, params, arg
+    return -gammaln(fb.mu) - gammaln(fe.mu) - gammaln(k), params, arg
 
 
 def _pnz_nb(cfg: ScenarioConfig, side: str, k: int):
@@ -243,8 +242,7 @@ def _pnz_nb(cfg: ScenarioConfig, side: str, k: int):
     arg = (cfg.varpi / fb.theta) * (
         geo.pathloss_rate("legitimate") / geo.composite_rate("eavesdropper")
     ) ** inv_delta
-    pref = 1.0 / (_gamma(fb.mu) * _gamma(k))
-    return pref, params, arg
+    return -gammaln(fb.mu) - gammaln(k), params, arg
 
 
 def _pnz_bn(cfg: ScenarioConfig, side: str, k: int):
@@ -259,8 +257,7 @@ def _pnz_bn(cfg: ScenarioConfig, side: str, k: int):
     arg = (1.0 / (fe.theta * cfg.varpi)) * (
         geo.pathloss_rate("eavesdropper") / geo.composite_rate("legitimate")
     ) ** inv_delta
-    pref = 1.0 / (_gamma(fe.mu) * _gamma(k))
-    return pref, params, arg
+    return -gammaln(fe.mu) - gammaln(k), params, arg
 
 
 def _capacity_nearest(cfg: ScenarioConfig, side: str, k: int):
@@ -272,8 +269,7 @@ def _capacity_nearest(cfg: ScenarioConfig, side: str, k: int):
         lower_coeffs=((1.0, 1.0), (float(k), inv_delta), (0.0, 1.0)),
     )
     arg = cfg.snr_scale(side) * geo.pathloss_rate(side)**inv_delta / fad.theta
-    pref = 1.0 / (_gamma(fad.mu) * _gamma(k) * math.log(2.0))
-    return pref, params, arg
+    return -gammaln(fad.mu) - gammaln(k) - _LOG_LN2, params, arg
 
 
 def _capacity_best(cfg: ScenarioConfig, side: str, k: int):
@@ -284,64 +280,52 @@ def _capacity_best(cfg: ScenarioConfig, side: str, k: int):
         lower_coeffs=((float(k), 1.0), (1.0, delta), (0.0, delta)),
     )
     arg = cfg.geometry.composite_rate(side) * cfg.snr_scale(side)**delta
-    pref = delta / (_gamma(k) * math.log(2.0))
-    return pref, params, arg
+    return math.log(delta) - gammaln(k) - _LOG_LN2, params, arg
 
 
 # Every Fox H instance the closed forms evaluate: name -> (builder, side,
-# whether it is a law evaluated at a gain level z).
+# whether it is a law evaluated at a gain level z, whether the closed form
+# is 1 - term, the upper end of its range).
 _FOX_H = {
-    "pdf_nearest": (_pdf_nearest, "legitimate", True),
-    "cdf_nearest": (_cdf_nearest, "legitimate", True),
-    "pnz_nn": (_pnz_nn, "legitimate", False),
-    "pnz_nb": (_pnz_nb, "legitimate", False),
-    "pnz_bn": (_pnz_bn, "legitimate", False),
-    "capacity_nearest": (_capacity_nearest, "legitimate", False),
-    "capacity_best": (_capacity_best, "legitimate", False),
-    "wiretap_nearest": (_capacity_nearest, "eavesdropper", False),
-    "wiretap_best": (_capacity_best, "eavesdropper", False),
+    "pdf_nearest": (_pdf_nearest, "legitimate", True, False, math.inf),
+    "cdf_nearest": (_cdf_nearest, "legitimate", True, True, 1.0),
+    "pnz_nn": (_pnz_nn, "legitimate", False, True, 1.0),
+    "pnz_nb": (_pnz_nb, "legitimate", False, False, 1.0),
+    "pnz_bn": (_pnz_bn, "legitimate", False, True, 1.0),
+    "capacity_nearest": (_capacity_nearest, "legitimate", False, False, math.inf),
+    "capacity_best": (_capacity_best, "legitimate", False, False, math.inf),
+    "wiretap_nearest": (_capacity_nearest, "eavesdropper", False, False, math.inf),
+    "wiretap_best": (_capacity_best, "eavesdropper", False, False, math.inf),
 }
 
 
-def _fox_h_term(cfg: ScenarioConfig, name: str, z: float = 1.0) -> tuple[float, float]:
-    """prefactor * H(scale * z) of one listed instance and its error bound,
-    at the side's order index."""
-    build, side, _ = _FOX_H[name]
-    pref, params, scale = build(cfg, side, cfg.order_index(side))
-    h = fox_h(params, scale * z)
-    return pref * h.value, abs(pref) * h.error
+def _closed_form(cfg: ScenarioConfig, name: str, z: float = 1.0) -> float:
+    """One listed instance's closed form at the side's order index:
+    exp(log prefactor) * H(scale * z), or one minus that.
 
-
-def _clip(value: float, error: float, lo: float = 0.0, hi: float = math.inf) -> float:
-    """value clipped into [lo, hi], which it may leave only by its error
-    bound plus rounding; farther out is a numerical failure."""
-    slack = error + _ROUNDING * max(1.0, abs(value))
-    if not lo - slack <= value <= hi + slack:
-        raise ConvergenceError(
-            f"closed form {value:.12g} (error bound {error:.3g}) lies outside [{lo}, {hi}]")
-    return min(max(value, lo), hi)
-
-
-def _complement(h: float, error: float) -> float:
-    """1 - h as a probability, h carrying the given error bound.
-
-    The subtraction keeps h's absolute error, so a small result loses its
-    relative accuracy.  It is a numerical failure when the bound reaches the
-    result itself, or when the subtraction's rounding alone passes the
-    probability tolerance relative to it.  The bound is not held to that
-    tolerance: it is the difference of the last two trapezoid levels, which
-    overstates the error of the finer one, 30 to 130 times on the 1 - H
-    forms checked against the quadrature oracle.  A reading below 0 is
-    clipped to 0 within its bound, as every closed form is, and claims no
-    size.
+    Every closed form is positive.  A value that the Fox H error bound plus
+    rounding reaches, whatever its sign, has lost its relative accuracy, as
+    has a 1 - H value whose rounding alone (the subtraction keeps only H's
+    absolute accuracy) passes the probability tolerance; both raise.  The
+    bound itself is not held to that tolerance: as the last level
+    difference it overstates the error 30 to 130 times on the 1 - H forms
+    checked against the quadrature oracle.  A value past its upper end by
+    less than bound plus rounding is clipped to it; farther out it raises.
     """
-    value = 1.0 - h
-    rounding = _ROUNDING * max(1.0, abs(value))
-    if value >= 0.0 and (error + rounding >= value or rounding > QUAD_TOL_PROBABILITY * value):
+    build, side, _, complement, hi = _FOX_H[name]
+    log_pref, params, scale = build(cfg, side, cfg.order_index(side))
+    h = fox_h(params, scale * z, log_prefactor=log_pref)
+    value = 1.0 - h.value if complement else h.value
+    rounding = _ROUNDING * max(abs(value), 1.0 if complement else 0.0)
+    label = "1 - H" if complement else "prefactor * H"
+    if value <= h.error + rounding or rounding > QUAD_TOL_PROBABILITY * value:
         raise ConvergenceError(
-            f"1 - H = {value:.6g} has lost its relative accuracy "
-            f"(error bound {error:.3g}, rounding {rounding:.3g})")
-    return _clip(value, error, hi=1.0)
+            f"{label} = {value:.6g} has lost its relative accuracy "
+            f"(error bound {h.error:.3g}, rounding {rounding:.3g})")
+    if value > hi + h.error + rounding:
+        raise ConvergenceError(
+            f"{label} = {value:.12g} (error bound {h.error:.3g}) lies above its upper end {hi}")
+    return min(value, hi)
 
 
 def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
@@ -354,7 +338,7 @@ def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
     """
     z_ref = max(cfg.outage_threshold, 0.25)
     out: dict[str, tuple[FoxHParams, float]] = {}
-    for name, (build, side, per_z) in _FOX_H.items():
+    for name, (build, side, per_z, _, _) in _FOX_H.items():
         _, params, scale = build(cfg, side, cfg.order_index(side))
         out[name] = (params, scale * z_ref if per_z else scale)
     return out
@@ -369,7 +353,7 @@ def pdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Density of the k-th nearest receiver's composite gain g / r^upsilon."""
     if z <= 0:
         raise ValueError(f"composite-gain density needs z > 0, got {z}")
-    return _fox_h_term(cfg, "pdf_nearest", z)[0]
+    return _closed_form(cfg, "pdf_nearest", z)
 
 
 def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
@@ -378,7 +362,7 @@ def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
         raise ValueError(f"composite-gain distribution needs z >= 0, got {z}")
     if z == 0:
         return 0.0
-    return _complement(*_fox_h_term(cfg, "cdf_nearest", z))
+    return _closed_form(cfg, "cdf_nearest", z)
 
 
 def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
@@ -437,7 +421,7 @@ def cop(cfg: ScenarioConfig) -> float:
 
 def pnz_nn(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first nearest eavesdropper."""
-    return _complement(*_fox_h_term(cfg, "pnz_nn"))
+    return _closed_form(cfg, "pnz_nn")
 
 
 def _best_pnz_base(cfg: ScenarioConfig) -> float:
@@ -456,12 +440,12 @@ def pnz_bb(cfg: ScenarioConfig) -> float:
 
 def pnz_nb(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first best eavesdropper."""
-    return _clip(*_fox_h_term(cfg, "pnz_nb"), hi=1.0)
+    return _closed_form(cfg, "pnz_nb")
 
 
 def pnz_bn(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first nearest eavesdropper."""
-    return _complement(*_fox_h_term(cfg, "pnz_bn"))
+    return _closed_form(cfg, "pnz_bn")
 
 
 _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}
@@ -497,12 +481,12 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
 
 def ergodic_capacity_nearest(cfg: ScenarioConfig) -> float:
     """Mean link capacity (bits/s/Hz) of the k-th nearest receiver."""
-    return _clip(*_fox_h_term(cfg, "capacity_nearest"))
+    return _closed_form(cfg, "capacity_nearest")
 
 
 def ergodic_capacity_best(cfg: ScenarioConfig) -> float:
     """Mean link capacity (bits/s/Hz) of the k-th best receiver."""
-    return _clip(*_fox_h_term(cfg, "capacity_best"))
+    return _closed_form(cfg, "capacity_best")
 
 
 def wiretap_capacity(cfg: ScenarioConfig, policy: str) -> float:
@@ -510,7 +494,7 @@ def wiretap_capacity(cfg: ScenarioConfig, policy: str) -> float:
     best policy."""
     if policy not in ORDERINGS:
         raise ValueError(f"policy must be one of {ORDERINGS}, got {policy!r}")
-    return _clip(*_fox_h_term(cfg, f"wiretap_{policy}"))
+    return _closed_form(cfg, f"wiretap_{policy}")
 
 
 def ergodic_secrecy_capacity(cfg: ScenarioConfig, case: str | None = None) -> float:

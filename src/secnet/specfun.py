@@ -30,12 +30,12 @@ bound, depend only on the parameters and the contour node.  On the contour
 the node lattice do not depend on z either, and one parameter set evaluated
 at many arguments visits the same node sets.  Those two sums are therefore
 kept across calls, keyed on (parameters, abscissa, node bytes), and -s ln z
-is added to them last, in the order the full sum would take: a value read
-through the cache is bit-identical to one computed afresh.  The cache is a
-least-recently-used map held to a fixed byte budget (``_CACHE_BUDGET``,
-256 KiB) under a lock; a node set larger than the whole budget is never
-kept, so the largest lattice an evaluation may reach (``_MAX_NODES``) lives
-only as long as that call.
+is added to them last, together with the log of any prefactor the caller
+passes: a value read through the cache is bit-identical to one computed
+afresh.  The cache is a least-recently-used map held to a fixed byte budget
+(``_CACHE_BUDGET``, 256 KiB) under a lock; a node set larger than the whole
+budget is never kept, so the largest lattice an evaluation may reach
+(``_MAX_NODES``) lives only as long as that call.
 """
 
 from __future__ import annotations
@@ -195,33 +195,37 @@ def _gamma_sums(params: FoxHParams, c: float, t: np.ndarray) -> tuple[np.ndarray
     return total, size
 
 
-def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the Mellin-Barnes integrand at the contour points c + i t, and
-    the summed magnitude of its terms, which scales its rounding error.
+def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
+                   log_prefactor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log of the Mellin-Barnes integrand at the contour points c + i t,
+    times the prefactor, and the summed magnitude of its terms, which scales
+    its rounding error.
 
-    The argument enters only through the last term, -s ln z, so the sums of
-    the other terms are shared by every argument; adding it last keeps the
-    left-to-right order of the full sums.
+    The argument and the prefactor enter only through the last term,
+    log_prefactor - s ln z, so the sums of the other terms are shared by
+    every argument and prefactor.
     """
     gamma_sum, gamma_size = _gamma_sums(params, c, t)
-    z_term = -(c + 1j * t) * ln_z
-    return gamma_sum + z_term, gamma_size + np.abs(z_term)
+    last = log_prefactor - (c + 1j * t) * ln_z
+    return gamma_sum + last, gamma_size + np.abs(last)
 
 
-def _trapezoid_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float, step: float) -> tuple[complex, float]:
+def _trapezoid_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float, log_prefactor: float,
+                    step: float) -> tuple[complex, float]:
     """step * sum of the integrand over the nodes c + i t, and its rounding bound.
 
     A term of the log that is computed to a few ulps of its own size puts
     that much relative error, in modulus and phase, on the node's value.
     """
-    log_f, size = _log_integrand(params, c, t, ln_z)
+    log_f, size = _log_integrand(params, c, t, ln_z, log_prefactor)
     f = np.exp(log_f)
     rounding = _ROUNDING * step * float(np.sum(np.abs(f) * (1.0 + size)))
     return step * complex(f.sum()), rounding
 
 
-def fox_h(params: FoxHParams, z: float, abscissa: float | None = None) -> FoxHValue:
-    """Evaluate a Fox H-function at positive real z, with its error.
+def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
+          log_prefactor: float = 0.0) -> FoxHValue:
+    """Evaluate exp(log_prefactor) * H(z) at positive real z, with its error.
 
     The integrand is analytic in the strip of half-width w about the
     contour, w being the distance from the abscissa to the nearest pole, so
@@ -239,6 +243,11 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None) -> FoxHVa
     abscissa : float, optional
         Contour abscissa override.  Must lie strictly inside the admissible
         pole-separation interval; the default is the interval midpoint.
+    log_prefactor : float, optional
+        Log of a constant factor, added to the log-integrand before it is
+        exponentiated, so that a prefactor of gamma functions may overflow
+        or underflow where the product does not.  Value and error bound
+        both carry the factor.
 
     Raises
     ------
@@ -264,7 +273,7 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None) -> FoxHVa
     ln_z = math.log(z)
 
     def modulus(t: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(_log_integrand(params, c, t, ln_z)[0]))
+        return np.abs(np.exp(_log_integrand(params, c, t, ln_z, log_prefactor)[0]))
 
     # Far-tail nodes underflow to 0, and a log that overflows means a peak
     # or level that is not finite, which the checks below reject.
@@ -296,7 +305,7 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None) -> FoxHVa
             # only the odd multiples of its halved step.
             stride = 2 if level else 1
             nodes = step * np.arange(stride - 1 - half, half + 1, stride)
-            level_sum, level_rounding = _trapezoid_sums(params, c, nodes, ln_z, step)
+            level_sum, level_rounding = _trapezoid_sums(params, c, nodes, ln_z, log_prefactor, step)
             previous, total, rounding = total, 0.5 * total + level_sum, 0.5 * rounding + level_rounding
             change = abs(total - previous)
             if level and change <= max(_REL_TOL * abs(total), _ABS_TOL * peak):

@@ -64,7 +64,6 @@ class TestParams:
 
     def test_derived_constants_consistent(self):
         p = AlphaMuParams(2.5, 1.7, 0.4)
-        assert p.epsilon * p.omega * math.gamma(p.mu) == pytest.approx(1.0, rel=1e-14)
         assert p.theta * p.omega == pytest.approx(1.0, rel=1e-15)
 
 

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from secnet import figures, metrics, montecarlo, specfun
 from secnet.fading import AlphaMuParams, moment_power_gain
 from secnet.metrics import ScenarioConfig
+from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
 
 
 def _unit_rate_scenario(**over):
@@ -256,69 +257,79 @@ class TestPnz:
                 assert 0.0 <= value <= 1.0
 
 
-# (closed form, Fox H instance, whether the form is 1 - term, readings 1e-9
-# outside its range paired with the range end they clip to)
-_PROBABILITY_MISS = ((-1e-9, 0.0), (1.0 + 1e-9, 1.0))
-_CAPACITY_MISS = ((-1e-9, 0.0),)
-_CLIPPED_FORMS = (
-    (lambda cfg: metrics.cdf_composite_nearest(cfg, 0.5), "cdf_nearest", True, _PROBABILITY_MISS),
-    (metrics.pnz_nn, "pnz_nn", True, _PROBABILITY_MISS),
-    (metrics.pnz_nb, "pnz_nb", False, _PROBABILITY_MISS),
-    (metrics.pnz_bn, "pnz_bn", True, _PROBABILITY_MISS),
-    (metrics.ergodic_capacity_nearest, "capacity_nearest", False, _CAPACITY_MISS),
-    (metrics.ergodic_capacity_best, "capacity_best", False, _CAPACITY_MISS),
-    (lambda cfg: metrics.wiretap_capacity(cfg, "nearest"), "wiretap_nearest", False, _CAPACITY_MISS),
-    (lambda cfg: metrics.wiretap_capacity(cfg, "best"), "wiretap_best", False, _CAPACITY_MISS),
-)
+# Every Fox H instance by its ``metrics._FOX_H`` name, as the closed form a
+# caller reads (a law of a gain level at z = 0.5).
+_CLOSED_FORMS = {
+    "pdf_nearest": lambda cfg: metrics.pdf_composite_nearest(cfg, 0.5),
+    "cdf_nearest": lambda cfg: metrics.cdf_composite_nearest(cfg, 0.5),
+    "pnz_nn": metrics.pnz_nn,
+    "pnz_nb": metrics.pnz_nb,
+    "pnz_bn": metrics.pnz_bn,
+    "capacity_nearest": metrics.ergodic_capacity_nearest,
+    "capacity_best": metrics.ergodic_capacity_best,
+    "wiretap_nearest": lambda cfg: metrics.wiretap_capacity(cfg, "nearest"),
+    "wiretap_best": lambda cfg: metrics.wiretap_capacity(cfg, "best"),
+}
 
 
 class TestClipsWithinError:
-    """A closed form is clipped into its range only by as much as its Fox H
-    error bound allows; farther out it raises."""
+    """Every closed form keeps one accuracy rule: a reading that its Fox H
+    error bound plus rounding reaches raises, whatever its sign; a reading
+    past the upper end of its range by more than that raises, and by less
+    is clipped to it."""
 
     @staticmethod
-    def _evaluate_at(monkeypatch, form, name, complement, reading, error):
-        """The closed form with its Fox H term forced so that it reads
+    def _evaluate_at(monkeypatch, name, reading, error):
+        """The closed form with its Fox H evaluation forced so that it reads
         `reading` before clipping, with error bound `error`."""
         cfg = figures.scenario("fig6", k=2)
-        build, side, _ = metrics._FOX_H[name]
-        pref, _, _ = build(cfg, side, cfg.order_index(side))
-        term = 1.0 - reading if complement else reading
-        monkeypatch.setattr(metrics, "fox_h", lambda params, z: specfun.FoxHValue(
-            value=term / pref, error=error / abs(pref), imag_ratio=0.0,
-            abscissa=0.0, truncation_height=1.0))
-        return form(cfg)
+        build, side, _, complement, _ = metrics._FOX_H[name]
+        log_pref = build(cfg, side, cfg.order_index(side))[0]
 
-    @pytest.mark.parametrize("form, name, complement, misses", _CLIPPED_FORMS,
-                             ids=[row[1] for row in _CLIPPED_FORMS])
-    def test_clip_within_error_bound(self, monkeypatch, form, name, complement, misses):
-        for reading, clipped in misses:
-            assert self._evaluate_at(monkeypatch, form, name, complement, reading, 2e-9) == clipped
+        def forced(params, z, log_prefactor):
+            assert log_prefactor == log_pref
+            return specfun.FoxHValue(value=1.0 - reading if complement else reading, error=error,
+                                     imag_ratio=0.0, abscissa=0.0, truncation_height=1.0)
 
-    @pytest.mark.parametrize("form, name, complement, misses", _CLIPPED_FORMS,
-                             ids=[row[1] for row in _CLIPPED_FORMS])
-    def test_beyond_error_bound_raises(self, monkeypatch, form, name, complement, misses):
-        for reading, _ in misses:
+        monkeypatch.setattr(metrics, "fox_h", forced)
+        return _CLOSED_FORMS[name](cfg)
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_clip_within_error_bound(self, monkeypatch, name):
+        *_, hi = metrics._FOX_H[name]
+        if hi == 1.0:
+            assert self._evaluate_at(monkeypatch, name, 1.0 + 1e-9, 2e-9) == 1.0
+        else:
+            assert self._evaluate_at(monkeypatch, name, 1e9, 2e-9) == 1e9
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_beyond_error_bound_raises(self, monkeypatch, name):
+        *_, hi = metrics._FOX_H[name]
+        readings = (-1e-9, 1.0 + 1e-9) if hi == 1.0 else (-1e-9,)
+        for reading in readings:
             with pytest.raises(specfun.ConvergenceError):
-                self._evaluate_at(monkeypatch, form, name, complement, reading, 1e-12)
+                self._evaluate_at(monkeypatch, name, reading, 1e-12)
 
-
-_COMPLEMENT_FORMS = [row[:3] for row in _CLIPPED_FORMS if row[2]]
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_small_value_without_relative_accuracy_raises(self, monkeypatch, name):
+        *_, complement, _ = metrics._FOX_H[name]
+        assert self._evaluate_at(monkeypatch, name, 1e-3, 1e-12) == pytest.approx(1e-3, rel=1e-9)
+        # The bound reaches the value, above or below 0 (a reading of -1e-9
+        # within a 2e-9 bound has no size to clip to 0).
+        for reading, error in ((1e-3, 2e-3), (-1e-9, 2e-9)):
+            with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
+                self._evaluate_at(monkeypatch, name, reading, error)
+        # The rounding of 1 - H alone passes 1e-5 of the value; a form
+        # without the subtraction keeps it.
+        if complement:
+            with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
+                self._evaluate_at(monkeypatch, name, 1e-12, 1e-20)
+        else:
+            assert self._evaluate_at(monkeypatch, name, 1e-12, 1e-20) == 1e-12
 
 
 class TestComplementRelativeAccuracy:
-    """A 1 - H form whose error bound and rounding pass the probability
-    tolerance relative to its value raises instead of returning it."""
-
-    @pytest.mark.parametrize("form, name, complement", _COMPLEMENT_FORMS,
-                             ids=[row[1] for row in _COMPLEMENT_FORMS])
-    def test_small_value_without_relative_accuracy_raises(self, monkeypatch, form, name, complement):
-        evaluate = TestClipsWithinError._evaluate_at
-        assert evaluate(monkeypatch, form, name, complement, 1e-3, 1e-12) == pytest.approx(1e-3, rel=1e-9)
-        # The bound reaches the value; the rounding of 1 - H alone passes 1e-5 of it.
-        for reading, error in ((1e-3, 2e-3), (1e-12, 1e-20)):
-            with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
-                evaluate(monkeypatch, form, name, complement, reading, error)
+    """1 - H forms whose small side the subtraction cannot resolve raise."""
 
     def test_eight_by_eight_nearest_cop_raises(self):
         # The true outage is 3.17e-40 (quadrature oracle); 1 - H read 5.54e-14.
@@ -331,6 +342,73 @@ class TestComplementRelativeAccuracy:
         closed = metrics.pnz_bn(cfg)
         assert closed == pytest.approx(1.0e-6, rel=0.05)
         assert closed == pytest.approx(montecarlo.integrate_defining("pnz-BN", cfg).value, rel=1e-5)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_nearest_cdf_below_its_bound_raises_whatever_its_sign(self, n):
+        # 1 - H reads 1.3e-10 on 4 x 4 and -1.5e-13 on 10 x 10, where the
+        # truth is 1.92e-62; both lie within their bounds of 0.
+        cfg = ScenarioConfig.build(n_a=n, n_b=n)
+        with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
+            metrics.cdf_composite_nearest(cfg, 1.0)
+
+
+# The closed forms with a defining-integral oracle, by oracle key.
+_ORACLE_ROUTES = {
+    "cop": metrics.cop,
+    "pnz-NN": lambda cfg: metrics.pnz(cfg, "NN"),
+    "pnz-NB": lambda cfg: metrics.pnz(cfg, "NB"),
+    "pnz-BN": lambda cfg: metrics.pnz(cfg, "BN"),
+    "pnz-BB": lambda cfg: metrics.pnz(cfg, "BB"),
+    "capacity-nearest": metrics.ergodic_capacity_nearest,
+    "capacity-best": metrics.ergodic_capacity_best,
+    "esc-NN": lambda cfg: metrics.ergodic_secrecy_capacity(cfg, "NN"),
+}
+
+
+def _quad_tol(key: str) -> float:
+    return QUAD_TOL_PROBABILITY if key.startswith(("cop", "pnz")) else QUAD_TOL_CAPACITY
+
+
+class TestManyBranches:
+    """Composite fading of many branches: the log-space prefactors keep
+    Gamma(mu) from overflowing, and every route either matches its oracle or
+    raises."""
+
+    @pytest.mark.parametrize("key", [key for key in _ORACLE_ROUTES if key != "cop"])
+    def test_mu_200_matches_the_oracle(self, key):
+        cfg = ScenarioConfig.build(n_a=10, n_b=20)
+        assert cfg.fading_b.mu > 171.0
+        closed = _ORACLE_ROUTES[key](cfg)
+        oracle = montecarlo.integrate_defining(key, cfg).value
+        assert closed == pytest.approx(oracle, rel=_quad_tol(key), abs=0.0)
+
+    def test_mu_200_nearest_cop_raises(self):
+        with pytest.raises(specfun.ConvergenceError):
+            metrics.cop(ScenarioConfig.build(n_a=10, n_b=20))
+
+    def test_nearest_pdf_is_checked(self):
+        # 64 branches: at z = 64 the density reads -1.2e7 against a bound of
+        # 1.1e9; at z = 16 it is 6.8283254e-6 (40-digit quadrature of the
+        # conditioning integral).
+        cfg = ScenarioConfig.build(n_a=8, n_b=8)
+        with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
+            metrics.pdf_composite_nearest(cfg, 64.0)
+        assert metrics.pdf_composite_nearest(cfg, 16.0) == pytest.approx(6.8283254e-6, rel=QUAD_TOL_PROBABILITY)
+
+    @pytest.mark.parametrize("eta_k", [1.0, 100.0])
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (2, 2), (4, 4), (8, 8), (10, 20)],
+                             ids=["1x1", "2x2", "4x4", "8x8", "10x20"])
+    def test_branch_count_sweep_never_contradicts_the_oracle(self, n_a, n_b, eta_k):
+        # A route may raise (nearest cop does where the outage is 1.4e-10
+        # or less), but a value it returns must be the oracle's.
+        cfg = ScenarioConfig.build(n_a=n_a, n_b=n_b, eta_k=eta_k)
+        for key, route in _ORACLE_ROUTES.items():
+            try:
+                closed = route(cfg)
+            except specfun.ConvergenceError:
+                continue
+            oracle = montecarlo.integrate_defining(key, cfg).value
+            assert closed == pytest.approx(oracle, rel=_quad_tol(key), abs=0.0), key
 
 
 class TestMaxSecureBestUsers:

@@ -207,9 +207,9 @@ class TestFoxHErrorEstimate:
         assert actual <= got.error
 
         closed_form, complement = _UNIT_SLOPE_FORMS[name]
-        build, side, _ = metrics._FOX_H[name]
-        pref, _, scale = build(cfg, side, cfg.order_index(side))
-        term = pref * want
+        build, side, *_ = metrics._FOX_H[name]
+        log_pref, _, scale = build(cfg, side, cfg.order_index(side))
+        term = mpmath.exp(log_pref) * want
         expected = 1 - term if complement else term
         assert abs(closed_form(cfg, arg / scale) - expected) <= 1e-10 * abs(expected)
 
