@@ -23,6 +23,19 @@ earlier node, until two levels agree.  The returned error bound is their
 difference plus the truncated tails and a rounding floor; levels that never
 agree raise :class:`ConvergenceError`.
 
+For real parameters and real z > 0 the integrand is conjugate-symmetric,
+f(c - it) = conj f(c + it) (Mathai, Saxena & Haubold, *The H-Function*,
+Springer 2010), so the evaluator works on the half contour t >= 0: a level
+sums f(0) + 2 Re f(t) over t > 0, and its rounding bound takes the same
+weights.  The first level (level 0) also gives the integrand peak and the
+edge: while the integrand at its last node is not negligible next to the
+peak, the truncation height doubles and level 0 takes the new nodes only.
+Every lattice is checked against the node budget (``_MAX_NODES`` nodes
+t >= 0) before it is built, so an abscissa next to a pole raises without
+evaluating a node.  One mirrored node, -t* at the level-0 node t* > 0 of
+largest modulus, measures the residue of the symmetry the half contour
+rests on, reported as ``FoxHValue.imag_ratio``.
+
 The argument z enters the integrand only through the factor z^(-s); the
 log-gamma sum, and the sum of its terms' magnitudes that scales the rounding
 bound, depend only on the parameters and the contour node.  On the contour
@@ -61,14 +74,14 @@ __all__ = [
 _TAIL_FRACTION = 1e-12
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-14
-_MAX_TRUNCATION_GROWTH = 40
 # First trapezoid step as a fraction of the strip half-width (capped where
 # no pole is near), and the budgets past which a level pair that still
-# disagrees is a failure.
+# disagrees, or a lattice that has not reached the tail, is a failure.
 _STEP_PER_HALF_WIDTH = 0.25
 _MAX_HALF_WIDTH = 1.0
 _MAX_HALVINGS = 8
-_MAX_NODES = 2**18
+# Nodes t >= 0 of one lattice, which stand for 2**18 - 1 on the whole contour.
+_MAX_NODES = 2**17
 # A log-gamma value is good to a few ulps of its own size.
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 # Byte budget of the log-gamma sums kept across calls, least recently used
@@ -155,8 +168,10 @@ class FoxHValue:
 
     ``error`` bounds |value - H(z)|: the difference of the last two
     trapezoid levels plus the truncated tails and a rounding floor.
-    ``imag_ratio`` is |Im| / |Re| of the contour sum, which vanishes for a
-    real instance at real argument.
+    ``imag_ratio`` is |f(c - it*) - conj f(c + it*)| / |f(c + it*)| at the
+    level-0 node t* > 0 of largest integrand modulus: the residue of the
+    conjugate symmetry that lets the evaluator sum the half contour t >= 0
+    only.  It vanishes for a real instance at real argument.
     """
 
     value: float
@@ -210,17 +225,21 @@ def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
     return gamma_sum + last, gamma_size + np.abs(last)
 
 
-def _trapezoid_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float, log_prefactor: float,
-                    step: float) -> tuple[complex, float]:
-    """step * sum of the integrand over the nodes c + i t, and its rounding bound.
+def _half_contour_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
+                       log_prefactor: float) -> tuple[np.ndarray, float, float]:
+    """The integrand f at the contour points c + i t, t >= 0, with the sum of
+    its real part over them and that sum's rounding bound.
 
-    A term of the log that is computed to a few ulps of its own size puts
-    that much relative error, in modulus and phase, on the node's value.
+    Each node stands also for its mirror c - i t, where f takes the conjugate
+    value, so it carries weight 2; the node t = 0 is its own mirror and
+    carries weight 1.  A term of the log that is computed to a few ulps of
+    its own size puts that much relative error, in modulus and phase, on the
+    node's value.
     """
     log_f, size = _log_integrand(params, c, t, ln_z, log_prefactor)
     f = np.exp(log_f)
-    rounding = _ROUNDING * step * float(np.sum(np.abs(f) * (1.0 + size)))
-    return step * complex(f.sum()), rounding
+    weight = np.where(t > 0.0, 2.0, 1.0)
+    return f, float(weight @ f.real), _ROUNDING * float(weight @ (np.abs(f) * (1.0 + size)))
 
 
 def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
@@ -232,7 +251,9 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     the trapezoid sum on the truncated contour converges exponentially in
     w / step.  The first step is a fixed fraction of w; the step is then
     halved, reusing every earlier node, until two successive levels agree
-    to 1e-9 relative or 1e-14 of the integrand peak.
+    to 1e-9 relative or 1e-14 of the integrand peak.  For real parameters
+    and real z the integrand at c - i t is the conjugate of that at c + i t,
+    so only the nodes t >= 0 are evaluated.
 
     Parameters
     ----------
@@ -252,9 +273,11 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     Raises
     ------
     ConvergenceError
-        If the instance fails the existence screen, the truncation height
-        cannot be grown far enough, or two levels do not agree within the
-        halving and node budgets (an abscissa next to a pole exhausts them).
+        If the instance fails the existence screen, the integrand peak is
+        zero or not finite, a lattice would pass the node budget before the
+        contour tail is negligible (an abscissa next to a pole does so at
+        once), or two levels do not agree within the halving and node
+        budgets.
     ValueError
         If z <= 0 or the abscissa lies outside the admissible interval.
     """
@@ -271,52 +294,66 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     if not lo < c < hi:
         raise ValueError(f"contour abscissa {c} outside admissible interval ({lo}, {hi})")
     ln_z = math.log(z)
-
-    def modulus(t: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(_log_integrand(params, c, t, ln_z, log_prefactor)[0]))
+    half_width = min(c - lo, hi - c)
+    step = _STEP_PER_HALF_WIDTH * min(half_width, _MAX_HALF_WIDTH)
+    # Initial truncation from the asymptotic decay exp(-pi/2 * exponent * |t|).
+    height = max(4.0 / exponent * math.log(1.0 / _TAIL_FRACTION) / math.pi, 8.0)
 
     # Far-tail nodes underflow to 0, and a log that overflows means a peak
     # or level that is not finite, which the checks below reject.
     with np.errstate(over="ignore", under="ignore"):
-        # Initial truncation from the asymptotic decay exp(-pi/2 * exponent * |t|),
-        # then grow until the actual tails are negligible next to the peak.
-        height = max(4.0 / exponent * math.log(1.0 / _TAIL_FRACTION) / math.pi, 8.0)
-        peak = float(np.max(modulus(np.linspace(0.0, height, 65))))
-        if peak == 0.0 or not math.isfinite(peak):
-            raise ConvergenceError(f"integrand peak not finite (peak={peak}) at abscissa {c}")
-        for _ in range(_MAX_TRUNCATION_GROWTH):
-            edge = modulus(np.array([height, -height]))
-            if edge.max() <= _TAIL_FRACTION * peak:
+        # Level 0 takes every multiple of its step from 0 to the truncation
+        # height, and gives the peak; while the integrand at its last node is
+        # not negligible next to that peak, the height doubles and level 0
+        # takes the new nodes only.  Every lattice is checked against the
+        # node budget before it is built.
+        half, total, rounding, peak, t_star, f_star = -1, 0.0, 0.0, 0.0, 0.0, 0.0j
+        while True:
+            top = math.ceil(height / step)
+            if top + 1 > _MAX_NODES:
+                raise ConvergenceError(
+                    f"contour lattice of {top + 1} nodes (step {step:.3g}, height {height:.3g}) "
+                    f"passes the node budget of {_MAX_NODES} (abscissa {c}, "
+                    f"strip half-width {half_width:.3g})")
+            nodes = step * np.arange(half + 1, top + 1)
+            f, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor)
+            half, total, rounding = top, total + step * level_sum, rounding + step * level_rounding
+            modulus = np.abs(f)
+            peak = float(modulus.max(initial=peak))
+            if not 0.0 < peak < math.inf:
+                raise ConvergenceError(f"integrand peak not finite (peak={peak}) at abscissa {c}")
+            # The node t > 0 of largest modulus, whose mirror checks the
+            # conjugate symmetry the half contour rests on.
+            j = int(np.argmax(np.where(nodes > 0.0, modulus, -1.0)))
+            if modulus[j] > abs(f_star):
+                t_star, f_star = float(nodes[j]), complex(f[j])
+            if modulus[-1] <= _TAIL_FRACTION * peak:
                 break
             height *= 2.0
-        else:
-            raise ConvergenceError(f"contour tail still above {_TAIL_FRACTION} of peak at height {height}")
-        # Past the cut the integrand decays at least like exp(-pi/2 * exponent * |t|).
-        tail = float(edge.sum()) / (0.5 * math.pi * exponent)
+        # Past the cut the integrand decays at least like exp(-pi/2 * exponent * |t|),
+        # on both halves of the contour.
+        tail = 2.0 * float(modulus[-1]) / (0.5 * math.pi * exponent)
 
-        half_width = min(c - lo, hi - c)
-        step = _STEP_PER_HALF_WIDTH * min(half_width, _MAX_HALF_WIDTH)
-        half = math.ceil(height / step)
-        total, rounding = 0.0j, 0.0
-        for level in range(_MAX_HALVINGS + 1):
-            if 2 * half + 1 > _MAX_NODES:
+        for _ in range(_MAX_HALVINGS):
+            # Each later level adds only the odd multiples of its halved step.
+            step, half = 0.5 * step, 2 * half
+            if half + 1 > _MAX_NODES:
                 break
-            # Level 0 takes every multiple of its step; each later level adds
-            # only the odd multiples of its halved step.
-            stride = 2 if level else 1
-            nodes = step * np.arange(stride - 1 - half, half + 1, stride)
-            level_sum, level_rounding = _trapezoid_sums(params, c, nodes, ln_z, log_prefactor, step)
-            previous, total, rounding = total, 0.5 * total + level_sum, 0.5 * rounding + level_rounding
+            nodes = step * np.arange(1, half + 1, 2)
+            _, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor)
+            previous = total
+            total, rounding = 0.5 * total + step * level_sum, 0.5 * rounding + step * level_rounding
             change = abs(total - previous)
-            if level and change <= max(_REL_TOL * abs(total), _ABS_TOL * peak):
+            if change <= max(_REL_TOL * abs(total), _ABS_TOL * peak):
+                f_mirror = complex(np.exp(_log_integrand(params, c, np.array([-t_star]), ln_z,
+                                                         log_prefactor)[0][0]))
                 return FoxHValue(
-                    value=total.real / (2.0 * math.pi),
+                    value=total / (2.0 * math.pi),
                     error=(change + tail + rounding) / (2.0 * math.pi),
-                    imag_ratio=abs(total.imag) / max(abs(total.real), 1e-300),
+                    imag_ratio=abs(f_mirror - f_star.conjugate()) / abs(f_star),
                     abscissa=c,
                     truncation_height=half * step,
                 )
-            step, half = 0.5 * step, 2 * half
     raise ConvergenceError(
-        f"no two contour trapezoid levels agreed within {_MAX_HALVINGS} halvings and "
-        f"{_MAX_NODES} nodes (abscissa {c}, strip half-width {half_width:.3g})")
+        f"no two contour trapezoid levels agreed within {_MAX_HALVINGS} halvings and the "
+        f"node budget of {_MAX_NODES} (abscissa {c}, strip half-width {half_width:.3g})")

@@ -311,3 +311,79 @@ class TestContourCache:
         assert total.shape == size.shape == nodes.shape
         # Neither kept nor allowed to push out what the cache held.
         assert list(specfun._CACHE) == kept
+
+
+@pytest.fixture
+def node_sets(monkeypatch):
+    """Every node array `fox_h` hands to the log-gamma sums, in call order.
+
+    An array past the node budget fails the test before it is evaluated, so
+    an oversized lattice shows as an assertion and not as the process
+    running out of memory.
+    """
+    seen = []
+    original = specfun._gamma_sums
+
+    def recording(params, c, t):
+        assert t.size <= specfun._MAX_NODES, f"node array of {t.size} past the budget"
+        seen.append(t.copy())
+        return original(params, c, t)
+
+    monkeypatch.setattr(specfun, "_gamma_sums", recording)
+    return seen
+
+
+class TestHalfContour:
+    """The integrand is evaluated on the half contour t >= 0, plus one
+    mirrored node that checks the conjugate symmetry it rests on."""
+
+    @pytest.mark.parametrize("fig", list(figures._FIGURES))
+    def test_cold_call_evaluates_each_lattice_node_once(self, fig, node_sets, cold_cache):
+        for name, (params, arg) in metrics.fox_h_instances(figures.scenario(fig)).items():
+            cold_cache()
+            node_sets.clear()
+            got = fox_h(params, arg)
+            mirrored = [t for t in node_sets if (t < 0.0).any()]
+            assert len(mirrored) == 1 and mirrored[0].size == 1, name
+            # The level lattices, and nothing else, make up the finest
+            # lattice from 0 to the truncation height, each node evaluated once.
+            lattice = np.sort(np.concatenate([t for t in node_sets if (t >= 0.0).all()]))
+            step = lattice[1]
+            np.testing.assert_array_equal(lattice, step * np.arange(lattice.size), err_msg=name)
+            assert lattice[-1] == got.truncation_height
+            assert -mirrored[0][0] in lattice
+            # Reference: the trapezoid sum over the whole symmetric lattice.
+            both = step * np.arange(1 - lattice.size, lattice.size)
+            log_f, _ = specfun._log_integrand(params, got.abscissa, both, math.log(arg), 0.0)
+            full = step * complex(np.exp(log_f).sum()) / (2.0 * math.pi)
+            assert full.real == pytest.approx(got.value, rel=1e-12), name
+
+    @pytest.mark.parametrize("gap", [2e-3, 1e-6, 1e-7])
+    def test_abscissa_next_to_a_pole_stays_within_the_node_budget(self, gap, node_sets, cold_cache):
+        # At 2e-3 level 0 fits and the halvings reach the budget; nearer the
+        # pole level 0 alone would pass it and no node is evaluated.
+        with pytest.raises(ConvergenceError, match="node budget"):
+            fox_h(_exp_reduction_params(), 1.0, abscissa=gap)
+        assert bool(node_sets) == (gap > 1e-3)
+        assert sum(t.size for t in node_sets) <= specfun._MAX_NODES
+
+    def test_instance_abscissa_next_to_a_pole_evaluates_no_node(self, node_sets, cold_cache):
+        params, arg = metrics.fox_h_instances(figures.scenario("fig6", k=2))["pnz_nn"]
+        lo, _ = params.contour_interval()
+        with pytest.raises(ConvergenceError, match="node budget"):
+            fox_h(params, arg, abscissa=lo + 1e-6)
+        assert not node_sets
+
+    @pytest.mark.parametrize("params,arg", _inscope_instances())
+    def test_imaginary_residue_flags_an_asymmetric_integrand(self, params, arg, monkeypatch):
+        # A real term odd in t breaks f(c - it) = conj f(c + it), which the
+        # half contour takes for granted.
+        original = specfun._log_integrand
+
+        def skewed(params, c, t, ln_z, log_prefactor):
+            log_f, size = original(params, c, t, ln_z, log_prefactor)
+            return log_f + 1e-5 * t, size
+
+        assert fox_h(params, arg).imag_ratio <= 1e-8
+        monkeypatch.setattr(specfun, "_log_integrand", skewed)
+        assert fox_h(params, arg).imag_ratio > 1e-8
