@@ -1,11 +1,16 @@
-"""Alpha-mu power-gain family: analytic values, reductions, sampling, and
-the branch-sum moment fit.
+"""Alpha-mu power-gain family: analytic values, reductions, sampling, the
+exact alpha = 2 branch sum, the moment fit for alpha != 2, and the deferred
+import of its solver.
 
 Frozen reference values come from 40-digit mpmath evaluation of the defining
 formulas and integrals.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -14,6 +19,7 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
+import secnet
 from secnet.fading import (
     AlphaMuParams,
     MomentFitError,
@@ -26,6 +32,7 @@ from secnet.fading import (
 )
 from secnet.metrics import ScenarioConfig
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(secnet.__file__)))
 RAYLEIGH = AlphaMuParams(2.0, 1.0, 1.0)
 
 
@@ -180,23 +187,32 @@ class TestSumFit:
     def test_many_exponential_branches_recover_gamma(self, count):
         # from 200 branches on, mu = count lies past 171, where Gamma(mu) overflows
         fitted = fit_sum_params(RAYLEIGH, count)
-        assert abs(fitted.alpha - 2.0) <= 1e-6
-        assert fitted.mu == pytest.approx(count, rel=1e-6)
+        assert fitted == AlphaMuParams(2.0, float(count), 1.0)
         assert fitted.mean_power() == pytest.approx(count, rel=1e-12)
+
+    @pytest.mark.parametrize("link", [AlphaMuParams.canonical(2.0, 1.5), AlphaMuParams(2.0, 0.7, 3.25)],
+                             ids=["canonical", "omega-3.25"])
+    def test_alpha_two_sum_is_exact_for_every_count(self, link):
+        # n gains omega * Gamma(mu) sum to omega * Gamma(n * mu): no solve, no rounding
+        for count in range(2, 1001):
+            assert fit_sum_params(link, count) == AlphaMuParams(2.0, count * link.mu, link.omega)
 
     def test_eight_by_eight_antennas_build(self):
         cfg = ScenarioConfig.build(n_a=8, n_b=8)
-        assert cfg.geometry.fading_b.mu == pytest.approx(64.0, rel=1e-6)
+        assert cfg.geometry.fading_b.mu == 64.0
 
     def test_exponential_sum_recovers_gamma(self):
         # four unit exponentials sum to a shape-4 gamma, which the family
         # contains exactly at alpha=2
         fitted = fit_sum_params(RAYLEIGH, 4)
+        assert fitted == AlphaMuParams(2.0, 4.0, 1.0)
         assert fitted.mean_power() == pytest.approx(4.0, rel=1e-12)
-        assert fitted.alpha == pytest.approx(2.0, rel=1e-6)
-        assert fitted.mu == pytest.approx(4.0, rel=1e-6)
 
-    @pytest.mark.parametrize("alpha,mu,count", [(2.0, 1.0, 4), (3.0, 2.0, 2), (1.6, 0.9, 6)])
+    # (1, 1, 64) and (2.5, 4, 32): the bounded solve stops at residuals 2.3e-10
+    # and 3.1e-9, above the 1e-10 tolerance; Levenberg-Marquardt from there
+    # reaches 1.6e-13 and 7.5e-12 inside the bounds
+    @pytest.mark.parametrize("alpha,mu,count", [(2.0, 1.0, 4), (3.0, 2.0, 2), (1.6, 0.9, 6),
+                                                (1.0, 1.0, 64), (2.5, 4.0, 32)])
     def test_moment_residuals(self, alpha, mu, count):
         link = AlphaMuParams.canonical(alpha, mu)
         fitted = fit_sum_params(link, count)
@@ -213,6 +229,14 @@ class TestSumFit:
             got = moment_power_gain(fitted, order)
             assert abs(got - want) / want < 1e-9
 
+    @pytest.mark.parametrize("alpha,mu,count", [(1.5, 4.0, 64), (0.8, 1.0, 16), (0.5, 4.0, 4)])
+    def test_polish_that_misses_still_raises(self, alpha, mu, count):
+        # (1.5, 4, 64): the polish reaches only 1.7e-7.  (0.8, 1, 16): it
+        # leaves the alpha bound, toward alpha = 0.017, mu = 2.8e4, at 5e-4.
+        # (0.5, 4, 4): it reaches 2.8e-13, but at alpha = 0.074, past the bound.
+        with pytest.raises(MomentFitError):
+            fit_sum_params(AlphaMuParams.canonical(alpha, mu), count)
+
     def test_fitted_distribution_close_to_simulated_sum(self):
         link = AlphaMuParams.canonical(2.0, 2.0)
         fitted = fit_sum_params(link, 4)
@@ -223,6 +247,40 @@ class TestSumFit:
         model = cdf_power_gain(fitted, sums)
         sup_dist = np.max(np.maximum(np.abs(ecdf_hi - model), np.abs(ecdf_hi - 1.0 / sums.size - model)))
         assert sup_dist <= 0.01
+
+
+def _run_fresh(code: str) -> dict:
+    """Run `code` in a new interpreter; it prints one JSON object, returned here."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestDeferredSolverImport:
+    """Only a multi-branch alpha != 2 fit imports scipy.optimize."""
+
+    @pytest.mark.parametrize("code", [
+        "import secnet, secnet.cli",
+        "from secnet.metrics import ScenarioConfig\nScenarioConfig.build(n_a=8, n_b=8)",
+        "from secnet import figures\nfigures.figure_table('fig9')",
+    ], ids=["import", "build-8x8", "fig9"])
+    def test_alpha_two_paths_leave_the_solver_unloaded(self, code):
+        out = _run_fresh(code + "\nprint(json.dumps({'loaded': 'scipy.optimize' in sys.modules}))")
+        assert out == {"loaded": False}
+
+    def test_alpha_off_two_fit_loads_the_solver_and_keeps_its_result(self):
+        out = _run_fresh(
+            "from secnet.metrics import ScenarioConfig\n"
+            "p = ScenarioConfig.build(alpha_b=1.7, mu_b=0.8, n_a=2, n_b=2).geometry.fading_b\n"
+            "print(json.dumps({'loaded': 'scipy.optimize' in sys.modules,"
+            " 'params': [p.alpha, p.mu, p.omega]}))"
+        )
+        assert out["loaded"]
+        # the fit as it was while the solver was imported with the module
+        assert out["params"] == pytest.approx([1.680012702684423, 3.2599289076593276, 0.948438058396397],
+                                              rel=1e-12)
 
 
 class TestInvariants:
