@@ -351,15 +351,15 @@ def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
 
 def pdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Density of the k-th nearest receiver's composite gain g / r^upsilon."""
-    if z <= 0:
-        raise ValueError(f"composite-gain density needs z > 0, got {z}")
+    if not 0 < z < math.inf:
+        raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     return _closed_form(cfg, "pdf_nearest", z)
 
 
 def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Distribution of the k-th nearest receiver's composite gain."""
-    if z < 0:
-        raise ValueError(f"composite-gain distribution needs z >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise ValueError(f"composite-gain distribution needs a finite z >= 0, got {z}")
     if z == 0:
         return 0.0
     return _closed_form(cfg, "cdf_nearest", z)
@@ -372,8 +372,8 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     xi; its composite gain is 1/xi with density
     exp(-rate * z^-delta) * delta * (rate * z^-delta)^k / (z * Gamma(k)).
     """
-    if z <= 0:
-        raise ValueError(f"composite-gain density needs z > 0, got {z}")
+    if not 0 < z < math.inf:
+        raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     geo = cfg.geometry
     k = cfg.user_index
     with np.errstate(over="ignore"):
@@ -385,8 +385,8 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
 
 def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     """Distribution of the k-th best receiver's composite gain; 0 at z = 0."""
-    if z < 0:
-        raise ValueError(f"composite-gain distribution needs z >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise ValueError(f"composite-gain distribution needs a finite z >= 0, got {z}")
     if z == 0:
         return 0.0
     geo = cfg.geometry

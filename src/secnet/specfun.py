@@ -34,21 +34,34 @@ Every lattice is checked against the node budget (``_MAX_NODES`` nodes
 t >= 0) before it is built, so an abscissa next to a pole raises without
 evaluating a node.  One mirrored node, -t* at the level-0 node t* > 0 of
 largest modulus, measures the residue of the symmetry the half contour
-rests on, reported as ``FoxHValue.imag_ratio``.
+rests on, reported as ``FoxHValue.imag_ratio``.  It takes the last slot of
+the first halving's node array, so it costs no pass of its own, and that
+level's sums leave it out.
 
 The argument z enters the integrand only through the factor z^(-s); the
 log-gamma sum, and the sum of its terms' magnitudes that scales the rounding
 bound, depend only on the parameters and the contour node.  On the contour
 |z^(-s)| = z^(-c) is the same at every node, so the truncation height and
 the node lattice do not depend on z either, and one parameter set evaluated
-at many arguments visits the same node sets.  Those two sums are therefore
-kept across calls, keyed on (parameters, abscissa, node bytes), and -s ln z
-is added to them last, together with the log of any prefactor the caller
-passes: a value read through the cache is bit-identical to one computed
-afresh.  The cache is a least-recently-used map held to a fixed byte budget
+at many arguments visits the same node sets (the mirror node too, as t*
+does not depend on z).  Each node array takes one ``loggamma`` call, on the
+(p + q, nodes) array of every gamma argument; the terms are signed and added
+row by row in their order, so each sum is the one a term-by-term loop gives.
+Those two sums are kept across calls, keyed on (parameters, abscissa, node
+bytes), and -s ln z is added to them last, together with the log of any
+prefactor the caller passes: a value read through the cache is
+bit-identical to one computed afresh.  The cache is a least-recently-used map held to a fixed byte budget
 (``_CACHE_BUDGET``, 256 KiB) under a lock; a node set larger than the whole
 budget is never kept, so the largest lattice an evaluation may reach
 (``_MAX_NODES``) lives only as long as that call.
+
+A call that repeats an earlier one exactly, in parameters, argument,
+abscissa and log prefactor, returns the earlier :class:`FoxHValue`: the
+closed forms share instances (the four ergodic secrecy capacities of a
+scenario share its legitimate and wiretap capacities).  The last
+``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept, least recently
+used first out, under the same lock; the bound is a count, small enough
+that a value does not outlive the figure table that repeats it.
 """
 
 from __future__ import annotations
@@ -57,6 +70,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import loggamma
@@ -93,6 +107,13 @@ _ENTRY_OVERHEAD = 512
 _CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 _cache_bytes = 0
+# Fox H values kept across calls, keyed on (parameters, argument, abscissa,
+# log prefactor), least recently used first out, under the same lock.  The
+# bound is a count, kept small: a figure table repeats an instance within
+# fewer distinct ones (fig11 at most 17), and a value is gone once that many
+# others have been evaluated since its last use.
+_VALUE_CACHE_SIZE = 64
+_VALUES: OrderedDict[tuple, FoxHValue] = OrderedDict()
 
 
 class ConvergenceError(ArithmeticError):
@@ -106,7 +127,9 @@ class FoxHParams:
 
     ``upper_coeffs`` holds the p pairs (a_j, A_j) with the first n of them
     contributing ascending-type gammas; ``lower_coeffs`` holds the q pairs
-    (b_j, B_j) with the first m contributing descending-type gammas.
+    (b_j, B_j) with the first m contributing descending-type gammas.  The
+    contour interval and the hash are worked out once, at construction, and
+    the gamma terms' coefficient arrays at the first node set evaluated.
     """
 
     m: int
@@ -115,20 +138,40 @@ class FoxHParams:
     lower_coeffs: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "upper_coeffs", tuple((float(a), float(A)) for a, A in self.upper_coeffs))
-        object.__setattr__(self, "lower_coeffs", tuple((float(b), float(B)) for b, B in self.lower_coeffs))
+        upper = tuple((float(a), float(A)) for a, A in self.upper_coeffs)
+        lower = tuple((float(b), float(B)) for b, B in self.lower_coeffs)
+        object.__setattr__(self, "upper_coeffs", upper)
+        object.__setattr__(self, "lower_coeffs", lower)
         if not 0 <= self.n <= self.p:
             raise ValueError(f"need 0 <= n <= p, got n={self.n}, p={self.p}")
         if not 0 <= self.m <= self.q:
             raise ValueError(f"need 0 <= m <= q, got m={self.m}, q={self.q}")
-        if any(A <= 0 for _, A in self.upper_coeffs) or any(B <= 0 for _, B in self.lower_coeffs):
+        if any(A <= 0 for _, A in upper) or any(B <= 0 for _, B in lower):
             raise ValueError("all gamma argument slopes A_j, B_j must be positive")
-        lo, hi = self.contour_interval()
+        lo = max((-b / B for b, B in lower[: self.m]), default=-math.inf)
+        hi = min(((1.0 - a) / A for a, A in upper[: self.n]), default=math.inf)
         if not lo < hi:
             raise ValueError(
                 "no admissible contour: pole groups overlap "
                 f"(left poles reach {lo}, right poles start at {hi})"
             )
+        object.__setattr__(self, "_interval", (lo, hi))
+        object.__setattr__(self, "_hash", hash((self.m, self.n, upper, lower)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """The columns constant, slope and sign of the gamma terms, one row
+        per term, lower pairs first: each term is
+        sign * loggamma(constant + slope * s), and the log-gamma sums add
+        them in this order."""
+        terms = [(b, B, 1.0) if j < self.m else (1.0 - b, -B, -1.0)
+                 for j, (b, B) in enumerate(self.lower_coeffs)]
+        terms += [(1.0 - a, -A, 1.0) if j < self.n else (a, A, -1.0)
+                  for j, (a, A) in enumerate(self.upper_coeffs)]
+        return np.array(terms, dtype=float).reshape(-1, 3).T[..., None]
 
     @property
     def p(self) -> int:
@@ -140,9 +183,7 @@ class FoxHParams:
 
     def contour_interval(self) -> tuple[float, float]:
         """Open interval of abscissas separating the two pole families."""
-        lo = max((-b / B for b, B in self.lower_coeffs[: self.m]), default=-math.inf)
-        hi = min(((1.0 - a) / A for a, A in self.upper_coeffs[: self.n]), default=math.inf)
-        return lo, hi
+        return self._interval
 
     def default_abscissa(self) -> float:
         lo, hi = self.contour_interval()
@@ -183,21 +224,21 @@ class FoxHValue:
 
 def _gamma_sums(params: FoxHParams, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Summed log-gamma terms at the contour points c + i t, and the sum of
-    their magnitudes, read from the cache when this node set was seen."""
+    their magnitudes, read from the cache when this node set was seen.
+
+    One ``loggamma`` call takes every term at every node; the terms are
+    added row by row, in their order.
+    """
     global _cache_bytes
     key = (params, c, t.tobytes())
     with _CACHE_LOCK:
         if key in _CACHE:
             _CACHE.move_to_end(key)
             return _CACHE[key][:2]
-    s = c + 1j * t
-    terms = [
-        *(loggamma(b + big_b * s) if j < params.m else -loggamma(1.0 - b - big_b * s)
-          for j, (b, big_b) in enumerate(params.lower_coeffs)),
-        *(loggamma(1.0 - a - big_a * s) if j < params.n else -loggamma(a + big_a * s)
-          for j, (a, big_a) in enumerate(params.upper_coeffs)),
-    ]
-    total, size = sum(terms), sum(np.abs(term) for term in terms)
+    constant, slope, sign = params._terms
+    terms = loggamma(constant + slope * (c + 1j * t))
+    terms *= sign
+    total, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
     nbytes = _ENTRY_OVERHEAD + len(key[2]) + total.nbytes + size.nbytes
     if nbytes <= _CACHE_BUDGET:
         total.flags.writeable = size.flags.writeable = False
@@ -226,20 +267,23 @@ def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
 
 
 def _half_contour_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
-                       log_prefactor: float) -> tuple[np.ndarray, float, float]:
-    """The integrand f at the contour points c + i t, t >= 0, with the sum of
-    its real part over them and that sum's rounding bound.
+                       log_prefactor: float, level: int | None = None
+                       ) -> tuple[np.ndarray, float, float]:
+    """The integrand f at the contour points c + i t, with the sum of its
+    real part over the first ``level`` of them (all by default), which lie
+    at t >= 0, and that sum's rounding bound.
 
-    Each node stands also for its mirror c - i t, where f takes the conjugate
-    value, so it carries weight 2; the node t = 0 is its own mirror and
-    carries weight 1.  A term of the log that is computed to a few ulps of
-    its own size puts that much relative error, in modulus and phase, on the
-    node's value.
+    Each summed node stands also for its mirror c - i t, where f takes the
+    conjugate value, so it carries weight 2; the node t = 0 is its own mirror
+    and carries weight 1.  A term of the log that is computed to a few ulps
+    of its own size puts that much relative error, in modulus and phase, on
+    the node's value.
     """
     log_f, size = _log_integrand(params, c, t, ln_z, log_prefactor)
     f = np.exp(log_f)
-    weight = np.where(t > 0.0, 2.0, 1.0)
-    return f, float(weight @ f.real), _ROUNDING * float(weight @ (np.abs(f) * (1.0 + size)))
+    summed, size = f[:level], size[:level]
+    weight = np.where(t[:level] > 0.0, 2.0, 1.0)
+    return f, float(weight @ summed.real), _ROUNDING * float(weight @ (np.abs(summed) * (1.0 + size)))
 
 
 def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
@@ -253,14 +297,21 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     halved, reusing every earlier node, until two successive levels agree
     to 1e-9 relative or 1e-14 of the integrand peak.  For real parameters
     and real z the integrand at c - i t is the conjugate of that at c + i t,
-    so only the nodes t >= 0 are evaluated.
+    so only the nodes t >= 0 are evaluated, plus the one mirrored node -t*
+    that measures the symmetry's residue; it is evaluated with the first
+    halving's nodes and left out of their sums.  Each node array takes one
+    ``loggamma`` call for all of its gamma terms.
+
+    The last ``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept,
+    keyed on (params, z, abscissa, log_prefactor), and a repeated call
+    returns the kept value, which is the one a fresh evaluation gives.
 
     Parameters
     ----------
     params : FoxHParams
         Instance definition; must pass the convergence screen.
     z : float
-        Positive real argument.
+        Positive, finite real argument.
     abscissa : float, optional
         Contour abscissa override.  Must lie strictly inside the admissible
         pole-separation interval; the default is the interval midpoint.
@@ -279,10 +330,11 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
         once), or two levels do not agree within the halving and node
         budgets.
     ValueError
-        If z <= 0 or the abscissa lies outside the admissible interval.
+        If z is not positive and finite, or the abscissa lies outside the
+        admissible interval.
     """
-    if z <= 0:
-        raise ValueError(f"Fox H argument must be positive, got z={z}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"Fox H argument must be positive and finite, got z={z}")
     exponent = params.convergence_exponent()
     if exponent <= 0:
         raise ConvergenceError(
@@ -293,6 +345,25 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     c = params.default_abscissa() if abscissa is None else float(abscissa)
     if not lo < c < hi:
         raise ValueError(f"contour abscissa {c} outside admissible interval ({lo}, {hi})")
+    key = (params, float(z), c, float(log_prefactor))
+    with _CACHE_LOCK:
+        if key in _VALUES:
+            _VALUES.move_to_end(key)
+            return _VALUES[key]
+    value = _evaluate(*key, exponent)
+    with _CACHE_LOCK:
+        _VALUES[key] = value
+        _VALUES.move_to_end(key)
+        if len(_VALUES) > _VALUE_CACHE_SIZE:
+            _VALUES.popitem(last=False)
+    return value
+
+
+def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
+              exponent: float) -> FoxHValue:
+    """The contour integral of :func:`fox_h`, for arguments it has checked;
+    ``exponent`` is the instance's convergence exponent."""
+    lo, hi = params.contour_interval()
     ln_z = math.log(z)
     half_width = min(c - lo, hi - c)
     step = _STEP_PER_HALF_WIDTH * min(half_width, _MAX_HALF_WIDTH)
@@ -334,19 +405,26 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
         # on both halves of the contour.
         tail = 2.0 * float(modulus[-1]) / (0.5 * math.pi * exponent)
 
+        f_mirror = None
         for _ in range(_MAX_HALVINGS):
-            # Each later level adds only the odd multiples of its halved step.
+            # Each later level adds only the odd multiples of its halved
+            # step.  The first one's array has one more slot, for the mirror
+            # -t*, which its level sums leave out.
             step, half = 0.5 * step, 2 * half
             if half + 1 > _MAX_NODES:
                 break
-            nodes = step * np.arange(1, half + 1, 2)
-            _, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor)
+            mirror = f_mirror is None
+            nodes = step * np.arange(1, half + 1 + 2 * mirror, 2)
+            if mirror:
+                nodes[-1] = -t_star
+            f, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor,
+                                                              half // 2)
+            if mirror:
+                f_mirror = complex(f[-1])
             previous = total
             total, rounding = 0.5 * total + step * level_sum, 0.5 * rounding + step * level_rounding
             change = abs(total - previous)
             if change <= max(_REL_TOL * abs(total), _ABS_TOL * peak):
-                f_mirror = complex(np.exp(_log_integrand(params, c, np.array([-t_star]), ln_z,
-                                                         log_prefactor)[0][0]))
                 return FoxHValue(
                     value=total / (2.0 * math.pi),
                     error=(change + tail + rounding) / (2.0 * math.pi),

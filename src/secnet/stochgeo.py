@@ -59,6 +59,8 @@ class NetworkGeometry:
         for name in ("lambda_b", "lambda_e"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"density {name} must be positive and finite, got {getattr(self, name)}")
+        object.__setattr__(self, "_unit_ball_volume",
+                           math.pi ** (self.d / 2.0) / _gamma(1.0 + self.d / 2.0))
 
     @property
     def delta(self) -> float:
@@ -66,8 +68,9 @@ class NetworkGeometry:
 
     @property
     def unit_ball_volume(self) -> float:
-        """Volume coefficient of the d-ball: pi^(d/2) / Gamma(1 + d/2)."""
-        return math.pi ** (self.d / 2.0) / _gamma(1.0 + self.d / 2.0)
+        """Volume coefficient of the d-ball: pi^(d/2) / Gamma(1 + d/2),
+        worked out once, at construction."""
+        return self._unit_ball_volume
 
     def density(self, side: str) -> float:
         _check_side(side)

@@ -147,6 +147,19 @@ class TestCompositeBest:
             assert metrics.pdf_composite_best(cfg, z) == pytest.approx(fd, rel=1e-6)
 
 
+_LAWS = (metrics.pdf_composite_nearest, metrics.cdf_composite_nearest,
+         metrics.pdf_composite_best, metrics.cdf_composite_best)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("law", _LAWS, ids=[law.__name__ for law in _LAWS])
+def test_non_finite_gain_level_is_an_input_error(law, z, monkeypatch):
+    # Raised on the input itself, before any Fox H instance is evaluated.
+    monkeypatch.setattr(metrics, "fox_h", None)
+    with pytest.raises(ValueError, match="finite"):
+        law(figures.scenario("fig2", k=2), z)
+
+
 class TestCop:
     def test_zero_rate_never_in_outage(self):
         cfg = _unit_rate_scenario(rate=0.0)

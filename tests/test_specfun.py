@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as spgamma
-from scipy.special import gammaincc
+from scipy.special import gammaincc, loggamma
 
 from secnet import figures, metrics, specfun
 from secnet.specfun import ConvergenceError, FoxHParams, fox_h
@@ -39,6 +39,17 @@ class TestFoxHConstruction:
         # left poles start at 2, right poles end at 0: no admissible contour
         with pytest.raises(ValueError):
             FoxHParams(m=1, n=1, upper_coeffs=((1.0, 1.0),), lower_coeffs=((-2.0, 1.0),))
+
+    def test_equal_params_built_separately_hash_and_compare_equal(self):
+        first = FoxHParams(m=2, n=1, upper_coeffs=((0, 1), (1.0, 1.0)), lower_coeffs=((0.0, 1), (3, 2.0)))
+        second = FoxHParams(m=2, n=1, upper_coeffs=[(0.0, 1.0), (1, 1)], lower_coeffs=((0, 1.0), (3.0, 2)))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert {first: "kept"}[second] == "kept"
+        assert first.contour_interval() == (0.0, 1.0)
+        # The interval and hash worked out at construction follow the fields.
+        other = replace(first, lower_coeffs=((-0.5, 1.0), (3.0, 2.0)))
+        assert other != first and other.contour_interval() == (0.5, 1.0)
 
     def test_contour_interval(self):
         params = FoxHParams(
@@ -88,6 +99,12 @@ class TestFoxHValues:
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(ValueError):
             fox_h(_exp_reduction_params(), 0.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_argument_before_any_lattice(self, z, node_sets, cold_cache):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fox_h(_exp_reduction_params(), z)
+        assert not node_sets
 
     def test_rejects_abscissa_outside_interval(self):
         with pytest.raises(ValueError):
@@ -228,11 +245,12 @@ class TestFoxHErrorEstimate:
 
 @pytest.fixture
 def cold_cache(monkeypatch):
-    """An empty log-gamma cache for the test; calling the fixture's value
-    empties it again."""
+    """An empty log-gamma cache and no kept values for the test; calling the
+    fixture's value empties both again."""
     def clear():
         monkeypatch.setattr(specfun, "_CACHE", OrderedDict())
         monkeypatch.setattr(specfun, "_cache_bytes", 0)
+        monkeypatch.setattr(specfun, "_VALUES", OrderedDict())
     clear()
     return clear
 
@@ -343,15 +361,19 @@ class TestHalfContour:
             cold_cache()
             node_sets.clear()
             got = fox_h(params, arg)
-            mirrored = [t for t in node_sets if (t < 0.0).any()]
-            assert len(mirrored) == 1 and mirrored[0].size == 1, name
+            # Exactly one negative node over all arrays, evaluated once: the
+            # mirror of a lattice node.  It has no array of its own.
+            nodes = np.concatenate(node_sets)
+            mirrored = nodes[nodes < 0.0]
+            assert mirrored.size == 1, name
+            assert all((t >= 0.0).any() for t in node_sets), name
             # The level lattices, and nothing else, make up the finest
             # lattice from 0 to the truncation height, each node evaluated once.
-            lattice = np.sort(np.concatenate([t for t in node_sets if (t >= 0.0).all()]))
+            lattice = np.sort(nodes[nodes >= 0.0])
             step = lattice[1]
             np.testing.assert_array_equal(lattice, step * np.arange(lattice.size), err_msg=name)
             assert lattice[-1] == got.truncation_height
-            assert -mirrored[0][0] in lattice
+            assert -mirrored[0] in lattice
             # Reference: the trapezoid sum over the whole symmetric lattice.
             both = step * np.arange(1 - lattice.size, lattice.size)
             log_f, _ = specfun._log_integrand(params, got.abscissa, both, math.log(arg), 0.0)
@@ -375,7 +397,8 @@ class TestHalfContour:
         assert not node_sets
 
     @pytest.mark.parametrize("params,arg", _inscope_instances())
-    def test_imaginary_residue_flags_an_asymmetric_integrand(self, params, arg, monkeypatch):
+    def test_imaginary_residue_flags_an_asymmetric_integrand(self, params, arg, monkeypatch,
+                                                            cold_cache):
         # A real term odd in t breaks f(c - it) = conj f(c + it), which the
         # half contour takes for granted.
         original = specfun._log_integrand
@@ -386,4 +409,107 @@ class TestHalfContour:
 
         assert fox_h(params, arg).imag_ratio <= 1e-8
         monkeypatch.setattr(specfun, "_log_integrand", skewed)
+        # The same call again, evaluated and not read back.
+        cold_cache()
         assert fox_h(params, arg).imag_ratio > 1e-8
+
+
+class TestOneLogGammaCallPerNodeArray:
+    @pytest.mark.parametrize("params,arg", _inscope_instances())
+    def test_sums_equal_the_term_by_term_loop(self, params, arg, cold_cache):
+        c = params.default_abscissa()
+        t = np.linspace(-40.0, 40.0, 801)
+        s = c + 1j * t
+        terms = [
+            *(loggamma(b + big_b * s) if j < params.m else -loggamma(1.0 - b - big_b * s)
+              for j, (b, big_b) in enumerate(params.lower_coeffs)),
+            *(loggamma(1.0 - a - big_a * s) if j < params.n else -loggamma(a + big_a * s)
+              for j, (a, big_a) in enumerate(params.upper_coeffs)),
+        ]
+        total, size = specfun._gamma_sums(params, c, t)
+        np.testing.assert_array_equal(total, sum(terms))
+        np.testing.assert_array_equal(size, sum(np.abs(term) for term in terms))
+
+    @pytest.mark.parametrize("params,arg", _inscope_instances())
+    def test_each_node_array_that_misses_takes_one_call(self, params, arg, node_sets, cold_cache,
+                                                        monkeypatch):
+        shapes = []
+
+        def counting(x):
+            shapes.append(x.shape)
+            return loggamma(x)
+
+        monkeypatch.setattr(specfun, "loggamma", counting)
+        fox_h(params, arg)
+        # Cold, every node array misses, and one call takes all p + q terms.
+        assert shapes == [(params.p + params.q, t.size) for t in node_sets]
+        # At another argument the same node arrays are read back: no call.
+        shapes.clear()
+        node_sets.clear()
+        fox_h(params, 2.0 * arg)
+        assert node_sets and not shapes
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The argument of every contour evaluation `fox_h` makes, in call order."""
+    seen = []
+    original = specfun._evaluate
+
+    def recording(params, z, *rest):
+        seen.append(z)
+        return original(params, z, *rest)
+
+    monkeypatch.setattr(specfun, "_evaluate", recording)
+    return seen
+
+
+class TestValueReuse:
+    """A repeated instance is evaluated once; the value read back is the
+    one a cold evaluation gives."""
+
+    def test_fig11_evaluates_each_distinct_instance_once(self, evaluations, cold_cache, monkeypatch):
+        calls = []
+
+        def recording_fox_h(params, arg, *args, **kw):
+            value = fox_h(params, arg, *args, **kw)
+            calls.append((params, arg, args, kw, value))
+            return value
+
+        monkeypatch.setattr(metrics, "fox_h", recording_fox_h)
+        figures.figure_table("fig11")
+        assert (len(calls), len(evaluations)) == (64, 18)
+        for params, arg, args, kw, value in calls:
+            cold_cache()
+            assert astuple(fox_h(params, arg, *args, **kw)) == astuple(value)
+
+    @pytest.mark.parametrize("others", [63, 64])
+    def test_instance_is_evaluated_again_after_64_distinct_others(self, others, evaluations,
+                                                                 cold_cache):
+        params = _exp_reduction_params()
+        first = fox_h(params, 1.0)
+        for z in np.linspace(2.0, 3.0, others):
+            fox_h(params, float(z))
+        again = fox_h(params, 1.0)
+        assert evaluations.count(1.0) == (1 if others < 64 else 2)
+        assert astuple(again) == astuple(first)
+        assert len(specfun._VALUES) == 64
+
+    def test_a_second_round_of_the_tables_evaluates_as_many_instances(self, evaluations,
+                                                                       cold_cache):
+        # No value outlives the round of figure tables that repeats it.
+        counts = []
+        for _ in range(2):
+            evaluations.clear()
+            for fig in figures.FIGURE_IDS:
+                figures.figure_table(fig)
+            counts.append(len(evaluations))
+        assert counts[0] == counts[1]
+
+    def test_a_call_that_raises_keeps_no_value(self, cold_cache):
+        params, arg = metrics.fox_h_instances(figures.scenario("fig6", k=2))["pnz_nn"]
+        lo, _ = params.contour_interval()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                fox_h(params, arg, abscissa=lo + 1e-6)
+        assert not specfun._VALUES

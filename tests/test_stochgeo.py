@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaincc, pdtr
+from scipy.special import gamma, gammainc, gammaincc, pdtr
 from scipy.stats import kstest
 
 from secnet import stochgeo
@@ -28,6 +28,14 @@ class TestGeometry:
         assert geo.delta == pytest.approx(0.5)
         assert geo.unit_ball_volume == pytest.approx(math.pi)
         assert _geometry(d=3).unit_ball_volume == pytest.approx(4.0 * math.pi / 3.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_unit_ball_volume_is_worked_out_once(self, d, monkeypatch):
+        geo = _geometry(d=d)
+        monkeypatch.setattr(stochgeo, "_gamma", None)
+        assert geo.unit_ball_volume == math.pi ** (d / 2.0) / gamma(1.0 + d / 2.0)
+        assert geo.pathloss_rate("legitimate") == geo.unit_ball_volume
+        assert geo.composite_rate("eavesdropper") > 0.0
 
     def test_pathloss_rate_scales_with_density(self):
         geo = _geometry(lambda_b=2.0, lambda_e=0.5)
