@@ -232,20 +232,17 @@ def parse_config(text: str, command: str = "eval",
         if key in given or entry.default is not None:
             values[entry.target][entry.field] = given.get(key, entry.default)
 
-    try:
-        scenario = ScenarioConfig.build(**values["scenario"])
-    except (ValueError, MomentFitError) as exc:
-        # The scenario's messages name the offending build keyword; anchor at the key that set it.
-        keys = [key for key in (*given, *_KEYS) if _KEYS[key].target == "scenario"]
-        raise _anchored(where, *(_named_key(exc, keys) or ("", "")),
-                        f"invalid scenario: {exc}") from exc
-    try:
-        mc = MonteCarloConfig(**values["mc"])
-    except ValueError as exc:
-        # Anchored at the flag that set the field the message names, else at [mc].
-        flagged = [_FLAGS[flag] for flag in overrides]
-        raise _anchored(where, *(_named_key(exc, flagged) or ("mc", "")),
-                        f"invalid mc section: {exc}") from exc
+    built = {}
+    for target, build, label in (("scenario", ScenarioConfig.build, "scenario"),
+                                 ("mc", MonteCarloConfig, "mc section")):
+        try:
+            built[target] = build(**values[target])
+        except (ValueError, MomentFitError) as exc:
+            # The messages name the offending field: anchor at the given key
+            # (line or flag) that set it, else at its section.
+            keys = [key for key in (*given, *_KEYS) if _KEYS[key].target == target]
+            raise _anchored(where, *(_named_key(exc, keys) or ("", "")),
+                            f"invalid {label}: {exc}") from exc
 
     run = values["run"]
     for key, choices in (("metric", _METRICS), ("method", _METHODS)):
@@ -281,7 +278,7 @@ def parse_config(text: str, command: str = "eval",
                             f"figures must name one or more of {validation.VALIDATION_FIGURES}, "
                             f"got {bad or raw_subset!r}")
 
-    spec = RunSpec(command=command, scenario=scenario, mc=mc, scenario_kwargs=values["scenario"], **run)
+    spec = RunSpec(command=command, **built, scenario_kwargs=values["scenario"], **run)
     for value in spec.sweep_values or ():
         try:
             _rebuild(spec, value)

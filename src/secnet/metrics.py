@@ -376,11 +376,12 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
         raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     geo = cfg.geometry
     k = cfg.user_index
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         # Where u overflows the density is exp(-u) = 0; the cap keeps
-        # -u + k log u from becoming -inf + inf.
+        # -u + k log u from becoming -inf + inf.  Where u underflows to 0 the
+        # density is exp(-inf) = 0.
         u = np.minimum(geo.composite_rate("legitimate") * np.float64(z) ** (-geo.delta), 1e300)
-    return float(np.exp(-u + k * np.log(u) - gammaln(k)) * geo.delta / z)
+        return float(np.exp(-u + k * np.log(u) - gammaln(k)) * geo.delta / z)
 
 
 def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:

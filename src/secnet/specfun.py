@@ -32,45 +32,45 @@ edge: while the integrand at its last node is not negligible next to the
 peak, the truncation height doubles and level 0 takes the new nodes only.
 Every lattice is checked against the node budget (``_MAX_NODES`` nodes
 t >= 0) before it is built, so an abscissa next to a pole raises without
-evaluating a node.  One mirrored node, -t* at the level-0 node t* > 0 of
-largest modulus, measures the residue of the symmetry the half contour
-rests on, reported as ``FoxHValue.imag_ratio``.  It takes the last slot of
-the first halving's node array, so it costs no pass of its own, and that
-level's sums leave it out.
+evaluating a node.  The first level-0 array starts one step early, at the
+node -step, and the level sums take only its nodes t >= 0:
+|f(c - i step) - conj f(c + i step)| over the peak measures the residue of
+the symmetry the half contour rests on, reported as
+``FoxHValue.imag_ratio``.  Where every node of level 0 underflows while the
+log of the integrand stays finite, the value is 0, with the smallest normal
+float over the whole contour as its bound.
 
 The argument z enters the integrand only through the factor z^(-s); the
 log-gamma sum, and the sum of its terms' magnitudes that scales the rounding
 bound, depend only on the parameters and the contour node.  On the contour
 |z^(-s)| = z^(-c) is the same at every node, so the truncation height and
 the node lattice do not depend on z either, and one parameter set evaluated
-at many arguments visits the same node sets (the mirror node too, as t*
-does not depend on z).  Each node array takes one ``loggamma`` call, on the
-(p + q, nodes) array of every gamma argument; the terms are signed and added
-row by row in their order, so each sum is the one a term-by-term loop gives.
-Those two sums are kept across calls, keyed on (parameters, abscissa, node
-bytes), and -s ln z is added to them last, together with the log of any
-prefactor the caller passes: a value read through the cache is
-bit-identical to one computed afresh.  The cache is a least-recently-used map held to a fixed byte budget
-(``_CACHE_BUDGET``, 256 KiB) under a lock; a node set larger than the whole
-budget is never kept, so the largest lattice an evaluation may reach
-(``_MAX_NODES``) lives only as long as that call.
+at many arguments visits the same node sets.  Each node array takes one
+``loggamma`` call, on the (p + q, nodes) array of every gamma argument; the
+terms are signed and added row by row in their order, so each sum is the one
+a term-by-term loop gives.  Those two sums are kept across calls by a
+``functools.lru_cache`` keyed on (parameters, abscissa, node bytes), for the
+last ``_CACHE_SIZE`` (64) node sets of at most ``_CACHE_NODES`` (512) nodes:
+at 32 bytes a node (key, sum, magnitude sum) that is about 1 MiB.  A larger
+node set is computed and not kept, so the largest lattice an evaluation may
+reach (``_MAX_NODES``) lives only as long as that call.  -s ln z is added to
+the sums last, together with the log of any prefactor the caller passes: a
+value read through the cache is bit-identical to one computed afresh.
 
 A call that repeats an earlier one exactly, in parameters, argument,
 abscissa and log prefactor, returns the earlier :class:`FoxHValue`: the
 closed forms share instances (the four ergodic secrecy capacities of a
-scenario share its legitimate and wiretap capacities).  The last
-``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept, least recently
-used first out, under the same lock; the bound is a count, small enough
-that a value does not outlive the figure table that repeats it.
+scenario share its legitimate and wiretap capacities).  The evaluation is a
+second ``functools.lru_cache``, of the last ``_VALUE_CACHE_SIZE`` (64)
+distinct evaluations; the bound is a count, small enough that a value does
+not outlive the figure table that repeats it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -96,24 +96,20 @@ _MAX_HALF_WIDTH = 1.0
 _MAX_HALVINGS = 8
 # Nodes t >= 0 of one lattice, which stand for 2**18 - 1 on the whole contour.
 _MAX_NODES = 2**17
-# A log-gamma value is good to a few ulps of its own size.
+# A log-gamma value is good to a few ulps of its own size; the smallest
+# normal float bounds an integrand that underflows at every node.
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-# Byte budget of the log-gamma sums kept across calls, least recently used
-# first out; a node set larger than the whole budget is never kept.  Each
-# entry is charged its node bytes (key, sum, magnitude sum) plus a fixed
-# allowance for the tuples, array headers and dictionary slot around them.
-_CACHE_BUDGET = 256 * 1024
-_ENTRY_OVERHEAD = 512
-_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, int]] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_cache_bytes = 0
-# Fox H values kept across calls, keyed on (parameters, argument, abscissa,
-# log prefactor), least recently used first out, under the same lock.  The
-# bound is a count, kept small: a figure table repeats an instance within
-# fewer distinct ones (fig11 at most 17), and a value is gone once that many
-# others have been evaluated since its last use.
+_TINY = float(np.finfo(float).tiny)
+# The log-gamma sums of the last _CACHE_SIZE node sets of at most
+# _CACHE_NODES nodes are kept across calls, least recently used first out.
+# At 32 bytes a node (key, sum, magnitude sum) that is about 1 MiB in all.
+_CACHE_SIZE = 64
+_CACHE_NODES = 512
+# Fox H values kept across calls, least recently used first out.  The bound
+# is a count, kept small: a figure table repeats an instance within fewer
+# distinct ones (fig11 at most 17), and a value is gone once that many others
+# have been evaluated since its last use.
 _VALUE_CACHE_SIZE = 64
-_VALUES: OrderedDict[tuple, FoxHValue] = OrderedDict()
 
 
 class ConvergenceError(ArithmeticError):
@@ -209,8 +205,8 @@ class FoxHValue:
 
     ``error`` bounds |value - H(z)|: the difference of the last two
     trapezoid levels plus the truncated tails and a rounding floor.
-    ``imag_ratio`` is |f(c - it*) - conj f(c + it*)| / |f(c + it*)| at the
-    level-0 node t* > 0 of largest integrand modulus: the residue of the
+    ``imag_ratio`` is |f(c - i step) - conj f(c + i step)| / peak at the
+    first level-0 step, relative to the integrand peak: the residue of the
     conjugate symmetry that lets the evaluator sum the half contour t >= 0
     only.  It vanishes for a real instance at real argument.
     """
@@ -224,30 +220,22 @@ class FoxHValue:
 
 def _gamma_sums(params: FoxHParams, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Summed log-gamma terms at the contour points c + i t, and the sum of
-    their magnitudes, read from the cache when this node set was seen.
+    their magnitudes, read from the cache when this node set was seen; a
+    set of more than ``_CACHE_NODES`` nodes is computed and not kept."""
+    sums = _kept_gamma_sums if t.size <= _CACHE_NODES else _kept_gamma_sums.__wrapped__
+    return sums(params, c, t.tobytes())
 
-    One ``loggamma`` call takes every term at every node; the terms are
-    added row by row, in their order.
-    """
-    global _cache_bytes
-    key = (params, c, t.tobytes())
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            _CACHE.move_to_end(key)
-            return _CACHE[key][:2]
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kept_gamma_sums(params: FoxHParams, c: float, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of :func:`_gamma_sums` at the nodes whose float bytes are
+    ``nodes``.  One ``loggamma`` call takes every term at every node; the
+    terms are added row by row, in their order."""
     constant, slope, sign = params._terms
-    terms = loggamma(constant + slope * (c + 1j * t))
+    terms = loggamma(constant + slope * (c + 1j * np.frombuffer(nodes)))
     terms *= sign
     total, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
-    nbytes = _ENTRY_OVERHEAD + len(key[2]) + total.nbytes + size.nbytes
-    if nbytes <= _CACHE_BUDGET:
-        total.flags.writeable = size.flags.writeable = False
-        with _CACHE_LOCK:
-            if key not in _CACHE:
-                _CACHE[key] = (total, size, nbytes)
-                _cache_bytes += nbytes
-                while _cache_bytes > _CACHE_BUDGET:
-                    _cache_bytes -= _CACHE.popitem(last=False)[1][2]
+    total.flags.writeable = size.flags.writeable = False
     return total, size
 
 
@@ -267,11 +255,10 @@ def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
 
 
 def _half_contour_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
-                       log_prefactor: float, level: int | None = None
-                       ) -> tuple[np.ndarray, float, float]:
-    """The integrand f at the contour points c + i t, with the sum of its
-    real part over the first ``level`` of them (all by default), which lie
-    at t >= 0, and that sum's rounding bound.
+                       log_prefactor: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The log of the integrand f at the contour points c + i t and f
+    itself, with the sum of its real part over the points t >= 0, and that
+    sum's rounding bound.
 
     Each summed node stands also for its mirror c - i t, where f takes the
     conjugate value, so it carries weight 2; the node t = 0 is its own mirror
@@ -281,9 +268,11 @@ def _half_contour_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
     """
     log_f, size = _log_integrand(params, c, t, ln_z, log_prefactor)
     f = np.exp(log_f)
-    summed, size = f[:level], size[:level]
-    weight = np.where(t[:level] > 0.0, 2.0, 1.0)
-    return f, float(weight @ summed.real), _ROUNDING * float(weight @ (np.abs(summed) * (1.0 + size)))
+    half = t >= 0.0
+    summed, size = f[half], size[half]
+    weight = np.where(t[half] > 0.0, 2.0, 1.0)
+    rounding = _ROUNDING * float(weight @ (np.abs(summed) * (1.0 + size)))
+    return log_f, f, float(weight @ summed.real), rounding
 
 
 def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
@@ -297,10 +286,9 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     halved, reusing every earlier node, until two successive levels agree
     to 1e-9 relative or 1e-14 of the integrand peak.  For real parameters
     and real z the integrand at c - i t is the conjugate of that at c + i t,
-    so only the nodes t >= 0 are evaluated, plus the one mirrored node -t*
-    that measures the symmetry's residue; it is evaluated with the first
-    halving's nodes and left out of their sums.  Each node array takes one
-    ``loggamma`` call for all of its gamma terms.
+    so only the nodes t >= 0 are evaluated, plus the node -step of level 0
+    that measures the symmetry's residue and is left out of its sums.  Each
+    node array takes one ``loggamma`` call for all of its gamma terms.
 
     The last ``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept,
     keyed on (params, z, abscissa, log_prefactor), and a repeated call
@@ -325,7 +313,8 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     ------
     ConvergenceError
         If the instance fails the existence screen, the integrand peak is
-        zero or not finite, a lattice would pass the node budget before the
+        not finite, or zero where the log of the integrand is not finite
+        either, a lattice would pass the node budget before the
         contour tail is negligible (an abscissa next to a pole does so at
         once), or two levels do not agree within the halving and node
         budgets.
@@ -345,20 +334,10 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     c = params.default_abscissa() if abscissa is None else float(abscissa)
     if not lo < c < hi:
         raise ValueError(f"contour abscissa {c} outside admissible interval ({lo}, {hi})")
-    key = (params, float(z), c, float(log_prefactor))
-    with _CACHE_LOCK:
-        if key in _VALUES:
-            _VALUES.move_to_end(key)
-            return _VALUES[key]
-    value = _evaluate(*key, exponent)
-    with _CACHE_LOCK:
-        _VALUES[key] = value
-        _VALUES.move_to_end(key)
-        if len(_VALUES) > _VALUE_CACHE_SIZE:
-            _VALUES.popitem(last=False)
-    return value
+    return _evaluate(params, float(z), c, float(log_prefactor), exponent)
 
 
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
 def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
               exponent: float) -> FoxHValue:
     """The contour integral of :func:`fox_h`, for arguments it has checked;
@@ -374,11 +353,13 @@ def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
     # or level that is not finite, which the checks below reject.
     with np.errstate(over="ignore", under="ignore"):
         # Level 0 takes every multiple of its step from 0 to the truncation
-        # height, and gives the peak; while the integrand at its last node is
-        # not negligible next to that peak, the height doubles and level 0
-        # takes the new nodes only.  Every lattice is checked against the
-        # node budget before it is built.
-        half, total, rounding, peak, t_star, f_star = -1, 0.0, 0.0, 0.0, 0.0, 0.0j
+        # height, and gives the peak of f and of Re log f; while the
+        # integrand at its last node is not negligible next to the peak, the
+        # height doubles and level 0 takes the new nodes only.  Every lattice
+        # is checked against the node budget before it is built.  The first
+        # array starts one step early: f(-step) against conj f(step) checks
+        # the conjugate symmetry the half contour rests on.
+        half, total, rounding, peak, log_peak, residue = -2, 0.0, 0.0, 0.0, -math.inf, 0.0
         while True:
             top = math.ceil(height / step)
             if top + 1 > _MAX_NODES:
@@ -387,40 +368,35 @@ def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
                     f"passes the node budget of {_MAX_NODES} (abscissa {c}, "
                     f"strip half-width {half_width:.3g})")
             nodes = step * np.arange(half + 1, top + 1)
-            f, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor)
+            log_f, f, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z,
+                                                                     log_prefactor)
+            if half < 0:
+                residue = float(abs(f[0] - f[2].conjugate()))
             half, total, rounding = top, total + step * level_sum, rounding + step * level_rounding
             modulus = np.abs(f)
-            peak = float(modulus.max(initial=peak))
-            if not 0.0 < peak < math.inf:
+            peak, log_peak = float(modulus.max(initial=peak)), max(log_peak, float(log_f.real.max()))
+            if not (0.0 < peak < math.inf or peak == 0.0 and math.isfinite(log_peak)):
                 raise ConvergenceError(f"integrand peak not finite (peak={peak}) at abscissa {c}")
-            # The node t > 0 of largest modulus, whose mirror checks the
-            # conjugate symmetry the half contour rests on.
-            j = int(np.argmax(np.where(nodes > 0.0, modulus, -1.0)))
-            if modulus[j] > abs(f_star):
-                t_star, f_star = float(nodes[j]), complex(f[j])
             if modulus[-1] <= _TAIL_FRACTION * peak:
                 break
             height *= 2.0
+        if peak == 0.0:
+            # Every node underflowed from a finite log: |f| is below the
+            # smallest normal float out to the edge, and decays past it.
+            bound = _TINY * (2.0 * half * step + 2.0 / (0.5 * math.pi * exponent))
+            return FoxHValue(value=0.0, error=bound / (2.0 * math.pi), imag_ratio=0.0,
+                             abscissa=c, truncation_height=half * step)
         # Past the cut the integrand decays at least like exp(-pi/2 * exponent * |t|),
         # on both halves of the contour.
         tail = 2.0 * float(modulus[-1]) / (0.5 * math.pi * exponent)
 
-        f_mirror = None
         for _ in range(_MAX_HALVINGS):
-            # Each later level adds only the odd multiples of its halved
-            # step.  The first one's array has one more slot, for the mirror
-            # -t*, which its level sums leave out.
+            # Each later level adds only the odd multiples of its halved step.
             step, half = 0.5 * step, 2 * half
             if half + 1 > _MAX_NODES:
                 break
-            mirror = f_mirror is None
-            nodes = step * np.arange(1, half + 1 + 2 * mirror, 2)
-            if mirror:
-                nodes[-1] = -t_star
-            f, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor,
-                                                              half // 2)
-            if mirror:
-                f_mirror = complex(f[-1])
+            nodes = step * np.arange(1, half + 1, 2)
+            _, _, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor)
             previous = total
             total, rounding = 0.5 * total + step * level_sum, 0.5 * rounding + step * level_rounding
             change = abs(total - previous)
@@ -428,7 +404,7 @@ def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
                 return FoxHValue(
                     value=total / (2.0 * math.pi),
                     error=(change + tail + rounding) / (2.0 * math.pi),
-                    imag_ratio=abs(f_mirror - f_star.conjugate()) / abs(f_star),
+                    imag_ratio=residue / peak,
                     abscissa=c,
                     truncation_height=half * step,
                 )

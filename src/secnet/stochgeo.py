@@ -115,11 +115,12 @@ def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0):
         raise ValueError("density is defined for y > 0 only")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         # Where u overflows the density is exp(-u) = 0; the cap keeps
-        # -u + k log u from becoming -inf + inf.
+        # -u + k log u from becoming -inf + inf.  Where u underflows to 0 the
+        # density is exp(-inf) = 0.
         u = np.minimum(coeff * y**delta, 1e300)
-    out = np.exp(-u + k * np.log(u) - gammaln(k)) * delta / y
+        out = np.exp(-u + k * np.log(u) - gammaln(k)) * delta / y
     return out if out.ndim else float(out)
 
 

@@ -192,8 +192,8 @@ class TestParseConfig:
         ("[scenario]\neta_k_db = 5000\n", 2, "eta_k"),
         ("[scenario]\neta_e = nan\n", 2, "eta_e"),
         ("[fading_e]\nmu = inf\n", 2, "mu_e"),
-        ("[mc]\ntrials = 10\nwindow_radius = nan\n", 1, "window_radius"),
-        ("[mc]\nwindow_radius = inf\n", 1, "window_radius"),
+        ("[mc]\ntrials = 10\nwindow_radius = nan\n", 3, "window_radius"),
+        ("[mc]\nwindow_radius = inf\n", 2, "window_radius"),
         ("[run]\nsweep_param = lambda_b\nsweep_values = 1, nan\n", 3, "lambda_b = nan"),
         ("[run]\nsweep_param = upsilon\nsweep_values = inf\n", 3, "upsilon = inf"),
         ("[run]\nsweep_param = eta_e_db\nsweep_values = 0, 4000\n", 3, "eta_e_db = 4000"),
@@ -237,7 +237,7 @@ class TestParseConfig:
             parse_config(doc, command="eval")
 
     def test_negative_seed_in_document_is_config_error(self):
-        with pytest.raises(ConfigError, match=r"line 1.*seed"):
+        with pytest.raises(ConfigError, match=r"^line 2: .*seed"):
             parse_config("[mc]\nseed = -3\n", command="eval")
 
     def test_branch_sum_is_applied(self):

@@ -139,6 +139,11 @@ class TestCompositeBest:
         assert cfg.geometry.delta == 1.5
         assert metrics.pdf_composite_best(cfg, z) == 0.0
 
+    def test_density_vanishes_where_rate_term_underflows(self):
+        # u = rate * z^-delta underflows to 0; log u = -inf must not warn
+        cfg = figures.scenario("fig7", k=2, upsilon=2.0)
+        assert metrics.pdf_composite_best(cfg, 1e300) == 0.0
+
     def test_pdf_is_cdf_derivative(self):
         cfg = figures.scenario("fig2", k=2, ordering="best")
         h = 1e-6
@@ -158,6 +163,31 @@ def test_non_finite_gain_level_is_an_input_error(law, z, monkeypatch):
     monkeypatch.setattr(metrics, "fox_h", None)
     with pytest.raises(ValueError, match="finite"):
         law(figures.scenario("fig2", k=2), z)
+
+
+class TestHugeGainLevel:
+    """At a huge finite gain level both CDFs read 1.  At 1e300 the nearest
+    form's whole contour integrand underflows from a finite log, and Fox H
+    returns 0 with a bound of the smallest normal float."""
+
+    @pytest.mark.parametrize("z", [1e100, 1e200, 1e300])
+    def test_both_cdfs_read_one(self, z):
+        cfg = figures.scenario("fig7", k=2, upsilon=2.0)
+        assert metrics.cdf_composite_nearest(cfg, z) == 1.0
+        assert metrics.cdf_composite_best(cfg, z) == 1.0
+
+    def test_underflowed_integrand_is_zero_within_a_tiny_bound(self):
+        cfg = figures.scenario("fig7", k=2, upsilon=2.0)
+        build, side, *_ = metrics._FOX_H["cdf_nearest"]
+        log_pref, params, scale = build(cfg, side, cfg.order_index(side))
+        h = specfun.fox_h(params, scale * 1e300, log_prefactor=log_pref)
+        assert h.value == 0.0 and h.imag_ratio == 0.0
+        assert 0.0 < h.error < 1e-300
+
+    def test_nearest_pdf_still_raises(self):
+        cfg = figures.scenario("fig7", k=2, upsilon=2.0)
+        with pytest.raises(specfun.ConvergenceError):
+            metrics.pdf_composite_nearest(cfg, 1e300)
 
 
 class TestCop:

@@ -6,8 +6,6 @@ independent Mellin-Barnes integration along a different contour abscissa).
 """
 
 import math
-import sys
-from collections import OrderedDict
 from dataclasses import astuple, replace
 
 import mpmath
@@ -244,13 +242,12 @@ class TestFoxHErrorEstimate:
 
 
 @pytest.fixture
-def cold_cache(monkeypatch):
+def cold_cache():
     """An empty log-gamma cache and no kept values for the test; calling the
     fixture's value empties both again."""
     def clear():
-        monkeypatch.setattr(specfun, "_CACHE", OrderedDict())
-        monkeypatch.setattr(specfun, "_cache_bytes", 0)
-        monkeypatch.setattr(specfun, "_VALUES", OrderedDict())
+        specfun._kept_gamma_sums.cache_clear()
+        specfun._evaluate.cache_clear()
     clear()
     return clear
 
@@ -301,34 +298,29 @@ class TestContourCache:
                 fox_h(params, -arg)
             with pytest.raises(ConvergenceError):
                 fox_h(params, arg, abscissa=lo + 1e-6)
-        assert specfun._CACHE
+        assert specfun._kept_gamma_sums.cache_info().currsize
 
-    def test_cache_stays_within_budget(self, cold_cache):
+    def test_cache_keeps_the_last_64_node_sets(self, cold_cache):
         # z^b exp(-z) for many shifts b, each with its own lattice, until
-        # far more entries were made than the budget holds.
-        evaluated = 0
+        # far more node sets were seen than the cache keeps.
         for b in np.linspace(0.5, 3.0, 60):
             params = FoxHParams(m=1, n=0, upper_coeffs=(), lower_coeffs=((float(b), 1.0),))
             assert fox_h(params, 2.0).value == pytest.approx(2.0**b * math.exp(-2.0), rel=1e-8)
-            evaluated += sum(key[0] == params for key in specfun._CACHE)
-            assert specfun._cache_bytes <= specfun._CACHE_BUDGET
-        assert evaluated > len(specfun._CACHE)
-        entries = specfun._CACHE.items()
-        assert specfun._cache_bytes == sum(nbytes for _, (_, _, nbytes) in entries)
-        # The charge per entry covers the objects it holds.
-        held = sum(sys.getsizeof(key) + sys.getsizeof(key[2]) + sys.getsizeof(value)
-                   + sys.getsizeof(value[0]) + sys.getsizeof(value[1]) for key, value in entries)
-        assert held <= specfun._cache_bytes
+        info = specfun._kept_gamma_sums.cache_info()
+        assert info.maxsize == info.currsize == 64 < info.misses
 
-    def test_node_set_larger_than_budget_is_not_kept(self, cold_cache):
+    @pytest.mark.parametrize("size, kept", [(512, 1), (513, 0)])
+    def test_node_sets_of_at_most_512_nodes_are_kept(self, size, kept, cold_cache):
+        # 64 sets of 512 nodes, at 32 bytes a node, hold the cache to 1 MiB.
         params = _exp_reduction_params()
         fox_h(params, 1.0)
-        kept = list(specfun._CACHE)
-        nodes = np.arange(float(specfun._CACHE_BUDGET // 8))
-        total, size = specfun._gamma_sums(params, 0.5, nodes)
-        assert total.shape == size.shape == nodes.shape
-        # Neither kept nor allowed to push out what the cache held.
-        assert list(specfun._CACHE) == kept
+        before = specfun._kept_gamma_sums.cache_info()
+        nodes = np.arange(float(size))
+        total, size_sum = specfun._gamma_sums(params, 0.5, nodes)
+        assert total.shape == size_sum.shape == nodes.shape
+        # A larger set is neither kept nor allowed to push out what the cache held.
+        after = specfun._kept_gamma_sums.cache_info()
+        assert (after.misses - before.misses, after.currsize - before.currsize) == (kept, kept)
 
 
 @pytest.fixture
@@ -361,11 +353,13 @@ class TestHalfContour:
             cold_cache()
             node_sets.clear()
             got = fox_h(params, arg)
-            # Exactly one negative node over all arrays, evaluated once: the
-            # mirror of a lattice node.  It has no array of its own.
+            # Exactly one negative node over all arrays, evaluated once:
+            # -step, at the head of level 0's first array, the mirror of its
+            # node step.  It has no array of its own.
             nodes = np.concatenate(node_sets)
             mirrored = nodes[nodes < 0.0]
             assert mirrored.size == 1, name
+            assert node_sets[0][0] == mirrored[0] == -node_sets[0][2], name
             assert all((t >= 0.0).any() for t in node_sets), name
             # The level lattices, and nothing else, make up the finest
             # lattice from 0 to the truncation height, each node evaluated once.
@@ -451,17 +445,11 @@ class TestOneLogGammaCallPerNodeArray:
 
 
 @pytest.fixture
-def evaluations(monkeypatch):
-    """The argument of every contour evaluation `fox_h` makes, in call order."""
-    seen = []
-    original = specfun._evaluate
-
-    def recording(params, z, *rest):
-        seen.append(z)
-        return original(params, z, *rest)
-
-    monkeypatch.setattr(specfun, "_evaluate", recording)
-    return seen
+def evaluations(cold_cache):
+    """The count of contour evaluations `fox_h` has made since the test
+    began from a cold cache: the value cache's misses."""
+    start = specfun._evaluate.cache_info().misses
+    return lambda: specfun._evaluate.cache_info().misses - start
 
 
 class TestValueReuse:
@@ -478,7 +466,7 @@ class TestValueReuse:
 
         monkeypatch.setattr(metrics, "fox_h", recording_fox_h)
         figures.figure_table("fig11")
-        assert (len(calls), len(evaluations)) == (64, 18)
+        assert (len(calls), evaluations()) == (64, 18)
         for params, arg, args, kw, value in calls:
             cold_cache()
             assert astuple(fox_h(params, arg, *args, **kw)) == astuple(value)
@@ -491,19 +479,19 @@ class TestValueReuse:
         for z in np.linspace(2.0, 3.0, others):
             fox_h(params, float(z))
         again = fox_h(params, 1.0)
-        assert evaluations.count(1.0) == (1 if others < 64 else 2)
+        assert evaluations() == 1 + others + (others >= 64)
         assert astuple(again) == astuple(first)
-        assert len(specfun._VALUES) == 64
+        assert specfun._evaluate.cache_info().currsize == 64
 
     def test_a_second_round_of_the_tables_evaluates_as_many_instances(self, evaluations,
                                                                        cold_cache):
         # No value outlives the round of figure tables that repeats it.
         counts = []
         for _ in range(2):
-            evaluations.clear()
+            before = evaluations()
             for fig in figures.FIGURE_IDS:
                 figures.figure_table(fig)
-            counts.append(len(evaluations))
+            counts.append(evaluations() - before)
         assert counts[0] == counts[1]
 
     def test_a_call_that_raises_keeps_no_value(self, cold_cache):
@@ -512,4 +500,4 @@ class TestValueReuse:
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 fox_h(params, arg, abscissa=lo + 1e-6)
-        assert not specfun._VALUES
+        assert specfun._evaluate.cache_info().currsize == 0

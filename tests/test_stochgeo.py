@@ -97,6 +97,12 @@ class TestKthDistanceLaw:
         assert out[0] == 0.0 and out[1] == 0.0
         assert out[2] == pytest.approx(math.exp(-math.exp(1.5) + 3.0) * 1.5 / math.e, rel=1e-12)
 
+    def test_vanishes_where_rate_term_underflows(self):
+        # coeff * y^delta underflows to 0; log 0 = -inf must not warn
+        out = pdf_kth_distance_pow(2, 1.0, 1.5, np.array([1e-300, 1.0]))
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(math.exp(-1.0) * 1.5, rel=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             pdf_kth_distance_pow(0, 1.0, 1.0, 1.0)
