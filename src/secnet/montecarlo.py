@@ -18,10 +18,16 @@ Two independent validation routes live here:
   results are bit-identical for a given master seed no matter how many
   workers execute the batches.
 
+  For k = 1 (every eavesdropper draw) each part's best point is the row
+  minimum of its keys, read without a padded array; the draws and the
+  point selected are those of the padded selection k > 1 uses.
+
 * **Defining-integral quadrature** — direct integration of each metric's
   probability/expectation integral over one composite-gain law per (side,
   ordering), using only gamma-family building blocks, deliberately
-  bypassing the Fox H route the closed forms take.
+  bypassing the Fox H route the closed forms take.  The exp-sinh nodes
+  whose weight underflows to exactly 0 are passed over before any 2D
+  primitive is evaluated on them, which changes a sum by rounding alone.
 """
 
 from __future__ import annotations
@@ -157,6 +163,19 @@ def _smallest_per_row(counts: np.ndarray, key: np.ndarray, k: int) -> np.ndarray
     return padded
 
 
+def _row_min(counts: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The smallest key of each row of keys stored row after row, +inf for a
+    row with no keys.
+
+    A NaN key (a point with U = 0 and G = 0) is passed over as np.partition
+    passes it over in a +inf-padded row, and a row of NaN keys alone reads
+    +inf.  The appended +inf is the start of a trailing empty row.
+    """
+    smallest = np.fmin.reduceat(np.append(key, np.inf), np.cumsum(counts) - counts)
+    smallest[counts == 0] = np.inf
+    return np.fmin(smallest, np.inf, out=smallest)
+
+
 def _window_mean(geometry: stochgeo.NetworkGeometry, side: str, radius: float) -> float:
     return geometry.density(side) * geometry.unit_ball_volume * radius**geometry.d
 
@@ -223,7 +242,11 @@ def _sample_best_batch(
     K_in = +inf, t = 0 and q = 1, and draws its far ring in full on the same
     path (the truncated law at t = 0 is Gamma(mu)).  Only the k smallest
     keys of each part can be among the k smallest of the union, so those
-    are concatenated and selected; with u0 = 1 there is no far ring.
+    are concatenated and selected; with u0 = 1 there is no far ring.  At
+    k = 1 each part's smallest key is its row minimum (``_row_min``), and
+    the smaller of the two is selected: the same value the padded
+    selection reads, from the same draws in the same order, with no padded
+    array, partition or concatenation.
 
     A point at U = 0 has infinite gain; one with G = 0 has key +inf and is
     never preferred to a point of positive gain.
@@ -236,18 +259,27 @@ def _sample_best_batch(
     n = int(counts.sum())
     u = gen.random(n)
     u *= u0
-    width = max(int(counts.max(initial=0)), k)
-    key = np.full((size, width), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # row-major boolean indexing fills each row's leading slots in turn
-        key[np.arange(width) < counts[:, None]] = u**c / gen.standard_gamma(fad.mu, n)
-        if u0 < 1.0:
+        inner = u**c / gen.standard_gamma(fad.mu, n)
+        if k == 1:
+            key_k = _row_min(counts, inner)
+        else:
+            width = max(int(counts.max(initial=0)), k)
+            key = np.full((size, width), np.inf)
+            # row-major boolean indexing fills each row's leading slots in turn
+            key[np.arange(width) < counts[:, None]] = inner
             key.partition(k - 1, axis=1)
-            q = gammaincc(fad.mu, u0**c / key[:, k - 1])
+            key_k = key[:, k - 1]
+        if u0 < 1.0:
+            q = gammaincc(fad.mu, u0**c / key_k)
             far_counts, far_u, far_shapes = _far_ring(gen, mean_count * (1.0 - u0), u0, q, fad.mu)
             counts = counts + far_counts
-            key = np.concatenate((key[:, :k], _smallest_per_row(far_counts, far_u**c / far_shapes, k)), axis=1)
-        key_k = np.partition(key, k - 1, axis=1)[:, k - 1]
+            far = far_u**c / far_shapes
+            if k == 1:
+                key_k = np.fmin(key_k, _row_min(far_counts, far))
+            else:
+                key = np.concatenate((key[:, :k], _smallest_per_row(far_counts, far, k)), axis=1)
+                key_k = np.partition(key, k - 1, axis=1)[:, k - 1]
         z = fading.power_gain_of_shape(fad, 1.0 / key_k) / radius**geometry.upsilon
     z[counts < k] = np.nan
     return z
@@ -413,20 +445,19 @@ def simulate_ergodic_secrecy(
 # ---------------------------------------------------------------------------
 
 
-def _exp_sinh(level: int, scale: float, lo=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the exp-sinh rule for an integral over (lo, inf).
+def _exp_sinh(level: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the exp-sinh rule for an integral over (0, inf).
 
-    x = lo + scale * exp(pi/2 sinh t) on t-steps of 2^-level, so that
-    log((x - lo) / scale) spans [-150, 150]: mass decades away from
-    ``scale`` is still sampled, and the trapezoid sum converges
-    exponentially in the level for analytic integrands.  An array ``lo``
-    adds its shape as leading axes.
+    x = scale * exp(pi/2 sinh t) on t-steps of 2^-level, so that
+    log(x / scale) spans [-150, 150]: mass decades away from ``scale`` is
+    still sampled, and the trapezoid sum converges exponentially in the
+    level for analytic integrands.
     """
     step = 2.0**-level
     n = int(_T_MAX / step)
     t = step * np.arange(-n, n + 1)
     x = scale * np.exp(0.5 * math.pi * np.sinh(t))
-    return np.asarray(lo)[..., None] + x, step * 0.5 * math.pi * np.cosh(t) * x
+    return x, step * 0.5 * math.pi * np.cosh(t) * x
 
 
 def _converged(integral) -> float:
@@ -446,7 +477,17 @@ def _converged(integral) -> float:
 
 @dataclass(frozen=True)
 class _NearestLaw:
-    """Gain Z = G / Y of the k-th nearest receiver, at one rule level."""
+    """Gain Z = G / Y of the k-th nearest receiver, at one rule level.
+
+    Each sum passes over the nodes whose 1D weight (density times rule
+    weight) is exactly 0, before the 2D primitive or ``h`` is called on
+    them: such a node adds 0 times a finite value, an exact 0, so the sum
+    changes only by the order in which the other terms are added.  The
+    exp-sinh rule spans 150 e-folds, so about a third of the nodes of a
+    typical law carry a density that underflows to 0.  Only exact zeros
+    are passed over: a relative cutoff would lose values as small as the
+    8x8 nearest COP (3e-40).
+    """
 
     fad: fading.AlphaMuParams
     rate: float
@@ -457,8 +498,9 @@ class _NearestLaw:
     def cdf(self, z):
         """P(Z <= z) by the conditioning integral over the distance law."""
         y, wy = _exp_sinh(self.level, (self.k / self.rate) ** (1.0 / self.delta))
-        pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y)
-        return fading.cdf_power_gain(self.fad, np.multiply.outer(z, y)) @ (pdf_y * wy)
+        weight = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
+        keep = weight != 0.0
+        return fading.cdf_power_gain(self.fad, np.multiply.outer(z, y[keep])) @ weight[keep]
 
     def expect(self, h):
         """E[h(Z)] over W = 1 / Z = Y / G, whose density is the integral
@@ -466,15 +508,25 @@ class _NearestLaw:
         mean_gain = self.fad.mean_power()
         w, ww = _exp_sinh(self.level, (self.k / self.rate) ** (1.0 / self.delta) / mean_gain)
         g, wg = _exp_sinh(self.level, mean_gain)
-        pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, np.multiply.outer(w, g))
-        pdf_w = pdf_y @ (g * fading.pdf_power_gain(self.fad, g) * wg)
-        return np.sum(h(1.0 / w) * pdf_w * ww)
+        g_weight = g * fading.pdf_power_gain(self.fad, g) * wg
+        g_keep = g_weight != 0.0
+        pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, np.multiply.outer(w, g[g_keep]))
+        weight = (pdf_y @ g_weight[g_keep]) * ww
+        keep = weight != 0.0
+        return np.sum(h(1.0 / w[keep]) * weight[keep])
 
 
 @dataclass(frozen=True)
 class _BestLaw:
     """Gain Z = 1 / Y of the k-th best receiver, at one rule level;
-    V = rate * Y^delta is Gamma(k, 1) in every scenario."""
+    V = rate * Y^delta is Gamma(k, 1) in every scenario.
+
+    ``expect`` passes over the nodes whose weight is exactly 0, as
+    ``_NearestLaw`` does.  ``cdf`` shifts one set of offsets x by a lower
+    limit lo per z, so it drops an offset only where the Gamma(k) density
+    is exactly 0 at min(lo) + x and min(lo) + x lies past the mode k - 1:
+    the density falls past its mode, so it is 0 at every lo + x as well.
+    """
 
     rate: float
     delta: float
@@ -484,13 +536,17 @@ class _BestLaw:
     def cdf(self, z):
         """P(Z <= z) = P(V >= rate * z^-delta); the limit is capped where z underflowed to 0."""
         lo = np.minimum(self.rate * np.asarray(z, dtype=float) ** -self.delta, 1e300)
-        v, wv = _exp_sinh(self.level, self.k, lo)
-        return np.sum(stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wv, axis=-1)
+        x, wx = _exp_sinh(self.level, self.k)
+        v_min = np.min(lo, initial=np.inf) + x
+        keep = (v_min <= self.k - 1) | (stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v_min) != 0.0)
+        v = lo[..., None] + x[keep]
+        return np.sum(stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wx[keep], axis=-1)
 
     def expect(self, h):
         v, wv = _exp_sinh(self.level, self.k)
-        pdf_v = stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v)
-        return np.sum(h((self.rate / v) ** (1.0 / self.delta)) * pdf_v * wv)
+        weight = stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wv
+        keep = weight != 0.0
+        return np.sum(h((self.rate / v[keep]) ** (1.0 / self.delta)) * weight[keep])
 
 
 # Each ordering's law, built from (geometry, side, order index, rule level).

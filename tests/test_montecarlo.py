@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc, pdtr
 from scipy.stats import kstest, ks_2samp
 
-from secnet import figures, metrics, montecarlo, specfun, stochgeo, validation
+from secnet import fading, figures, metrics, montecarlo, specfun, stochgeo, validation
 from secnet.fading import AlphaMuParams
 from secnet.metrics import ORDERINGS, ScenarioConfig
 from secnet.montecarlo import (
@@ -523,6 +523,112 @@ class TestThinnedKernel:
         assert sum(counting.drawn.values()) <= 4 * size
 
 
+def _padded_best_batch(gen, geometry, side, k, radius, size):
+    """Reference for the best-ordering kernel at every k: the same draws,
+    with each part's k smallest keys selected from a +inf-padded (rows,
+    largest count) array and the k-th of their union by np.partition."""
+    fad = geometry.fading(side)
+    c = 0.5 * fad.alpha * geometry.upsilon / geometry.d
+    mean_count = geometry.density(side) * geometry.unit_ball_volume * radius**geometry.d
+    u0 = min(1.0, stochgeo.min_count_mean(k) / mean_count)
+    counts = gen.poisson(mean_count * u0, size)
+    n = int(counts.sum())
+    u = gen.random(n)
+    u *= u0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key = _padded(counts, u**c / gen.standard_gamma(fad.mu, n), k)
+        if u0 < 1.0:
+            key.partition(k - 1, axis=1)
+            q = gammaincc(fad.mu, u0**c / key[:, k - 1])
+            far_counts, far_u, far_shapes = _far_ring(gen, mean_count * (1.0 - u0), u0, q, fad.mu)
+            counts = counts + far_counts
+            key = np.concatenate((key[:, :k], _padded(far_counts, far_u**c / far_shapes, k)), axis=1)
+        z = fading.power_gain_of_shape(fad, 1.0 / _kth(key, k)) / radius**geometry.upsilon
+    z[counts < k] = np.nan
+    return z
+
+
+class _ScriptedDraws:
+    """Generator stand-in that returns planted draws in call order: one
+    list of arrays per method."""
+
+    def __init__(self, poisson, random, standard_gamma):
+        self.script = {"poisson": list(poisson), "random": list(random), "standard_gamma": list(standard_gamma)}
+
+    def _next(self, name, shape):
+        values = np.array(self.script[name].pop(0))
+        assert values.shape == shape
+        return values
+
+    def poisson(self, lam, size=None):
+        return self._next("poisson", np.shape(lam) if size is None else (size,))
+
+    def random(self, size):
+        return self._next("random", (size,)).astype(float)
+
+    def standard_gamma(self, shape, size):
+        return self._next("standard_gamma", (size,)).astype(float)
+
+
+class TestRowMinimum:
+    """At k = 1 the best-ordering kernel takes each part's smallest key as a
+    row minimum: on the same draws it must equal the padded selection bit
+    for bit."""
+
+    @pytest.mark.parametrize("mean", [4.0, 12.0, 150.0, 900.0])
+    @pytest.mark.parametrize("fad", list(_KERNEL_FADING.values()), ids=list(_KERNEL_FADING))
+    def test_matches_padded_selection_on_one_stream(self, mean, fad):
+        # windows of 4 and 12 points have u0 = 1 at k = 1, the others a far ring
+        geo = NetworkGeometry(2, 3.0, 0.5, 0.5, fad, fad)
+        radius = (mean / (0.5 * geo.unit_ball_volume)) ** 0.5
+        assert (stochgeo.min_count_mean(1) < mean) == (mean > 100.0)
+        for k in (1, 2):
+            seed = np.random.SeedSequence(entropy=5, spawn_key=(int(mean), k))
+            got = _sample_best_batch(np.random.Generator(np.random.PCG64(seed)), geo, "legitimate", k, radius, 3000)
+            want = _padded_best_batch(np.random.Generator(np.random.PCG64(seed)), geo, "legitimate", k, radius, 3000)
+            np.testing.assert_array_equal(got, want, err_msg=f"k={k}")
+
+    @pytest.mark.parametrize("far_ring", [False, True])
+    def test_planted_edge_rows_match_padded_selection(self, far_ring):
+        fad = _KERNEL_FADING["alpha1.3"]
+        geo = NetworkGeometry(2, 3.0, 0.5, 0.5, fad, fad)
+        radius = 12.0 if far_ring else 2.0
+        assert (stochgeo.min_count_mean(1) < 0.5 * geo.unit_ball_volume * radius**2) == far_ring
+        # row 0: a NaN key (U = 0, G = 0) beside two finite ones; row 1: no
+        # inner point; row 2: a NaN key alone; row 3: a +inf key (G = 0)
+        # beside a finite one; row 4: a +inf key alone; rows 5-6: no inner
+        # point, trailing
+        counts = [3, 0, 1, 2, 1, 0, 0]
+        uniforms = [0.3, 0.0, 0.6, 0.0, 0.2, 0.5, 0.4]
+        shapes = [1.0, 0.0, 2.0, 0.0, 0.0, 1.5, 0.0]
+        # far survivors, the last row empty: counts, raw uniforms, then the
+        # uniforms V of the truncated-gamma inversion
+        far = [[1, 2, 0, 1, 0, 1, 0], [0.9, 0.1, 0.5, 0.7, 0.3], [0.2, 0.8, 0.5, 0.6, 0.4]]
+
+        def run(sampler):
+            draws = _ScriptedDraws([counts, far[0]] if far_ring else [counts],
+                                   [uniforms, *far[1:]] if far_ring else [uniforms], [shapes])
+            z = sampler(draws, geo, "legitimate", 1, radius, len(counts))
+            assert not any(draws.script.values())
+            return z
+
+        got = run(_sample_best_batch)
+        np.testing.assert_array_equal(got, run(_padded_best_batch))
+        # a row of a NaN or +inf key alone holds a point of gain 0
+        assert got[2] == got[4] == 0.0
+        assert np.isnan(got[6]) and np.isnan(got[1]) != far_ring
+        assert np.all(np.isfinite(got[[0, 3]]) & (got[[0, 3]] > 0.0))
+
+    def test_eavesdropper_draws_match_padded_selection(self):
+        # the eavesdropper's order index is 1 whatever the user index
+        cfg = figures.scenario("fig6", k=4)
+        geo, k = cfg.geometry, cfg.order_index("eavesdropper")
+        assert k == 1
+        radius = stochgeo.window_radius(geo, "eavesdropper", k, orderings=("best",))
+        np.testing.assert_array_equal(_sample_best_batch(_gen(3), geo, "eavesdropper", k, radius, 8192),
+                                      _padded_best_batch(_gen(3), geo, "eavesdropper", k, radius, 8192))
+
+
 class TestStreams:
     """Each (batch, side, ordering) draws from its own stream, in a window
     sized for that ordering alone."""
@@ -666,3 +772,140 @@ class TestIntegrateDefining:
         for metric, elementary in (("cop", metrics.cop_best), ("pnz-BB", metrics.pnz_bb)):
             value = integrate_defining(metric, cfg).value
             assert abs(value - elementary(cfg)) <= 1e-8, metric
+
+
+def _unpruned_nearest_cdf(law, z):
+    y, wy = montecarlo._exp_sinh(law.level, (law.k / law.rate) ** (1.0 / law.delta))
+    pdf_y = stochgeo.pdf_kth_distance_pow(law.k, law.rate, law.delta, y)
+    return fading.cdf_power_gain(law.fad, np.multiply.outer(z, y)) @ (pdf_y * wy)
+
+
+def _unpruned_nearest_expect(law, h):
+    mean_gain = law.fad.mean_power()
+    w, ww = montecarlo._exp_sinh(law.level, (law.k / law.rate) ** (1.0 / law.delta) / mean_gain)
+    g, wg = montecarlo._exp_sinh(law.level, mean_gain)
+    pdf_y = stochgeo.pdf_kth_distance_pow(law.k, law.rate, law.delta, np.multiply.outer(w, g))
+    pdf_w = pdf_y @ (g * fading.pdf_power_gain(law.fad, g) * wg)
+    return np.sum(h(1.0 / w) * pdf_w * ww)
+
+
+def _unpruned_best_cdf(law, z):
+    lo = np.minimum(law.rate * np.asarray(z, dtype=float) ** -law.delta, 1e300)
+    x, wx = montecarlo._exp_sinh(law.level, law.k)
+    return np.sum(stochgeo.pdf_kth_distance_pow(law.k, 1.0, 1.0, lo[..., None] + x) * wx, axis=-1)
+
+
+def _unpruned_best_expect(law, h):
+    v, wv = montecarlo._exp_sinh(law.level, law.k)
+    pdf_v = stochgeo.pdf_kth_distance_pow(law.k, 1.0, 1.0, v)
+    return np.sum(h((law.rate / v) ** (1.0 / law.delta)) * pdf_v * wv)
+
+
+_UNPRUNED = {
+    (montecarlo._NearestLaw, "cdf"): _unpruned_nearest_cdf,
+    (montecarlo._NearestLaw, "expect"): _unpruned_nearest_expect,
+    (montecarlo._BestLaw, "cdf"): _unpruned_best_cdf,
+    (montecarlo._BestLaw, "expect"): _unpruned_best_expect,
+}
+
+
+class _Recorder:
+    """Wraps a function and keeps a copy of the first argument of each call."""
+
+    def __init__(self, fn, arg=0):
+        self.fn, self.arg, self.seen = fn, arg, []
+
+    def __call__(self, *args):
+        self.seen.append(np.copy(args[self.arg]))
+        return self.fn(*args)
+
+
+class TestQuadratureNodes:
+    """The oracle's sums pass over the nodes of zero weight, so the
+    primitives and h never see them, and each sum equals the unpruned one
+    up to rounding."""
+
+    LEVEL = 5
+
+    def test_nearest_law_evaluates_no_zero_weight_node(self, monkeypatch):
+        law = montecarlo._law(figures.scenario("fig6", k=1), "eavesdropper", "nearest", self.LEVEL)
+        pdf_y = stochgeo.pdf_kth_distance_pow
+        y, wy = montecarlo._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta))
+        y_keep = pdf_y(law.k, law.rate, law.delta, y) * wy != 0.0
+        w, ww = montecarlo._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta) / law.fad.mean_power())
+        g, wg = montecarlo._exp_sinh(self.LEVEL, law.fad.mean_power())
+        g_weight = g * fading.pdf_power_gain(law.fad, g) * wg
+        g_keep = g_weight != 0.0
+        w_keep = (pdf_y(law.k, law.rate, law.delta, np.multiply.outer(w, g)) @ g_weight) * ww != 0.0
+        for keep in (y_keep, g_keep, w_keep):
+            assert 0 < np.count_nonzero(~keep) < keep.size
+
+        cdf = _Recorder(fading.cdf_power_gain, 1)
+        monkeypatch.setattr(fading, "cdf_power_gain", cdf)
+        z = np.array([0.5, 2.0, 30.0])
+        law.cdf(z)
+        (arg,) = cdf.seen
+        np.testing.assert_array_equal(arg, np.multiply.outer(z, y[y_keep]))
+
+        pdf = _Recorder(pdf_y, 3)
+        monkeypatch.setattr(stochgeo, "pdf_kth_distance_pow", pdf)
+        h = _Recorder(np.log1p)
+        law.expect(h)
+        (arg,) = [seen for seen in pdf.seen if seen.ndim == 2]
+        np.testing.assert_array_equal(arg, np.multiply.outer(w, g[g_keep]))
+        np.testing.assert_array_equal(h.seen[0], 1.0 / w[w_keep])
+
+    def test_best_law_evaluates_no_zero_weight_node(self, monkeypatch):
+        law = montecarlo._law(figures.scenario("fig6", k=2), "legitimate", "best", self.LEVEL)
+        pdf_v = stochgeo.pdf_kth_distance_pow
+        x, wx = montecarlo._exp_sinh(self.LEVEL, law.k)
+        v_keep = pdf_v(law.k, 1.0, 1.0, x) * wx != 0.0
+        assert 0 < np.count_nonzero(~v_keep) < v_keep.size
+
+        pdf = _Recorder(pdf_v, 3)
+        monkeypatch.setattr(stochgeo, "pdf_kth_distance_pow", pdf)
+        h = _Recorder(np.log1p)
+        law.expect(h)
+        np.testing.assert_array_equal(h.seen[0], (law.rate / x[v_keep]) ** (1.0 / law.delta))
+
+        # the limit lo differs per z: past the mode, no node is passed on
+        # whose density is 0 at the smallest lo, and every offset dropped
+        # has density 0 at every lo
+        z = np.array([0.05, 1.0, 20.0])
+        lo = law.rate * z**-law.delta
+        pdf.seen.clear()
+        law.cdf(z)
+        (arg,) = [seen for seen in pdf.seen if seen.ndim == 2]
+        first = arg[np.argmin(lo)]
+        assert np.all((pdf_v(law.k, 1.0, 1.0, first) != 0.0) | (first <= law.k - 1))
+        offsets = x[(lo.min() + x <= law.k - 1) | (pdf_v(law.k, 1.0, 1.0, lo.min() + x) != 0.0)]
+        assert offsets.size < x.size
+        np.testing.assert_array_equal(arg, lo[:, None] + offsets)
+        dropped = np.setdiff1d(x, offsets)
+        assert not np.any(pdf_v(law.k, 1.0, 1.0, lo[:, None] + dropped))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_capped_lower_limit_still_reads_zero(self, k):
+        law = montecarlo._BestLaw(rate=0.7, delta=0.8, k=k, level=self.LEVEL)
+        with np.errstate(divide="ignore"):
+            assert law.cdf(0.0) == 0.0
+            both = law.cdf(np.array([0.0, 1.0]))
+        assert both[0] == 0.0
+        # no gain node at all: an empty sum per z, as the unpruned rule gives
+        assert law.cdf(np.array([])).shape == (0,)
+        assert both[1] == pytest.approx(_unpruned_best_cdf(law, 1.0), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("cfg", [
+        figures.scenario("fig4", k=2, lambda_b=1.0), figures.scenario("fig6", k=1),
+        figures.scenario("fig6", k=4), figures.scenario("fig11", k=1), _dense_cfg(3, 4.0),
+    ], ids=["fig4", "fig6-k1", "fig6-k4", "fig11", "dense"])
+    def test_every_key_matches_the_unpruned_sums(self, cfg, monkeypatch):
+        calls = [(key, replace(cfg, ordering=o) if key == "cop" else cfg)
+                 for key in montecarlo._KEYS for o in (ORDERINGS if key == "cop" else (cfg.ordering,))]
+        pruned = [integrate_defining(key, c).value for key, c in calls]
+        for (cls, name), fn in _UNPRUNED.items():
+            monkeypatch.setattr(cls, name, fn)
+        unpruned = [integrate_defining(key, c).value for key, c in calls]
+        assert len(calls) == 12
+        for (key, _), got, want in zip(calls, pruned, unpruned):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), key
