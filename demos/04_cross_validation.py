@@ -25,7 +25,7 @@ print("case   closed     quadrature   simulation (3-sigma interval)")
 estimates = simulate_pnz_all(cfg, mc)
 for case in ("NN", "BB", "NB", "BN"):
     closed = pnz(cfg, case)
-    quadr = integrate_defining(f"pnz-{case}", cfg).value
+    quadr = integrate_defining("pnz", cfg.with_case(case)).value
     sim = estimates[case]
     print(f"{case}   {closed:.6f}   {quadr:.6f}   {sim.value:.6f} ± {sim.half_width:.6f}")
 print()

@@ -30,7 +30,7 @@ import tempfile
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from . import figures, validation
+from . import figures, montecarlo, validation
 from .fading import MomentFitError
 from .metrics import ScenarioConfig
 from .montecarlo import MetricEstimate, MonteCarloConfig
@@ -45,12 +45,12 @@ EXIT_NUMERIC_ERROR = 3
 
 _COMMANDS = ("eval", "sweep", "validate", "figure")
 _METRICS = tuple(validation.METRICS)
-# Each evaluation method as (metric entry, scenario, case, mc) -> MetricEstimate.
+# Each evaluation method as (metric id, scenario, its case, mc) -> MetricEstimate.
 _ROUTES = {
-    "closed-form": lambda metric, cfg, case, mc: MetricEstimate(
-        metric.closed_form(cfg, case), 0.0, "closed-form", 0),
-    "quadrature": lambda metric, cfg, case, mc: metric.quadrature(cfg, case),
-    "monte-carlo": lambda metric, cfg, case, mc: metric.simulate(cfg, (case,), mc)[case],
+    "closed-form": lambda name, cfg, case, mc: MetricEstimate(
+        validation.METRICS[name].closed_form(cfg), 0.0, "closed-form", 0),
+    "quadrature": lambda name, cfg, case, mc: montecarlo.integrate_defining(name, cfg),
+    "monte-carlo": lambda name, cfg, case, mc: validation.METRICS[name].simulate({case: cfg}, mc)[case],
 }
 _METHODS = (*_ROUTES, "all")
 
@@ -359,11 +359,10 @@ def _emit(fmt: str, header: list[str], rows: list[tuple], meta: dict, out: str |
 
 def _metric_rows(spec: RunSpec, swept=None) -> list[tuple]:
     cfg = spec.scenario
-    metric = validation.METRICS[spec.metric]
-    case = metric.case_of(cfg)
+    case = validation.METRICS[spec.metric].case_of(cfg)
     rows = []
     for method in tuple(_ROUTES) if spec.method == "all" else (spec.method,):
-        est = _ROUTES[method](metric, cfg, case, spec.mc)
+        est = _ROUTES[method](spec.metric, cfg, case, spec.mc)
         row = (spec.metric, case, cfg.user_index, est.value, est.half_width, method)
         rows.append(row + ((swept,) if swept is not None else ()))
     return rows

@@ -391,7 +391,10 @@ def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     if z == 0:
         return 0.0
     geo = cfg.geometry
-    return float(gammaincc(cfg.user_index, geo.composite_rate("legitimate") * z ** (-geo.delta)))
+    with np.errstate(over="ignore"):
+        # Where z^-delta overflows the limit is inf, and Q(k, inf) = 0.
+        limit = geo.composite_rate("legitimate") * np.float64(z) ** (-geo.delta)
+    return float(gammaincc(cfg.user_index, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +467,15 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
     The non-zero-secrecy probability against the best eavesdropper decays
     geometrically in the user index with base
     rate_b / (rate_b + rate_e * varpi^-delta); the largest index keeping it
-    at or above tau is the floor of log_base(tau).
+    at or above tau is the floor of log_base(tau).  The log of the base is
+    taken as -log1p(rate_e * varpi^-delta / rate_b), which keeps its digits
+    where the base rounds toward 1.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"secrecy level must lie in (0, 1), got {tau}")
-    exact = math.log(tau) / math.log(_best_pnz_base(cfg))
+    geo = cfg.geometry
+    ratio = geo.composite_rate("eavesdropper") * cfg.varpi ** (-geo.delta) / geo.composite_rate("legitimate")
+    exact = math.log(tau) / -math.log1p(ratio)
     nearest = round(exact)
     if abs(exact - nearest) < 1e-9:
         return max(int(nearest), 0)

@@ -69,10 +69,10 @@ _T_MAX = math.asinh(150.0 / (0.5 * math.pi))
 class MonteCarloConfig:
     """Simulation size, reproducibility, and window controls.
 
-    ``window_radius=None`` sizes the sampling ball per side from the order
-    statistics actually requested (never below 10); an explicit value is
-    applied to both sides verbatim, which is the hook for truncation
-    sensitivity checks.
+    ``window_radius=None`` sizes the sampling ball per (side, ordering) from
+    the order statistic actually requested (never below 10); an explicit
+    value is applied to every side and ordering verbatim, which is the hook
+    for truncation sensitivity checks.
     """
 
     trials: int
@@ -402,14 +402,9 @@ def simulate_pnz_all(cfg: ScenarioConfig, mc: MonteCarloConfig) -> dict[str, Met
     return {case: _pnz_estimate(cfg.with_case(case), draws, mc) for case in CASES}
 
 
-def simulate_ergodic_capacity(
-    cfg: ScenarioConfig,
-    mc: MonteCarloConfig,
-    ordering: str | None = None,
-) -> MetricEstimate:
+def simulate_ergodic_capacity(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
     """Sample mean of the legitimate link capacity log2(1 + eta_k * Z) of
-    the k-th receiver under ``ordering`` (default cfg.ordering)."""
-    cfg = replace(cfg, ordering=cfg.ordering if ordering is None else ordering)
+    the k-th receiver under cfg.ordering."""
     z = _run_simulation(cfg, mc, (cfg.ordering,), ())["legitimate", cfg.ordering]
     return _mean_estimate(np.log2(1.0 + cfg.eta_k * z[~np.isnan(z)]), mc.trials, mc)
 
@@ -574,35 +569,28 @@ def _pnz_at(cfg: ScenarioConfig, level: int) -> float:
     return _law(cfg, "legitimate", cfg.ordering, level).expect(lambda z: eave.cdf(cfg.varpi * z))
 
 
-# Metric id -> (the cases its keys name, how a case resolves the scenario,
-# the metric of the resolved scenario).  ``cop`` names no case and honors
-# cfg.ordering.
+# Metric id -> the defining integral of a scenario whose ordering and
+# eavesdropper policy already name the case.
 _DEFINING = {
-    "cop": (("",), lambda cfg, case: cfg, lambda cfg: _converged(
-        lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold))),
-    "pnz": (CASES, ScenarioConfig.with_case, lambda cfg: _converged(lambda level: _pnz_at(cfg, level))),
-    "capacity": (ORDERINGS, lambda cfg, case: replace(cfg, ordering=case),
-                 lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering)),
-    "esc": (CASES, ScenarioConfig.with_case, lambda cfg: max(
+    "cop": lambda cfg: _converged(
+        lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold)),
+    "pnz": lambda cfg: _converged(lambda level: _pnz_at(cfg, level)),
+    "capacity": lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering),
+    "esc": lambda cfg: max(
         _quad_capacity(cfg, "legitimate", cfg.ordering)
-        - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0)),
-}
-_KEYS = {
-    f"{name}-{case}".rstrip("-").lower(): (case, resolve, integral)
-    for name, (cases, resolve, integral) in _DEFINING.items() for case in cases
+        - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0),
 }
 
 
 def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
     """Evaluate one metric by direct quadrature of its defining integral.
 
-    ``metric`` is one of ``cop`` (honoring cfg.ordering), ``pnz-XY``,
-    ``capacity-nearest``/``capacity-best`` or ``esc-XY`` with XY in
-    {NN, BB, NB, BN}, in any letter case and with ``_`` or ``-``.
+    ``metric`` is one of ``cop``, ``pnz``, ``capacity`` and ``esc``; the
+    case is the one cfg names: cfg.ordering for ``cop`` and ``capacity``,
+    cfg.case for ``pnz`` and ``esc``.
     """
-    entry = _KEYS.get(metric.strip().lower().replace("_", "-"))
-    if entry is None:
-        raise ValueError(f"unknown metric {metric!r}")
-    case, resolve, integral = entry
-    return MetricEstimate(value=float(integral(resolve(cfg, case))), half_width=0.0,
+    integral = _DEFINING.get(metric)
+    if integral is None:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(_DEFINING)}")
+    return MetricEstimate(value=float(integral(cfg)), half_width=0.0,
                           provenance="quadrature", trials_used=0)

@@ -103,24 +103,29 @@ class ValidationRow:
 
 @dataclass(frozen=True)
 class Metric:
-    """One secrecy metric and its three routes.
+    """One secrecy metric and its routes.
 
     ``cases`` are the orderings (COP, capacity) or the four receiver/
-    eavesdropper pairings (PNZ, ergodic secrecy capacity).  ``probability``
-    picks the quadrature tolerance and the simulation trial count.  The
-    closed form and the defining integral take ``(cfg, case)``; the
-    simulator takes ``(cfg, cases, mc)`` and returns one estimate per case.
+    eavesdropper pairings (PNZ, ergodic secrecy capacity), and ``at`` is
+    the one place a case label sets a scenario.  ``probability`` picks the
+    quadrature tolerance and the simulation trial count.  The closed form
+    takes a scenario ``at`` has set; the simulator takes such scenarios by
+    case and returns one estimate per case.  The defining integral is
+    ``montecarlo.integrate_defining(metric id, scenario)``.
     """
 
     cases: tuple[str, ...]
     probability: bool
-    closed_form: Callable[[ScenarioConfig, str], float]
-    quadrature: Callable[[ScenarioConfig, str], MetricEstimate]
-    simulate: Callable[[ScenarioConfig, tuple[str, ...], MonteCarloConfig], dict[str, MetricEstimate]]
+    closed_form: Callable[[ScenarioConfig], float]
+    simulate: Callable[[dict[str, ScenarioConfig], MonteCarloConfig], dict[str, MetricEstimate]]
 
     @property
     def quad_tol(self) -> float:
         return QUAD_TOL_PROBABILITY if self.probability else QUAD_TOL_CAPACITY
+
+    def at(self, cfg: ScenarioConfig, case: str) -> ScenarioConfig:
+        """The scenario with the ordering and eavesdropper policy a case selects."""
+        return replace(cfg, ordering=case) if self.cases == ORDERINGS else cfg.with_case(case)
 
     def case_of(self, cfg: ScenarioConfig) -> str:
         """The case a scenario selects through its ordering and eavesdropper policy."""
@@ -132,34 +137,29 @@ class Metric:
 METRICS: dict[str, Metric] = {
     "cop": Metric(
         cases=ORDERINGS, probability=True,
-        closed_form=lambda cfg, case: metrics.cop(replace(cfg, ordering=case)),
-        quadrature=lambda cfg, case: montecarlo.integrate_defining("cop", replace(cfg, ordering=case)),
-        simulate=lambda cfg, cases, mc: {
-            case: montecarlo.simulate_cop(replace(cfg, ordering=case), mc) for case in cases},
+        closed_form=lambda cfg: metrics.cop(cfg),
+        simulate=lambda cfgs, mc: {case: montecarlo.simulate_cop(cfg, mc) for case, cfg in cfgs.items()},
     ),
     "pnz": Metric(
         cases=CASES, probability=True,
-        closed_form=lambda cfg, case: metrics.pnz(cfg, case),
-        quadrature=lambda cfg, case: montecarlo.integrate_defining(f"pnz-{case}", cfg),
+        closed_form=lambda cfg: metrics.pnz(cfg),
         # All four pairings come from one set of realizations.
-        simulate=lambda cfg, cases, mc: (
-            montecarlo.simulate_pnz_all(cfg, mc) if set(cases) == set(CASES)
-            else {case: montecarlo.simulate_pnz(cfg, case, mc) for case in cases}),
+        simulate=lambda cfgs, mc: (
+            montecarlo.simulate_pnz_all(cfgs[CASES[0]], mc) if set(cfgs) == set(CASES)
+            else {case: montecarlo.simulate_pnz(cfg, None, mc) for case, cfg in cfgs.items()}),
     ),
     "capacity": Metric(
         cases=ORDERINGS, probability=False,
-        closed_form=lambda cfg, case: getattr(metrics, f"ergodic_capacity_{case}")(cfg),
-        quadrature=lambda cfg, case: montecarlo.integrate_defining(f"capacity-{case}", cfg),
-        simulate=lambda cfg, cases, mc: {
-            case: montecarlo.simulate_ergodic_capacity(cfg, mc, ordering=case) for case in cases},
+        closed_form=lambda cfg: getattr(metrics, f"ergodic_capacity_{cfg.ordering}")(cfg),
+        simulate=lambda cfgs, mc: {
+            case: montecarlo.simulate_ergodic_capacity(cfg, mc) for case, cfg in cfgs.items()},
     ),
     "esc": Metric(
         cases=CASES, probability=False,
-        closed_form=lambda cfg, case: metrics.ergodic_secrecy_capacity(cfg, case),
-        quadrature=lambda cfg, case: montecarlo.integrate_defining(f"esc-{case}", cfg),
-        simulate=lambda cfg, cases, mc: {
-            case: montecarlo.simulate_ergodic_secrecy(cfg, case, mc).clipped_difference
-            for case in cases},
+        closed_form=lambda cfg: metrics.ergodic_secrecy_capacity(cfg),
+        simulate=lambda cfgs, mc: {
+            case: montecarlo.simulate_ergodic_secrecy(cfg, None, mc).clipped_difference
+            for case, cfg in cfgs.items()},
     ),
 }
 
@@ -203,14 +203,15 @@ def run_validation(
             cfg = figures.scenario(fig, **overrides)
             for name, cases in blocks:
                 metric = METRICS[name]
-                ests = metric.simulate(cfg, cases, mc_prob if metric.probability else mc_cap)
+                cfgs = {case: metric.at(cfg, case) for case in cases}
+                ests = metric.simulate(cfgs, mc_prob if metric.probability else mc_cap)
                 rows.extend(
                     ValidationRow(
                         figure=fig, metric=name, case=case, k=cfg.user_index,
-                        closed_form=metric.closed_form(cfg, case),
-                        quadrature=metric.quadrature(cfg, case).value, quad_tol=metric.quad_tol,
+                        closed_form=metric.closed_form(at),
+                        quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
                         mc_value=ests[case].value, mc_half_width=ests[case].half_width,
                     )
-                    for case in cases
+                    for case, at in cfgs.items()
                 )
     return [replace(row, mc_family_size=len(rows)) for row in rows]

@@ -2,6 +2,7 @@
 emitted files, and exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -98,7 +99,7 @@ def evaluated(monkeypatch):
     """Replace the closed-form route by one that records each (scenario, mc) it is given."""
     seen = []
 
-    def record(metric, cfg, case, mc):
+    def record(name, cfg, case, mc):
         seen.append((cfg, mc))
         return MetricEstimate(0.5, 0.0, "closed-form", 0)
 
@@ -355,13 +356,11 @@ class TestEvalCommand:
     @pytest.mark.parametrize("metric, case", REGISTRY_CASES)
     def test_eval_all_methods_agree_for_every_registered_case(self, tmp_path, metric, case):
         entry = validation.METRICS[metric]
-        if case in ("nearest", "best"):
-            ordering, policy = case, "nearest"
-        else:
-            ordering, policy = ({"N": "nearest", "B": "best"}[c] for c in case)
+        at = entry.at(ScenarioConfig.build(), case)
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(REGISTRY_DOC.format(ordering=ordering, policy=policy, metric=metric,
-                                                trials=20000 if entry.probability else 4000))
+        cfg_path.write_text(REGISTRY_DOC.format(
+            ordering=at.ordering, policy=at.eavesdropper_policy, metric=metric,
+            trials=20000 if entry.probability else 4000))
         out = tmp_path / "out.csv"
         assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -430,6 +429,19 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.startswith("numeric error: 1 - H = ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
+    def test_best_cop_where_the_gain_limit_overflows_reads_zero(self, tmp_path, capsys, method):
+        # threshold^-delta = (1e-300)^-1.5 overflows: the outage is Q(k, inf) = 0.
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[geometry]\nd = 3\nupsilon = 2\n[scenario]\neta_k_db = 3000\n"
+                            f"ordering = best\n[run]\nmetric = cop\nmethod = {method}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1] == f"cop,best,1,0,0,{method}"
 
 
 class TestSweepCommand:

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from secnet import figures, metrics, montecarlo, specfun
 from secnet.fading import AlphaMuParams, moment_power_gain
 from secnet.metrics import ScenarioConfig
-from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
+from secnet.validation import METRICS, QUAD_TOL_PROBABILITY
 
 
 def _unit_rate_scenario(**over):
@@ -139,6 +139,13 @@ class TestCompositeBest:
         assert cfg.geometry.delta == 1.5
         assert metrics.pdf_composite_best(cfg, z) == 0.0
 
+    def test_cdf_vanishes_where_rate_term_overflows(self):
+        # z^-delta overflows; the lower limit is inf and Q(k, inf) = 0
+        cfg = ScenarioConfig.build(d=3, upsilon=2.0, eta_k=1e300, ordering="best")
+        assert metrics.cdf_composite_best(cfg, 1e-300) == 0.0
+        assert metrics.cop_best(cfg) == 0.0
+        assert montecarlo.integrate_defining("cop", cfg).value == 0.0
+
     def test_density_vanishes_where_rate_term_underflows(self):
         # u = rate * z^-delta underflows to 0; log u = -inf must not warn
         cfg = figures.scenario("fig7", k=2, upsilon=2.0)
@@ -254,14 +261,14 @@ class TestPnz:
     def test_matches_defining_integral_on_fig6(self, case):
         cfg = figures.scenario("fig6", k=2)
         closed = metrics.pnz(cfg, case)
-        oracle = montecarlo.integrate_defining(f"pnz-{case}", cfg).value
+        oracle = montecarlo.integrate_defining("pnz", cfg.with_case(case)).value
         assert closed == pytest.approx(oracle, rel=1e-5)
 
     @pytest.mark.parametrize("case", ["NN", "BB", "NB", "BN"])
     def test_matches_defining_integral_on_fig5(self, case):
         cfg = figures.scenario("fig5", k=2)
         closed = metrics.pnz(cfg, case)
-        oracle = montecarlo.integrate_defining(f"pnz-{case}", cfg).value
+        oracle = montecarlo.integrate_defining("pnz", cfg.with_case(case)).value
         assert closed == pytest.approx(oracle, rel=1e-5)
 
     def test_dominant_legitimate_snr(self):
@@ -384,7 +391,7 @@ class TestComplementRelativeAccuracy:
         cfg = ScenarioConfig.build(lambda_b=1e-4, user_index=2, eta_k=0.01).with_case("BN")
         closed = metrics.pnz_bn(cfg)
         assert closed == pytest.approx(1.0e-6, rel=0.05)
-        assert closed == pytest.approx(montecarlo.integrate_defining("pnz-BN", cfg).value, rel=1e-5)
+        assert closed == pytest.approx(montecarlo.integrate_defining("pnz", cfg).value, rel=1e-5)
 
     @pytest.mark.parametrize("n", [4, 10])
     def test_nearest_cdf_below_its_bound_raises_whatever_its_sign(self, n):
@@ -395,21 +402,19 @@ class TestComplementRelativeAccuracy:
             metrics.cdf_composite_nearest(cfg, 1.0)
 
 
-# The closed forms with a defining-integral oracle, by oracle key.
+# The closed forms with a defining-integral oracle, by (metric id, case); each
+# takes the scenario the case sets.
 _ORACLE_ROUTES = {
-    "cop": metrics.cop,
-    "pnz-NN": lambda cfg: metrics.pnz(cfg, "NN"),
-    "pnz-NB": lambda cfg: metrics.pnz(cfg, "NB"),
-    "pnz-BN": lambda cfg: metrics.pnz(cfg, "BN"),
-    "pnz-BB": lambda cfg: metrics.pnz(cfg, "BB"),
-    "capacity-nearest": metrics.ergodic_capacity_nearest,
-    "capacity-best": metrics.ergodic_capacity_best,
-    "esc-NN": lambda cfg: metrics.ergodic_secrecy_capacity(cfg, "NN"),
+    ("cop", "nearest"): metrics.cop,
+    ("pnz", "NN"): metrics.pnz,
+    ("pnz", "NB"): metrics.pnz,
+    ("pnz", "BN"): metrics.pnz,
+    ("pnz", "BB"): metrics.pnz,
+    ("capacity", "nearest"): metrics.ergodic_capacity_nearest,
+    ("capacity", "best"): metrics.ergodic_capacity_best,
+    ("esc", "NN"): metrics.ergodic_secrecy_capacity,
 }
-
-
-def _quad_tol(key: str) -> float:
-    return QUAD_TOL_PROBABILITY if key.startswith(("cop", "pnz")) else QUAD_TOL_CAPACITY
+_ORACLE_KEYS = [key for key in _ORACLE_ROUTES if key[0] != "cop"]
 
 
 class TestManyBranches:
@@ -417,13 +422,13 @@ class TestManyBranches:
     Gamma(mu) from overflowing, and every route either matches its oracle or
     raises."""
 
-    @pytest.mark.parametrize("key", [key for key in _ORACLE_ROUTES if key != "cop"])
-    def test_mu_200_matches_the_oracle(self, key):
-        cfg = ScenarioConfig.build(n_a=10, n_b=20)
+    @pytest.mark.parametrize("name, case", _ORACLE_KEYS, ids=["-".join(key) for key in _ORACLE_KEYS])
+    def test_mu_200_matches_the_oracle(self, name, case):
+        cfg = METRICS[name].at(ScenarioConfig.build(n_a=10, n_b=20), case)
         assert cfg.fading_b.mu > 171.0
-        closed = _ORACLE_ROUTES[key](cfg)
-        oracle = montecarlo.integrate_defining(key, cfg).value
-        assert closed == pytest.approx(oracle, rel=_quad_tol(key), abs=0.0)
+        closed = _ORACLE_ROUTES[name, case](cfg)
+        oracle = montecarlo.integrate_defining(name, cfg).value
+        assert closed == pytest.approx(oracle, rel=METRICS[name].quad_tol, abs=0.0)
 
     def test_mu_200_nearest_cop_raises(self):
         with pytest.raises(specfun.ConvergenceError):
@@ -444,14 +449,15 @@ class TestManyBranches:
     def test_branch_count_sweep_never_contradicts_the_oracle(self, n_a, n_b, eta_k):
         # A route may raise (nearest cop does where the outage is 1.4e-10
         # or less), but a value it returns must be the oracle's.
-        cfg = ScenarioConfig.build(n_a=n_a, n_b=n_b, eta_k=eta_k)
-        for key, route in _ORACLE_ROUTES.items():
+        base = ScenarioConfig.build(n_a=n_a, n_b=n_b, eta_k=eta_k)
+        for (name, case), route in _ORACLE_ROUTES.items():
+            cfg = METRICS[name].at(base, case)
             try:
                 closed = route(cfg)
             except specfun.ConvergenceError:
                 continue
-            oracle = montecarlo.integrate_defining(key, cfg).value
-            assert closed == pytest.approx(oracle, rel=_quad_tol(key), abs=0.0), key
+            oracle = montecarlo.integrate_defining(name, cfg).value
+            assert closed == pytest.approx(oracle, rel=METRICS[name].quad_tol, abs=0.0), (name, case)
 
 
 class TestMaxSecureBestUsers:
@@ -483,6 +489,13 @@ class TestMaxSecureBestUsers:
         ]
         assert all(b >= a for a, b in zip(by_ratio, by_ratio[1:]))
 
+    @pytest.mark.parametrize("varpi, users", [(1e8, 230258510), (1e10, 23025850931), (1e12, 2302585092995)])
+    def test_high_snr_ratio_keeps_its_digits(self, varpi, users):
+        # the base rate_b / (rate_b + rate_e varpi^-delta) rounds toward 1;
+        # its log read 230258509, 23025849023 and 2302636031262
+        cfg = ScenarioConfig.build(eta_k=varpi, ordering="best", eavesdropper_policy="best")
+        assert metrics.max_secure_best_users(cfg, 0.1) == users
+
     def test_consistent_with_bb_probability(self):
         # requesting exactly the secrecy level the k-th user achieves must
         # admit at least k users
@@ -507,7 +520,7 @@ class TestErgodicCapacity:
             for ordering, closed_fn in (("nearest", metrics.ergodic_capacity_nearest),
                                         ("best", metrics.ergodic_capacity_best)):
                 closed = closed_fn(cfg)
-                oracle = montecarlo.integrate_defining(f"capacity-{ordering}", cfg).value
+                oracle = montecarlo.integrate_defining("capacity", METRICS["capacity"].at(cfg, ordering)).value
                 assert closed == pytest.approx(oracle, rel=1e-4)
 
     def test_wiretap_terms_match_quadrature(self):
@@ -543,5 +556,5 @@ class TestErgodicSecrecyCapacity:
         cfg = figures.scenario("fig11", k=2)
         for case in metrics.CASES:
             closed = metrics.ergodic_secrecy_capacity(cfg, case)
-            oracle = montecarlo.integrate_defining(f"esc-{case}", cfg).value
+            oracle = montecarlo.integrate_defining("esc", cfg.with_case(case)).value
             assert closed == pytest.approx(oracle, rel=1e-4)

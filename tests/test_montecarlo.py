@@ -680,7 +680,7 @@ class TestStreams:
 class TestIntegrateDefining:
     def test_best_best_closed_form_agreement(self):
         for cfg in (figures.scenario("fig6", k=3), figures.scenario("fig7", k=2, upsilon=3.0)):
-            est = integrate_defining("pnz-BB", cfg)
+            est = integrate_defining("pnz", cfg.with_case("BB"))
             assert est.value == pytest.approx(metrics.pnz_bb(cfg), rel=1e-7)
             assert est.provenance == "quadrature"
             assert est.half_width == 0.0
@@ -691,7 +691,7 @@ class TestIntegrateDefining:
 
     def test_capacity_agreement_on_fig11(self):
         cfg = figures.scenario("fig11", k=1)
-        est = integrate_defining("capacity-nearest", cfg)
+        est = integrate_defining("capacity", replace(cfg, ordering="nearest"))
         assert est.value == pytest.approx(metrics.ergodic_capacity_nearest(cfg), rel=1e-4)
 
     def test_esc_clips_at_zero(self):
@@ -700,41 +700,38 @@ class TestIntegrateDefining:
             alpha_b=2.0, mu_b=1.0, alpha_e=2.0, mu_e=1.0,
             eta_k=1.0, eta_e=1.0, user_index=1,
         )
-        assert integrate_defining("esc-NN", cfg).value == 0.0
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_defining("sop", figures.scenario("fig6", k=1))
-
-    @pytest.mark.parametrize("metric", ["PNZ_bb", "Pnz-Bb", " pnz_BB "])
-    def test_keys_ignore_letter_case_and_separator(self, metric):
-        cfg = figures.scenario("fig6", k=2)
-        assert integrate_defining(metric, cfg) == integrate_defining("pnz-BB", cfg)
+        assert integrate_defining("esc", cfg.with_case("NN")).value == 0.0
 
     @pytest.mark.parametrize(
-        "metric", ["pnz", "capacity", "cop-nearest", "pnz-nearest", "capacity-NN", "esc-XX"])
-    def test_keys_outside_the_eleven_rejected(self, metric):
-        with pytest.raises(ValueError, match="unknown metric"):
+        "metric", ["pnz-BB", "PNZ_bb", "cop-nearest", "capacity-NN", "pnz-nearest", "esc-XX", "sop", "PNZ", ""])
+    def test_unknown_metric_rejected(self, metric):
+        # The case is read from the scenario, so a metric id names no case.
+        with pytest.raises(ValueError, match="unknown metric") as info:
             integrate_defining(metric, figures.scenario("fig6", k=1))
+        assert str(info.value).endswith("expected one of cop, pnz, capacity, esc")
+
+    def test_accepts_exactly_the_registered_ids(self):
+        assert tuple(montecarlo._DEFINING) == tuple(validation.METRICS)
 
     @pytest.mark.parametrize("d, upsilon", [(2, 4.0), (3, 4.0)])
     def test_nearest_capacity_keeps_mass_far_from_unit_gain(self, d, upsilon):
         # a quadrature map scaled to gains near 1 dropped 12% (d = 2) and
         # 2.1% (d = 3) of this capacity; simulation agrees with the closed form
         cfg = _dense_cfg(d, upsilon)
-        value = integrate_defining("capacity-nearest", cfg).value
+        value = integrate_defining("capacity", cfg).value
         assert value == pytest.approx(metrics.ergodic_capacity_nearest(cfg), rel=QUAD_TOL_CAPACITY)
 
     def test_nearest_pnz_keeps_mass_far_from_unit_gain(self):
         cfg = _dense_cfg(3, 4.0)
-        value = integrate_defining("pnz-NN", cfg).value
+        value = integrate_defining("pnz", cfg.with_case("NN")).value
         assert value == pytest.approx(metrics.pnz_nn(cfg), rel=QUAD_TOL_PROBABILITY)
 
     @pytest.mark.parametrize("fig", ["fig6", "fig11"])
     def test_oracle_never_reaches_the_closed_forms(self, fig, monkeypatch):
         cfg = figures.scenario(fig, k=2)
-        rows = [(name, case, metric.closed_form(cfg, case))
-                for name, metric in validation.METRICS.items() for case in metric.cases]
+        rows = [(name, at, metric.closed_form(at), metric.quad_tol)
+                for name, metric in validation.METRICS.items()
+                for at in (metric.at(cfg, case) for case in metric.cases)]
 
         def forbidden(name):
             def stub(*args, **kwargs):
@@ -746,9 +743,8 @@ class TestIntegrateDefining:
         for name in metrics.__all__:
             if name not in ("CASES", "ScenarioConfig"):
                 monkeypatch.setattr(metrics, name, forbidden(f"metrics.{name}"))
-        for name, case, closed in rows:
-            metric = validation.METRICS[name]
-            assert metric.quadrature(cfg, case).value == pytest.approx(closed, rel=metric.quad_tol)
+        for name, at, closed, tol in rows:
+            assert montecarlo.integrate_defining(name, at).value == pytest.approx(closed, rel=tol)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -769,9 +765,10 @@ class TestIntegrateDefining:
             lambda_b=lambda_b, lambda_e=lambda_e, user_index=k, eta_k=10 ** (eta_k_db / 10),
             rate=rate, ordering="best",
         )
-        for metric, elementary in (("cop", metrics.cop_best), ("pnz-BB", metrics.pnz_bb)):
-            value = integrate_defining(metric, cfg).value
-            assert abs(value - elementary(cfg)) <= 1e-8, metric
+        for metric, at, elementary in (("cop", cfg, metrics.cop_best),
+                                       ("pnz", cfg.with_case("BB"), metrics.pnz_bb)):
+            value = integrate_defining(metric, at).value
+            assert abs(value - elementary(at)) <= 1e-8, metric
 
 
 def _unpruned_nearest_cdf(law, z):
@@ -900,12 +897,12 @@ class TestQuadratureNodes:
         figures.scenario("fig6", k=4), figures.scenario("fig11", k=1), _dense_cfg(3, 4.0),
     ], ids=["fig4", "fig6-k1", "fig6-k4", "fig11", "dense"])
     def test_every_key_matches_the_unpruned_sums(self, cfg, monkeypatch):
-        calls = [(key, replace(cfg, ordering=o) if key == "cop" else cfg)
-                 for key in montecarlo._KEYS for o in (ORDERINGS if key == "cop" else (cfg.ordering,))]
+        calls = [(key, metric.at(cfg, case))
+                 for key, metric in validation.METRICS.items() for case in metric.cases]
         pruned = [integrate_defining(key, c).value for key, c in calls]
         for (cls, name), fn in _UNPRUNED.items():
             monkeypatch.setattr(cls, name, fn)
         unpruned = [integrate_defining(key, c).value for key, c in calls]
         assert len(calls) == 12
-        for (key, _), got, want in zip(calls, pruned, unpruned):
-            assert got == pytest.approx(want, rel=1e-14, abs=0.0), key
+        for (key, c), got, want in zip(calls, pruned, unpruned):
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (key, c.ordering, c.eavesdropper_policy)

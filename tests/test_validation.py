@@ -1,9 +1,12 @@
 """The family-wise simulation gate of the validation suite, exercised on
-hand-built rows (no simulation runs)."""
+hand-built rows (no simulation runs), and the registry's case resolution."""
+
+from dataclasses import replace
 
 import pytest
 
-from secnet.validation import CI_Z, ValidationRow, family_gate_z
+from secnet.metrics import ScenarioConfig
+from secnet.validation import CI_Z, METRICS, ValidationRow, family_gate_z
 
 CLOSED = 0.25
 SIGMA = 1e-4
@@ -58,3 +61,15 @@ def test_zero_half_width_needs_exact_agreement():
     off = ValidationRow("fig3", "cop", "nearest", 1, CLOSED, CLOSED, 1e-5, CLOSED + 1e-9, 0.0, 36)
     assert exact.mc_ok and exact.mc_z == 0.0
     assert not off.mc_ok and off.mc_z == float("inf")
+
+
+REGISTERED = [(name, case) for name, metric in METRICS.items() for case in metric.cases]
+
+
+@pytest.mark.parametrize("name, case", REGISTERED, ids=["-".join(key) for key in REGISTERED])
+def test_a_case_sets_only_the_ordering_and_eavesdropper_policy(name, case):
+    metric = METRICS[name]
+    cfg = ScenarioConfig.build(user_index=3, eta_k=7.0, rate=2.0, eavesdropper_policy="best")
+    at = metric.at(cfg, case)
+    assert metric.case_of(at) == case
+    assert replace(at, ordering=cfg.ordering, eavesdropper_policy=cfg.eavesdropper_policy) == cfg
