@@ -49,5 +49,5 @@ rich = ScenarioConfig.build(
 print("  k      NN      BB      NB      BN")
 for k in (1, 2, 4):
     c = replace(rich, user_index=k)
-    row = "   ".join(f"{ergodic_secrecy_capacity(c, case):.4f}" for case in ("NN", "BB", "NB", "BN"))
+    row = "   ".join(f"{ergodic_secrecy_capacity(c.with_case(case)):.4f}" for case in ("NN", "BB", "NB", "BN"))
     print(f"  {k}   {row}")

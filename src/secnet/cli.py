@@ -33,7 +33,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from . import figures, montecarlo, validation
 from .fading import MomentFitError
 from .metrics import ScenarioConfig
-from .montecarlo import MetricEstimate, MonteCarloConfig
+from .montecarlo import METRICS, MetricEstimate, MonteCarloConfig
 from .specfun import ConvergenceError
 
 __all__ = ["ConfigError", "RunSpec", "main", "parse_config", "run"]
@@ -44,13 +44,12 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 _COMMANDS = ("eval", "sweep", "validate", "figure")
-_METRICS = tuple(validation.METRICS)
-# Each evaluation method as (metric id, scenario, its case, mc) -> MetricEstimate.
+# Each evaluation method as (metric id, scenario, mc) -> MetricEstimate; a simulator's keys are labels.
 _ROUTES = {
-    "closed-form": lambda name, cfg, case, mc: MetricEstimate(
-        validation.METRICS[name].closed_form(cfg), 0.0, "closed-form", 0),
-    "quadrature": lambda name, cfg, case, mc: montecarlo.integrate_defining(name, cfg),
-    "monte-carlo": lambda name, cfg, case, mc: validation.METRICS[name].simulate({case: cfg}, mc)[case],
+    "closed-form": lambda name, cfg, mc: MetricEstimate(
+        METRICS[name].closed_form(cfg), 0.0, "closed-form", 0),
+    "quadrature": lambda name, cfg, mc: montecarlo.integrate_defining(name, cfg),
+    "monte-carlo": lambda name, cfg, mc: METRICS[name].simulate({"": cfg}, mc)[""],
 }
 _METHODS = (*_ROUTES, "all")
 
@@ -245,7 +244,7 @@ def parse_config(text: str, command: str = "eval",
                             f"invalid {label}: {exc}") from exc
 
     run = values["run"]
-    for key, choices in (("metric", _METRICS), ("method", _METHODS)):
+    for key, choices in (("metric", tuple(METRICS)), ("method", _METHODS)):
         if run[key] not in choices:
             raise _anchored(where, "run", key, f"{key} must be one of {choices}, got {run[key]!r}")
     if command == "figure" and run["figure_id"] not in (None, *figures.FIGURE_IDS):
@@ -357,12 +356,21 @@ def _emit(fmt: str, header: list[str], rows: list[tuple], meta: dict, out: str |
         _atomic_write(out + ".meta.json", _json(meta))
 
 
-def _metric_rows(spec: RunSpec, swept=None) -> list[tuple]:
+def _metric_rows(spec: RunSpec, failed: list[str], swept=None) -> list[tuple]:
+    """One row per method; under ``all`` a route's numeric error is printed, its row NaN and its name
+    appended to failed."""
     cfg = spec.scenario
-    case = validation.METRICS[spec.metric].case_of(cfg)
+    case = METRICS[spec.metric].case_of(cfg)
     rows = []
     for method in tuple(_ROUTES) if spec.method == "all" else (spec.method,):
-        est = _ROUTES[method](spec.metric, cfg, case, spec.mc)
+        try:
+            est = _ROUTES[method](spec.metric, cfg, spec.mc)
+        except (ConvergenceError, ArithmeticError) as exc:
+            if spec.method != "all":
+                raise
+            print(f"numeric error: {method}: {exc}", file=sys.stderr)
+            failed.append(method)
+            est = MetricEstimate(math.nan, math.nan, method, 0)
         row = (spec.metric, case, cfg.user_index, est.value, est.half_width, method)
         rows.append(row + ((swept,) if swept is not None else ()))
     return rows
@@ -390,15 +398,16 @@ def run(spec: RunSpec) -> int:
     if spec.command in ("eval", "sweep"):
         header = ["metric", "case", "k", "value", "half_width", "provenance"]
         meta = _scenario_meta(spec)
+        failed: list[str] = []
         if spec.command == "eval":
-            rows = _metric_rows(spec)
+            rows = _metric_rows(spec, failed)
         else:
             header.append(spec.sweep_param)
             meta.update(sweep_param=spec.sweep_param, sweep_values=list(spec.sweep_values))
             rows = [row for value in spec.sweep_values
-                    for row in _metric_rows(_rebuild(spec, value), swept=value)]
+                    for row in _metric_rows(_rebuild(spec, value), failed, swept=value)]
         _emit(spec.output_format, header, rows, meta, spec.output_path)
-        return EXIT_OK
+        return EXIT_NUMERIC_ERROR if failed else EXIT_OK
 
     if spec.command == "figure":
         if spec.figure_id is None:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import metrics
-from .metrics import CASES, ScenarioConfig
+from .metrics import CASES, ORDERINGS, ScenarioConfig
+from .montecarlo import METRICS
 
 __all__ = ["FIGURE_IDS", "describe_scenario", "figure_table", "scenario"]
 
@@ -40,8 +41,10 @@ class _Figure:
     scenario, the others are arguments of the metric.  The scenario is
     built per point with axis ``x`` set to it, or once per group when ``x``
     is not an axis.  A curve is a (metric, case) name whose case, if None,
-    is the group's.  An integer value is a user count and fills the ``k``
-    column.
+    is the group's; a ``METRICS`` id is evaluated by its closed form.  An
+    integer value is a user count and fills the ``k`` column.  ``checks``
+    are the figure's validation points: (axis overrides, ((metric id,
+    cases), ...)) per scenario.
     """
 
     caption: dict
@@ -52,6 +55,7 @@ class _Figure:
     curves: tuple
     meta: dict = field(default_factory=dict)
     links: dict = field(default_factory=dict)
+    checks: tuple = ()
 
 
 # The build keywords an axis sets, from the caption and its value, when it
@@ -63,14 +67,11 @@ _AXES: dict[str, Callable[[dict, object], dict]] = {
     "case": lambda caption, v: {},
 }
 
-# Values look up ``metrics.*`` at call time, so a wrapper installed on those
-# module attributes sees every call.
+# The curves that are not ``METRICS`` ids.  Values look up ``metrics.*`` at
+# call time, so a wrapper installed on those module attributes sees every call.
 _METRICS: dict[str, Callable[..., float]] = {
     "pdf": lambda cfg, z, case: (metrics.pdf_composite_nearest if case == "nearest"
                                  else metrics.pdf_composite_best)(cfg, z),
-    "cop": lambda cfg, x, case: (metrics.cop_nearest if case == "nearest" else metrics.cop_best)(cfg),
-    "pnz": lambda cfg, x, case: metrics.pnz(cfg, case),
-    "esc": lambda cfg, x, case: metrics.ergodic_secrecy_capacity(cfg, case),
     "k_star": lambda cfg, x, case, tau: metrics.max_secure_best_users(cfg, tau),
 }
 
@@ -102,12 +103,14 @@ _FIGURES: dict[str, _Figure] = {
         "k", tuple(range(1, 11)), _FIG3_FADINGS, (("cop", "nearest"),),
         {"fading_pairs": [_label(None, g) for g in _FIG3_FADINGS]},
         links={"alpha": ("alpha_b",), "mu": ("mu_b",)},
+        checks=tuple(({"k": k, "alpha": 2.0, "mu": 2.0}, (("cop", ("nearest",)),)) for k in (1, 3)),
     ),
     "fig4": _Figure(
         dict(d=2, upsilon=4.0, lambda_e=1.0, alpha_b=2.0, mu_b=3.0, eta_k=_db(0.0), rate=1.0),
         {"k": 2, "lambda_b": 1.0, "ordering": "nearest"},
         "lambda_b", (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0),
         tuple({"k": k} for k in (2, 4)), (("cop", "nearest"), ("cop", "best")),
+        checks=tuple(({"k": k, "lambda_b": 1.0}, (("cop", ORDERINGS),)) for k in (2, 4)),
     ),
     "fig5": _Figure(
         dict(d=2, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, eta_k=_db(0.0), eta_e=1.0,
@@ -118,11 +121,13 @@ _FIGURES: dict[str, _Figure] = {
          "note": ("cluster parameters labelled mu_m/mu_w are interpreted as the "
                   "legitimate and wiretap side mu values")},
         links={"alpha": ("alpha_b", "alpha_e"), "mu_m": ("mu_b",), "mu_w": ("mu_e",)},
+        checks=tuple(({"k": k}, (("pnz", ("NN",)),)) for k in (1, 2)),
     ),
     "fig6": _Figure(
         dict(d=2, upsilon=2.0, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=1.0, alpha_e=2.0, mu_e=4.0,
              n_a=2, n_b=1, n_e=2, eta_k=_db(0.0), eta_e=1.0),
         {"k": 1, "case": "NN"}, "k", _K8, _BY_CASE, (("pnz", None),),
+        checks=tuple(({"k": k}, (("pnz", CASES),)) for k in (1, 4)),
     ),
     "fig7": _Figure(
         dict(d=3, lambda_b=0.2, lambda_e=0.1, alpha_b=2.0, mu_b=2.0, alpha_e=2.0, mu_e=3.0,
@@ -130,6 +135,7 @@ _FIGURES: dict[str, _Figure] = {
         {"k": 1, "upsilon": 2.0, "case": "NN"}, "k", _K8,
         tuple({"upsilon": u, "case": case} for u in (2.0, 3.0, 4.0) for case in ("NN", "BB")),
         (("pnz", None),),
+        checks=tuple(({"k": 2, "upsilon": u}, (("pnz", CASES),)) for u in (2.0, 3.0, 4.0)),
     ),
     "fig8": _Figure(
         dict(d=2, upsilon=2.0, lambda_e=0.1, eta_e=1.0, ordering="best", eavesdropper_policy="best"),
@@ -155,6 +161,8 @@ _FIGURES: dict[str, _Figure] = {
         dict(d=2, upsilon=2.0, lambda_b=1.0, lambda_e=1.0, alpha_b=2.0, mu_b=1.0, alpha_e=2.0, mu_e=1.0,
              eta_k=_db(15.0), eta_e=_db(0.0)),
         {"k": 1, "case": "NN"}, "k", _K8, _BY_CASE, (("esc", None),),
+        checks=(({"k": 1}, (("capacity", ORDERINGS), ("esc", CASES))),
+                ({"k": 2}, (("capacity", ORDERINGS),))),
     ),
 }
 
@@ -214,7 +222,8 @@ def figure_table(fig_id: str) -> tuple[dict, list[str], list[tuple]]:
         for x in fig.grid:
             cfg = shared or _build({**base, **_axis(fig, fig.x, x)}, case)
             for metric, label, c in curves:
-                v = _METRICS[metric](cfg, x, c, **args)
+                v = (_METRICS[metric](cfg, x, c, **args) if metric in _METRICS
+                     else METRICS[metric].closed_form(METRICS[metric].at(cfg, c)))
                 k, v = (v, float(v)) if isinstance(v, int) else (cfg.user_index, v)
                 rows.append((metric, label, k, v, 0.0, "closed-form", x))
     meta = {"figure": fig_id, "x": fig.x, **fig.meta,

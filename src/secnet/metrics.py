@@ -456,8 +456,8 @@ _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}
 
 
 def pnz(cfg: ScenarioConfig, case: str | None = None) -> float:
-    """Probability of non-zero secrecy capacity for the given pairing."""
-    cfg = cfg.with_case(cfg.case if case is None else case)
+    """Probability of non-zero secrecy capacity for ``case`` or else cfg's pairing."""
+    cfg = cfg if case is None else cfg.with_case(case)
     return _PNZ_DISPATCH[cfg.case](cfg)
 
 
@@ -505,9 +505,8 @@ def wiretap_capacity(cfg: ScenarioConfig, policy: str) -> float:
     return _closed_form(cfg, f"wiretap_{policy}")
 
 
-def ergodic_secrecy_capacity(cfg: ScenarioConfig, case: str | None = None) -> float:
-    """Clipped difference of legitimate and strongest-eavesdropper capacities."""
-    cfg = cfg.with_case(cfg.case if case is None else case)
+def ergodic_secrecy_capacity(cfg: ScenarioConfig) -> float:
+    """Clipped difference of cfg's legitimate and strongest-eavesdropper capacities."""
     main = ergodic_capacity_nearest(cfg) if cfg.ordering == "nearest" else ergodic_capacity_best(cfg)
     tap = wiretap_capacity(cfg, cfg.eavesdropper_policy)
     return max(main - tap, 0.0)

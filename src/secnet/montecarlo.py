@@ -28,6 +28,9 @@ Two independent validation routes live here:
   bypassing the Fox H route the closed forms take.  The exp-sinh nodes
   whose weight underflows to exactly 0 are passed over before any 2D
   primitive is evaluated on them, which changes a sum by rounding alone.
+
+``METRICS``, the metric registry at the end, holds each metric id's cases
+and its three routes; the CLI, the validation matrix and the figures read it.
 """
 
 from __future__ import annotations
@@ -36,16 +39,19 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, ndtri
 
-from . import fading, stochgeo
-from .metrics import CASES, ORDERINGS, ScenarioConfig
+from . import fading, metrics, stochgeo
+from .metrics import CASES, ORDERINGS, QUAD_TOL_PROBABILITY, ScenarioConfig
 from .specfun import ConvergenceError
 
 __all__ = [
+    "METRICS",
     "ErgodicSecrecyEstimate",
+    "Metric",
     "MetricEstimate",
     "MonteCarloConfig",
     "integrate_defining",
@@ -390,8 +396,8 @@ def _pnz_estimate(cfg: ScenarioConfig, draws: dict, mc: MonteCarloConfig) -> Met
 
 
 def simulate_pnz(cfg: ScenarioConfig, case: str | None, mc: MonteCarloConfig) -> MetricEstimate:
-    """Frequency of the legitimate SNR exceeding the eavesdropper SNR."""
-    cfg = cfg.with_case(cfg.case if case is None else case)
+    """Frequency of the legitimate SNR exceeding the eavesdropper SNR, for ``case`` or else cfg's pairing."""
+    cfg = cfg if case is None else cfg.with_case(case)
     draws = _run_simulation(cfg, mc, (cfg.ordering,), (cfg.eavesdropper_policy,))
     return _pnz_estimate(cfg, draws, mc)
 
@@ -409,19 +415,14 @@ def simulate_ergodic_capacity(cfg: ScenarioConfig, mc: MonteCarloConfig) -> Metr
     return _mean_estimate(np.log2(1.0 + cfg.eta_k * z[~np.isnan(z)]), mc.trials, mc)
 
 
-def simulate_ergodic_secrecy(
-    cfg: ScenarioConfig,
-    case: str | None,
-    mc: MonteCarloConfig,
-) -> ErgodicSecrecyEstimate:
-    """Both ergodic secrecy-capacity estimators for one pairing.
+def simulate_ergodic_secrecy(cfg: ScenarioConfig, mc: MonteCarloConfig) -> ErgodicSecrecyEstimate:
+    """Both ergodic secrecy-capacity estimators for cfg's pairing.
 
     The clipped-difference variant (difference of capacity means, clipped at
     zero) is the one the closed forms are compared against; the
     mean-of-clipped variant averages per-realization clipped differences and
     is generally larger.
     """
-    cfg = cfg.with_case(cfg.case if case is None else case)
     zb, ze = _case_gains(cfg, _run_simulation(cfg, mc, (cfg.ordering,), (cfg.eavesdropper_policy,)))
     diff = np.log2(1.0 + cfg.eta_k * zb) - np.log2(1.0 + cfg.eta_e * ze)
     diff_est = _mean_estimate(diff, mc.trials, mc)
@@ -569,28 +570,87 @@ def _pnz_at(cfg: ScenarioConfig, level: int) -> float:
     return _law(cfg, "legitimate", cfg.ordering, level).expect(lambda z: eave.cdf(cfg.varpi * z))
 
 
-# Metric id -> the defining integral of a scenario whose ordering and
-# eavesdropper policy already name the case.
-_DEFINING = {
-    "cop": lambda cfg: _converged(
-        lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold)),
-    "pnz": lambda cfg: _converged(lambda level: _pnz_at(cfg, level)),
-    "capacity": lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering),
-    "esc": lambda cfg: max(
-        _quad_capacity(cfg, "legitimate", cfg.ordering)
-        - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0),
-}
-
-
 def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
-    """Evaluate one metric by direct quadrature of its defining integral.
-
-    ``metric`` is one of ``cop``, ``pnz``, ``capacity`` and ``esc``; the
-    case is the one cfg names: cfg.ordering for ``cop`` and ``capacity``,
-    cfg.case for ``pnz`` and ``esc``.
-    """
-    integral = _DEFINING.get(metric)
-    if integral is None:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(_DEFINING)}")
-    return MetricEstimate(value=float(integral(cfg)), half_width=0.0,
+    """Evaluate one ``METRICS`` id by direct quadrature of its defining
+    integral, at the case cfg selects (``Metric.case_of``)."""
+    entry = METRICS.get(metric)
+    if entry is None:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+    return MetricEstimate(value=float(entry.defining(cfg)), half_width=0.0,
                           provenance="quadrature", trials_used=0)
+
+
+# ---------------------------------------------------------------------------
+# The metric registry
+# ---------------------------------------------------------------------------
+
+QUAD_TOL_CAPACITY = 1e-4
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One secrecy metric and its routes.
+
+    ``cases`` are the orderings (COP, capacity) or the four receiver/
+    eavesdropper pairings (PNZ, ergodic secrecy capacity), and ``at`` is
+    the one place a case label sets a scenario.  ``probability`` picks the
+    quadrature tolerance and the simulation trial count.  Every route takes
+    scenarios ``at`` has set, the simulator a dict of them by case.
+    """
+
+    cases: tuple[str, ...]
+    probability: bool
+    closed_form: Callable[[ScenarioConfig], float]
+    simulate: Callable[[dict[str, ScenarioConfig], MonteCarloConfig], dict[str, MetricEstimate]]
+    defining: Callable[[ScenarioConfig], float]
+
+    @property
+    def quad_tol(self) -> float:
+        return QUAD_TOL_PROBABILITY if self.probability else QUAD_TOL_CAPACITY
+
+    def at(self, cfg: ScenarioConfig, case: str) -> ScenarioConfig:
+        """cfg with the ordering and eavesdropper policy a case selects; cfg itself if it does."""
+        if self.case_of(cfg) == case:
+            return cfg
+        return replace(cfg, ordering=case) if self.cases == ORDERINGS else cfg.with_case(case)
+
+    def case_of(self, cfg: ScenarioConfig) -> str:
+        """The case a scenario selects through its ordering and eavesdropper policy."""
+        return cfg.ordering if self.cases == ORDERINGS else cfg.case
+
+
+# Entries resolve ``metrics.*`` and this module's simulators at call time,
+# so a wrapper installed on those module attributes sees every call.
+METRICS: dict[str, Metric] = {
+    "cop": Metric(
+        cases=ORDERINGS, probability=True,
+        closed_form=lambda cfg: metrics.cop(cfg),
+        simulate=lambda cfgs, mc: {case: simulate_cop(cfg, mc) for case, cfg in cfgs.items()},
+        defining=lambda cfg: _converged(
+            lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold)),
+    ),
+    "pnz": Metric(
+        cases=CASES, probability=True,
+        closed_form=lambda cfg: metrics.pnz(cfg),
+        # All four pairings come from one set of realizations.
+        simulate=lambda cfgs, mc: (
+            simulate_pnz_all(cfgs[CASES[0]], mc) if set(cfgs) == set(CASES)
+            else {case: simulate_pnz(cfg, None, mc) for case, cfg in cfgs.items()}),
+        defining=lambda cfg: _converged(lambda level: _pnz_at(cfg, level)),
+    ),
+    "capacity": Metric(
+        cases=ORDERINGS, probability=False,
+        closed_form=lambda cfg: getattr(metrics, f"ergodic_capacity_{cfg.ordering}")(cfg),
+        simulate=lambda cfgs, mc: {case: simulate_ergodic_capacity(cfg, mc) for case, cfg in cfgs.items()},
+        defining=lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering),
+    ),
+    "esc": Metric(
+        cases=CASES, probability=False,
+        closed_form=lambda cfg: metrics.ergodic_secrecy_capacity(cfg),
+        simulate=lambda cfgs, mc: {
+            case: simulate_ergodic_secrecy(cfg, mc).clipped_difference for case, cfg in cfgs.items()},
+        defining=lambda cfg: max(
+            _quad_capacity(cfg, "legitimate", cfg.ordering)
+            - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0),
+    ),
+}

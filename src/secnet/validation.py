@@ -6,6 +6,9 @@ integral to a fixed relative tolerance, and agreement with the simulation
 estimate.  The suite is the engine behind the ``secrecy validate`` command
 and the acceptance gate.
 
+The matrix is the ``checks`` of the figures (``VALIDATION_FIGURES``), run
+through the routes of ``montecarlo.METRICS``.
+
 The simulation gate is family-wise.  Each row reports the 99.7% half-width
 of its own estimate (``mc_half_width``, i.e. ``CI_Z`` = 2.968 standard
 errors), but a run gates all of its m rows together: a row passes when its
@@ -26,17 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from scipy.special import ndtri
 
-from . import figures, metrics, montecarlo
-from .metrics import CASES, ORDERINGS, QUAD_TOL_PROBABILITY, ScenarioConfig
-from .montecarlo import MetricEstimate, MonteCarloConfig
+from . import figures, montecarlo
+from .metrics import QUAD_TOL_PROBABILITY
+from .montecarlo import METRICS, QUAD_TOL_CAPACITY, MonteCarloConfig
 
-__all__ = ["METRICS", "Metric", "ValidationRow", "run_validation", "family_gate_z", "VALIDATION_FIGURES"]
+__all__ = ["QUAD_TOL_CAPACITY", "QUAD_TOL_PROBABILITY", "ValidationRow", "run_validation", "family_gate_z",
+           "VALIDATION_FIGURES"]
 
-QUAD_TOL_CAPACITY = 1e-4
 # Confidence level of each row's reported half-width, and family-wise level
 # of the simulation gate over all rows of one run.
 CI_LEVEL = 0.997
@@ -101,80 +103,7 @@ class ValidationRow:
         return self.quad_ok and self.mc_ok
 
 
-@dataclass(frozen=True)
-class Metric:
-    """One secrecy metric and its routes.
-
-    ``cases`` are the orderings (COP, capacity) or the four receiver/
-    eavesdropper pairings (PNZ, ergodic secrecy capacity), and ``at`` is
-    the one place a case label sets a scenario.  ``probability`` picks the
-    quadrature tolerance and the simulation trial count.  The closed form
-    takes a scenario ``at`` has set; the simulator takes such scenarios by
-    case and returns one estimate per case.  The defining integral is
-    ``montecarlo.integrate_defining(metric id, scenario)``.
-    """
-
-    cases: tuple[str, ...]
-    probability: bool
-    closed_form: Callable[[ScenarioConfig], float]
-    simulate: Callable[[dict[str, ScenarioConfig], MonteCarloConfig], dict[str, MetricEstimate]]
-
-    @property
-    def quad_tol(self) -> float:
-        return QUAD_TOL_PROBABILITY if self.probability else QUAD_TOL_CAPACITY
-
-    def at(self, cfg: ScenarioConfig, case: str) -> ScenarioConfig:
-        """The scenario with the ordering and eavesdropper policy a case selects."""
-        return replace(cfg, ordering=case) if self.cases == ORDERINGS else cfg.with_case(case)
-
-    def case_of(self, cfg: ScenarioConfig) -> str:
-        """The case a scenario selects through its ordering and eavesdropper policy."""
-        return cfg.ordering if self.cases == ORDERINGS else cfg.case
-
-
-# Entries resolve ``metrics.*`` and ``montecarlo.*`` at call time, so a
-# wrapper installed on those module attributes sees every call.
-METRICS: dict[str, Metric] = {
-    "cop": Metric(
-        cases=ORDERINGS, probability=True,
-        closed_form=lambda cfg: metrics.cop(cfg),
-        simulate=lambda cfgs, mc: {case: montecarlo.simulate_cop(cfg, mc) for case, cfg in cfgs.items()},
-    ),
-    "pnz": Metric(
-        cases=CASES, probability=True,
-        closed_form=lambda cfg: metrics.pnz(cfg),
-        # All four pairings come from one set of realizations.
-        simulate=lambda cfgs, mc: (
-            montecarlo.simulate_pnz_all(cfgs[CASES[0]], mc) if set(cfgs) == set(CASES)
-            else {case: montecarlo.simulate_pnz(cfg, None, mc) for case, cfg in cfgs.items()}),
-    ),
-    "capacity": Metric(
-        cases=ORDERINGS, probability=False,
-        closed_form=lambda cfg: getattr(metrics, f"ergodic_capacity_{cfg.ordering}")(cfg),
-        simulate=lambda cfgs, mc: {
-            case: montecarlo.simulate_ergodic_capacity(cfg, mc) for case, cfg in cfgs.items()},
-    ),
-    "esc": Metric(
-        cases=CASES, probability=False,
-        closed_form=lambda cfg: metrics.ergodic_secrecy_capacity(cfg),
-        simulate=lambda cfgs, mc: {
-            case: montecarlo.simulate_ergodic_secrecy(cfg, None, mc).clipped_difference
-            for case, cfg in cfgs.items()},
-    ),
-}
-
-# The validation matrix: per figure, (scenario overrides, [(metric, cases)]).
-# Each scenario is built once and carries every metric listed with it.
-_PLAN: dict[str, list[tuple[dict, list[tuple[str, tuple[str, ...]]]]]] = {
-    "fig3": [({"k": k, "alpha": 2.0, "mu": 2.0}, [("cop", ("nearest",))]) for k in (1, 3)],
-    "fig4": [({"k": k, "lambda_b": 1.0}, [("cop", ORDERINGS)]) for k in (2, 4)],
-    "fig5": [({"k": k}, [("pnz", ("NN",))]) for k in (1, 2)],
-    "fig6": [({"k": k}, [("pnz", CASES)]) for k in (1, 4)],
-    "fig7": [({"k": 2, "upsilon": u}, [("pnz", CASES)]) for u in (2.0, 3.0, 4.0)],
-    "fig11": [({"k": 1}, [("capacity", ORDERINGS), ("esc", CASES)]),
-              ({"k": 2}, [("capacity", ORDERINGS)])],
-}
-VALIDATION_FIGURES = tuple(_PLAN)
+VALIDATION_FIGURES = tuple(fig_id for fig_id, fig in figures._FIGURES.items() if fig.checks)
 
 
 def run_validation(
@@ -192,14 +121,14 @@ def run_validation(
     not a run of zero checks.
     """
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
-    if not selected or not set(selected) <= set(_PLAN):
+    if not selected or not set(selected) <= set(VALIDATION_FIGURES):
         raise ValueError(f"figure_ids must name one or more of {VALIDATION_FIGURES}, got {selected}")
     mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers,
                                window_radius=window_radius, ci_level=CI_LEVEL)
     mc_cap = replace(mc_prob, trials=capacity_trials)
     rows: list[ValidationRow] = []
     for fig in selected:
-        for overrides, blocks in _PLAN[fig]:
+        for overrides, blocks in figures._FIGURES[fig].checks:
             cfg = figures.scenario(fig, **overrides)
             for name, cases in blocks:
                 metric = METRICS[name]

@@ -312,7 +312,7 @@ def test_criterion_6d_max_secure_users_monotone():
 def test_criterion_6e_secrecy_capacity_case_dominance():
     for k in range(1, 7):
         cfg = figures.scenario("fig11", k=k)
-        values = {case: metrics.ergodic_secrecy_capacity(cfg, case) for case in metrics.CASES}
+        values = {case: metrics.ergodic_secrecy_capacity(cfg.with_case(case)) for case in metrics.CASES}
         others = [values[c] for c in ("NN", "BB", "NB")]
         assert all(values["BN"] > v for v in others), (k, values)
     _report("criterion 6e: best-receiver/nearest-eavesdropper case dominates", True)
@@ -327,7 +327,7 @@ def test_criterion_7_determinism_across_workers():
         mc = MonteCarloConfig(trials=4 * 10**4, master_seed=SEED, worker_hint=workers)
         cop_est = montecarlo.simulate_cop(cop_cfg, mc)
         pnz_est = montecarlo.simulate_pnz_all(pnz_cfg, mc)
-        esc_est = montecarlo.simulate_ergodic_secrecy(esc_cfg, "NN", mc)
+        esc_est = montecarlo.simulate_ergodic_secrecy(esc_cfg.with_case("NN"), mc)
         outcomes.append((
             cop_est,
             tuple(sorted((c, e) for c, e in pnz_est.items())),

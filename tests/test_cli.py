@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from secnet import cli, validation
+from secnet import cli, montecarlo, validation
 from secnet.cli import ConfigError, parse_config
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import MetricEstimate, MonteCarloConfig
@@ -67,7 +67,7 @@ seed = 2718
 metric = {metric}
 method = all
 """
-REGISTRY_CASES = [(m, c) for m, entry in validation.METRICS.items() for c in entry.cases]
+REGISTRY_CASES = [(m, c) for m, entry in montecarlo.METRICS.items() for c in entry.cases]
 
 # Each sweep name, a point off its default, the ScenarioConfig.build or
 # MonteCarloConfig keyword it sets, the value it sets, and where it lands.
@@ -99,7 +99,7 @@ def evaluated(monkeypatch):
     """Replace the closed-form route by one that records each (scenario, mc) it is given."""
     seen = []
 
-    def record(name, cfg, case, mc):
+    def record(name, cfg, mc):
         seen.append((cfg, mc))
         return MetricEstimate(0.5, 0.0, "closed-form", 0)
 
@@ -355,7 +355,7 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("metric, case", REGISTRY_CASES)
     def test_eval_all_methods_agree_for_every_registered_case(self, tmp_path, metric, case):
-        entry = validation.METRICS[metric]
+        entry = montecarlo.METRICS[metric]
         at = entry.at(ScenarioConfig.build(), case)
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(REGISTRY_DOC.format(
@@ -429,6 +429,28 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.startswith("numeric error: 1 - H = ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_all_methods_write_every_row_when_one_route_fails(self, tmp_path, capsys, fmt):
+        # Nearest COP on 4 x 4 antennas: 1 - H cannot resolve an outage of
+        # 1.3e-10, which the quadrature resolves.
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[scenario]\nn_a = 4\nn_b = 4\n[mc]\ntrials = 1000\n[run]\nmethod = all\n")
+        out = tmp_path / f"out.{fmt}"
+        args = ["eval", "--config", str(cfg_path), "--out", str(out), "--format", fmt]
+        assert cli.main(args) == cli.EXIT_NUMERIC_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: closed-form: 1 - H = ")
+        assert err.count("\n") == 1
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert rows[0][3:5] == ["nan", "nan"]
+            assert rows[1][3] == "1.33451018944e-10"
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert rows[0][3:5] == [None, None]
+            assert rows[1][3] == 1.33451018944e-10
+        assert [r[5] for r in rows] == ["closed-form", "quadrature", "monte-carlo"]
 
     @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
     def test_best_cop_where_the_gain_limit_overflows_reads_zero(self, tmp_path, capsys, method):

@@ -12,6 +12,7 @@ import pytest
 
 from secnet import figures
 from secnet.metrics import ScenarioConfig
+from secnet.montecarlo import METRICS
 from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference.json")
@@ -35,6 +36,22 @@ def test_figure_table_matches_snapshot(fig_id, reference_rows):
         assert row[:3] + row[4:] == ref[:3] + ref[4:], f"{fig_id} row {i}"
         tol = QUAD_TOL_CAPACITY if row[0] == "esc" else QUAD_TOL_PROBABILITY
         assert row[3] == pytest.approx(ref[3], rel=tol, abs=0.0), f"{fig_id} row {i}"
+
+
+@pytest.mark.parametrize("fig_id", figures.FIGURE_IDS)
+def test_curves_and_checks_name_registered_metrics_and_cases(fig_id):
+    fig = figures._FIGURES[fig_id]
+    for metric, case in fig.curves:
+        if metric not in METRICS:
+            assert metric in figures._METRICS
+            continue
+        # A curve without a case takes its group's, else the figure's default.
+        cases = {case} if case else {group.get("case", fig.axes.get("case")) for group in fig.groups}
+        assert cases <= set(METRICS[metric].cases), (metric, cases)
+    for overrides, blocks in fig.checks:
+        assert overrides.keys() <= fig.axes.keys(), overrides
+        for metric, cases in blocks:
+            assert metric in METRICS and cases and set(cases) <= set(METRICS[metric].cases), (metric, cases)
 
 
 def _db(x: float) -> float:

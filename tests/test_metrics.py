@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from secnet import figures, metrics, montecarlo, specfun
 from secnet.fading import AlphaMuParams, moment_power_gain
 from secnet.metrics import ScenarioConfig
-from secnet.validation import METRICS, QUAD_TOL_PROBABILITY
+from secnet.montecarlo import METRICS
+from secnet.validation import QUAD_TOL_PROBABILITY
 
 
 def _unit_rate_scenario(**over):
@@ -534,20 +535,20 @@ class TestErgodicCapacity:
 class TestErgodicSecrecyCapacity:
     def test_identical_sides_yield_zero(self):
         cfg = _unit_rate_scenario(eta_k=5.0, eta_e=5.0)
-        assert metrics.ergodic_secrecy_capacity(cfg, "NN") == 0.0
-        assert metrics.ergodic_secrecy_capacity(cfg, "BB") == 0.0
+        assert metrics.ergodic_secrecy_capacity(cfg.with_case("NN")) == 0.0
+        assert metrics.ergodic_secrecy_capacity(cfg.with_case("BB")) == 0.0
 
     def test_never_negative(self):
         cfg = figures.scenario("fig11", k=6)
         from dataclasses import replace
         weak = replace(cfg, eta_k=0.01, eta_e=10.0)
         for case in metrics.CASES:
-            assert metrics.ergodic_secrecy_capacity(weak, case) >= 0.0
+            assert metrics.ergodic_secrecy_capacity(weak.with_case(case)) >= 0.0
 
     def test_best_receiver_nearest_eavesdropper_dominates(self):
         for k in range(1, 7):
             cfg = figures.scenario("fig11", k=k)
-            values = {case: metrics.ergodic_secrecy_capacity(cfg, case) for case in metrics.CASES}
+            values = {case: metrics.ergodic_secrecy_capacity(cfg.with_case(case)) for case in metrics.CASES}
             assert values["BN"] > values["NN"]
             assert values["BN"] > values["BB"]
             assert values["BN"] > values["NB"]
@@ -555,6 +556,6 @@ class TestErgodicSecrecyCapacity:
     def test_matches_quadrature(self):
         cfg = figures.scenario("fig11", k=2)
         for case in metrics.CASES:
-            closed = metrics.ergodic_secrecy_capacity(cfg, case)
+            closed = metrics.ergodic_secrecy_capacity(cfg.with_case(case))
             oracle = montecarlo.integrate_defining("esc", cfg.with_case(case)).value
             assert closed == pytest.approx(oracle, rel=1e-4)

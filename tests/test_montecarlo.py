@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc, pdtr
 from scipy.stats import kstest, ks_2samp
 
-from secnet import fading, figures, metrics, montecarlo, specfun, stochgeo, validation
+from secnet import fading, figures, metrics, montecarlo, specfun, stochgeo
 from secnet.fading import AlphaMuParams
 from secnet.metrics import ORDERINGS, ScenarioConfig
 from secnet.montecarlo import (
@@ -144,13 +144,13 @@ class TestSimulateErgodic:
             alpha_b=2.0, mu_b=1.0, alpha_e=2.0, mu_e=1.0,
             eta_k=5.0, eta_e=5.0, user_index=1,
         )
-        est = simulate_ergodic_secrecy(cfg, "NN", _mc(trials=10**5))
+        est = simulate_ergodic_secrecy(cfg.with_case("NN"), _mc(trials=10**5))
         assert est.clipped_difference.value <= est.clipped_difference.half_width
 
     def test_secrecy_estimators_reported_separately(self):
         cfg = figures.scenario("fig11", k=1)
-        est = simulate_ergodic_secrecy(cfg, "NN", _mc(trials=5 * 10**4))
-        closed = metrics.ergodic_secrecy_capacity(cfg, "NN")
+        est = simulate_ergodic_secrecy(cfg.with_case("NN"), _mc(trials=5 * 10**4))
+        closed = metrics.ergodic_secrecy_capacity(cfg.with_case("NN"))
         assert abs(est.clipped_difference.value - closed) <= est.clipped_difference.half_width
         # averaging the clipped difference can only exceed clipping the mean
         assert est.mean_clipped.value >= est.clipped_difference.value
@@ -710,9 +710,6 @@ class TestIntegrateDefining:
             integrate_defining(metric, figures.scenario("fig6", k=1))
         assert str(info.value).endswith("expected one of cop, pnz, capacity, esc")
 
-    def test_accepts_exactly_the_registered_ids(self):
-        assert tuple(montecarlo._DEFINING) == tuple(validation.METRICS)
-
     @pytest.mark.parametrize("d, upsilon", [(2, 4.0), (3, 4.0)])
     def test_nearest_capacity_keeps_mass_far_from_unit_gain(self, d, upsilon):
         # a quadrature map scaled to gains near 1 dropped 12% (d = 2) and
@@ -730,7 +727,7 @@ class TestIntegrateDefining:
     def test_oracle_never_reaches_the_closed_forms(self, fig, monkeypatch):
         cfg = figures.scenario(fig, k=2)
         rows = [(name, at, metric.closed_form(at), metric.quad_tol)
-                for name, metric in validation.METRICS.items()
+                for name, metric in montecarlo.METRICS.items()
                 for at in (metric.at(cfg, case) for case in metric.cases)]
 
         def forbidden(name):
@@ -898,7 +895,7 @@ class TestQuadratureNodes:
     ], ids=["fig4", "fig6-k1", "fig6-k4", "fig11", "dense"])
     def test_every_key_matches_the_unpruned_sums(self, cfg, monkeypatch):
         calls = [(key, metric.at(cfg, case))
-                 for key, metric in validation.METRICS.items() for case in metric.cases]
+                 for key, metric in montecarlo.METRICS.items() for case in metric.cases]
         pruned = [integrate_defining(key, c).value for key, c in calls]
         for (cls, name), fn in _UNPRUNED.items():
             monkeypatch.setattr(cls, name, fn)

@@ -148,7 +148,7 @@ def test_instance_list_is_exactly_what_the_closed_forms_evaluate(fig, kwargs, mo
         metrics.wiretap_capacity(cfg, ordering)
     for case in metrics.CASES:
         metrics.pnz(cfg, case)
-        metrics.ergodic_secrecy_capacity(cfg, case)
+        metrics.ergodic_secrecy_capacity(cfg.with_case(case))
     metrics.ergodic_capacity_nearest(cfg)
     metrics.ergodic_capacity_best(cfg)
 

@@ -6,7 +6,8 @@ from dataclasses import replace
 import pytest
 
 from secnet.metrics import ScenarioConfig
-from secnet.validation import CI_Z, METRICS, ValidationRow, family_gate_z
+from secnet.montecarlo import METRICS
+from secnet.validation import CI_Z, ValidationRow, family_gate_z
 
 CLOSED = 0.25
 SIGMA = 1e-4
@@ -72,4 +73,5 @@ def test_a_case_sets_only_the_ordering_and_eavesdropper_policy(name, case):
     cfg = ScenarioConfig.build(user_index=3, eta_k=7.0, rate=2.0, eavesdropper_policy="best")
     at = metric.at(cfg, case)
     assert metric.case_of(at) == case
+    assert metric.at(at, case) is at
     assert replace(at, ordering=cfg.ordering, eavesdropper_policy=cfg.eavesdropper_policy) == cfg
