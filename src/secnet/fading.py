@@ -61,10 +61,14 @@ class AlphaMuParams:
     @classmethod
     def canonical(cls, alpha: float, mu: float) -> "AlphaMuParams":
         """Unit-mean normalization: omega = Gamma(mu) / Gamma(mu + 2/alpha),
-        in logs, so that it stays finite where both gammas overflow (mu > 171)."""
+        in logs, so that it stays finite where both gammas overflow (mu > 171).
+
+        alpha and mu are taken as floats, and the last 256 distinct pairs are
+        kept: every scenario build asks for the same few links again.
+        """
         if alpha <= 0 or mu <= 0:
             raise ValueError(f"alpha and mu must be positive, got ({alpha}, {mu})")
-        return cls(alpha, mu, np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha)))
+        return _canonical(float(alpha), float(mu))
 
     @property
     def theta(self) -> float:
@@ -73,6 +77,13 @@ class AlphaMuParams:
     def mean_power(self) -> float:
         """First moment of the power gain; 1 for canonical parameters."""
         return moment_power_gain(self, 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical(alpha: float, mu: float) -> AlphaMuParams:
+    """:meth:`AlphaMuParams.canonical` for float alpha and mu: an int key
+    would hand its own types to a later caller of the equal float pair."""
+    return AlphaMuParams(alpha, mu, np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha)))
 
 
 def pdf_power_gain(p: AlphaMuParams, x):

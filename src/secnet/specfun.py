@@ -32,7 +32,7 @@ edge: while the integrand at its last node is not negligible next to the
 peak, the truncation height doubles and level 0 takes the new nodes only.
 Every lattice is checked against the node budget (``_MAX_NODES`` nodes
 t >= 0) before it is built, so an abscissa next to a pole raises without
-evaluating a node.  The first level-0 array starts one step early, at the
+evaluating a node.  The first level-0 set starts one step early, at the
 node -step, and the level sums take only its nodes t >= 0:
 |f(c - i step) - conj f(c + i step)| over the peak measures the residue of
 the symmetry the half contour rests on, reported as
@@ -40,22 +40,32 @@ the symmetry the half contour rests on, reported as
 log of the integrand stays finite, the value is 0, with the smallest normal
 float over the whole contour as its bound.
 
-The argument z enters the integrand only through the factor z^(-s); the
-log-gamma sum, and the sum of its terms' magnitudes that scales the rounding
-bound, depend only on the parameters and the contour node.  On the contour
-|z^(-s)| = z^(-c) is the same at every node, so the truncation height and
-the node lattice do not depend on z either, and one parameter set evaluated
-at many arguments visits the same node sets.  Each node array takes one
-``loggamma`` call, on the (p + q, nodes) array of every gamma argument; the
-terms are signed and added row by row in their order, so each sum is the one
-a term-by-term loop gives.  Those two sums are kept across calls by a
-``functools.lru_cache`` keyed on (parameters, abscissa, node bytes), for the
-last ``_CACHE_SIZE`` (64) node sets of at most ``_CACHE_NODES`` (512) nodes:
-at 32 bytes a node (key, sum, magnitude sum) that is about 1 MiB.  A larger
-node set is computed and not kept, so the largest lattice an evaluation may
-reach (``_MAX_NODES``) lives only as long as that call.  -s ln z is added to
-the sums last, together with the log of any prefactor the caller passes: a
-value read through the cache is bit-identical to one computed afresh.
+The argument z enters the integrand only through the factor z^(-s).  With G
+the log-gamma sum at the node c + i t, log f = G + log_prefactor - c ln z
+- i t ln z: on the contour |z^(-s)| = z^(-c) is the same at every node, so z
+moves |f| by one real factor and the phase by -t ln z, and the truncation
+height and the node lattice do not depend on z either.  Each node set is
+therefore built once, keyed on (parameters, abscissa, step, first index,
+stop, stride).  For its nodes of nonzero weight it holds t, the phase Im G
+and the scaled weight w exp(Re G - top), where w is 0, 1 or 2 for t < 0,
+t = 0 and t > 0 and top is the set's largest Re G.  Its scalars are top,
+Re G at the last node, the symmetry residue of the set that starts at
+-step, and the sum of scaled * (1 + magnitude sum of the terms), which
+scales the rounding bound.  A level is then a
+cosine-weighted sum, exp(top + shift) * (scaled @ cos(Im G - t ln z)) with
+shift = log_prefactor - c ln z, and its rounding bound adds
+scaled @ hypot(shift, t ln z) to that scalar.  The peak, the tail, the
+finiteness and underflow checks and the residue are scalar arithmetic on
+the level-0 sets.  The level sums are kept in units of the peak, which
+multiplies them once at the end; a value or bound that is not finite
+raises.  A set takes one ``loggamma`` call, on the (p + q, nodes) array of
+every gamma argument; the terms are signed and added row by row in their
+order, so each sum is the one a term-by-term loop gives.  A
+``functools.lru_cache`` keeps the last ``_CACHE_SIZE`` (64) node sets of
+at most ``_CACHE_NODES`` (512) nodes: at 24 bytes a node (t, phase and
+scaled weight) that is under 1 MiB.  A larger node set is computed and not
+kept, so the largest lattice an evaluation may reach (``_MAX_NODES``) lives
+only as long as that call.  A warm call equals a cold one bit for bit.
 
 A call that repeats an earlier one exactly, in parameters, argument,
 abscissa and log prefactor, returns the earlier :class:`FoxHValue`: the
@@ -71,6 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import loggamma
@@ -100,9 +111,9 @@ _MAX_NODES = 2**17
 # normal float bounds an integrand that underflows at every node.
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# The log-gamma sums of the last _CACHE_SIZE node sets of at most
-# _CACHE_NODES nodes are kept across calls, least recently used first out.
-# At 32 bytes a node (key, sum, magnitude sum) that is about 1 MiB in all.
+# The last _CACHE_SIZE node sets of at most _CACHE_NODES nodes are kept
+# across calls, least recently used first out.  At 24 bytes a node (t, phase
+# and scaled weight) that is under 1 MiB in all.
 _CACHE_SIZE = 64
 _CACHE_NODES = 512
 # Fox H values kept across calls, least recently used first out.  The bound
@@ -218,61 +229,67 @@ class FoxHValue:
     truncation_height: float
 
 
-def _gamma_sums(params: FoxHParams, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summed log-gamma terms at the contour points c + i t, and the sum of
-    their magnitudes, read from the cache when this node set was seen; a
-    set of more than ``_CACHE_NODES`` nodes is computed and not kept."""
-    sums = _kept_gamma_sums if t.size <= _CACHE_NODES else _kept_gamma_sums.__wrapped__
-    return sums(params, c, t.tobytes())
+class _NodeSet(NamedTuple):
+    """What one node set of the contour contributes, with z left out.
+
+    G is the log-gamma sum at the nodes c + i t, and w the half-contour
+    weight, 0, 1 or 2 for t < 0, t = 0 and t > 0.  The arrays hold the nodes
+    of nonzero weight; ``scaled`` is w exp(Re G - top), in units of the set's
+    largest Re G, ``top``.
+    """
+
+    t: np.ndarray
+    phase: np.ndarray  # Im G
+    scaled: np.ndarray
+    rounding: float  # sum of scaled * (1 + sum of the terms' magnitudes)
+    top: float
+    edge: float  # Re G at the last node
+    residue: float  # |exp(G(-step) - top) - conj exp(G(step) - top)| if the set starts at -step
+
+
+def _node_set(params: FoxHParams, c: float, step: float, first: int, stop: int,
+              stride: int) -> _NodeSet:
+    """The node set ``step * arange(first, stop, stride)`` on the contour
+    Re s = c, read from the cache when it was seen; a set of more than
+    ``_CACHE_NODES`` nodes is computed and not kept."""
+    kept = len(range(first, stop, stride)) <= _CACHE_NODES
+    build = _kept_node_set if kept else _kept_node_set.__wrapped__
+    return build(params, c, step, first, stop, stride)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kept_gamma_sums(params: FoxHParams, c: float, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of :func:`_gamma_sums` at the nodes whose float bytes are
-    ``nodes``.  One ``loggamma`` call takes every term at every node; the
-    terms are added row by row, in their order."""
+def _kept_node_set(params: FoxHParams, c: float, step: float, first: int, stop: int,
+                   stride: int) -> _NodeSet:
+    """The node set of :func:`_node_set`.  One ``loggamma`` call takes every
+    term at every node; the terms are added row by row, in their order."""
+    t = step * np.arange(first, stop, stride)
     constant, slope, sign = params._terms
-    terms = loggamma(constant + slope * (c + 1j * np.frombuffer(nodes)))
+    terms = loggamma(constant + slope * (c + 1j * t))
     terms *= sign
-    total, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
-    total.flags.writeable = size.flags.writeable = False
-    return total, size
+    log_gamma, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    top = float(log_gamma.real.max())
+    scaled = (np.sign(t) + 1.0) * np.exp(log_gamma.real - top)
+    residue = float(abs(np.exp(log_gamma[0] - top) - np.exp(log_gamma[2] - top).conjugate())
+                    if first == -1 else 0.0)
+    keep = scaled > 0.0
+    rounding = float(scaled[keep] @ (1.0 + size[keep]))
+    arrays = t[keep], log_gamma.imag[keep], scaled[keep]
+    for array in arrays:
+        array.flags.writeable = False
+    return _NodeSet(*arrays, rounding, top, float(log_gamma.real[-1]), residue)
 
 
-def _log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
-                   log_prefactor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log of the Mellin-Barnes integrand at the contour points c + i t,
-    times the prefactor, and the summed magnitude of its terms, which scales
-    its rounding error.
+def _level_sums(nodes: _NodeSet, ln_z: float, shift: float, top: float) -> tuple[float, float]:
+    """The sum of w Re f over one node set, and its rounding bound, in units
+    of exp(top + shift), where log f = G + shift - i t ln z.
 
-    The argument and the prefactor enter only through the last term,
-    log_prefactor - s ln z, so the sums of the other terms are shared by
-    every argument and prefactor.
+    A term of log f that is computed to a few ulps of its own size puts that
+    much relative error, in modulus and phase, on the node's value.
     """
-    gamma_sum, gamma_size = _gamma_sums(params, c, t)
-    last = log_prefactor - (c + 1j * t) * ln_z
-    return gamma_sum + last, gamma_size + np.abs(last)
-
-
-def _half_contour_sums(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
-                       log_prefactor: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The log of the integrand f at the contour points c + i t and f
-    itself, with the sum of its real part over the points t >= 0, and that
-    sum's rounding bound.
-
-    Each summed node stands also for its mirror c - i t, where f takes the
-    conjugate value, so it carries weight 2; the node t = 0 is its own mirror
-    and carries weight 1.  A term of the log that is computed to a few ulps
-    of its own size puts that much relative error, in modulus and phase, on
-    the node's value.
-    """
-    log_f, size = _log_integrand(params, c, t, ln_z, log_prefactor)
-    f = np.exp(log_f)
-    half = t >= 0.0
-    summed, size = f[half], size[half]
-    weight = np.where(t[half] > 0.0, 2.0, 1.0)
-    rounding = _ROUNDING * float(weight @ (np.abs(summed) * (1.0 + size)))
-    return log_f, f, float(weight @ summed.real), rounding
+    x = nodes.t * ln_z
+    unit = math.exp(nodes.top - top)
+    return (unit * float(nodes.scaled @ np.cos(nodes.phase - x)),
+            unit * _ROUNDING * (nodes.rounding + float(nodes.scaled @ np.hypot(shift, x))))
 
 
 def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
@@ -288,7 +305,9 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     and real z the integrand at c - i t is the conjugate of that at c + i t,
     so only the nodes t >= 0 are evaluated, plus the node -step of level 0
     that measures the symmetry's residue and is left out of its sums.  Each
-    node array takes one ``loggamma`` call for all of its gamma terms.
+    node set takes one ``loggamma`` call for all of its gamma terms, and is
+    kept apart from z, so that a level at another argument is one
+    cosine-weighted sum over the kept arrays.
 
     The last ``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept,
     keyed on (params, z, abscissa, log_prefactor), and a repeated call
@@ -314,10 +333,10 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     ConvergenceError
         If the instance fails the existence screen, the integrand peak is
         not finite, or zero where the log of the integrand is not finite
-        either, a lattice would pass the node budget before the
-        contour tail is negligible (an abscissa next to a pole does so at
-        once), or two levels do not agree within the halving and node
-        budgets.
+        either, a lattice would pass the node budget before the contour
+        tail is negligible (an abscissa next to a pole does so at once),
+        two levels do not agree within the halving and node budgets, or
+        the value or its bound is not finite.
     ValueError
         If z is not positive and finite, or the abscissa lies outside the
         admissible interval.
@@ -344,6 +363,9 @@ def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
     ``exponent`` is the instance's convergence exponent."""
     lo, hi = params.contour_interval()
     ln_z = math.log(z)
+    # log f = G + shift - i t ln z at the node c + i t: z moves |f| by one
+    # real factor, the same at every node, and its phase by -t ln z.
+    shift = log_prefactor - c * ln_z
     half_width = min(c - lo, hi - c)
     step = _STEP_PER_HALF_WIDTH * min(half_width, _MAX_HALF_WIDTH)
     # Initial truncation from the asymptotic decay exp(-pi/2 * exponent * |t|).
@@ -353,31 +375,27 @@ def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
     # or level that is not finite, which the checks below reject.
     with np.errstate(over="ignore", under="ignore"):
         # Level 0 takes every multiple of its step from 0 to the truncation
-        # height, and gives the peak of f and of Re log f; while the
+        # height, and gives the peak of f, exp(top + shift); while the
         # integrand at its last node is not negligible next to the peak, the
         # height doubles and level 0 takes the new nodes only.  Every lattice
         # is checked against the node budget before it is built.  The first
-        # array starts one step early: f(-step) against conj f(step) checks
+        # set starts one step early: f(-step) against conj f(step) checks
         # the conjugate symmetry the half contour rests on.
-        half, total, rounding, peak, log_peak, residue = -2, 0.0, 0.0, 0.0, -math.inf, 0.0
+        sets, half, top = [], -2, -math.inf
         while True:
-            top = math.ceil(height / step)
-            if top + 1 > _MAX_NODES:
+            last = math.ceil(height / step)
+            if last + 1 > _MAX_NODES:
                 raise ConvergenceError(
-                    f"contour lattice of {top + 1} nodes (step {step:.3g}, height {height:.3g}) "
+                    f"contour lattice of {last + 1} nodes (step {step:.3g}, height {height:.3g}) "
                     f"passes the node budget of {_MAX_NODES} (abscissa {c}, "
                     f"strip half-width {half_width:.3g})")
-            nodes = step * np.arange(half + 1, top + 1)
-            log_f, f, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z,
-                                                                     log_prefactor)
-            if half < 0:
-                residue = float(abs(f[0] - f[2].conjugate()))
-            half, total, rounding = top, total + step * level_sum, rounding + step * level_rounding
-            modulus = np.abs(f)
-            peak, log_peak = float(modulus.max(initial=peak)), max(log_peak, float(log_f.real.max()))
-            if not (0.0 < peak < math.inf or peak == 0.0 and math.isfinite(log_peak)):
+            sets.append(_node_set(params, c, step, half + 1, last + 1, 1))
+            # The new set's top first: a NaN there stays, and raises below.
+            half, top = last, max(sets[-1].top, top)
+            peak = float(np.exp(top + shift))
+            if not (0.0 < peak < math.inf or peak == 0.0 and math.isfinite(top + shift)):
                 raise ConvergenceError(f"integrand peak not finite (peak={peak}) at abscissa {c}")
-            if modulus[-1] <= _TAIL_FRACTION * peak:
+            if math.exp(sets[-1].edge + shift) <= _TAIL_FRACTION * peak:
                 break
             height *= 2.0
         if peak == 0.0:
@@ -386,28 +404,35 @@ def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
             bound = _TINY * (2.0 * half * step + 2.0 / (0.5 * math.pi * exponent))
             return FoxHValue(value=0.0, error=bound / (2.0 * math.pi), imag_ratio=0.0,
                              abscissa=c, truncation_height=half * step)
-        # Past the cut the integrand decays at least like exp(-pi/2 * exponent * |t|),
-        # on both halves of the contour.
-        tail = 2.0 * float(modulus[-1]) / (0.5 * math.pi * exponent)
+        # The level sums are kept in units of the peak, which multiplies them
+        # once at the end.  Past the cut the integrand decays at least like
+        # exp(-pi/2 * exponent * |t|), on both halves of the contour.
+        total = rounding = 0.0
+        for nodes in sets:
+            level_sum, level_rounding = _level_sums(nodes, ln_z, shift, top)
+            total, rounding = total + step * level_sum, rounding + step * level_rounding
+        tail = 2.0 * math.exp(sets[-1].edge - top) / (0.5 * math.pi * exponent)
+        imag_ratio = sets[0].residue * math.exp(sets[0].top - top)
 
         for _ in range(_MAX_HALVINGS):
             # Each later level adds only the odd multiples of its halved step.
             step, half = 0.5 * step, 2 * half
             if half + 1 > _MAX_NODES:
                 break
-            nodes = step * np.arange(1, half + 1, 2)
-            _, _, level_sum, level_rounding = _half_contour_sums(params, c, nodes, ln_z, log_prefactor)
+            level_sum, level_rounding = _level_sums(_node_set(params, c, step, 1, half + 1, 2),
+                                                    ln_z, shift, top)
             previous = total
             total, rounding = 0.5 * total + step * level_sum, 0.5 * rounding + step * level_rounding
             change = abs(total - previous)
-            if change <= max(_REL_TOL * abs(total), _ABS_TOL * peak):
-                return FoxHValue(
-                    value=total / (2.0 * math.pi),
-                    error=(change + tail + rounding) / (2.0 * math.pi),
-                    imag_ratio=residue / peak,
-                    abscissa=c,
-                    truncation_height=half * step,
-                )
+            if change <= max(_REL_TOL * abs(total), _ABS_TOL):
+                scale = peak / (2.0 * math.pi)
+                value, error = scale * total, scale * (change + tail + rounding)
+                if not (math.isfinite(value) and math.isfinite(error)):
+                    raise ConvergenceError(
+                        f"Fox H value {value} or its bound {error} is not finite "
+                        f"(integrand peak {peak:.3g}, abscissa {c})")
+                return FoxHValue(value=value, error=error, imag_ratio=imag_ratio, abscissa=c,
+                                 truncation_height=half * step)
     raise ConvergenceError(
         f"no two contour trapezoid levels agreed within {_MAX_HALVINGS} halvings and the "
         f"node budget of {_MAX_NODES} (abscissa {c}, strip half-width {half_width:.3g})")

@@ -20,6 +20,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
 import secnet
+from secnet import metrics
 from secnet.fading import (
     AlphaMuParams,
     MomentFitError,
@@ -30,6 +31,7 @@ from secnet.fading import (
     power_gain_of_shape,
     sample_power_gain,
 )
+from secnet.figures import describe_scenario
 from secnet.metrics import ScenarioConfig
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(secnet.__file__)))
@@ -61,6 +63,37 @@ class TestParams:
         with mpmath.workdps(40):
             want = mpmath.exp(mpmath.loggamma(mu) - mpmath.loggamma(mpmath.mpf(mu) + 2 / mpmath.mpf(1.3)))
         assert q.omega == pytest.approx(float(want), rel=1e-12)
+
+    def test_canonical_is_kept_per_float_pair(self):
+        # An int pair keys the same entry as its float pair, so the kept
+        # parameters hold floats whichever caller came first.
+        first = AlphaMuParams.canonical(2, 3)
+        assert AlphaMuParams.canonical(2.0, 3.0) is first
+        assert (type(first.alpha), type(first.mu)) == (float, float)
+        assert describe_scenario(ScenarioConfig.build(mu_b=3.0, alpha_b=2))["fading_b"] == {
+            "alpha": 2.0, "mu": 3.0, "omega": first.omega}
+        assert AlphaMuParams.canonical(2.0, 3.5) is not first
+
+    def test_every_build_fits_both_sides_through_the_metrics_attribute(self, monkeypatch):
+        # The kept links sit below the fit: a trace that wraps
+        # metrics.fit_sum_params still sees one call per side and build.
+        counts = []
+
+        def recording(link, count):
+            counts.append(count)
+            return fit_sum_params(link, count)
+
+        monkeypatch.setattr(metrics, "fit_sum_params", recording)
+        for _ in range(2):
+            ScenarioConfig.build(n_a=2, n_b=3, n_e=4)
+        assert counts == [6, 8, 6, 8]
+
+    def test_canonical_still_rejects_each_bad_pair(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                AlphaMuParams.canonical(math.inf, 1.0)
+            with pytest.raises(ValueError, match="positive"):
+                AlphaMuParams.canonical(-2.0, 1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["alpha", "mu", "omega"])

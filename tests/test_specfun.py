@@ -243,10 +243,10 @@ class TestFoxHErrorEstimate:
 
 @pytest.fixture
 def cold_cache():
-    """An empty log-gamma cache and no kept values for the test; calling the
+    """An empty node-set cache and no kept values for the test; calling the
     fixture's value empties both again."""
     def clear():
-        specfun._kept_gamma_sums.cache_clear()
+        specfun._kept_node_set.cache_clear()
         specfun._evaluate.cache_clear()
     clear()
     return clear
@@ -266,7 +266,7 @@ _DECADES = np.geomspace(1e-3, 1e3, 7)
 
 
 class TestContourCache:
-    """The log-gamma sums kept across calls change no evaluation."""
+    """The node sets kept across calls change no evaluation."""
 
     @pytest.mark.parametrize("params,arg", _inscope_instances())
     def test_warm_cache_gives_cold_values(self, params, arg, cold_cache):
@@ -276,8 +276,8 @@ class TestContourCache:
         for z, c in calls:
             cold_cache()
             cold.append(astuple(fox_h(params, z, abscissa=c)))
-        # Every call now reads the sums the calls before it left, at both
-        # abscissas in turn.
+        # Every call now reads the node sets the calls before it left, at
+        # both abscissas in turn.
         warm = [astuple(fox_h(params, z, abscissa=c)) for z, c in calls]
         assert warm == cold
         assert cold[0] != cold[1], "the shifted contour must differ in its lattice"
@@ -298,7 +298,7 @@ class TestContourCache:
                 fox_h(params, -arg)
             with pytest.raises(ConvergenceError):
                 fox_h(params, arg, abscissa=lo + 1e-6)
-        assert specfun._kept_gamma_sums.cache_info().currsize
+        assert specfun._kept_node_set.cache_info().currsize
 
     def test_cache_keeps_the_last_64_node_sets(self, cold_cache):
         # z^b exp(-z) for many shifts b, each with its own lattice, until
@@ -306,41 +306,150 @@ class TestContourCache:
         for b in np.linspace(0.5, 3.0, 60):
             params = FoxHParams(m=1, n=0, upper_coeffs=(), lower_coeffs=((float(b), 1.0),))
             assert fox_h(params, 2.0).value == pytest.approx(2.0**b * math.exp(-2.0), rel=1e-8)
-        info = specfun._kept_gamma_sums.cache_info()
+        info = specfun._kept_node_set.cache_info()
         assert info.maxsize == info.currsize == 64 < info.misses
 
     @pytest.mark.parametrize("size, kept", [(512, 1), (513, 0)])
     def test_node_sets_of_at_most_512_nodes_are_kept(self, size, kept, cold_cache):
-        # 64 sets of 512 nodes, at 32 bytes a node, hold the cache to 1 MiB.
+        # 64 sets of 512 nodes, at 24 bytes a node, hold the cache under 1 MiB.
         params = _exp_reduction_params()
         fox_h(params, 1.0)
-        before = specfun._kept_gamma_sums.cache_info()
-        nodes = np.arange(float(size))
-        total, size_sum = specfun._gamma_sums(params, 0.5, nodes)
-        assert total.shape == size_sum.shape == nodes.shape
+        before = specfun._kept_node_set.cache_info()
+        nodes = specfun._node_set(params, 0.5, 0.01, 0, size, 1)
+        assert nodes.t.shape == nodes.phase.shape == nodes.scaled.shape == (size,)
+        assert sum(array.nbytes for array in nodes[:3]) == 24 * size
         # A larger set is neither kept nor allowed to push out what the cache held.
-        after = specfun._kept_gamma_sums.cache_info()
+        after = specfun._kept_node_set.cache_info()
         assert (after.misses - before.misses, after.currsize - before.currsize) == (kept, kept)
+
+    def test_kept_arrays_are_read_only(self, cold_cache):
+        nodes = specfun._node_set(_exp_reduction_params(), 0.5, 0.25, -1, 40, 1)
+        for array in nodes[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 @pytest.fixture
 def node_sets(monkeypatch):
-    """Every node array `fox_h` hands to the log-gamma sums, in call order.
+    """The lattice of every node set `fox_h` asks for, in call order.
 
-    An array past the node budget fails the test before it is evaluated, so
-    an oversized lattice shows as an assertion and not as the process
-    running out of memory.
+    A lattice past the node budget fails the test before it is built, so an
+    oversized lattice shows as an assertion and not as the process running
+    out of memory.
     """
     seen = []
-    original = specfun._gamma_sums
+    original = specfun._node_set
 
-    def recording(params, c, t):
-        assert t.size <= specfun._MAX_NODES, f"node array of {t.size} past the budget"
-        seen.append(t.copy())
-        return original(params, c, t)
+    def recording(params, c, step, first, stop, stride):
+        size = len(range(first, stop, stride))
+        assert size <= specfun._MAX_NODES, f"node set of {size} past the budget"
+        seen.append(step * np.arange(first, stop, stride))
+        return original(params, c, step, first, stop, stride)
 
-    monkeypatch.setattr(specfun, "_gamma_sums", recording)
+    monkeypatch.setattr(specfun, "_node_set", recording)
     return seen
+
+
+def _gamma_terms(params: FoxHParams, s: np.ndarray) -> list[np.ndarray]:
+    """The signed log-gamma terms of the integrand at s, one array per term,
+    in the order the evaluator adds them."""
+    return [
+        *(loggamma(b + big_b * s) if j < params.m else -loggamma(1.0 - b - big_b * s)
+          for j, (b, big_b) in enumerate(params.lower_coeffs)),
+        *(loggamma(1.0 - a - big_a * s) if j < params.n else -loggamma(a + big_a * s)
+          for j, (a, big_a) in enumerate(params.upper_coeffs)),
+    ]
+
+
+def _direct_log_integrand(params: FoxHParams, c: float, t: np.ndarray, ln_z: float,
+                          log_prefactor: float) -> tuple[np.ndarray, np.ndarray]:
+    """log f at c + i t, with z and the prefactor in it, and the summed
+    magnitude of its terms."""
+    terms = _gamma_terms(params, c + 1j * t)
+    last = log_prefactor - (c + 1j * t) * ln_z
+    return sum(terms) + last, sum(np.abs(term) for term in terms) + np.abs(last)
+
+
+def _direct_fox_h(params: FoxHParams, z: float) -> tuple[float, float, float, float]:
+    """(value, error, imag_ratio, truncation_height) of H(z) at the default
+    abscissa, by the same lattices and checks as `fox_h`, but with each
+    level summed as exp of the complex log-integrand at every node: no part
+    of a level is kept apart from z.  Budgets and underflow are left out;
+    the instances it is used on reach neither."""
+    lo, hi = params.contour_interval()
+    c, ln_z, exponent = params.default_abscissa(), math.log(z), params.convergence_exponent()
+    step = specfun._STEP_PER_HALF_WIDTH * min(c - lo, hi - c, specfun._MAX_HALF_WIDTH)
+    height = max(4.0 / exponent * math.log(1.0 / specfun._TAIL_FRACTION) / math.pi, 8.0)
+
+    def level(t):
+        log_f, size = _direct_log_integrand(params, c, t, ln_z, 0.0)
+        f = np.exp(log_f)
+        half = t >= 0.0
+        weight = np.where(t[half] > 0.0, 2.0, 1.0)
+        rounding = specfun._ROUNDING * float(weight @ (np.abs(f[half]) * (1.0 + size[half])))
+        return f, float(weight @ f[half].real), rounding
+
+    with np.errstate(over="ignore", under="ignore"):
+        half, total, rounding, peak = -2, 0.0, 0.0, 0.0
+        while True:
+            top = math.ceil(height / step)
+            f, level_sum, level_rounding = level(step * np.arange(half + 1, top + 1))
+            if half < 0:
+                residue = float(abs(f[0] - f[2].conjugate()))
+            half, total, rounding = top, total + step * level_sum, rounding + step * level_rounding
+            modulus = np.abs(f)
+            peak = float(modulus.max(initial=peak))
+            assert 0.0 < peak < math.inf
+            if modulus[-1] <= specfun._TAIL_FRACTION * peak:
+                break
+            height *= 2.0
+        tail = 2.0 * float(modulus[-1]) / (0.5 * math.pi * exponent)
+        for _ in range(specfun._MAX_HALVINGS):
+            step, half = 0.5 * step, 2 * half
+            _, level_sum, level_rounding = level(step * np.arange(1, half + 1, 2))
+            previous = total
+            total, rounding = 0.5 * total + step * level_sum, 0.5 * rounding + step * level_rounding
+            change = abs(total - previous)
+            if change <= max(specfun._REL_TOL * abs(total), specfun._ABS_TOL * peak):
+                return (total / (2.0 * math.pi), (change + tail + rounding) / (2.0 * math.pi),
+                        residue / peak, half * step)
+    raise AssertionError("the direct level sums did not converge")
+
+
+class TestDirectLevelSums:
+    """The node sets against each level summed directly at every node."""
+
+    @pytest.mark.parametrize("fig", list(figures._FIGURES))
+    def test_figure_instances_match_the_direct_sums(self, fig, cold_cache):
+        for name, (params, arg) in metrics.fox_h_instances(figures.scenario(fig)).items():
+            for scale in (1e-3, 1.0, 1e3):
+                z = arg * scale
+                got = fox_h(params, z)
+                value, error, imag_ratio, height = _direct_fox_h(params, z)
+                where = f"{name} at {scale:g} times its argument"
+                assert (got.truncation_height, got.imag_ratio) == (height, imag_ratio), where
+                assert abs(got.value - value) <= got.error, where
+                if got.error < 1e-12 * abs(got.value):
+                    assert got.value == pytest.approx(value, rel=1e-12), where
+
+    @pytest.mark.parametrize("params,arg", _inscope_instances())
+    @pytest.mark.parametrize("log_prefactor", [0.0, -30.0])
+    def test_level_sum_and_rounding_bound_of_one_node_set(self, params, arg, log_prefactor,
+                                                          cold_cache):
+        c = params.default_abscissa()
+        nodes = specfun._node_set(params, c, 0.05, -1, 400, 1)
+        t = 0.05 * np.arange(-1, 400)
+        for z in arg * _DECADES:
+            ln_z = math.log(z)
+            shift = log_prefactor - c * ln_z
+            level_sum, rounding = specfun._level_sums(nodes, ln_z, shift, nodes.top)
+            log_f, size = _direct_log_integrand(params, c, t, ln_z, log_prefactor)
+            f, weight = np.exp(log_f), np.sign(t) + 1.0
+            bound = specfun._ROUNDING * (weight @ (np.abs(f) * (1.0 + size)))
+            peak = math.exp(nodes.top + shift)
+            assert peak * rounding == pytest.approx(bound, rel=1e-12)
+            # Both sums are within their rounding bound of the exact one.
+            assert peak * level_sum == pytest.approx(weight @ f.real, rel=0.0, abs=2.0 * bound)
 
 
 class TestHalfContour:
@@ -353,9 +462,9 @@ class TestHalfContour:
             cold_cache()
             node_sets.clear()
             got = fox_h(params, arg)
-            # Exactly one negative node over all arrays, evaluated once:
-            # -step, at the head of level 0's first array, the mirror of its
-            # node step.  It has no array of its own.
+            # Exactly one negative node over all sets, evaluated once:
+            # -step, at the head of level 0's first set, the mirror of its
+            # node step.  It has no set of its own.
             nodes = np.concatenate(node_sets)
             mirrored = nodes[nodes < 0.0]
             assert mirrored.size == 1, name
@@ -370,8 +479,9 @@ class TestHalfContour:
             assert -mirrored[0] in lattice
             # Reference: the trapezoid sum over the whole symmetric lattice.
             both = step * np.arange(1 - lattice.size, lattice.size)
-            log_f, _ = specfun._log_integrand(params, got.abscissa, both, math.log(arg), 0.0)
-            full = step * complex(np.exp(log_f).sum()) / (2.0 * math.pi)
+            log_f, _ = _direct_log_integrand(params, got.abscissa, both, math.log(arg), 0.0)
+            with np.errstate(under="ignore"):
+                full = step * complex(np.exp(log_f).sum()) / (2.0 * math.pi)
             assert full.real == pytest.approx(got.value, rel=1e-12), name
 
     @pytest.mark.parametrize("gap", [2e-3, 1e-6, 1e-7])
@@ -393,16 +503,15 @@ class TestHalfContour:
     @pytest.mark.parametrize("params,arg", _inscope_instances())
     def test_imaginary_residue_flags_an_asymmetric_integrand(self, params, arg, monkeypatch,
                                                             cold_cache):
-        # A real term odd in t breaks f(c - it) = conj f(c + it), which the
-        # half contour takes for granted.
-        original = specfun._log_integrand
-
-        def skewed(params, c, t, ln_z, log_prefactor):
-            log_f, size = original(params, c, t, ln_z, log_prefactor)
-            return log_f + 1e-5 * t, size
+        # A real term odd in t, on the first gamma term, breaks
+        # f(c - it) = conj f(c + it), which the half contour takes for granted.
+        def skewed(x):
+            terms = loggamma(x)
+            terms[0] += 1e-5 * x[0].imag
+            return terms
 
         assert fox_h(params, arg).imag_ratio <= 1e-8
-        monkeypatch.setattr(specfun, "_log_integrand", skewed)
+        monkeypatch.setattr(specfun, "loggamma", skewed)
         # The same call again, evaluated and not read back.
         cold_cache()
         assert fox_h(params, arg).imag_ratio > 1e-8
@@ -412,17 +521,21 @@ class TestOneLogGammaCallPerNodeArray:
     @pytest.mark.parametrize("params,arg", _inscope_instances())
     def test_sums_equal_the_term_by_term_loop(self, params, arg, cold_cache):
         c = params.default_abscissa()
-        t = np.linspace(-40.0, 40.0, 801)
-        s = c + 1j * t
-        terms = [
-            *(loggamma(b + big_b * s) if j < params.m else -loggamma(1.0 - b - big_b * s)
-              for j, (b, big_b) in enumerate(params.lower_coeffs)),
-            *(loggamma(1.0 - a - big_a * s) if j < params.n else -loggamma(a + big_a * s)
-              for j, (a, big_a) in enumerate(params.upper_coeffs)),
-        ]
-        total, size = specfun._gamma_sums(params, c, t)
-        np.testing.assert_array_equal(total, sum(terms))
-        np.testing.assert_array_equal(size, sum(np.abs(term) for term in terms))
+        t = 0.1 * np.arange(-1, 401)
+        terms = _gamma_terms(params, c + 1j * t)
+        log_gamma = sum(terms)
+        top = log_gamma.real.max()
+        with np.errstate(under="ignore"):
+            scaled = np.where(t > 0.0, 2.0, np.where(t == 0.0, 1.0, 0.0)) * np.exp(log_gamma.real - top)
+            residue = abs(np.exp(log_gamma[0] - top) - np.exp(log_gamma[2] - top).conjugate())
+        keep = scaled > 0.0
+        nodes = specfun._node_set(params, c, 0.1, -1, 401, 1)
+        np.testing.assert_array_equal(nodes.t, t[keep])
+        np.testing.assert_array_equal(nodes.phase, log_gamma.imag[keep])
+        np.testing.assert_array_equal(nodes.scaled, scaled[keep])
+        size = sum(np.abs(term) for term in terms)
+        assert nodes.rounding == float(scaled[keep] @ (1.0 + size[keep]))
+        assert (nodes.top, nodes.edge, nodes.residue) == (top, log_gamma.real[-1], residue)
 
     @pytest.mark.parametrize("params,arg", _inscope_instances())
     def test_each_node_array_that_misses_takes_one_call(self, params, arg, node_sets, cold_cache,
@@ -435,13 +548,47 @@ class TestOneLogGammaCallPerNodeArray:
 
         monkeypatch.setattr(specfun, "loggamma", counting)
         fox_h(params, arg)
-        # Cold, every node array misses, and one call takes all p + q terms.
+        # Cold, every node set misses, and one call takes all p + q terms.
         assert shapes == [(params.p + params.q, t.size) for t in node_sets]
-        # At another argument the same node arrays are read back: no call.
+        # At another argument the same node sets are read back: no call.
         shapes.clear()
         node_sets.clear()
         fox_h(params, 2.0 * arg)
         assert node_sets and not shapes
+
+
+class TestFiniteValues:
+    """The level sums are kept in units of the integrand peak, so a value
+    near the top of the float range comes back with a finite bound, and a
+    value or bound past it raises."""
+
+    @pytest.mark.parametrize("log_prefactor", [705.0, 708.0])
+    def test_value_near_the_top_of_the_float_range(self, log_prefactor):
+        got = fox_h(_exp_reduction_params(), 1.0, log_prefactor=log_prefactor)
+        assert got.value == pytest.approx(math.exp(log_prefactor - 1.0), rel=1e-12)
+        assert 0.0 < got.error <= 1e-9 * got.value
+
+    def test_integrand_peak_past_the_float_range_raises(self):
+        # e^709 is a float, but the integrand peak e^710 and the bound are not.
+        with pytest.raises(ConvergenceError, match="peak not finite"):
+            fox_h(_exp_reduction_params(), 1.0, log_prefactor=710.0)
+
+    def test_value_past_the_float_range_raises(self):
+        # On its contour Re s = 10 the integrand at z = 1 is
+        # |Gamma(1/2 + i t / 20)|^2 = pi / cosh(pi t / 20), and H(1) = 10 is
+        # over three times its peak: at a prefactor e^708 the peak is a
+        # float and the value is not.
+        wide = FoxHParams(m=1, n=1, upper_coeffs=((0.0, 0.05),), lower_coeffs=((0.0, 0.05),))
+        assert fox_h(wide, 1.0).value == pytest.approx(10.0, rel=1e-12)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            fox_h(wide, 1.0, log_prefactor=708.0)
+
+    def test_bound_past_the_float_range_raises(self, monkeypatch, cold_cache):
+        # A rounding floor this coarse takes the bound past the float range
+        # while the value stays finite.
+        monkeypatch.setattr(specfun, "_ROUNDING", 1e300)
+        with pytest.raises(ConvergenceError, match="bound .* is not finite"):
+            fox_h(_exp_reduction_params(), 1.0, log_prefactor=700.0)
 
 
 @pytest.fixture
