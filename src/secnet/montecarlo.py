@@ -22,6 +22,20 @@ Two independent validation routes live here:
   minimum of its keys, read without a padded array; the draws and the
   point selected are those of the padded selection k > 1 uses.
 
+  Within a ``shared_draws`` scope, which ``validation.run_validation``
+  opens, each distinct stream batch is drawn once and each distinct
+  capacity integral evaluated once.  A batch is identified by what its
+  draws read: d, upsilon, the side's density and composite fading, the
+  side, ordering and order index, the window radius, the master seed, the
+  batch and its size.  Two calls that agree on all of these draw the same
+  PCG64 stream through the same sampler, so handing the first call's gains
+  to the second is bit-identical to drawing them again.  Every row's
+  eavesdropper law is the first eavesdropper (k = 1), whatever the user
+  index, so check points of one figure that differ only in k ask for the
+  same eavesdropper streams.  A draw is kept past its check point only for
+  a next one of the same side law (``_Shared.carry_over``), and nothing
+  outlives the scope.
+
 * **Defining-integral quadrature** — direct integration of each metric's
   probability/expectation integral over one composite-gain law per (side,
   ordering), using only gamma-family building blocks, deliberately
@@ -35,6 +49,8 @@ and its three routes; the CLI, the validation matrix and the figures read it.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -55,6 +71,7 @@ __all__ = [
     "MetricEstimate",
     "MonteCarloConfig",
     "integrate_defining",
+    "shared_draws",
     "simulate_cop",
     "simulate_ergodic_capacity",
     "simulate_ergodic_secrecy",
@@ -294,6 +311,54 @@ def _sample_best_batch(
 _SAMPLERS = {"nearest": _sample_nearest_batch, "best": _sample_best_batch}
 
 
+def _side_law(cfg: ScenarioConfig, side: str) -> tuple:
+    """What a side's draws read besides ordering, window, seed and batch:
+    d, upsilon, the side's density and composite fading, the side and its
+    order index."""
+    geo = cfg.geometry
+    return geo.d, geo.upsilon, geo.density(side), geo.fading(side), side, cfg.order_index(side)
+
+
+class _Shared:
+    """Stream batches and capacity integrals of one ``shared_draws`` scope.
+
+    ``batches`` maps (side law, ordering, radius, master seed, batch, batch
+    size) to the read-only slice of gains the batch filled; ``capacities``
+    maps (geometry, side, ordering, order index, eta) to E[log2(1 + eta Z)].
+    """
+
+    def __init__(self) -> None:
+        self.batches: dict[tuple, np.ndarray] = {}
+        self.capacities: dict[tuple, float] = {}
+
+    def carry_over(self, upcoming: ScenarioConfig | None) -> None:
+        """Keep only the stream batches of a side law ``upcoming`` has, the
+        scenario of the next check point; None keeps none."""
+        laws = set() if upcoming is None else {_side_law(upcoming, side) for side in stochgeo.SIDES}
+        self.batches = {key: z for key, z in self.batches.items() if key[0] in laws}
+
+
+# The scope's store; None outside one.  Executor threads do not inherit
+# the caller's context, so ``_run_simulation`` reads it before it starts them.
+_SHARED: contextvars.ContextVar[_Shared | None] = contextvars.ContextVar("secnet_shared_draws", default=None)
+
+
+@contextlib.contextmanager
+def shared_draws():
+    """Within the block, draw each stream batch once and integrate each
+    capacity law once.  Yields the store, from which the block drops the
+    draws it no longer needs (``_Shared.carry_over``); nothing is kept
+    after the block, also when it raises."""
+    shared = _Shared()
+    token = _SHARED.set(shared)
+    try:
+        yield shared
+    finally:
+        _SHARED.reset(token)
+        shared.batches.clear()
+        shared.capacities.clear()
+
+
 def _run_simulation(
     cfg: ScenarioConfig,
     mc: MonteCarloConfig,
@@ -309,9 +374,12 @@ def _run_simulation(
     SeedSequence(master_seed, spawn_key=(batch, side, ordering)).  So a
     gain does not depend on which other gains were requested, and since
     batches write disjoint slices of preallocated arrays, it does not depend
-    on worker scheduling either.
+    on worker scheduling either.  Inside ``shared_draws`` a batch already
+    drawn with the same key is copied instead of drawn again, and the
+    arrays returned are read-only, since the store keeps slices of them.
     """
     trials = mc.trials
+    shared = _SHARED.get()
     streams = []
     # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
     for side_code, (side, need) in enumerate(zip(stochgeo.SIDES, (need_legit, need_eave))):
@@ -320,17 +388,21 @@ def _run_simulation(
                 k = cfg.order_index(side)
                 radius = (mc.window_radius if mc.window_radius is not None
                           else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
-                streams.append((side, ordering, (side_code, ordering_code), k, radius))
+                key = (_side_law(cfg, side), ordering, radius, mc.master_seed)
+                streams.append((side, ordering, (side_code, ordering_code), k, radius, key))
     out = {(side, ordering): np.empty(trials) for side, ordering, *_ in streams}
     n_batches = (trials + _BATCH - 1) // _BATCH
+    bounds = [(j * _BATCH, min((j + 1) * _BATCH, trials)) for j in range(n_batches)]
 
     def run_batch(j: int) -> None:
-        lo = j * _BATCH
-        hi = min(lo + _BATCH, trials)
-        for side, ordering, code, k, radius in streams:
-            gen = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
-            out[side, ordering][lo:hi] = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
+        lo, hi = bounds[j]
+        for side, ordering, code, k, radius, key in streams:
+            z = None if shared is None else shared.batches.get((*key, j, hi - lo))
+            if z is None:
+                gen = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
+                z = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
+            out[side, ordering][lo:hi] = z
 
     # More threads than batches or cores only add start-up cost.
     workers = min(mc.worker_hint, n_batches, os.cpu_count() or 1)
@@ -340,6 +412,12 @@ def _run_simulation(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_batch, range(n_batches)))
+    for z in out.values():
+        z.flags.writeable = False
+    if shared is not None:
+        for side, ordering, *_, key in streams:
+            for j, (lo, hi) in enumerate(bounds):
+                shared.batches[(*key, j, hi - lo)] = out[side, ordering][lo:hi]
     return out
 
 
@@ -559,9 +637,16 @@ def _law(cfg: ScenarioConfig, side: str, ordering: str, level: int):
 
 
 def _quad_capacity(cfg: ScenarioConfig, side: str, ordering: str) -> float:
-    """Mean capacity E[log2(1 + eta Z)] of the side's ordered receiver."""
+    """Mean capacity E[log2(1 + eta Z)] of the side's ordered receiver,
+    evaluated once per law inside ``shared_draws``."""
     eta = cfg.snr_scale(side)
-    return _converged(lambda level: _law(cfg, side, ordering, level).expect(lambda z: np.log2(1.0 + eta * z)))
+    shared = _SHARED.get()
+    capacities = {} if shared is None else shared.capacities
+    key = (cfg.geometry, side, ordering, cfg.order_index(side), eta)
+    if key not in capacities:
+        capacities[key] = _converged(
+            lambda level: _law(cfg, side, ordering, level).expect(lambda z: np.log2(1.0 + eta * z)))
+    return capacities[key]
 
 
 def _pnz_at(cfg: ScenarioConfig, level: int) -> float:

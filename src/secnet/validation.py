@@ -9,6 +9,17 @@ and the acceptance gate.
 The matrix is the ``checks`` of the figures (``VALIDATION_FIGURES``), run
 through the routes of ``montecarlo.METRICS``.
 
+A run draws each simulation stream and integrates each capacity once
+(``montecarlo.shared_draws``).  Every row's eavesdropper law is the first
+eavesdropper, whatever the user index, so fig5's k = 1 and k = 2 points
+share the eavesdropper nearest stream and fig6's k = 1 and k = 4 points
+both eavesdropper streams; fig11's k = 1 capacity and ``esc`` rows share
+all four streams and need four capacity integrals, not ten.  A stream is
+keyed on (master seed, batch, side, ordering) and read through the same
+sampler, window and side law, so the shared gains are those a second draw
+would give, bit for bit, and every row equals the row the routes give one
+at a time.
+
 The simulation gate is family-wise.  Each row reports the 99.7% half-width
 of its own estimate (``mc_half_width``, i.e. ``CI_Z`` = 2.968 standard
 errors), but a run gates all of its m rows together: a row passes when its
@@ -119,6 +130,15 @@ def run_validation(
     Every row is simulation-gated, so the family size of each returned row
     is the number of rows of the run.  An empty ``figure_ids`` is an error,
     not a run of zero checks.
+
+    The run is one ``montecarlo.shared_draws`` scope: rows that ask for the
+    same stream batch (fig5 k = 1, 2 and fig6 k = 1, 4 for the
+    eavesdropper; every row of fig11 k = 1) get it from one draw, and the
+    capacities of fig11's ``esc`` rows come from its ``capacity`` rows.
+    The shared draws are bit-identical to fresh ones because a batch's
+    generator and sampler read nothing that differs between those rows.  A
+    draw outlives its check point only when the next check point of the
+    figure has the same law on that side, and nothing outlives the call.
     """
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
     if not selected or not set(selected) <= set(VALIDATION_FIGURES):
@@ -127,20 +147,23 @@ def run_validation(
                                window_radius=window_radius, ci_level=CI_LEVEL)
     mc_cap = replace(mc_prob, trials=capacity_trials)
     rows: list[ValidationRow] = []
-    for fig in selected:
-        for overrides, blocks in figures._FIGURES[fig].checks:
-            cfg = figures.scenario(fig, **overrides)
-            for name, cases in blocks:
-                metric = METRICS[name]
-                cfgs = {case: metric.at(cfg, case) for case in cases}
-                ests = metric.simulate(cfgs, mc_prob if metric.probability else mc_cap)
-                rows.extend(
-                    ValidationRow(
-                        figure=fig, metric=name, case=case, k=cfg.user_index,
-                        closed_form=metric.closed_form(at),
-                        quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
-                        mc_value=ests[case].value, mc_half_width=ests[case].half_width,
+    with montecarlo.shared_draws() as shared:
+        for fig in selected:
+            checks = figures._FIGURES[fig].checks
+            scenarios = [figures.scenario(fig, **overrides) for overrides, _ in checks]
+            for (_, blocks), cfg, upcoming in zip(checks, scenarios, [*scenarios[1:], None]):
+                for name, cases in blocks:
+                    metric = METRICS[name]
+                    cfgs = {case: metric.at(cfg, case) for case in cases}
+                    ests = metric.simulate(cfgs, mc_prob if metric.probability else mc_cap)
+                    rows.extend(
+                        ValidationRow(
+                            figure=fig, metric=name, case=case, k=cfg.user_index,
+                            closed_form=metric.closed_form(at),
+                            quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
+                            mc_value=ests[case].value, mc_half_width=ests[case].half_width,
+                        )
+                        for case, at in cfgs.items()
                     )
-                    for case, at in cfgs.items()
-                )
+                shared.carry_over(upcoming)
     return [replace(row, mc_family_size=len(rows)) for row in rows]

@@ -677,6 +677,50 @@ class TestStreams:
         assert est == simulate_cop(cfg, replace(mc, worker_hint=1))
 
 
+class TestSharedDraws:
+    """Inside ``shared_draws`` a stream batch is drawn once, and kept past a
+    check point only for a next one with the same law on that side."""
+
+    def test_carry_over_keeps_the_sides_the_next_point_shares(self, monkeypatch):
+        drawn = []
+        for ordering, sampler in list(_SAMPLERS.items()):
+            monkeypatch.setitem(_SAMPLERS, ordering, lambda *a, _s=sampler: drawn.append(a[1:4]) or _s(*a))
+        mc = _mc(trials=8192 + 100, seed=7, workers=1)
+        first, second = figures.scenario("fig6", k=1), figures.scenario("fig6", k=4)
+        with montecarlo.shared_draws() as shared:
+            alone = simulate_pnz_all(first, mc)
+            assert len(drawn) == 8
+            assert simulate_pnz_all(first, mc) == alone
+            assert len(drawn) == 8
+            shared.carry_over(second)
+            assert {key[0][4] for key in shared.batches} == {"eavesdropper"}
+            assert len(shared.batches) == 4
+            assert all(not z.flags.writeable for z in shared.batches.values())
+            simulate_pnz_all(second, mc)
+            assert [side for _, side, _ in drawn[8:]] == ["legitimate"] * 4
+            shared.carry_over(replace(second, eta_e=2.0))
+            assert len(shared.batches) == 8
+            shared.carry_over(figures.scenario("fig5", k=4))
+            assert not shared.batches
+        assert montecarlo._SHARED.get() is None
+        assert simulate_pnz_all(first, mc) == alone
+        assert len(drawn) == 20
+
+    def test_capacity_integrated_once_per_law(self, monkeypatch):
+        calls = []
+        converged = montecarlo._converged
+        monkeypatch.setattr(montecarlo, "_converged", lambda f: calls.append(1) or converged(f))
+        cfg = figures.scenario("fig11", k=1)
+        with montecarlo.shared_draws():
+            values = {case: integrate_defining("esc", cfg.with_case(case)).value for case in metrics.CASES}
+            assert len(calls) == 4
+            # eta_k is not part of the eavesdropper's law
+            integrate_defining("esc", replace(cfg, eta_k=2.0 * cfg.eta_k))
+            assert len(calls) == 5
+        assert values == {case: integrate_defining("esc", cfg.with_case(case)).value for case in metrics.CASES}
+        assert len(calls) == 13
+
+
 class TestIntegrateDefining:
     def test_best_best_closed_form_agreement(self):
         for cfg in (figures.scenario("fig6", k=3), figures.scenario("fig7", k=2, upsilon=3.0)):

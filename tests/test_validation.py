@@ -1,12 +1,16 @@
 """The family-wise simulation gate of the validation suite, exercised on
-hand-built rows (no simulation runs), and the registry's case resolution."""
+hand-built rows, the registry's case resolution, and the draws and
+capacity integrals a validation run shares between its rows."""
 
+import sys
 from dataclasses import replace
 
 import pytest
 
+from secnet import figures, montecarlo, validation
 from secnet.metrics import ScenarioConfig
-from secnet.montecarlo import METRICS
+from secnet.montecarlo import METRICS, MonteCarloConfig
+from secnet.specfun import ConvergenceError
 from secnet.validation import CI_Z, ValidationRow, family_gate_z
 
 CLOSED = 0.25
@@ -75,3 +79,138 @@ def test_a_case_sets_only_the_ordering_and_eavesdropper_policy(name, case):
     assert metric.case_of(at) == case
     assert metric.at(at, case) is at
     assert replace(at, ordering=cfg.ordering, eavesdropper_policy=cfg.eavesdropper_policy) == cfg
+
+
+class _Counts:
+    """Counts the stream batches drawn and the quadratures converged, and
+    records every store a draw was made under."""
+
+    def __init__(self, monkeypatch):
+        self.draws = 0
+        self.converged = 0
+        self.stores = []
+        for ordering, sampler in list(montecarlo._SAMPLERS.items()):
+            monkeypatch.setitem(montecarlo._SAMPLERS, ordering, self._draw(sampler))
+        converged = montecarlo._converged
+
+        def count_converged(integral):
+            self.converged += 1
+            return converged(integral)
+
+        monkeypatch.setattr(montecarlo, "_converged", count_converged)
+
+    def _draw(self, sampler):
+        def draw(*args):
+            self.draws += 1
+            self.stores.append(montecarlo._SHARED.get())
+            return sampler(*args)
+        return draw
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    return _Counts(monkeypatch)
+
+
+def _rows_one_at_a_time(trials, capacity_trials, seed):
+    """The matrix with each row's three routes called on their own, outside
+    any validation run: the unshared reference."""
+    mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, ci_level=validation.CI_LEVEL)
+    mc_cap = replace(mc_prob, trials=capacity_trials)
+    rows = []
+    for fig in validation.VALIDATION_FIGURES:
+        for overrides, blocks in figures._FIGURES[fig].checks:
+            cfg = figures.scenario(fig, **overrides)
+            for name, cases in blocks:
+                metric = METRICS[name]
+                for case in cases:
+                    at = metric.at(cfg, case)
+                    est = metric.simulate({case: at}, mc_prob if metric.probability else mc_cap)[case]
+                    rows.append(ValidationRow(
+                        figure=fig, metric=name, case=case, k=cfg.user_index,
+                        closed_form=metric.closed_form(at),
+                        quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
+                        mc_value=est.value, mc_half_width=est.half_width,
+                    ))
+    return [replace(row, mc_family_size=len(rows)) for row in rows]
+
+
+class TestSharedDraws:
+    """A run draws each stream batch and integrates each capacity law once,
+    with rows bit-identical to the unshared routes, and keeps nothing."""
+
+    def test_rows_equal_the_routes_called_one_at_a_time(self):
+        shared = validation.run_validation(trials=4096, capacity_trials=1024, seed=5)
+        assert montecarlo._SHARED.get() is None
+        reference = _rows_one_at_a_time(4096, 1024, 5)
+        assert len(shared) == len(reference) == 36
+        assert [repr(row) for row in shared] == [repr(row) for row in reference]
+
+    @pytest.mark.parametrize("figure_ids, draws, converged", [
+        (("fig6",), 12, None), (("fig11",), 6, 6), (None, 60, 34)])
+    def test_each_stream_batch_and_capacity_once(self, counts, figure_ids, draws, converged):
+        validation.run_validation(trials=16384, capacity_trials=1638, seed=5, figure_ids=figure_ids)
+        assert counts.draws == draws
+        if converged is not None:
+            assert counts.converged == converged
+
+    def test_a_draw_outlives_its_point_only_for_the_next_point_of_its_figure(self, monkeypatch):
+        held = []
+        for name in ("simulate_pnz", "simulate_pnz_all"):
+            def record(*args, _simulate=getattr(montecarlo, name)):
+                held.append({(key[0][4], key[1]) for key in montecarlo._SHARED.get().batches})
+                return _simulate(*args)
+            monkeypatch.setattr(montecarlo, name, record)
+        validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig5", "fig6"))
+        eavesdropper = {("eavesdropper", "nearest"), ("eavesdropper", "best")}
+        # fig5 k = 1, 2 (NN only), then fig6 k = 1, 4
+        assert held == [set(), {("eavesdropper", "nearest")}, set(), eavesdropper]
+
+    def _assert_nothing_kept(self, counts):
+        assert montecarlo._SHARED.get() is None
+        stores = {id(store): store for store in counts.stores if store is not None}
+        assert stores
+        assert all(not store.batches and not store.capacities for store in stores.values())
+        cfg = figures.scenario("fig6", k=1)
+        before = counts.draws
+        montecarlo.simulate_pnz_all(cfg, MonteCarloConfig(trials=4096, master_seed=5))
+        assert counts.draws - before == 4
+        assert counts.stores[-1] is None
+
+    def test_nothing_outlives_a_run(self, counts):
+        validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig6",))
+        self._assert_nothing_kept(counts)
+
+    def test_nothing_outlives_a_run_that_raises(self, counts, monkeypatch):
+        integrate = montecarlo.integrate_defining
+
+        def fail_second_point(metric, cfg):
+            if cfg.user_index == 4:
+                raise ConvergenceError("planted failure")
+            return integrate(metric, cfg)
+
+        monkeypatch.setattr(montecarlo, "integrate_defining", fail_second_point)
+        with pytest.raises(ConvergenceError, match="planted"):
+            validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig6",))
+        # the second point ran its simulation before its quadrature raised
+        assert counts.draws == 6
+        self._assert_nothing_kept(counts)
+
+    def test_workers_do_not_change_rows_or_draws(self, counts, monkeypatch):
+        # More threads than cores, switching often: the batch threads read
+        # the store the caller opened, or they would draw every batch again.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = {}
+            for workers in (1, 2, 8):
+                before = counts.draws
+                rows = validation.run_validation(trials=9 * 8192, capacity_trials=2 * 8192, seed=5,
+                                                 workers=workers, figure_ids=("fig6", "fig11"))
+                runs[workers] = ([repr(row) for row in rows], counts.draws - before)
+        finally:
+            sys.setswitchinterval(interval)
+        # fig6: 4 streams, then the 2 legitimate ones, in 9 batches; fig11: 4, then 2, in 2
+        assert runs[1][1] == 6 * 9 + 6 * 2
+        assert runs[1] == runs[2] == runs[8]
