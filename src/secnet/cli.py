@@ -49,7 +49,7 @@ _ROUTES = {
     "closed-form": lambda name, cfg, mc: MetricEstimate(
         METRICS[name].closed_form(cfg), 0.0, "closed-form", 0),
     "quadrature": lambda name, cfg, mc: montecarlo.integrate_defining(name, cfg),
-    "monte-carlo": lambda name, cfg, mc: METRICS[name].simulate({"": cfg}, mc)[""],
+    "monte-carlo": lambda name, cfg, mc: METRICS[name].simulate(cfg, mc),
 }
 _METHODS = (*_ROUTES, "all")
 

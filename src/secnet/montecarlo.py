@@ -11,30 +11,33 @@ Two independent validation routes live here:
   k points except with probability under the rejection budget, which is
   drawn in full, and a far ring, of which only the points that can still
   reach the top k are drawn: an exact Poisson thinning on the gamma shape,
-  above a threshold set by the inner ball's k-th point.  Each (batch,
-  side, ordering) draws from its own PCG64 stream keyed by a SeedSequence
-  on (master seed, batch, side, ordering), in a window sized for that
-  ordering, so a gain does not depend on which others were requested, and
-  results are bit-identical for a given master seed no matter how many
-  workers execute the batches.
+  above a threshold set by the inner ball's k-th point.  A stream is one
+  side's gains at one ordering: the legitimate side at the scenario's
+  ordering, the eavesdropper side at its eavesdropper policy.  Each (batch,
+  side, ordering) draws from its own PCG64 generator keyed by a
+  SeedSequence on (master seed, batch, side, ordering), in a window sized
+  for that ordering, so a gain does not depend on which other streams were
+  requested, and results are bit-identical for a given master seed no
+  matter how many workers execute the batches.
 
   For k = 1 (every eavesdropper draw) each part's best point is the row
   minimum of its keys, read without a padded array; the draws and the
   point selected are those of the padded selection k > 1 uses.
 
-  Within a ``shared_draws`` scope, which ``validation.run_validation``
-  opens, each distinct stream batch is drawn once and each distinct
-  capacity integral evaluated once.  A batch is identified by what its
-  draws read: d, upsilon, the side's density and composite fading, the
-  side, ordering and order index, the window radius, the master seed, the
-  batch and its size.  Two calls that agree on all of these draw the same
-  PCG64 stream through the same sampler, so handing the first call's gains
-  to the second is bit-identical to drawing them again.  Every row's
-  eavesdropper law is the first eavesdropper (k = 1), whatever the user
-  index, so check points of one figure that differ only in k ask for the
-  same eavesdropper streams.  A draw is kept past its check point only for
-  a next one of the same side law (``_Shared.carry_over``), and nothing
-  outlives the scope.
+  Within a ``shared_draws`` scope, which ``simulate_pnz_all`` and
+  ``validation.run_validation`` open, each distinct stream is drawn once
+  and each distinct capacity integral evaluated once.  A stream is
+  identified by what its draws read: d, upsilon, the side's density and
+  composite fading, the side, ordering and order index, the explicit
+  window radius if any (the sized one follows from the rest), the master
+  seed and the trial count.  Two calls that agree on all of these draw the
+  same PCG64 generators through the same sampler, so handing the first
+  call's read-only gains to the second is bit-identical to drawing them
+  again.  Every row's eavesdropper law is the first eavesdropper (k = 1),
+  whatever the user index, so check points of one figure that differ only
+  in k ask for the same eavesdropper streams.  The scope's owner drops the
+  streams it will not read again (``_Shared.keep``), and nothing outlives
+  the scope.
 
 * **Defining-integral quadrature** — direct integration of each metric's
   probability/expectation integral over one composite-gain law per (side,
@@ -312,119 +315,115 @@ _SAMPLERS = {"nearest": _sample_nearest_batch, "best": _sample_best_batch}
 
 
 def _side_law(cfg: ScenarioConfig, side: str) -> tuple:
-    """What a side's draws read besides ordering, window, seed and batch:
+    """What a side's draws read besides ordering, window, seed and trials:
     d, upsilon, the side's density and composite fading, the side and its
     order index."""
     geo = cfg.geometry
     return geo.d, geo.upsilon, geo.density(side), geo.fading(side), side, cfg.order_index(side)
 
 
-class _Shared:
-    """Stream batches and capacity integrals of one ``shared_draws`` scope.
+def _stream_law(cfg: ScenarioConfig, side: str) -> tuple:
+    """(side law, ordering) of cfg's stream on one side: the legitimate side
+    at cfg.ordering, the eavesdropper side at cfg.eavesdropper_policy."""
+    return _side_law(cfg, side), cfg.ordering if side == "legitimate" else cfg.eavesdropper_policy
 
-    ``batches`` maps (side law, ordering, radius, master seed, batch, batch
-    size) to the read-only slice of gains the batch filled; ``capacities``
-    maps (geometry, side, ordering, order index, eta) to E[log2(1 + eta Z)].
+
+class _Shared:
+    """Streams and capacity integrals of one ``shared_draws`` scope.
+
+    ``streams`` maps (side law, ordering, explicit window radius or None,
+    master seed, trials) to the read-only gains of the whole stream;
+    ``capacities`` maps (geometry, side, ordering, order index, eta) to
+    E[log2(1 + eta Z)].
     """
 
     def __init__(self) -> None:
-        self.batches: dict[tuple, np.ndarray] = {}
+        self.streams: dict[tuple, np.ndarray] = {}
         self.capacities: dict[tuple, float] = {}
 
-    def carry_over(self, upcoming: ScenarioConfig | None) -> None:
-        """Keep only the stream batches of a side law ``upcoming`` has, the
-        scenario of the next check point; None keeps none."""
-        laws = set() if upcoming is None else {_side_law(upcoming, side) for side in stochgeo.SIDES}
-        self.batches = {key: z for key, z in self.batches.items() if key[0] in laws}
+    def keep(self, laws: set[tuple]) -> None:
+        """Drop every stream whose (side law, ordering) is not in ``laws``."""
+        self.streams = {key: z for key, z in self.streams.items() if key[:2] in laws}
 
 
 # The scope's store; None outside one.  Executor threads do not inherit
-# the caller's context, so ``_run_simulation`` reads it before it starts them.
+# the caller's context, so ``_gains`` reads it before it starts them.
 _SHARED: contextvars.ContextVar[_Shared | None] = contextvars.ContextVar("secnet_shared_draws", default=None)
 
 
 @contextlib.contextmanager
 def shared_draws():
-    """Within the block, draw each stream batch once and integrate each
-    capacity law once.  Yields the store, from which the block drops the
-    draws it no longer needs (``_Shared.carry_over``); nothing is kept
-    after the block, also when it raises."""
+    """Within the block, draw each stream once and integrate each capacity
+    law once.  Yields the store, from which the block drops the streams it
+    no longer needs (``_Shared.keep``); nothing is kept after the block,
+    also when it raises."""
     shared = _Shared()
     token = _SHARED.set(shared)
     try:
         yield shared
     finally:
         _SHARED.reset(token)
-        shared.batches.clear()
+        shared.streams.clear()
         shared.capacities.clear()
 
 
-def _run_simulation(
-    cfg: ScenarioConfig,
-    mc: MonteCarloConfig,
-    need_legit: tuple[str, ...],
-    need_eave: tuple[str, ...],
-) -> dict[tuple[str, str], np.ndarray]:
-    """Sample all requested composite gains for mc.trials realizations.
+def _gains(cfg: ScenarioConfig, mc: MonteCarloConfig, sides: tuple[str, ...]) -> list[np.ndarray]:
+    """cfg's composite gains on each of ``sides`` for mc.trials realizations.
 
-    Returns one array per requested (side, ordering), NaN where a
-    realization holds fewer points than the side's order index.  Each
-    (side, ordering) has its own window, sized for that ordering alone, and
-    each (batch, side, ordering) owns a PCG64 generator seeded by
-    SeedSequence(master_seed, spawn_key=(batch, side, ordering)).  So a
-    gain does not depend on which other gains were requested, and since
-    batches write disjoint slices of preallocated arrays, it does not depend
-    on worker scheduling either.  Inside ``shared_draws`` a batch already
-    drawn with the same key is copied instead of drawn again, and the
-    arrays returned are read-only, since the store keeps slices of them.
+    The legitimate side is drawn at cfg.ordering, the eavesdropper side at
+    cfg.eavesdropper_policy; a gain is NaN where a realization holds fewer
+    points than the side's order index.  Each stream has its own window,
+    sized for its ordering alone, and each of its batches owns a PCG64
+    generator seeded by SeedSequence(master_seed, spawn_key=(batch, side,
+    ordering)).  So a gain does not depend on which other side was
+    requested, and since batches write disjoint slices of preallocated
+    arrays, it does not depend on worker scheduling either.  The arrays are
+    read-only.  Inside ``shared_draws`` a stream already drawn is returned
+    as stored, and a stream enters the store only once all its batches are
+    drawn, so a sampler that raises leaves nothing behind.
     """
-    trials = mc.trials
     shared = _SHARED.get()
-    streams = []
-    # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
-    for side_code, (side, need) in enumerate(zip(stochgeo.SIDES, (need_legit, need_eave))):
-        for ordering_code, ordering in enumerate(ORDERINGS):
-            if ordering in need:
-                k = cfg.order_index(side)
-                radius = (mc.window_radius if mc.window_radius is not None
-                          else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
-                key = (_side_law(cfg, side), ordering, radius, mc.master_seed)
-                streams.append((side, ordering, (side_code, ordering_code), k, radius, key))
-    out = {(side, ordering): np.empty(trials) for side, ordering, *_ in streams}
-    n_batches = (trials + _BATCH - 1) // _BATCH
-    bounds = [(j * _BATCH, min((j + 1) * _BATCH, trials)) for j in range(n_batches)]
+    store = {} if shared is None else shared.streams
+    keys = [(*_stream_law(cfg, side), mc.window_radius, mc.master_seed, mc.trials) for side in sides]
+    gains = [store.get(key) for key in keys]
+    draws = []
+    for i, (side, key) in enumerate(zip(sides, keys)):
+        if gains[i] is None:
+            ordering = key[1]
+            k = cfg.order_index(side)
+            radius = (mc.window_radius if mc.window_radius is not None
+                      else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
+            # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
+            code = (stochgeo.SIDES.index(side), ORDERINGS.index(ordering))
+            gains[i] = np.empty(mc.trials)
+            draws.append((key, side, ordering, code, k, radius, gains[i]))
 
     def run_batch(j: int) -> None:
-        lo, hi = bounds[j]
-        for side, ordering, code, k, radius, key in streams:
-            z = None if shared is None else shared.batches.get((*key, j, hi - lo))
-            if z is None:
-                gen = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
-                z = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
-            out[side, ordering][lo:hi] = z
+        lo, hi = j * _BATCH, min((j + 1) * _BATCH, mc.trials)
+        for _, side, ordering, code, k, radius, z in draws:
+            gen = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
+            z[lo:hi] = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
 
-    # More threads than batches or cores only add start-up cost.
-    workers = min(mc.worker_hint, n_batches, os.cpu_count() or 1)
-    if workers == 1:
-        for j in range(n_batches):
-            run_batch(j)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_batch, range(n_batches)))
-    for z in out.values():
+    if draws:
+        n_batches = (mc.trials + _BATCH - 1) // _BATCH
+        # More threads than batches or cores only add start-up cost.
+        workers = min(mc.worker_hint, n_batches, os.cpu_count() or 1)
+        if workers == 1:
+            for j in range(n_batches):
+                run_batch(j)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run_batch, range(n_batches)))
+    for key, *_, z in draws:
         z.flags.writeable = False
-    if shared is not None:
-        for side, ordering, *_, key in streams:
-            for j, (lo, hi) in enumerate(bounds):
-                shared.batches[(*key, j, hi - lo)] = out[side, ordering][lo:hi]
-    return out
+        store[key] = z
+    return gains
 
 
-def _case_gains(cfg: ScenarioConfig, draws: dict) -> tuple[np.ndarray, np.ndarray]:
+def _case_gains(cfg: ScenarioConfig, mc: MonteCarloConfig) -> tuple[np.ndarray, np.ndarray]:
     """Legitimate and eavesdropper gains of cfg's case where both exist."""
-    zb = draws["legitimate", cfg.ordering]
-    ze = draws["eavesdropper", cfg.eavesdropper_policy]
+    zb, ze = _gains(cfg, mc, stochgeo.SIDES)
     ok = ~(np.isnan(zb) | np.isnan(ze))
     return zb[ok], ze[ok]
 
@@ -463,33 +462,31 @@ def simulate_cop(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
         # Capacity log2(1 + eta*Z) is almost surely positive, so outage at
         # zero rate never occurs; the zero is exact, not sampled.
         return MetricEstimate(0.0, 0.0, "closed-form", 0)
-    z = _run_simulation(cfg, mc, (cfg.ordering,), ())["legitimate", cfg.ordering]
+    z, = _gains(cfg, mc, ("legitimate",))
     z = z[~np.isnan(z)]
     return _binomial_estimate(int(np.count_nonzero(z < threshold)), z.size, mc.trials, mc)
 
 
-def _pnz_estimate(cfg: ScenarioConfig, draws: dict, mc: MonteCarloConfig) -> MetricEstimate:
-    zb, ze = _case_gains(cfg, draws)
+def _pnz_estimate(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
+    zb, ze = _case_gains(cfg, mc)
     return _binomial_estimate(int(np.count_nonzero(zb * cfg.varpi > ze)), zb.size, mc.trials, mc)
 
 
 def simulate_pnz(cfg: ScenarioConfig, case: str | None, mc: MonteCarloConfig) -> MetricEstimate:
     """Frequency of the legitimate SNR exceeding the eavesdropper SNR, for ``case`` or else cfg's pairing."""
-    cfg = cfg if case is None else cfg.with_case(case)
-    draws = _run_simulation(cfg, mc, (cfg.ordering,), (cfg.eavesdropper_policy,))
-    return _pnz_estimate(cfg, draws, mc)
+    return _pnz_estimate(cfg if case is None else cfg.with_case(case), mc)
 
 
 def simulate_pnz_all(cfg: ScenarioConfig, mc: MonteCarloConfig) -> dict[str, MetricEstimate]:
     """All four receiver/eavesdropper pairings from one set of realizations."""
-    draws = _run_simulation(cfg, mc, ORDERINGS, ORDERINGS)
-    return {case: _pnz_estimate(cfg.with_case(case), draws, mc) for case in CASES}
+    with shared_draws():
+        return {case: _pnz_estimate(cfg.with_case(case), mc) for case in CASES}
 
 
 def simulate_ergodic_capacity(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
     """Sample mean of the legitimate link capacity log2(1 + eta_k * Z) of
     the k-th receiver under cfg.ordering."""
-    z = _run_simulation(cfg, mc, (cfg.ordering,), ())["legitimate", cfg.ordering]
+    z, = _gains(cfg, mc, ("legitimate",))
     return _mean_estimate(np.log2(1.0 + cfg.eta_k * z[~np.isnan(z)]), mc.trials, mc)
 
 
@@ -501,7 +498,7 @@ def simulate_ergodic_secrecy(cfg: ScenarioConfig, mc: MonteCarloConfig) -> Ergod
     mean-of-clipped variant averages per-realization clipped differences and
     is generally larger.
     """
-    zb, ze = _case_gains(cfg, _run_simulation(cfg, mc, (cfg.ordering,), (cfg.eavesdropper_policy,)))
+    zb, ze = _case_gains(cfg, mc)
     diff = np.log2(1.0 + cfg.eta_k * zb) - np.log2(1.0 + cfg.eta_e * ze)
     diff_est = _mean_estimate(diff, mc.trials, mc)
     clipped_difference = replace(diff_est, value=max(diff_est.value, 0.0))
@@ -680,13 +677,14 @@ class Metric:
     eavesdropper pairings (PNZ, ergodic secrecy capacity), and ``at`` is
     the one place a case label sets a scenario.  ``probability`` picks the
     quadrature tolerance and the simulation trial count.  Every route takes
-    scenarios ``at`` has set, the simulator a dict of them by case.
+    one scenario ``at`` has set and returns one value (``closed_form``,
+    ``defining``) or ``MetricEstimate`` (``simulate``).
     """
 
     cases: tuple[str, ...]
     probability: bool
     closed_form: Callable[[ScenarioConfig], float]
-    simulate: Callable[[dict[str, ScenarioConfig], MonteCarloConfig], dict[str, MetricEstimate]]
+    simulate: Callable[[ScenarioConfig, MonteCarloConfig], MetricEstimate]
     defining: Callable[[ScenarioConfig], float]
 
     @property
@@ -703,6 +701,12 @@ class Metric:
         """The case a scenario selects through its ordering and eavesdropper policy."""
         return cfg.ordering if self.cases == ORDERINGS else cfg.case
 
+    def stream_laws(self, cfg: ScenarioConfig) -> set[tuple]:
+        """(side law, ordering) of each stream ``simulate`` reads at cfg: the
+        legitimate one for an ordering, both sides' for a pairing."""
+        sides = ("legitimate",) if self.cases == ORDERINGS else stochgeo.SIDES
+        return {_stream_law(cfg, side) for side in sides}
+
 
 # Entries resolve ``metrics.*`` and this module's simulators at call time,
 # so a wrapper installed on those module attributes sees every call.
@@ -710,30 +714,26 @@ METRICS: dict[str, Metric] = {
     "cop": Metric(
         cases=ORDERINGS, probability=True,
         closed_form=lambda cfg: metrics.cop(cfg),
-        simulate=lambda cfgs, mc: {case: simulate_cop(cfg, mc) for case, cfg in cfgs.items()},
+        simulate=lambda cfg, mc: simulate_cop(cfg, mc),
         defining=lambda cfg: _converged(
             lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold)),
     ),
     "pnz": Metric(
         cases=CASES, probability=True,
         closed_form=lambda cfg: metrics.pnz(cfg),
-        # All four pairings come from one set of realizations.
-        simulate=lambda cfgs, mc: (
-            simulate_pnz_all(cfgs[CASES[0]], mc) if set(cfgs) == set(CASES)
-            else {case: simulate_pnz(cfg, None, mc) for case, cfg in cfgs.items()}),
+        simulate=lambda cfg, mc: simulate_pnz(cfg, None, mc),
         defining=lambda cfg: _converged(lambda level: _pnz_at(cfg, level)),
     ),
     "capacity": Metric(
         cases=ORDERINGS, probability=False,
         closed_form=lambda cfg: getattr(metrics, f"ergodic_capacity_{cfg.ordering}")(cfg),
-        simulate=lambda cfgs, mc: {case: simulate_ergodic_capacity(cfg, mc) for case, cfg in cfgs.items()},
+        simulate=lambda cfg, mc: simulate_ergodic_capacity(cfg, mc),
         defining=lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering),
     ),
     "esc": Metric(
         cases=CASES, probability=False,
         closed_form=lambda cfg: metrics.ergodic_secrecy_capacity(cfg),
-        simulate=lambda cfgs, mc: {
-            case: simulate_ergodic_secrecy(cfg, mc).clipped_difference for case, cfg in cfgs.items()},
+        simulate=lambda cfg, mc: simulate_ergodic_secrecy(cfg, mc).clipped_difference,
         defining=lambda cfg: max(
             _quad_capacity(cfg, "legitimate", cfg.ordering)
             - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0),

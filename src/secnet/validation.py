@@ -13,12 +13,11 @@ A run draws each simulation stream and integrates each capacity once
 (``montecarlo.shared_draws``).  Every row's eavesdropper law is the first
 eavesdropper, whatever the user index, so fig5's k = 1 and k = 2 points
 share the eavesdropper nearest stream and fig6's k = 1 and k = 4 points
-both eavesdropper streams; fig11's k = 1 capacity and ``esc`` rows share
-all four streams and need four capacity integrals, not ten.  A stream is
-keyed on (master seed, batch, side, ordering) and read through the same
-sampler, window and side law, so the shared gains are those a second draw
-would give, bit for bit, and every row equals the row the routes give one
-at a time.
+both eavesdropper streams; the four pairings of a point share its four
+streams, and fig11's k = 1 capacity and ``esc`` rows need four capacity
+integrals, not ten.  A stream is keyed on what its draws read, so the
+shared gains are those a second draw would give, bit for bit, and every
+row equals the row the routes give one at a time.
 
 The simulation gate is family-wise.  Each row reports the 99.7% half-width
 of its own estimate (``mc_half_width``, i.e. ``CI_Z`` = 2.968 standard
@@ -131,14 +130,12 @@ def run_validation(
     is the number of rows of the run.  An empty ``figure_ids`` is an error,
     not a run of zero checks.
 
-    The run is one ``montecarlo.shared_draws`` scope: rows that ask for the
-    same stream batch (fig5 k = 1, 2 and fig6 k = 1, 4 for the
-    eavesdropper; every row of fig11 k = 1) get it from one draw, and the
-    capacities of fig11's ``esc`` rows come from its ``capacity`` rows.
-    The shared draws are bit-identical to fresh ones because a batch's
-    generator and sampler read nothing that differs between those rows.  A
-    draw outlives its check point only when the next check point of the
-    figure has the same law on that side, and nothing outlives the call.
+    The run is one ``montecarlo.shared_draws`` scope over a flat plan of
+    (figure, metric, case, scenario) rows; each row calls the three routes
+    of its metric on the one scenario ``metric.at(cfg, case)``.  After each
+    row only the streams a later row's simulator reads are kept
+    (``Metric.stream_laws``): dropping a stream can cost a redraw but never
+    change a value.  Nothing outlives the call, also when it raises.
     """
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
     if not selected or not set(selected) <= set(VALIDATION_FIGURES):
@@ -146,24 +143,25 @@ def run_validation(
     mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers,
                                window_radius=window_radius, ci_level=CI_LEVEL)
     mc_cap = replace(mc_prob, trials=capacity_trials)
+    plan = [(fig, name, case, METRICS[name].at(cfg, case))
+            for fig in selected
+            for overrides, blocks in figures._FIGURES[fig].checks
+            for cfg in (figures.scenario(fig, **overrides),)
+            for name, cases in blocks for case in cases]
+    # after[i]: the streams the rows after row i simulate
+    after = [set()]
+    for _, name, _, at in reversed(plan[1:]):
+        after.insert(0, after[0] | METRICS[name].stream_laws(at))
     rows: list[ValidationRow] = []
     with montecarlo.shared_draws() as shared:
-        for fig in selected:
-            checks = figures._FIGURES[fig].checks
-            scenarios = [figures.scenario(fig, **overrides) for overrides, _ in checks]
-            for (_, blocks), cfg, upcoming in zip(checks, scenarios, [*scenarios[1:], None]):
-                for name, cases in blocks:
-                    metric = METRICS[name]
-                    cfgs = {case: metric.at(cfg, case) for case in cases}
-                    ests = metric.simulate(cfgs, mc_prob if metric.probability else mc_cap)
-                    rows.extend(
-                        ValidationRow(
-                            figure=fig, metric=name, case=case, k=cfg.user_index,
-                            closed_form=metric.closed_form(at),
-                            quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
-                            mc_value=ests[case].value, mc_half_width=ests[case].half_width,
-                        )
-                        for case, at in cfgs.items()
-                    )
-                shared.carry_over(upcoming)
+        for (fig, name, case, at), keep in zip(plan, after):
+            metric = METRICS[name]
+            est = metric.simulate(at, mc_prob if metric.probability else mc_cap)
+            rows.append(ValidationRow(
+                figure=fig, metric=name, case=case, k=at.user_index,
+                closed_form=metric.closed_form(at),
+                quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
+                mc_value=est.value, mc_half_width=est.half_width,
+            ))
+            shared.keep(keep)
     return [replace(row, mc_family_size=len(rows)) for row in rows]

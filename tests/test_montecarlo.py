@@ -13,9 +13,10 @@ from scipy.stats import kstest, ks_2samp
 
 from secnet import fading, figures, metrics, montecarlo, specfun, stochgeo
 from secnet.fading import AlphaMuParams
-from secnet.metrics import ORDERINGS, ScenarioConfig
+from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import (
     _SAMPLERS,
+    METRICS,
     MonteCarloConfig,
     _far_ring,
     _sample_best_batch,
@@ -641,13 +642,13 @@ class TestStreams:
             assert simulate_pnz(cfg, case, mc) == every[case], case
 
     def test_gains_do_not_depend_on_the_other_orderings_requested(self):
-        cfg = figures.scenario("fig7", k=2, upsilon=3.0)
         mc = _mc(trials=5000, seed=5, workers=1)
-        both = montecarlo._run_simulation(cfg, mc, ORDERINGS, ORDERINGS)
-        for side, ordering in both:
-            need = ((ordering,), ()) if side == "legitimate" else ((), (ordering,))
-            alone = montecarlo._run_simulation(cfg, mc, *need)
-            np.testing.assert_array_equal(alone[side, ordering], both[side, ordering])
+        for case in metrics.CASES:
+            cfg = figures.scenario("fig7", k=2, upsilon=3.0).with_case(case)
+            both = montecarlo._gains(cfg, mc, stochgeo.SIDES)
+            for side, z in zip(stochgeo.SIDES, both):
+                alone, = montecarlo._gains(cfg, mc, (side,))
+                np.testing.assert_array_equal(alone, z)
 
     @pytest.mark.parametrize("cores,trials,want", [(3, 5 * 8192, [3]), (3, 2 * 8192, [2]),
                                                    (None, 5 * 8192, []), (3, 8192, [])])
@@ -678,33 +679,62 @@ class TestStreams:
 
 
 class TestSharedDraws:
-    """Inside ``shared_draws`` a stream batch is drawn once, and kept past a
-    check point only for a next one with the same law on that side."""
+    """Inside ``shared_draws`` a stream is drawn once, and kept only while
+    its (side law, ordering) is in the set the scope's owner keeps."""
 
-    def test_carry_over_keeps_the_sides_the_next_point_shares(self, monkeypatch):
+    def test_keep_holds_only_the_streams_a_later_row_reads(self, monkeypatch):
         drawn = []
         for ordering, sampler in list(_SAMPLERS.items()):
             monkeypatch.setitem(_SAMPLERS, ordering, lambda *a, _s=sampler: drawn.append(a[1:4]) or _s(*a))
         mc = _mc(trials=8192 + 100, seed=7, workers=1)
         first, second = figures.scenario("fig6", k=1), figures.scenario("fig6", k=4)
+
+        def laws(cfg):
+            return set().union(*(METRICS["pnz"].stream_laws(cfg.with_case(case)) for case in metrics.CASES))
+
         with montecarlo.shared_draws() as shared:
-            alone = simulate_pnz_all(first, mc)
+            alone = {case: simulate_pnz(first, case, mc) for case in metrics.CASES}
             assert len(drawn) == 8
-            assert simulate_pnz_all(first, mc) == alone
+            assert {case: simulate_pnz(first, case, mc) for case in metrics.CASES} == alone
             assert len(drawn) == 8
-            shared.carry_over(second)
-            assert {key[0][4] for key in shared.batches} == {"eavesdropper"}
-            assert len(shared.batches) == 4
-            assert all(not z.flags.writeable for z in shared.batches.values())
-            simulate_pnz_all(second, mc)
+            shared.keep(laws(second))
+            assert {key[0][4] for key in shared.streams} == {"eavesdropper"}
+            assert len(shared.streams) == 2
+            assert all(not z.flags.writeable for z in shared.streams.values())
+            for case in metrics.CASES:
+                simulate_pnz(second, case, mc)
             assert [side for _, side, _ in drawn[8:]] == ["legitimate"] * 4
-            shared.carry_over(replace(second, eta_e=2.0))
-            assert len(shared.batches) == 8
-            shared.carry_over(figures.scenario("fig5", k=4))
-            assert not shared.batches
+            shared.keep(laws(replace(second, eta_e=2.0)))
+            assert len(shared.streams) == 4
+            shared.keep(laws(figures.scenario("fig5", k=4)))
+            assert not shared.streams
         assert montecarlo._SHARED.get() is None
         assert simulate_pnz_all(first, mc) == alone
         assert len(drawn) == 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sampler_that_raises_leaves_no_stream(self, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = figures.scenario("fig4", k=2, lambda_b=1.0)
+        mc = _mc(trials=3 * 8192, seed=7, workers=workers)
+        sampler, calls = _SAMPLERS["nearest"], []
+
+        def fail_second_call(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("planted failure")
+            return sampler(*args)
+
+        monkeypatch.setitem(_SAMPLERS, "nearest", fail_second_call)
+        with montecarlo.shared_draws() as shared:
+            with pytest.raises(RuntimeError, match="planted"):
+                montecarlo._gains(cfg, mc, ("legitimate",))
+            assert not shared.streams
+            before = len(calls)
+            again, = montecarlo._gains(cfg, mc, ("legitimate",))
+            assert len(calls) - before == 3
+            assert len(shared.streams) == 1
+        np.testing.assert_array_equal(again, montecarlo._gains(cfg, mc, ("legitimate",))[0])
 
     def test_capacity_integrated_once_per_law(self, monkeypatch):
         calls = []

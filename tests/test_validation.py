@@ -125,7 +125,7 @@ def _rows_one_at_a_time(trials, capacity_trials, seed):
                 metric = METRICS[name]
                 for case in cases:
                     at = metric.at(cfg, case)
-                    est = metric.simulate({case: at}, mc_prob if metric.probability else mc_cap)[case]
+                    est = metric.simulate(at, mc_prob if metric.probability else mc_cap)
                     rows.append(ValidationRow(
                         figure=fig, metric=name, case=case, k=cfg.user_index,
                         closed_form=metric.closed_form(at),
@@ -136,7 +136,7 @@ def _rows_one_at_a_time(trials, capacity_trials, seed):
 
 
 class TestSharedDraws:
-    """A run draws each stream batch and integrates each capacity law once,
+    """A run draws each stream and integrates each capacity law once,
     with rows bit-identical to the unshared routes, and keeps nothing."""
 
     def test_rows_equal_the_routes_called_one_at_a_time(self):
@@ -154,28 +154,41 @@ class TestSharedDraws:
         if converged is not None:
             assert counts.converged == converged
 
-    def test_a_draw_outlives_its_point_only_for_the_next_point_of_its_figure(self, monkeypatch):
+    def test_a_draw_outlives_its_row_only_for_a_later_row_that_reads_it(self, monkeypatch):
         held = []
-        for name in ("simulate_pnz", "simulate_pnz_all"):
+        for name in ("simulate_cop", "simulate_pnz"):
             def record(*args, _simulate=getattr(montecarlo, name)):
-                held.append({(key[0][4], key[1]) for key in montecarlo._SHARED.get().batches})
+                # each stream as side, ordering and order index: "LN2" is the legitimate 2nd nearest
+                held.append({f"{law[4][0].upper()}{ordering[0].upper()}{law[5]}"
+                             for law, ordering, *_ in montecarlo._SHARED.get().streams})
                 return _simulate(*args)
             monkeypatch.setattr(montecarlo, name, record)
-        validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig5", "fig6"))
-        eavesdropper = {("eavesdropper", "nearest"), ("eavesdropper", "best")}
-        # fig5 k = 1, 2 (NN only), then fig6 k = 1, 4
-        assert held == [set(), {("eavesdropper", "nearest")}, set(), eavesdropper]
+        validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig4", "fig5", "fig6"))
+        every = {"LN1", "LB1", "EN1", "EB1"}
+        assert held == [
+            # fig4 k = 2, 4: no row reads another's stream
+            set(), set(), set(), set(),
+            # fig5 k = 1, 2 (NN only)
+            set(), {"EN1"},
+            # fig6 k = 1, then k = 4, each in the order NN, BB, NB, BN
+            set(), {"LN1", "EN1"}, every, every - {"LN1"},
+            {"EN1", "EB1"}, {"LN4", "EN1", "EB1"}, {"LN4", "LB4", "EN1", "EB1"}, {"LB4", "EN1"},
+        ]
 
     def _assert_nothing_kept(self, counts):
         assert montecarlo._SHARED.get() is None
         stores = {id(store): store for store in counts.stores if store is not None}
         assert stores
-        assert all(not store.batches and not store.capacities for store in stores.values())
+        assert all(not store.streams and not store.capacities for store in stores.values())
         cfg = figures.scenario("fig6", k=1)
         before = counts.draws
         montecarlo.simulate_pnz_all(cfg, MonteCarloConfig(trials=4096, master_seed=5))
         assert counts.draws - before == 4
-        assert counts.stores[-1] is None
+        # simulate_pnz_all draws in a scope of its own, which keeps nothing either
+        inner = counts.stores[-1]
+        assert id(inner) not in stores
+        assert not inner.streams and not inner.capacities
+        assert montecarlo._SHARED.get() is None
 
     def test_nothing_outlives_a_run(self, counts):
         validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig6",))
@@ -192,8 +205,8 @@ class TestSharedDraws:
         monkeypatch.setattr(montecarlo, "integrate_defining", fail_second_point)
         with pytest.raises(ConvergenceError, match="planted"):
             validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig6",))
-        # the second point ran its simulation before its quadrature raised
-        assert counts.draws == 6
+        # the second point's first row drew its legitimate stream before its quadrature raised
+        assert counts.draws == 5
         self._assert_nothing_kept(counts)
 
     def test_workers_do_not_change_rows_or_draws(self, counts, monkeypatch):
