@@ -252,9 +252,9 @@ def parse_config(text: str, command: str = "eval",
                         f"figure must be one of {figures.FIGURE_IDS}, got {run['figure_id']!r}")
 
     if command != "sweep":
-        if run["sweep_param"] is not None:
-            raise _anchored(where, "run", "sweep_param", "sweep_param is only valid for the sweep command")
-        run["sweep_values"] = None
+        for key in ("sweep_param", "sweep_values"):
+            if run[key] is not None:
+                raise _anchored(where, "run", key, f"{key} is only valid for the sweep command")
     elif run["sweep_param"] is None:
         raise _anchored(where, "run", "sweep_param", "sweep command requires sweep_param")
     elif run["sweep_param"] not in _SWEEPS:
@@ -444,7 +444,7 @@ def run(spec: RunSpec) -> int:
               f"mc={row.mc_value:.6g}+-{row.mc_half_width:.2g} z={row.mc_z:+.2f}")
     meta = {"checks": len(rows_v), "failures": failures,
             "trials": spec.mc.trials, "seed": spec.mc.master_seed,
-            "gate_level": validation.GATE_LEVEL, "gate_z": gate_z}
+            "gate_level": validation.GATE_LEVEL, "gate_z": gate_z, "ci_level": validation.CI_LEVEL}
     if spec.output_path is not None:
         _emit(spec.output_format, header, rows, meta, spec.output_path)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILURE
@@ -496,6 +496,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     except (ConvergenceError, MomentFitError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR
+    except MemoryError as exc:
+        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 
 

@@ -80,9 +80,12 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # Each message names the offending field, which is also its keyword in build.
+        # A plain int is tested first: every figure point builds scenarios, and the
+        # tuple form of isinstance costs twice as much.
         for name in ("n_a", "n_b", "n_e", "user_index"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isinstance(value, int) or isinstance(value, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         for name in ("eta_k", "eta_e"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"SNR scale {name} must be positive and finite, got {getattr(self, name)}")
@@ -121,10 +124,12 @@ class ScenarioConfig:
         single alpha-mu variable by the three-moment fit.
         """
         # Named here, before the branch-sum fit sees them as one link or one count.
-        for name, value in (("alpha_b", alpha_b), ("mu_b", mu_b), ("alpha_e", alpha_e),
-                            ("mu_e", mu_e), ("n_a", n_a), ("n_b", n_b), ("n_e", n_e)):
+        for name, value in (("alpha_b", alpha_b), ("mu_b", mu_b), ("alpha_e", alpha_e), ("mu_e", mu_e)):
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name, value in (("n_a", n_a), ("n_b", n_b), ("n_e", n_e)):
+            if not (isinstance(value, int) or isinstance(value, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         comp_b = fit_sum_params(AlphaMuParams.canonical(alpha_b, mu_b), n_a * n_b)
         comp_e = fit_sum_params(AlphaMuParams.canonical(alpha_e, mu_e), n_a * n_e)
         geometry = NetworkGeometry(
@@ -165,6 +170,11 @@ class ScenarioConfig:
         """Index of the order statistic the secrecy metrics read on one side:
         the k-th legitimate receiver, the first eavesdropper."""
         return self.user_index if side == "legitimate" else 1
+
+    def ordering_of(self, side: str) -> str:
+        """Ordering of the order statistic the secrecy metrics read on one
+        side: cfg.ordering, the eavesdropper policy."""
+        return self.ordering if side == "legitimate" else self.eavesdropper_policy
 
     def snr_scale(self, side: str) -> float:
         """eta_k on the legitimate side, eta_e on the eavesdropper side."""

@@ -12,8 +12,9 @@ Two independent validation routes live here:
   drawn in full, and a far ring, of which only the points that can still
   reach the top k are drawn: an exact Poisson thinning on the gamma shape,
   above a threshold set by the inner ball's k-th point.  A stream is one
-  side's gains at one ordering: the legitimate side at the scenario's
-  ordering, the eavesdropper side at its eavesdropper policy.  Each (batch,
+  side's gains under the side's ordered law (``_side_law``): the k-th
+  legitimate receiver at the scenario's ordering, the first eavesdropper at
+  its eavesdropper policy (``ScenarioConfig.ordering_of``).  Each (batch,
   side, ordering) draws from its own PCG64 generator keyed by a
   SeedSequence on (master seed, batch, side, ordering), in a window sized
   for that ordering, so a gain does not depend on which other streams were
@@ -26,22 +27,24 @@ Two independent validation routes live here:
 
   Within a ``shared_draws`` scope, which ``simulate_pnz_all`` and
   ``validation.run_validation`` open, each distinct stream is drawn once
-  and each distinct capacity integral evaluated once.  A stream is
-  identified by what its draws read: d, upsilon, the side's density and
-  composite fading, the side, ordering and order index, the explicit
-  window radius if any (the sized one follows from the rest), the master
-  seed and the trial count.  Two calls that agree on all of these draw the
-  same PCG64 generators through the same sampler, so handing the first
-  call's read-only gains to the second is bit-identical to drawing them
-  again.  Every row's eavesdropper law is the first eavesdropper (k = 1),
-  whatever the user index, so check points of one figure that differ only
-  in k ask for the same eavesdropper streams.  The scope's owner drops the
-  streams it will not read again (``_Shared.keep``), and nothing outlives
-  the scope.
+  and each distinct capacity integral evaluated once.  Both are stored
+  under the side law they read: d, upsilon, the side's density and
+  composite fading, the side, its order index and its ordering.  A stream
+  adds the explicit window radius if any (the sized one follows from the
+  law), the master seed and the trial count; a capacity integral adds its
+  SNR scale.  Two calls that agree on a key draw the same PCG64 generators
+  through the same sampler, or sum the same nodes, so handing the first
+  call's value to the second is bit-identical to computing it again.  Every
+  row's eavesdropper law is the first eavesdropper (k = 1), whatever the
+  user index, so check points of one figure that differ only in k share
+  the eavesdropper entries.  One keep rule governs the store: the scope's
+  owner keeps the entries of the side laws a later call reads
+  (``Metric.side_laws``, ``_Shared.keep``), so dropping one can cost a
+  recomputation but never changes a value, and nothing outlives the scope.
 
 * **Defining-integral quadrature** — direct integration of each metric's
-  probability/expectation integral over one composite-gain law per (side,
-  ordering), using only gamma-family building blocks, deliberately
+  probability/expectation integral over the side laws' composite-gain
+  laws (``_law``), using only gamma-family building blocks, deliberately
   bypassing the Fox H route the closed forms take.  The exp-sinh nodes
   whose weight underflows to exactly 0 are passed over before any 2D
   primitive is evaluated on them, which changes a sum by rounding alone.
@@ -58,6 +61,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -108,6 +112,9 @@ class MonteCarloConfig:
     ci_level: float = 0.997
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed", "worker_hint"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
@@ -315,35 +322,27 @@ _SAMPLERS = {"nearest": _sample_nearest_batch, "best": _sample_best_batch}
 
 
 def _side_law(cfg: ScenarioConfig, side: str) -> tuple:
-    """What a side's draws read besides ordering, window, seed and trials:
-    d, upsilon, the side's density and composite fading, the side and its
-    order index."""
+    """The side's ordered law, as what its draws and integrals read: d,
+    upsilon, the side's density and composite fading, the side, its order
+    index and its ordering."""
     geo = cfg.geometry
-    return geo.d, geo.upsilon, geo.density(side), geo.fading(side), side, cfg.order_index(side)
+    return (geo.d, geo.upsilon, geo.density(side), geo.fading(side), side,
+            cfg.order_index(side), cfg.ordering_of(side))
 
 
-def _stream_law(cfg: ScenarioConfig, side: str) -> tuple:
-    """(side law, ordering) of cfg's stream on one side: the legitimate side
-    at cfg.ordering, the eavesdropper side at cfg.eavesdropper_policy."""
-    return _side_law(cfg, side), cfg.ordering if side == "legitimate" else cfg.eavesdropper_policy
-
-
-class _Shared:
-    """Streams and capacity integrals of one ``shared_draws`` scope.
-
-    ``streams`` maps (side law, ordering, explicit window radius or None,
-    master seed, trials) to the read-only gains of the whole stream;
-    ``capacities`` maps (geometry, side, ordering, order index, eta) to
-    E[log2(1 + eta Z)].
+class _Shared(dict):
+    """Store of one ``shared_draws`` scope, keyed on side laws: a stream's
+    read-only gains at (side law, explicit window radius or None, master
+    seed, trials), a capacity E[log2(1 + eta Z)] at (side law, eta).  The
+    owner keeps the side laws a later call reads (``Metric.side_laws``):
+    dropping an entry can cost a recomputation, never change a value.  An
+    empty store is falsy, so it is told from no store by ``is None``.
     """
 
-    def __init__(self) -> None:
-        self.streams: dict[tuple, np.ndarray] = {}
-        self.capacities: dict[tuple, float] = {}
-
     def keep(self, laws: set[tuple]) -> None:
-        """Drop every stream whose (side law, ordering) is not in ``laws``."""
-        self.streams = {key: z for key, z in self.streams.items() if key[:2] in laws}
+        """Drop every entry whose side law is not in ``laws``."""
+        for key in [key for key in self if key[0] not in laws]:
+            del self[key]
 
 
 # The scope's store; None outside one.  Executor threads do not inherit
@@ -354,42 +353,42 @@ _SHARED: contextvars.ContextVar[_Shared | None] = contextvars.ContextVar("secnet
 @contextlib.contextmanager
 def shared_draws():
     """Within the block, draw each stream once and integrate each capacity
-    law once.  Yields the store, from which the block drops the streams it
-    no longer needs (``_Shared.keep``); nothing is kept after the block,
-    also when it raises."""
+    once per side law.  Yields the store, from which the block drops the
+    entries of side laws it no longer reads (``_Shared.keep``); nothing is
+    kept after the block, also when it raises."""
     shared = _Shared()
     token = _SHARED.set(shared)
     try:
         yield shared
     finally:
         _SHARED.reset(token)
-        shared.streams.clear()
-        shared.capacities.clear()
+        shared.clear()
 
 
 def _gains(cfg: ScenarioConfig, mc: MonteCarloConfig, sides: tuple[str, ...]) -> list[np.ndarray]:
     """cfg's composite gains on each of ``sides`` for mc.trials realizations.
 
-    The legitimate side is drawn at cfg.ordering, the eavesdropper side at
-    cfg.eavesdropper_policy; a gain is NaN where a realization holds fewer
-    points than the side's order index.  Each stream has its own window,
-    sized for its ordering alone, and each of its batches owns a PCG64
-    generator seeded by SeedSequence(master_seed, spawn_key=(batch, side,
-    ordering)).  So a gain does not depend on which other side was
-    requested, and since batches write disjoint slices of preallocated
-    arrays, it does not depend on worker scheduling either.  The arrays are
-    read-only.  Inside ``shared_draws`` a stream already drawn is returned
-    as stored, and a stream enters the store only once all its batches are
-    drawn, so a sampler that raises leaves nothing behind.
+    Each side is drawn under its side law (``_side_law``); a gain is NaN
+    where a realization holds fewer points than the side's order index.
+    Each stream has its own window, sized for its ordering alone, and each
+    of its batches owns a PCG64 generator seeded by
+    SeedSequence(master_seed, spawn_key=(batch, side, ordering)).  So a gain
+    does not depend on which other side was requested, and since batches
+    write disjoint slices of preallocated arrays, it does not depend on
+    worker scheduling either.  The arrays are read-only.  Inside
+    ``shared_draws`` a stream already drawn is returned as stored while its
+    side law is kept (``_Shared.keep``), and a stream enters the store only
+    once all its batches are drawn, so a sampler that raises leaves nothing
+    behind.
     """
     shared = _SHARED.get()
-    store = {} if shared is None else shared.streams
-    keys = [(*_stream_law(cfg, side), mc.window_radius, mc.master_seed, mc.trials) for side in sides]
+    store = {} if shared is None else shared
+    keys = [(_side_law(cfg, side), mc.window_radius, mc.master_seed, mc.trials) for side in sides]
     gains = [store.get(key) for key in keys]
     draws = []
     for i, (side, key) in enumerate(zip(sides, keys)):
         if gains[i] is None:
-            ordering = key[1]
+            ordering = cfg.ordering_of(side)
             k = cfg.order_index(side)
             radius = (mc.window_radius if mc.window_radius is not None
                       else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
@@ -511,8 +510,9 @@ def simulate_ergodic_secrecy(cfg: ScenarioConfig, mc: MonteCarloConfig) -> Ergod
 # H).  By the mapping theorem the k-th nearest receiver is the k-th point Y
 # of {r^upsilon}, with gain G / Y, and the k-th best one the k-th point Y of
 # {r^upsilon / g}, with gain 1 / Y; both processes have mean measure
-# rate * y^delta.  One law per (side, ordering) gives the CDF and the
-# expectations of that gain, and each metric is a functional of the laws.
+# rate * y^delta.  One law per side law gives the CDF and the expectations
+# of that gain at each rule level, and each metric is a functional of the
+# two sides' laws.
 # ---------------------------------------------------------------------------
 
 
@@ -548,7 +548,7 @@ def _converged(integral) -> float:
 
 @dataclass(frozen=True)
 class _NearestLaw:
-    """Gain Z = G / Y of the k-th nearest receiver, at one rule level.
+    """Gain Z = G / Y of the k-th nearest receiver.
 
     Each sum passes over the nodes whose 1D weight (density times rule
     weight) is exactly 0, before the 2D primitive or ``h`` is called on
@@ -564,21 +564,20 @@ class _NearestLaw:
     rate: float
     delta: float
     k: int
-    level: int
 
-    def cdf(self, z):
+    def cdf(self, z, level: int):
         """P(Z <= z) by the conditioning integral over the distance law."""
-        y, wy = _exp_sinh(self.level, (self.k / self.rate) ** (1.0 / self.delta))
+        y, wy = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta))
         weight = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
         keep = weight != 0.0
         return fading.cdf_power_gain(self.fad, np.multiply.outer(z, y[keep])) @ weight[keep]
 
-    def expect(self, h):
+    def expect(self, h, level: int):
         """E[h(Z)] over W = 1 / Z = Y / G, whose density is the integral
         over g of g f_G(g) f_Y(w g)."""
         mean_gain = self.fad.mean_power()
-        w, ww = _exp_sinh(self.level, (self.k / self.rate) ** (1.0 / self.delta) / mean_gain)
-        g, wg = _exp_sinh(self.level, mean_gain)
+        w, ww = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta) / mean_gain)
+        g, wg = _exp_sinh(level, mean_gain)
         g_weight = g * fading.pdf_power_gain(self.fad, g) * wg
         g_keep = g_weight != 0.0
         pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, np.multiply.outer(w, g[g_keep]))
@@ -589,8 +588,8 @@ class _NearestLaw:
 
 @dataclass(frozen=True)
 class _BestLaw:
-    """Gain Z = 1 / Y of the k-th best receiver, at one rule level;
-    V = rate * Y^delta is Gamma(k, 1) in every scenario.
+    """Gain Z = 1 / Y of the k-th best receiver; V = rate * Y^delta is
+    Gamma(k, 1) in every scenario.
 
     ``expect`` passes over the nodes whose weight is exactly 0, as
     ``_NearestLaw`` does.  ``cdf`` shifts one set of offsets x by a lower
@@ -602,54 +601,50 @@ class _BestLaw:
     rate: float
     delta: float
     k: int
-    level: int
 
-    def cdf(self, z):
+    def cdf(self, z, level: int):
         """P(Z <= z) = P(V >= rate * z^-delta); the limit is capped where z underflowed to 0."""
         lo = np.minimum(self.rate * np.asarray(z, dtype=float) ** -self.delta, 1e300)
-        x, wx = _exp_sinh(self.level, self.k)
+        x, wx = _exp_sinh(level, self.k)
         v_min = np.min(lo, initial=np.inf) + x
         keep = (v_min <= self.k - 1) | (stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v_min) != 0.0)
         v = lo[..., None] + x[keep]
         return np.sum(stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wx[keep], axis=-1)
 
-    def expect(self, h):
-        v, wv = _exp_sinh(self.level, self.k)
+    def expect(self, h, level: int):
+        v, wv = _exp_sinh(level, self.k)
         weight = stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wv
         keep = weight != 0.0
         return np.sum(h((self.rate / v[keep]) ** (1.0 / self.delta)) * weight[keep])
 
 
-# Each ordering's law, built from (geometry, side, order index, rule level).
-_LAWS = {
-    "nearest": lambda geo, side, k, level: _NearestLaw(
-        geo.fading(side), geo.pathloss_rate(side), geo.delta, k, level),
-    "best": lambda geo, side, k, level: _BestLaw(geo.composite_rate(side), geo.delta, k, level),
-}
+def _law(cfg: ScenarioConfig, side: str):
+    """The composite-gain law of cfg's side law (``_side_law``), whose
+    ``cdf`` and ``expect`` take the rule level: one law serves every level
+    of an integral."""
+    geo, k = cfg.geometry, cfg.order_index(side)
+    if cfg.ordering_of(side) == "nearest":
+        return _NearestLaw(geo.fading(side), geo.pathloss_rate(side), geo.delta, k)
+    return _BestLaw(geo.composite_rate(side), geo.delta, k)
 
 
-def _law(cfg: ScenarioConfig, side: str, ordering: str, level: int):
-    """Law of the side's ordered gain: the k-th legitimate, the first eavesdropper."""
-    return _LAWS[ordering](cfg.geometry, side, cfg.order_index(side), level)
-
-
-def _quad_capacity(cfg: ScenarioConfig, side: str, ordering: str) -> float:
+def _quad_capacity(cfg: ScenarioConfig, side: str) -> float:
     """Mean capacity E[log2(1 + eta Z)] of the side's ordered receiver,
-    evaluated once per law inside ``shared_draws``."""
+    evaluated once per (side law, eta) inside ``shared_draws``."""
     eta = cfg.snr_scale(side)
     shared = _SHARED.get()
-    capacities = {} if shared is None else shared.capacities
-    key = (cfg.geometry, side, ordering, cfg.order_index(side), eta)
-    if key not in capacities:
-        capacities[key] = _converged(
-            lambda level: _law(cfg, side, ordering, level).expect(lambda z: np.log2(1.0 + eta * z)))
-    return capacities[key]
+    store = {} if shared is None else shared
+    key = (_side_law(cfg, side), eta)
+    if key not in store:
+        law = _law(cfg, side)
+        store[key] = _converged(lambda level: law.expect(lambda z: np.log2(1.0 + eta * z), level))
+    return store[key]
 
 
-def _pnz_at(cfg: ScenarioConfig, level: int) -> float:
-    """P(varpi Z_b > Z_e) = E_b[F_e(varpi Z_b)] at one rule level."""
-    eave = _law(cfg, "eavesdropper", cfg.eavesdropper_policy, level)
-    return _law(cfg, "legitimate", cfg.ordering, level).expect(lambda z: eave.cdf(cfg.varpi * z))
+def _pnz(cfg: ScenarioConfig) -> float:
+    """P(varpi Z_b > Z_e) = E_b[F_e(varpi Z_b)]."""
+    bob, eve = _law(cfg, "legitimate"), _law(cfg, "eavesdropper")
+    return _converged(lambda level: bob.expect(lambda z: eve.cdf(cfg.varpi * z, level), level))
 
 
 def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
@@ -701,11 +696,12 @@ class Metric:
         """The case a scenario selects through its ordering and eavesdropper policy."""
         return cfg.ordering if self.cases == ORDERINGS else cfg.case
 
-    def stream_laws(self, cfg: ScenarioConfig) -> set[tuple]:
-        """(side law, ordering) of each stream ``simulate`` reads at cfg: the
-        legitimate one for an ordering, both sides' for a pairing."""
+    def side_laws(self, cfg: ScenarioConfig) -> set[tuple]:
+        """The side laws (``_side_law``) whose stored streams and capacity
+        integrals ``simulate`` and ``defining`` read at cfg: the legitimate
+        one for an ordering, both sides' for a pairing."""
         sides = ("legitimate",) if self.cases == ORDERINGS else stochgeo.SIDES
-        return {_stream_law(cfg, side) for side in sides}
+        return {_side_law(cfg, side) for side in sides}
 
 
 # Entries resolve ``metrics.*`` and this module's simulators at call time,
@@ -715,27 +711,24 @@ METRICS: dict[str, Metric] = {
         cases=ORDERINGS, probability=True,
         closed_form=lambda cfg: metrics.cop(cfg),
         simulate=lambda cfg, mc: simulate_cop(cfg, mc),
-        defining=lambda cfg: _converged(
-            lambda level: _law(cfg, "legitimate", cfg.ordering, level).cdf(cfg.outage_threshold)),
+        defining=lambda cfg: _converged(partial(_law(cfg, "legitimate").cdf, cfg.outage_threshold)),
     ),
     "pnz": Metric(
         cases=CASES, probability=True,
         closed_form=lambda cfg: metrics.pnz(cfg),
         simulate=lambda cfg, mc: simulate_pnz(cfg, None, mc),
-        defining=lambda cfg: _converged(lambda level: _pnz_at(cfg, level)),
+        defining=lambda cfg: _pnz(cfg),
     ),
     "capacity": Metric(
         cases=ORDERINGS, probability=False,
         closed_form=lambda cfg: getattr(metrics, f"ergodic_capacity_{cfg.ordering}")(cfg),
         simulate=lambda cfg, mc: simulate_ergodic_capacity(cfg, mc),
-        defining=lambda cfg: _quad_capacity(cfg, "legitimate", cfg.ordering),
+        defining=lambda cfg: _quad_capacity(cfg, "legitimate"),
     ),
     "esc": Metric(
         cases=CASES, probability=False,
         closed_form=lambda cfg: metrics.ergodic_secrecy_capacity(cfg),
         simulate=lambda cfg, mc: simulate_ergodic_secrecy(cfg, mc).clipped_difference,
-        defining=lambda cfg: max(
-            _quad_capacity(cfg, "legitimate", cfg.ordering)
-            - _quad_capacity(cfg, "eavesdropper", cfg.eavesdropper_policy), 0.0),
+        defining=lambda cfg: max(_quad_capacity(cfg, "legitimate") - _quad_capacity(cfg, "eavesdropper"), 0.0),
     ),
 }

@@ -52,7 +52,7 @@ class NetworkGeometry:
     fading_e: AlphaMuParams
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        if not (isinstance(self.d, int) or isinstance(self.d, np.integer)) or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got d={self.d}")
         if not 0 < self.upsilon < math.inf:
             raise ValueError(f"path-loss exponent must be positive and finite, got upsilon={self.upsilon}")

@@ -15,8 +15,8 @@ eavesdropper, whatever the user index, so fig5's k = 1 and k = 2 points
 share the eavesdropper nearest stream and fig6's k = 1 and k = 4 points
 both eavesdropper streams; the four pairings of a point share its four
 streams, and fig11's k = 1 capacity and ``esc`` rows need four capacity
-integrals, not ten.  A stream is keyed on what its draws read, so the
-shared gains are those a second draw would give, bit for bit, and every
+integrals, not ten.  Both are keyed on the side law they read, so the
+shared values are those a second call would give, bit for bit, and every
 row equals the row the routes give one at a time.
 
 The simulation gate is family-wise.  Each row reports the 99.7% half-width
@@ -133,9 +133,10 @@ def run_validation(
     The run is one ``montecarlo.shared_draws`` scope over a flat plan of
     (figure, metric, case, scenario) rows; each row calls the three routes
     of its metric on the one scenario ``metric.at(cfg, case)``.  After each
-    row only the streams a later row's simulator reads are kept
-    (``Metric.stream_laws``): dropping a stream can cost a redraw but never
-    change a value.  Nothing outlives the call, also when it raises.
+    row only the streams and capacity integrals of the side laws a later row
+    reads are kept (``Metric.side_laws``): dropping one can cost a
+    recomputation but never change a value.  Nothing outlives the call, also
+    when it raises.
     """
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
     if not selected or not set(selected) <= set(VALIDATION_FIGURES):
@@ -148,10 +149,10 @@ def run_validation(
             for overrides, blocks in figures._FIGURES[fig].checks
             for cfg in (figures.scenario(fig, **overrides),)
             for name, cases in blocks for case in cases]
-    # after[i]: the streams the rows after row i simulate
+    # after[i]: the side laws the rows after row i read
     after = [set()]
     for _, name, _, at in reversed(plan[1:]):
-        after.insert(0, after[0] | METRICS[name].stream_laws(at))
+        after.insert(0, after[0] | METRICS[name].side_laws(at))
     rows: list[ValidationRow] = []
     with montecarlo.shared_draws() as shared:
         for (fig, name, case, at), keep in zip(plan, after):

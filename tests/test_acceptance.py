@@ -123,8 +123,8 @@ def test_criterion_3_ordered_law_oracle_suite():
             closed = metrics.cdf_composite_nearest(cfg, z)
             oracle = montecarlo._converged(lambda level: montecarlo._NearestLaw(
                 cfg.fading_b, cfg.geometry.pathloss_rate("legitimate"),
-                cfg.geometry.delta, k, level,
-            ).cdf(z))
+                cfg.geometry.delta, k,
+            ).cdf(z, level))
             assert abs(closed - oracle) <= 1e-6, (k, z)
 
     # k-th smallest fading-weighted loss against its regularized-gamma law

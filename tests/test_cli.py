@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from secnet import cli, montecarlo, validation
+from secnet import cli, figures, montecarlo, validation
 from secnet.cli import ConfigError, parse_config
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import MetricEstimate, MonteCarloConfig
@@ -147,6 +147,12 @@ class TestParseConfig:
         doc = "[run]\nsweep_param = bandwidth\nsweep_values = 1,2\n"
         with pytest.raises(ConfigError, match="sweep_param"):
             parse_config(doc, command="sweep")
+
+    @pytest.mark.parametrize("key", ["sweep_param", "sweep_values"])
+    def test_sweep_keys_outside_sweep_are_line_anchored(self, key):
+        doc = f"[run]\nmetric = cop\n{key} = lambda_b\n"
+        with pytest.raises(ConfigError, match=rf"^line 3: {key} is only valid for the sweep command"):
+            parse_config(doc, command="eval")
 
     def test_sweep_grid_forms(self):
         doc = "[run]\nsweep_param = lambda_b\nsweep_values = 0.5:1.5:3\n"
@@ -420,6 +426,19 @@ class TestEvalCommand:
         assert captured.err.count("\n") == 1
 
 
+    def test_simulation_out_of_memory_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, mc):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(montecarlo, "simulate_cop", exhausted)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[run]\nmethod = monte-carlo\n[mc]\ntrials = 1000000000000\n")
+        assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: out of memory: Unable to allocate")
+        assert captured.err.count("\n") == 1
+
     def test_closed_form_without_relative_accuracy_is_numeric_error(self, tmp_path, capsys):
         # Nearest COP on 8 x 8 antennas: 1 - H cannot resolve an outage of 3e-40.
         cfg_path = tmp_path / "cfg.ini"
@@ -541,6 +560,20 @@ class TestFigureCommand:
 
 
 class TestValidateCommand:
+    def test_half_widths_are_at_the_reported_ci_level(self, tmp_path):
+        # [mc] ci_level does not reach validate: its half-widths are at validation.CI_LEVEL
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[run]\nfigures = fig3\n[mc]\ntrials = 2000\nseed = 3\nci_level = 0.5\n")
+        out = tmp_path / "val.json"
+        cli.main(["validate", "--config", str(cfg_path), "--out", str(out), "--format", "json"])
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["ci_level"] == validation.CI_LEVEL
+        mc = MonteCarloConfig(trials=2000, master_seed=3, ci_level=validation.CI_LEVEL)
+        want = [montecarlo.simulate_cop(figures.scenario("fig3", k=k, alpha=2.0, mu=2.0), mc).half_width
+                for k in (1, 3)]
+        got = [row[4] for row in doc["rows"] if row[5] == "monte-carlo"]
+        assert got == [float(cli._fmt(half_width)) for half_width in want]
+
     def test_quick_validate_passes_and_reports(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text("[run]\nfigures = fig3\n[mc]\ntrials = 20000\nseed = 314\nworkers = 2\n")

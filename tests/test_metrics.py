@@ -2,6 +2,7 @@
 with the defining-integral oracles, and the analytic monotonicity properties."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ class TestScenarioConfig:
             _unit_rate_scenario(eta_k=-1.0)
         with pytest.raises(ValueError):
             _unit_rate_scenario(ordering="middle")
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["n_a", "n_b", "n_e", "user_index"])
+    def test_counts_and_user_index_must_be_integers(self, name, value, monkeypatch):
+        fit, fitted = metrics.fit_sum_params, []
+        monkeypatch.setattr(metrics, "fit_sum_params", lambda *args: fitted.append(args) or fit(*args))
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            _unit_rate_scenario(**{name: value})
+        # a count is refused before the branch-sum fit reads it
+        assert not fitted or name == "user_index"
+        assert getattr(_unit_rate_scenario(**{name: np.int64(2)}), name) == 2
 
     def test_case_labels(self):
         cfg = _unit_rate_scenario(ordering="best", eavesdropper_policy="nearest")
@@ -95,8 +107,8 @@ class TestCompositeNearest:
             closed = metrics.cdf_composite_nearest(cfg, z)
             oracle = montecarlo._converged(lambda level: montecarlo._NearestLaw(
                 cfg.fading_b, cfg.geometry.pathloss_rate("legitimate"),
-                cfg.geometry.delta, cfg.user_index, level,
-            ).cdf(z))
+                cfg.geometry.delta, cfg.user_index,
+            ).cdf(z, level))
             assert closed == pytest.approx(oracle, abs=1e-6)
 
     def test_domain_errors(self):
@@ -528,7 +540,7 @@ class TestErgodicCapacity:
         cfg = figures.scenario("fig11", k=2)
         for policy in ("nearest", "best"):
             closed = metrics.wiretap_capacity(cfg, policy)
-            oracle = montecarlo._quad_capacity(cfg, "eavesdropper", policy)
+            oracle = montecarlo._quad_capacity(replace(cfg, eavesdropper_policy=policy), "eavesdropper")
             assert closed == pytest.approx(oracle, rel=1e-4)
 
 

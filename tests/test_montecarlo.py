@@ -2,6 +2,7 @@
 confidence-interval behavior, reproducibility, and window-truncation
 insensitivity."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -62,6 +63,13 @@ class TestConfigs:
             MonteCarloConfig(trials=10, master_seed=1, window_radius=0.0)
         with pytest.raises(ValueError):
             MonteCarloConfig(trials=10, master_seed=1, ci_level=1.0)
+
+    @pytest.mark.parametrize("value", [1000.5, 1000.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["trials", "master_seed", "worker_hint"])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            MonteCarloConfig(**{"trials": 10, "master_seed": 1, name: value})
+        assert getattr(MonteCarloConfig(**{"trials": 10, "master_seed": 1, name: np.int64(7)}), name) == 7
 
     def test_z_score_tracks_ci_level(self):
         assert MonteCarloConfig(trials=10, master_seed=1, ci_level=0.9973).z_score == pytest.approx(3.0, abs=2e-3)
@@ -679,8 +687,9 @@ class TestStreams:
 
 
 class TestSharedDraws:
-    """Inside ``shared_draws`` a stream is drawn once, and kept only while
-    its (side law, ordering) is in the set the scope's owner keeps."""
+    """Inside ``shared_draws`` a stream is drawn once and a capacity
+    integrated once, and each is kept only while its side law is in the set
+    the scope's owner keeps."""
 
     def test_keep_holds_only_the_streams_a_later_row_reads(self, monkeypatch):
         drawn = []
@@ -690,7 +699,7 @@ class TestSharedDraws:
         first, second = figures.scenario("fig6", k=1), figures.scenario("fig6", k=4)
 
         def laws(cfg):
-            return set().union(*(METRICS["pnz"].stream_laws(cfg.with_case(case)) for case in metrics.CASES))
+            return set().union(*(METRICS["pnz"].side_laws(cfg.with_case(case)) for case in metrics.CASES))
 
         with montecarlo.shared_draws() as shared:
             alone = {case: simulate_pnz(first, case, mc) for case in metrics.CASES}
@@ -698,16 +707,16 @@ class TestSharedDraws:
             assert {case: simulate_pnz(first, case, mc) for case in metrics.CASES} == alone
             assert len(drawn) == 8
             shared.keep(laws(second))
-            assert {key[0][4] for key in shared.streams} == {"eavesdropper"}
-            assert len(shared.streams) == 2
-            assert all(not z.flags.writeable for z in shared.streams.values())
+            assert {key[0][4] for key in shared} == {"eavesdropper"}
+            assert len(shared) == 2
+            assert all(not z.flags.writeable for z in shared.values())
             for case in metrics.CASES:
                 simulate_pnz(second, case, mc)
             assert [side for _, side, _ in drawn[8:]] == ["legitimate"] * 4
             shared.keep(laws(replace(second, eta_e=2.0)))
-            assert len(shared.streams) == 4
+            assert len(shared) == 4
             shared.keep(laws(figures.scenario("fig5", k=4)))
-            assert not shared.streams
+            assert not shared
         assert montecarlo._SHARED.get() is None
         assert simulate_pnz_all(first, mc) == alone
         assert len(drawn) == 20
@@ -729,11 +738,11 @@ class TestSharedDraws:
         with montecarlo.shared_draws() as shared:
             with pytest.raises(RuntimeError, match="planted"):
                 montecarlo._gains(cfg, mc, ("legitimate",))
-            assert not shared.streams
+            assert not shared
             before = len(calls)
             again, = montecarlo._gains(cfg, mc, ("legitimate",))
             assert len(calls) - before == 3
-            assert len(shared.streams) == 1
+            assert len(shared) == 1
         np.testing.assert_array_equal(again, montecarlo._gains(cfg, mc, ("legitimate",))[0])
 
     def test_capacity_integrated_once_per_law(self, monkeypatch):
@@ -749,6 +758,20 @@ class TestSharedDraws:
             assert len(calls) == 5
         assert values == {case: integrate_defining("esc", cfg.with_case(case)).value for case in metrics.CASES}
         assert len(calls) == 13
+
+    def test_capacity_shared_between_scenarios_of_one_side_law(self, monkeypatch):
+        # the legitimate capacity reads neither the eavesdropper density nor its fading
+        cfg = figures.scenario("fig11", k=2)
+        others = (replace(cfg, geometry=replace(cfg.geometry, lambda_e=3.0 * cfg.geometry.lambda_e)),
+                  replace(cfg, geometry=replace(cfg.geometry, fading_e=AlphaMuParams.canonical(3.0, 2.0))))
+        alone = [integrate_defining("capacity", c).value for c in (cfg, *others)]
+        calls = []
+        converged = montecarlo._converged
+        monkeypatch.setattr(montecarlo, "_converged", lambda f: calls.append(1) or converged(f))
+        with montecarlo.shared_draws():
+            shared = [integrate_defining("capacity", c).value for c in (cfg, *others)]
+        assert len(calls) == 1
+        assert [repr(v) for v in shared] == [repr(v) for v in alone]
 
 
 class TestIntegrateDefining:
@@ -842,29 +865,29 @@ class TestIntegrateDefining:
             assert abs(value - elementary(at)) <= 1e-8, metric
 
 
-def _unpruned_nearest_cdf(law, z):
-    y, wy = montecarlo._exp_sinh(law.level, (law.k / law.rate) ** (1.0 / law.delta))
+def _unpruned_nearest_cdf(law, z, level):
+    y, wy = montecarlo._exp_sinh(level, (law.k / law.rate) ** (1.0 / law.delta))
     pdf_y = stochgeo.pdf_kth_distance_pow(law.k, law.rate, law.delta, y)
     return fading.cdf_power_gain(law.fad, np.multiply.outer(z, y)) @ (pdf_y * wy)
 
 
-def _unpruned_nearest_expect(law, h):
+def _unpruned_nearest_expect(law, h, level):
     mean_gain = law.fad.mean_power()
-    w, ww = montecarlo._exp_sinh(law.level, (law.k / law.rate) ** (1.0 / law.delta) / mean_gain)
-    g, wg = montecarlo._exp_sinh(law.level, mean_gain)
+    w, ww = montecarlo._exp_sinh(level, (law.k / law.rate) ** (1.0 / law.delta) / mean_gain)
+    g, wg = montecarlo._exp_sinh(level, mean_gain)
     pdf_y = stochgeo.pdf_kth_distance_pow(law.k, law.rate, law.delta, np.multiply.outer(w, g))
     pdf_w = pdf_y @ (g * fading.pdf_power_gain(law.fad, g) * wg)
     return np.sum(h(1.0 / w) * pdf_w * ww)
 
 
-def _unpruned_best_cdf(law, z):
+def _unpruned_best_cdf(law, z, level):
     lo = np.minimum(law.rate * np.asarray(z, dtype=float) ** -law.delta, 1e300)
-    x, wx = montecarlo._exp_sinh(law.level, law.k)
+    x, wx = montecarlo._exp_sinh(level, law.k)
     return np.sum(stochgeo.pdf_kth_distance_pow(law.k, 1.0, 1.0, lo[..., None] + x) * wx, axis=-1)
 
 
-def _unpruned_best_expect(law, h):
-    v, wv = montecarlo._exp_sinh(law.level, law.k)
+def _unpruned_best_expect(law, h, level):
+    v, wv = montecarlo._exp_sinh(level, law.k)
     pdf_v = stochgeo.pdf_kth_distance_pow(law.k, 1.0, 1.0, v)
     return np.sum(h((law.rate / v) ** (1.0 / law.delta)) * pdf_v * wv)
 
@@ -896,7 +919,8 @@ class TestQuadratureNodes:
     LEVEL = 5
 
     def test_nearest_law_evaluates_no_zero_weight_node(self, monkeypatch):
-        law = montecarlo._law(figures.scenario("fig6", k=1), "eavesdropper", "nearest", self.LEVEL)
+        law = montecarlo._law(figures.scenario("fig6", k=1).with_case("BN"), "eavesdropper")
+        assert isinstance(law, montecarlo._NearestLaw)
         pdf_y = stochgeo.pdf_kth_distance_pow
         y, wy = montecarlo._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta))
         y_keep = pdf_y(law.k, law.rate, law.delta, y) * wy != 0.0
@@ -911,20 +935,21 @@ class TestQuadratureNodes:
         cdf = _Recorder(fading.cdf_power_gain, 1)
         monkeypatch.setattr(fading, "cdf_power_gain", cdf)
         z = np.array([0.5, 2.0, 30.0])
-        law.cdf(z)
+        law.cdf(z, self.LEVEL)
         (arg,) = cdf.seen
         np.testing.assert_array_equal(arg, np.multiply.outer(z, y[y_keep]))
 
         pdf = _Recorder(pdf_y, 3)
         monkeypatch.setattr(stochgeo, "pdf_kth_distance_pow", pdf)
         h = _Recorder(np.log1p)
-        law.expect(h)
+        law.expect(h, self.LEVEL)
         (arg,) = [seen for seen in pdf.seen if seen.ndim == 2]
         np.testing.assert_array_equal(arg, np.multiply.outer(w, g[g_keep]))
         np.testing.assert_array_equal(h.seen[0], 1.0 / w[w_keep])
 
     def test_best_law_evaluates_no_zero_weight_node(self, monkeypatch):
-        law = montecarlo._law(figures.scenario("fig6", k=2), "legitimate", "best", self.LEVEL)
+        law = montecarlo._law(figures.scenario("fig6", k=2).with_case("BN"), "legitimate")
+        assert isinstance(law, montecarlo._BestLaw)
         pdf_v = stochgeo.pdf_kth_distance_pow
         x, wx = montecarlo._exp_sinh(self.LEVEL, law.k)
         v_keep = pdf_v(law.k, 1.0, 1.0, x) * wx != 0.0
@@ -933,7 +958,7 @@ class TestQuadratureNodes:
         pdf = _Recorder(pdf_v, 3)
         monkeypatch.setattr(stochgeo, "pdf_kth_distance_pow", pdf)
         h = _Recorder(np.log1p)
-        law.expect(h)
+        law.expect(h, self.LEVEL)
         np.testing.assert_array_equal(h.seen[0], (law.rate / x[v_keep]) ** (1.0 / law.delta))
 
         # the limit lo differs per z: past the mode, no node is passed on
@@ -942,7 +967,7 @@ class TestQuadratureNodes:
         z = np.array([0.05, 1.0, 20.0])
         lo = law.rate * z**-law.delta
         pdf.seen.clear()
-        law.cdf(z)
+        law.cdf(z, self.LEVEL)
         (arg,) = [seen for seen in pdf.seen if seen.ndim == 2]
         first = arg[np.argmin(lo)]
         assert np.all((pdf_v(law.k, 1.0, 1.0, first) != 0.0) | (first <= law.k - 1))
@@ -954,14 +979,14 @@ class TestQuadratureNodes:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_capped_lower_limit_still_reads_zero(self, k):
-        law = montecarlo._BestLaw(rate=0.7, delta=0.8, k=k, level=self.LEVEL)
+        law = montecarlo._BestLaw(rate=0.7, delta=0.8, k=k)
         with np.errstate(divide="ignore"):
-            assert law.cdf(0.0) == 0.0
-            both = law.cdf(np.array([0.0, 1.0]))
+            assert law.cdf(0.0, self.LEVEL) == 0.0
+            both = law.cdf(np.array([0.0, 1.0]), self.LEVEL)
         assert both[0] == 0.0
         # no gain node at all: an empty sum per z, as the unpruned rule gives
-        assert law.cdf(np.array([])).shape == (0,)
-        assert both[1] == pytest.approx(_unpruned_best_cdf(law, 1.0), rel=1e-14, abs=0.0)
+        assert law.cdf(np.array([]), self.LEVEL).shape == (0,)
+        assert both[1] == pytest.approx(_unpruned_best_cdf(law, 1.0, self.LEVEL), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("cfg", [
         figures.scenario("fig4", k=2, lambda_b=1.0), figures.scenario("fig6", k=1),

@@ -49,6 +49,12 @@ class TestGeometry:
         ratio = geo.composite_rate("legitimate") / geo.composite_rate("eavesdropper")
         assert ratio == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [2.5, 2.0, math.nan, math.inf])
+    def test_dimension_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match="positive integer, got d="):
+            _geometry(d=d)
+        assert _geometry(d=np.int64(3)).unit_ball_volume == pytest.approx(4.0 * math.pi / 3.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _geometry(d=0)

@@ -158,9 +158,9 @@ class TestSharedDraws:
         held = []
         for name in ("simulate_cop", "simulate_pnz"):
             def record(*args, _simulate=getattr(montecarlo, name)):
-                # each stream as side, ordering and order index: "LN2" is the legitimate 2nd nearest
-                held.append({f"{law[4][0].upper()}{ordering[0].upper()}{law[5]}"
-                             for law, ordering, *_ in montecarlo._SHARED.get().streams})
+                # each stream's side law as side, ordering and order index: "LN2" is the legitimate 2nd nearest
+                held.append({f"{law[4][0].upper()}{law[6][0].upper()}{law[5]}"
+                             for law, *_ in montecarlo._SHARED.get()})
                 return _simulate(*args)
             monkeypatch.setattr(montecarlo, name, record)
         validation.run_validation(trials=4096, capacity_trials=1024, seed=5, figure_ids=("fig4", "fig5", "fig6"))
@@ -179,7 +179,7 @@ class TestSharedDraws:
         assert montecarlo._SHARED.get() is None
         stores = {id(store): store for store in counts.stores if store is not None}
         assert stores
-        assert all(not store.streams and not store.capacities for store in stores.values())
+        assert all(not store for store in stores.values())
         cfg = figures.scenario("fig6", k=1)
         before = counts.draws
         montecarlo.simulate_pnz_all(cfg, MonteCarloConfig(trials=4096, master_seed=5))
@@ -187,7 +187,7 @@ class TestSharedDraws:
         # simulate_pnz_all draws in a scope of its own, which keeps nothing either
         inner = counts.stores[-1]
         assert id(inner) not in stores
-        assert not inner.streams and not inner.capacities
+        assert not inner
         assert montecarlo._SHARED.get() is None
 
     def test_nothing_outlives_a_run(self, counts):
