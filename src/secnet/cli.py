@@ -34,7 +34,6 @@ from . import figures, montecarlo, validation
 from .fading import MomentFitError
 from .metrics import ScenarioConfig
 from .montecarlo import METRICS, MetricEstimate, MonteCarloConfig
-from .specfun import ConvergenceError
 
 __all__ = ["ConfigError", "RunSpec", "main", "parse_config", "run"]
 
@@ -52,6 +51,8 @@ _ROUTES = {
     "monte-carlo": lambda name, cfg, mc: METRICS[name].simulate(cfg, mc),
 }
 _METHODS = (*_ROUTES, "all")
+# A failed computation, running out of memory included: exit 3, or a NaN row under method = all.
+_NUMERIC_ERRORS = (ArithmeticError, MemoryError, MomentFitError)
 
 
 class ConfigError(Exception):
@@ -88,15 +89,35 @@ def _decibels(raw) -> float:
         return math.inf
 
 
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+def _grid(raw: str) -> tuple[float, ...]:
+    """Sweep points: ``start:stop:count`` evenly spaced, or a comma list."""
+    if ":" in raw:
+        start, stop, count = raw.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+        if count < 2:
+            raise ValueError("grid needs at least 2 points")
+        step = (stop - start) / (count - 1)
+        return tuple(start + i * step for i in range(count))
+    grid = tuple(float(v) for v in _names(raw))
+    if not grid:
+        raise ValueError("no points")
+    return grid
+
+
 # A document key's parser, the field it sets on its target (a ScenarioConfig.build keyword,
-# a MonteCarloConfig field or a RunSpec field), its sweep axis name, and its default
-# (None leaves the field to the target).
+# a MonteCarloConfig field or a RunSpec field), its sweep axis name, its default
+# (None leaves the field to the target), and the values it takes (None: any that parse).
 class _Key(NamedTuple):
     parse: Callable
     target: str
     field: str
     sweep: str | None = None
     default: object = None
+    choices: tuple | None = None
 
 
 _KEYS = {
@@ -124,17 +145,20 @@ _KEYS = {
     ("mc", "workers"): _Key(int, "mc", "worker_hint", default=1),
     ("mc", "window_radius"): _Key(float, "mc", "window_radius"),
     ("mc", "ci_level"): _Key(float, "mc", "ci_level", default=0.997),
-    ("run", "metric"): _Key(str.lower, "run", "metric", default="cop"),
-    ("run", "method"): _Key(str.lower, "run", "method", default="closed-form"),
-    ("run", "figure"): _Key(str, "run", "figure_id"),
-    ("run", "figures"): _Key(str, "run", "figure_subset"),
-    ("run", "sweep_param"): _Key(str.lower, "run", "sweep_param"),
-    ("run", "sweep_values"): _Key(str, "run", "sweep_values"),
-    ("run", "out"): _Key(str, "run", "output_path"),
-    ("run", "format"): _Key(str.lower, "run", "output_format", default="csv"),
 }
-_SECTIONS = {section for section, _ in _KEYS}
+# [run] sweep_param takes the sweep axes of the keys above.
 _SWEEPS = {entry.sweep: key for key, entry in _KEYS.items() if entry.sweep}
+_KEYS.update({
+    ("run", "metric"): _Key(str.lower, "run", "metric", default="cop", choices=tuple(METRICS)),
+    ("run", "method"): _Key(str.lower, "run", "method", default="closed-form", choices=_METHODS),
+    ("run", "figure"): _Key(str, "run", "figure_id", choices=figures.FIGURE_IDS),
+    ("run", "figures"): _Key(_names, "run", "figure_subset", choices=validation.VALIDATION_FIGURES),
+    ("run", "sweep_param"): _Key(str.lower, "run", "sweep_param", choices=tuple(_SWEEPS)),
+    ("run", "sweep_values"): _Key(_grid, "run", "sweep_values"),
+    ("run", "out"): _Key(str, "run", "output_path"),
+    ("run", "format"): _Key(str.lower, "run", "output_format", default="csv", choices=("csv", "json")),
+})
+_SECTIONS = {section for section, _ in _KEYS}
 # Each command-line flag (or positional argument) with the key it overrides.
 _FLAGS = {"--seed": ("mc", "seed"), "--trials": ("mc", "trials"), "--workers": ("mc", "workers"),
           "--out": ("run", "out"), "--format": ("run", "format"), "figure_id": ("run", "figure")}
@@ -174,12 +198,18 @@ def _named_key(exc: Exception, keys) -> tuple[str, str] | None:
 
 
 def _parse_value(where: dict, section: str, key: str, raw: str):
-    parse = _KEYS[section, key].parse
+    """raw parsed by its key's parser and checked against the key's choices."""
+    entry = _KEYS[section, key]
     try:
-        return parse(raw.strip())
+        value = entry.parse(raw.strip())
     except ValueError as exc:
-        raise _anchored(where, section, key, f"key {key!r} in [{section}]: cannot parse {raw!r} as "
-                                             f"{'int' if parse is int else 'float'}") from exc
+        kind = "int" if entry.parse is int else f"a grid ({exc})" if entry.parse is _grid else "float"
+        raise _anchored(where, section, key,
+                        f"key {key!r} in [{section}]: cannot parse {raw!r} as {kind}") from exc
+    names = value if isinstance(value, tuple) else (value,)
+    if entry.choices is not None and (not names or not set(names) <= set(entry.choices)):
+        raise _anchored(where, section, key, f"{key} must be one of {entry.choices}, got {raw.strip()!r}")
+    return value
 
 
 def parse_config(text: str, command: str = "eval",
@@ -216,6 +246,8 @@ def parse_config(text: str, command: str = "eval",
         for key, raw in parser[section].items():
             if (sec, key) not in _KEYS:
                 raise _anchored(where, sec, key, f"unknown key {key!r} in [{sec}]")
+            if key in ("sweep_param", "sweep_values") and command != "sweep":
+                raise _anchored(where, sec, key, f"{key} is only valid for the sweep command")
             given[sec, key] = _parse_value(where, sec, key, raw)
     overrides = overrides or {}
     for flag, raw in overrides.items():
@@ -244,38 +276,10 @@ def parse_config(text: str, command: str = "eval",
                             f"invalid {label}: {exc}") from exc
 
     run = values["run"]
-    for key, choices in (("metric", tuple(METRICS)), ("method", _METHODS)):
-        if run[key] not in choices:
-            raise _anchored(where, "run", key, f"{key} must be one of {choices}, got {run[key]!r}")
-    if command == "figure" and run["figure_id"] not in (None, *figures.FIGURE_IDS):
-        raise _anchored(where, "run", "figure",
-                        f"figure must be one of {figures.FIGURE_IDS}, got {run['figure_id']!r}")
-
-    if command != "sweep":
+    if command == "sweep":
         for key in ("sweep_param", "sweep_values"):
-            if run[key] is not None:
-                raise _anchored(where, "run", key, f"{key} is only valid for the sweep command")
-    elif run["sweep_param"] is None:
-        raise _anchored(where, "run", "sweep_param", "sweep command requires sweep_param")
-    elif run["sweep_param"] not in _SWEEPS:
-        raise _anchored(where, "run", "sweep_param",
-                        f"sweep_param must name a scenario or mc field: {sorted(_SWEEPS)}")
-    elif run["sweep_values"] is None:
-        raise _anchored(where, "run", "sweep_values", "sweep command requires sweep_values")
-    else:
-        run["sweep_values"] = _parse_grid(run["sweep_values"], where)
-
-    if run["output_format"] not in ("csv", "json"):
-        raise _anchored(where, "run", "format", f"format must be csv or json, got {run['output_format']!r}")
-
-    raw_subset = run["figure_subset"]
-    if raw_subset is not None:
-        run["figure_subset"] = tuple(f.strip() for f in raw_subset.split(",") if f.strip())
-        bad = [f for f in run["figure_subset"] if f not in validation.VALIDATION_FIGURES]
-        if bad or not run["figure_subset"]:
-            raise _anchored(where, "run", "figures",
-                            f"figures must name one or more of {validation.VALIDATION_FIGURES}, "
-                            f"got {bad or raw_subset!r}")
+            if run[key] is None:
+                raise _anchored(where, "run", key, f"sweep command requires {key}")
 
     spec = RunSpec(command=command, **built, scenario_kwargs=values["scenario"], **run)
     for value in spec.sweep_values or ():
@@ -285,24 +289,6 @@ def parse_config(text: str, command: str = "eval",
             raise _anchored(where, "run", "sweep_values",
                             f"sweep point {spec.sweep_param} = {value:g} is invalid: {exc}") from exc
     return spec
-
-
-def _parse_grid(raw: str, where: dict) -> tuple[float, ...]:
-    try:
-        if ":" in raw:
-            start, stop, count = raw.split(":")
-            start, stop, count = float(start), float(stop), int(count)
-            if count < 2:
-                raise ValueError("grid needs at least 2 points")
-            step = (stop - start) / (count - 1)
-            return tuple(start + i * step for i in range(count))
-        grid = tuple(float(v) for v in raw.split(",") if v.strip())
-        if not grid:
-            raise ValueError("no points")
-        return grid
-    except ValueError as exc:
-        raise _anchored(where, "run", "sweep_values",
-                        f"cannot parse sweep_values {raw!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +351,7 @@ def _metric_rows(spec: RunSpec, failed: list[str], swept=None) -> list[tuple]:
     for method in tuple(_ROUTES) if spec.method == "all" else (spec.method,):
         try:
             est = _ROUTES[method](spec.metric, cfg, spec.mc)
-        except (ConvergenceError, ArithmeticError) as exc:
+        except _NUMERIC_ERRORS as exc:
             if spec.method != "all":
                 raise
             print(f"numeric error: {method}: {exc}", file=sys.stderr)
@@ -460,11 +446,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         if name == "figure":
-            p.add_argument("figure_id", nargs="?", choices=figures.FIGURE_IDS,
+            p.add_argument("figure_id", nargs="?",
                            help="figure to reproduce (alternative to [run] figure)")
         p.add_argument("--config", help="path to the INI configuration document")
         p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+        p.add_argument("--format", help="output format, csv or json (default csv)")
         p.add_argument("--seed", help="override the Monte Carlo master seed")
         p.add_argument("--trials", help="override the Monte Carlo trial count")
         p.add_argument("--workers", help="override the Monte Carlo worker count")
@@ -494,11 +480,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ConvergenceError, MomentFitError, ArithmeticError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-    except MemoryError as exc:
-        print(f"numeric error: out of memory: {exc}", file=sys.stderr)
+    except _NUMERIC_ERRORS as exc:
+        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"numeric error: {reason}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
 
 

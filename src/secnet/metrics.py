@@ -507,16 +507,13 @@ def ergodic_capacity_best(cfg: ScenarioConfig) -> float:
     return _closed_form(cfg, "capacity_best")
 
 
-def wiretap_capacity(cfg: ScenarioConfig, policy: str) -> float:
-    """Mean capacity of the strongest eavesdropper link under the nearest or
-    best policy."""
-    if policy not in ORDERINGS:
-        raise ValueError(f"policy must be one of {ORDERINGS}, got {policy!r}")
-    return _closed_form(cfg, f"wiretap_{policy}")
+def wiretap_capacity(cfg: ScenarioConfig) -> float:
+    """Mean capacity of the strongest eavesdropper link under cfg's eavesdropper policy."""
+    return _closed_form(cfg, f"wiretap_{cfg.eavesdropper_policy}")
 
 
 def ergodic_secrecy_capacity(cfg: ScenarioConfig) -> float:
     """Clipped difference of cfg's legitimate and strongest-eavesdropper capacities."""
     main = ergodic_capacity_nearest(cfg) if cfg.ordering == "nearest" else ergodic_capacity_best(cfg)
-    tap = wiretap_capacity(cfg, cfg.eavesdropper_policy)
+    tap = wiretap_capacity(cfg)
     return max(main - tap, 0.0)

@@ -161,9 +161,13 @@ class TestParseConfig:
         doc = "[run]\nsweep_param = k\nsweep_values = 1, 2, 4\n"
         assert parse_config(doc, command="sweep").sweep_values == pytest.approx((1.0, 2.0, 4.0))
 
-    def test_figure_id_validated(self):
-        with pytest.raises(ConfigError, match="figure"):
-            parse_config("[run]\nfigure = fig99\n", command="figure")
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_figure_id_validated(self, command):
+        # checked under every command, also those that ignore it
+        with pytest.raises(ConfigError, match=r"^line 2: figure must be one of \('fig2'"):
+            parse_config("[run]\nfigure = fig99\n", command=command)
+        with pytest.raises(ConfigError, match=r"^figure_id: figure must be one of \('fig2'"):
+            parse_config(MINIMAL, command=command, overrides={"figure_id": "fig99"})
 
     def test_validate_figure_subset(self):
         spec = parse_config("[run]\nfigures = fig3, fig6\n", command="validate")
@@ -394,6 +398,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", "0", "invalid mc section: trials must be >= 1, got 0"),
         ("--seed", "x", "key 'seed' in [mc]: cannot parse 'x' as int"),
+        ("--format", "xml", "format must be one of ('csv', 'json'), got 'xml'"),
     ])
     def test_invalid_override_is_anchored_at_its_flag(self, tmp_path, capsys, flag, value, message):
         cfg_path = tmp_path / "cfg.ini"
@@ -438,6 +443,22 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.startswith("numeric error: out of memory: Unable to allocate")
         assert captured.err.count("\n") == 1
+
+    def test_all_methods_write_every_row_when_one_route_runs_out_of_memory(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        def exhausted(cfg, mc):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(montecarlo, "simulate_cop", exhausted)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[mc]\ntrials = 1000\n[run]\nmethod = all\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_NUMERIC_ERROR
+        assert capsys.readouterr().err == ("numeric error: monte-carlo: Unable to allocate 7.28 TiB "
+                                           "for an array with shape (1000000000000,)\n")
+        rows = [line.split(",")[3:] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["0.241453007005", "0", "closed-form"], ["0.241453007005", "0", "quadrature"],
+                        ["nan", "nan", "monte-carlo"]]
 
     def test_closed_form_without_relative_accuracy_is_numeric_error(self, tmp_path, capsys):
         # Nearest COP on 8 x 8 antennas: 1 - H cannot resolve an outage of 3e-40.
@@ -551,6 +572,10 @@ class TestFigureCommand:
 
     def test_missing_figure_id_is_config_error(self, capsys):
         assert cli.main(["figure"]) == cli.EXIT_CONFIG_ERROR
+
+    def test_unknown_figure_id_is_config_error_at_its_argument(self, capsys):
+        assert cli.main(["figure", "fig99"]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: figure_id: figure must be one of ")
 
     def test_figure_table_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -330,8 +330,8 @@ _CLOSED_FORMS = {
     "pnz_bn": metrics.pnz_bn,
     "capacity_nearest": metrics.ergodic_capacity_nearest,
     "capacity_best": metrics.ergodic_capacity_best,
-    "wiretap_nearest": lambda cfg: metrics.wiretap_capacity(cfg, "nearest"),
-    "wiretap_best": lambda cfg: metrics.wiretap_capacity(cfg, "best"),
+    "wiretap_nearest": lambda cfg: metrics.wiretap_capacity(replace(cfg, eavesdropper_policy="nearest")),
+    "wiretap_best": lambda cfg: metrics.wiretap_capacity(replace(cfg, eavesdropper_policy="best")),
 }
 
 
@@ -539,8 +539,9 @@ class TestErgodicCapacity:
     def test_wiretap_terms_match_quadrature(self):
         cfg = figures.scenario("fig11", k=2)
         for policy in ("nearest", "best"):
-            closed = metrics.wiretap_capacity(cfg, policy)
-            oracle = montecarlo._quad_capacity(replace(cfg, eavesdropper_policy=policy), "eavesdropper")
+            at = replace(cfg, eavesdropper_policy=policy)
+            closed = metrics.wiretap_capacity(at)
+            oracle = montecarlo._quad_capacity(at, "eavesdropper")
             assert closed == pytest.approx(oracle, rel=1e-4)
 
 

@@ -145,7 +145,7 @@ def test_instance_list_is_exactly_what_the_closed_forms_evaluate(fig, kwargs, mo
     metrics.cdf_composite_nearest(cfg, z_ref)
     for ordering in metrics.ORDERINGS:
         metrics.cop(replace(cfg, ordering=ordering))
-        metrics.wiretap_capacity(cfg, ordering)
+        metrics.wiretap_capacity(replace(cfg, eavesdropper_policy=ordering))
     for case in metrics.CASES:
         metrics.pnz(cfg, case)
         metrics.ergodic_secrecy_capacity(cfg.with_case(case))
