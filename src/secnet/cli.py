@@ -142,9 +142,9 @@ _KEYS = {
     ("scenario", "eavesdropper_policy"): _Key(str, "scenario", "eavesdropper_policy"),
     ("mc", "trials"): _Key(int, "mc", "trials", sweep="trials", default=10**6),
     ("mc", "seed"): _Key(int, "mc", "master_seed", default=20260810),
-    ("mc", "workers"): _Key(int, "mc", "worker_hint", default=1),
+    ("mc", "workers"): _Key(int, "mc", "worker_hint"),
     ("mc", "window_radius"): _Key(float, "mc", "window_radius"),
-    ("mc", "ci_level"): _Key(float, "mc", "ci_level", default=0.997),
+    ("mc", "ci_level"): _Key(float, "mc", "ci_level"),
 }
 # [run] sweep_param takes the sweep axes of the keys above.
 _SWEEPS = {entry.sweep: key for key, entry in _KEYS.items() if entry.sweep}
@@ -303,16 +303,21 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: str, payload: str) -> None:
+    """Write payload to path through a temporary file beside it, removed on
+    failure; a path that cannot be written is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".secrecy-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".secrecy-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _json_value(x):

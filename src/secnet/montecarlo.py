@@ -14,12 +14,13 @@ Two independent validation routes live here:
   above a threshold set by the inner ball's k-th point.  A stream is one
   side's gains under the side's ordered law (``_side_law``): the k-th
   legitimate receiver at the scenario's ordering, the first eavesdropper at
-  its eavesdropper policy (``ScenarioConfig.ordering_of``).  Each (batch,
-  side, ordering) draws from its own PCG64 generator keyed by a
-  SeedSequence on (master seed, batch, side, ordering), in a window sized
-  for that ordering, so a gain does not depend on which other streams were
-  requested, and results are bit-identical for a given master seed no
-  matter how many workers execute the batches.
+  its eavesdropper policy (``ScenarioConfig.ordering_of``).  One
+  ``_stream`` call draws one stream: it sizes the stream's window for its
+  ordering, then draws every batch, each from its own PCG64 generator
+  keyed by a SeedSequence on (master seed, batch, side, ordering).  So a
+  gain does not depend on which other streams were requested, and results
+  are bit-identical for a given master seed no matter how many workers
+  execute the batches.
 
   For k = 1 (every eavesdropper draw) each part's best point is the row
   minimum of its keys, read without a padded array; the draws and the
@@ -27,12 +28,12 @@ Two independent validation routes live here:
 
   Within a ``shared_draws`` scope, which ``simulate_pnz_all`` and
   ``validation.run_validation`` open, each distinct stream is drawn once
-  and each distinct capacity integral evaluated once.  Both are stored
-  under the side law they read: d, upsilon, the side's density and
-  composite fading, the side, its order index and its ordering.  A stream
-  adds the explicit window radius if any (the sized one follows from the
-  law), the master seed and the trial count; a capacity integral adds its
-  SNR scale.  Two calls that agree on a key draw the same PCG64 generators
+  and each distinct capacity integral evaluated once, through one store
+  lookup (``_once``).  Both are stored under the side law they read: d,
+  upsilon, the side's density and composite fading, the side, its order
+  index and its ordering.  A stream adds the explicit window radius if any
+  (the sized one follows from the law), the master seed and the trial
+  count; a capacity integral adds its SNR scale.  Two calls that agree on a key draw the same PCG64 generators
   through the same sampler, or sum the same nodes, so handing the first
   call's value to the second is bit-identical to computing it again.  Every
   row's eavesdropper law is the first eavesdropper (k = 1), whatever the
@@ -62,7 +63,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, ndtri
@@ -87,6 +88,7 @@ __all__ = [
 ]
 
 _BATCH = 8192
+_T = TypeVar("_T")
 # Quadrature: successive exp-sinh levels must agree to _QUAD_REL.  Nodes lie
 # within 150 e-folds of their scale: no gain law here holds mass beyond, and
 # powers of such nodes stay finite for delta < 2.3.
@@ -345,8 +347,7 @@ class _Shared(dict):
             del self[key]
 
 
-# The scope's store; None outside one.  Executor threads do not inherit
-# the caller's context, so ``_gains`` reads it before it starts them.
+# The scope's store; None outside one.  Only ``_once`` reads it.
 _SHARED: contextvars.ContextVar[_Shared | None] = contextvars.ContextVar("secnet_shared_draws", default=None)
 
 
@@ -365,59 +366,66 @@ def shared_draws():
         shared.clear()
 
 
-def _gains(cfg: ScenarioConfig, mc: MonteCarloConfig, sides: tuple[str, ...]) -> list[np.ndarray]:
-    """cfg's composite gains on each of ``sides`` for mc.trials realizations.
+def _once(key: tuple, compute: Callable[[], _T]) -> _T:
+    """compute(), or inside ``shared_draws`` the value stored under key.
 
-    Each side is drawn under its side law (``_side_law``); a gain is NaN
-    where a realization holds fewer points than the side's order index.
-    Each stream has its own window, sized for its ordering alone, and each
-    of its batches owns a PCG64 generator seeded by
-    SeedSequence(master_seed, spawn_key=(batch, side, ordering)).  So a gain
-    does not depend on which other side was requested, and since batches
-    write disjoint slices of preallocated arrays, it does not depend on
-    worker scheduling either.  The arrays are read-only.  Inside
-    ``shared_draws`` a stream already drawn is returned as stored while its
-    side law is kept (``_Shared.keep``), and a stream enters the store only
-    once all its batches are drawn, so a sampler that raises leaves nothing
-    behind.
+    A miss stores compute()'s value once it returns, so a computation that
+    raises leaves nothing behind.  The store is read in the caller's thread:
+    executor threads do not inherit the caller's context.
     """
     shared = _SHARED.get()
-    store = {} if shared is None else shared
-    keys = [(_side_law(cfg, side), mc.window_radius, mc.master_seed, mc.trials) for side in sides]
-    gains = [store.get(key) for key in keys]
-    draws = []
-    for i, (side, key) in enumerate(zip(sides, keys)):
-        if gains[i] is None:
-            ordering = cfg.ordering_of(side)
-            k = cfg.order_index(side)
-            radius = (mc.window_radius if mc.window_radius is not None
-                      else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
-            # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
-            code = (stochgeo.SIDES.index(side), ORDERINGS.index(ordering))
-            gains[i] = np.empty(mc.trials)
-            draws.append((key, side, ordering, code, k, radius, gains[i]))
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def _stream(cfg: ScenarioConfig, mc: MonteCarloConfig, side: str) -> np.ndarray:
+    """cfg's composite gains on one side for mc.trials realizations, as a
+    read-only array.
+
+    The side is drawn under its side law (``_side_law``); a gain is NaN
+    where a realization holds fewer points than the side's order index.
+    The stream has its own window, sized for its ordering alone, and each
+    of its batches owns a PCG64 generator seeded by
+    SeedSequence(master_seed, spawn_key=(batch, side, ordering)).  So a gain
+    does not depend on which other side a call requests, and since batches
+    write disjoint slices of one preallocated array, it does not depend on
+    worker scheduling either.
+    """
+    ordering, k = cfg.ordering_of(side), cfg.order_index(side)
+    radius = (mc.window_radius if mc.window_radius is not None
+              else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
+    # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
+    code = (stochgeo.SIDES.index(side), ORDERINGS.index(ordering))
+    z = np.empty(mc.trials)
 
     def run_batch(j: int) -> None:
         lo, hi = j * _BATCH, min((j + 1) * _BATCH, mc.trials)
-        for _, side, ordering, code, k, radius, z in draws:
-            gen = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
-            z[lo:hi] = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
+        gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=mc.master_seed, spawn_key=(j, *code))))
+        z[lo:hi] = _SAMPLERS[ordering](gen, cfg.geometry, side, k, radius, hi - lo)
 
-    if draws:
-        n_batches = (mc.trials + _BATCH - 1) // _BATCH
-        # More threads than batches or cores only add start-up cost.
-        workers = min(mc.worker_hint, n_batches, os.cpu_count() or 1)
-        if workers == 1:
-            for j in range(n_batches):
-                run_batch(j)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_batch, range(n_batches)))
-    for key, *_, z in draws:
-        z.flags.writeable = False
-        store[key] = z
-    return gains
+    n_batches = (mc.trials + _BATCH - 1) // _BATCH
+    # More threads than batches or cores only add start-up cost.
+    workers = min(mc.worker_hint, n_batches, os.cpu_count() or 1)
+    if workers == 1:
+        for j in range(n_batches):
+            run_batch(j)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_batch, range(n_batches)))
+    z.flags.writeable = False
+    return z
+
+
+def _gains(cfg: ScenarioConfig, mc: MonteCarloConfig, sides: tuple[str, ...]) -> list[np.ndarray]:
+    """cfg's streams (``_stream``) on each of ``sides``; inside
+    ``shared_draws`` a stream already drawn is returned as stored while its
+    side law is kept (``_Shared.keep``)."""
+    return [_once((_side_law(cfg, side), mc.window_radius, mc.master_seed, mc.trials),
+                  partial(_stream, cfg, mc, side)) for side in sides]
 
 
 def _case_gains(cfg: ScenarioConfig, mc: MonteCarloConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -632,13 +640,8 @@ def _quad_capacity(cfg: ScenarioConfig, side: str) -> float:
     """Mean capacity E[log2(1 + eta Z)] of the side's ordered receiver,
     evaluated once per (side law, eta) inside ``shared_draws``."""
     eta = cfg.snr_scale(side)
-    shared = _SHARED.get()
-    store = {} if shared is None else shared
-    key = (_side_law(cfg, side), eta)
-    if key not in store:
-        law = _law(cfg, side)
-        store[key] = _converged(lambda level: law.expect(lambda z: np.log2(1.0 + eta * z), level))
-    return store[key]
+    return _once((_side_law(cfg, side), eta), lambda: _converged(
+        partial(_law(cfg, side).expect, lambda z: np.log2(1.0 + eta * z))))
 
 
 def _pnz(cfg: ScenarioConfig) -> float:

@@ -162,7 +162,7 @@ def run_validation(
                 figure=fig, metric=name, case=case, k=at.user_index,
                 closed_form=metric.closed_form(at),
                 quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
-                mc_value=est.value, mc_half_width=est.half_width,
+                mc_value=est.value, mc_half_width=est.half_width, mc_family_size=len(plan),
             ))
             shared.keep(keep)
-    return [replace(row, mc_family_size=len(rows)) for row in rows]
+    return rows

@@ -577,6 +577,15 @@ class TestFigureCommand:
         assert cli.main(["figure", "fig99"]) == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("config error: figure_id: figure must be one of ")
 
+    @pytest.mark.parametrize("target, reason", [("missing/fig8.csv", "No such file or directory"),
+                                                ("dir", "Is a directory")])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, target, reason):
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / target)
+        assert cli.main(["figure", "fig8", "--out", out]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: cannot write {out!r}: {reason}\n"
+        assert not list(tmp_path.rglob(".secrecy-*.tmp"))
+
     def test_figure_table_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["figure", "fig6", "--out", str(a)]) == 0

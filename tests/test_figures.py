@@ -2,7 +2,8 @@
 
 Every non-value column must match exactly (row order, metric, curve label,
 user index, half-width, provenance, x value); the value column must match
-at the validation suite's closed-form tolerances.
+at the validation suite's closed-form tolerances.  Every ``METRICS`` row
+also matches the quadrature oracle at its metric's tolerance.
 """
 
 import json
@@ -10,7 +11,7 @@ import os
 
 import pytest
 
-from secnet import figures
+from secnet import figures, montecarlo
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import METRICS
 from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
@@ -52,6 +53,37 @@ def test_curves_and_checks_name_registered_metrics_and_cases(fig_id):
         assert overrides.keys() <= fig.axes.keys(), overrides
         for metric, cases in blocks:
             assert metric in METRICS and cases and set(cases) <= set(METRICS[metric].cases), (metric, cases)
+
+
+def _metric_points(fig_id):
+    """(metric, label, k, x, scenario at the row's case) of each ``METRICS``
+    row of one figure, walked as ``figure_table`` walks its declaration."""
+    fig = figures._FIGURES[fig_id]
+    for group in fig.groups:
+        base, case = figures._resolve(fig, {a: v for a, v in group.items() if a in fig.axes})
+        for x in fig.grid:
+            cfg = figures._build({**base, **figures._axis(fig, fig.x, x)} if fig.x in fig.axes else base, case)
+            for metric, c in fig.curves:
+                if metric in METRICS:
+                    yield (metric, figures._label(c or case, group), cfg.user_index, x,
+                           METRICS[metric].at(cfg, c or case))
+
+
+def test_every_metric_row_matches_the_quadrature_oracle():
+    walked, worst, misses = 0, {}, []
+    for fig_id in figures.FIGURE_IDS:
+        rows = [row for row in figures.figure_table(fig_id)[2] if row[0] in METRICS]
+        points = list(_metric_points(fig_id))
+        assert [p[:4] for p in points] == [(r[0], r[1], r[2], r[6]) for r in rows], fig_id
+        walked += len(rows)
+        for (metric, label, k, x, at), row in zip(points, rows):
+            oracle = montecarlo.integrate_defining(metric, at).value
+            gap = abs(row[3] - oracle) / max(abs(oracle), 1e-300)
+            worst[fig_id] = max(worst.get(fig_id, 0.0), gap)
+            if gap > METRICS[metric].quad_tol:
+                misses.append(f"{fig_id} {metric} {label} k={k} x={x}: {row[3]!r} vs {oracle!r}")
+    assert walked == 312
+    assert not misses, (misses, {fig_id: f"{gap:.2g}" for fig_id, gap in worst.items()})
 
 
 def _db(x: float) -> float:
