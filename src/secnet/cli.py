@@ -143,7 +143,6 @@ _KEYS = {
     ("mc", "trials"): _Key(int, "mc", "trials", sweep="trials", default=10**6),
     ("mc", "seed"): _Key(int, "mc", "master_seed", default=20260810),
     ("mc", "workers"): _Key(int, "mc", "worker_hint"),
-    ("mc", "window_radius"): _Key(float, "mc", "window_radius"),
     ("mc", "ci_level"): _Key(float, "mc", "ci_level"),
 }
 # [run] sweep_param takes the sweep axes of the keys above.
@@ -159,6 +158,11 @@ _KEYS.update({
     ("run", "format"): _Key(str.lower, "run", "output_format", default="csv", choices=("csv", "json")),
 })
 _SECTIONS = {section for section, _ in _KEYS}
+# configparser's errors on a document, as what each means at the line it names; the first match applies.
+_MALFORMED = {configparser.MissingSectionHeaderError: "text before the first [section] header",
+              configparser.ParsingError: "not a 'key = value' line",
+              configparser.DuplicateSectionError: "section [{section}] repeats",
+              configparser.DuplicateOptionError: "key {option!r} repeats in [{section}]"}
 # Each command-line flag (or positional argument) with the key it overrides.
 _FLAGS = {"--seed": ("mc", "seed"), "--trials": ("mc", "trials"), "--workers": ("mc", "workers"),
           "--out": ("run", "out"), "--format": ("run", "format"), "figure_id": ("run", "figure")}
@@ -231,8 +235,11 @@ def parse_config(text: str, command: str = "eval",
                                        interpolation=None, default_section="")
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config document: {exc}") from exc
+    except tuple(_MALFORMED) as exc:
+        # configparser's own message spans lines and names the document '<string>'
+        what = next(text for kind, text in _MALFORMED.items() if isinstance(exc, kind))
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ConfigError(f"line {line}: malformed config document: {what.format_map(vars(exc))}") from exc
 
     given: dict[tuple[str, str], object] = {}
     spellings: dict[str, str] = {}
@@ -415,7 +422,6 @@ def run(spec: RunSpec) -> int:
         seed=spec.mc.master_seed,
         workers=spec.mc.worker_hint,
         figure_ids=spec.figure_subset,
-        window_radius=spec.mc.window_radius,
     )
     header = ["metric", "case", "k", "value", "half_width", "provenance", "figure", "status"]
     rows = []

@@ -31,11 +31,11 @@ Two independent validation routes live here:
   and each distinct capacity integral evaluated once, through one store
   lookup (``_once``).  Both are stored under the side law they read: d,
   upsilon, the side's density and composite fading, the side, its order
-  index and its ordering.  A stream adds the explicit window radius if any
-  (the sized one follows from the law), the master seed and the trial
-  count; a capacity integral adds its SNR scale.  Two calls that agree on a key draw the same PCG64 generators
-  through the same sampler, or sum the same nodes, so handing the first
-  call's value to the second is bit-identical to computing it again.  Every
+  index and its ordering.  The law also sizes a stream's window, so a
+  stream adds only the master seed and the trial count; a capacity integral
+  adds its SNR scale.  Two calls that agree on a key draw the same PCG64
+  generators through the same sampler, or sum the same nodes, so handing the
+  first call's value to the second is bit-identical to computing it again.  Every
   row's eavesdropper law is the first eavesdropper (k = 1), whatever the
   user index, so check points of one figure that differ only in k share
   the eavesdropper entries.  One keep rule governs the store: the scope's
@@ -99,17 +99,15 @@ _T_MAX = math.asinh(150.0 / (0.5 * math.pi))
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Simulation size, reproducibility, and window controls.
+    """Simulation size, reproducibility, worker count and interval level.
 
-    ``window_radius=None`` sizes the sampling ball per (side, ordering) from
-    the order statistic actually requested (never below 10); an explicit
-    value is applied to every side and ordering verbatim, which is the hook
-    for truncation sensitivity checks.
+    There is no window control: ``_stream`` sizes every stream's sampling
+    ball from its side law, never below 10, so that a realization misses
+    the requested order statistic only within stated budgets.
     """
 
     trials: int
     master_seed: int
-    window_radius: float | None = None
     worker_hint: int = 1
     ci_level: float = 0.997
 
@@ -121,8 +119,6 @@ class MonteCarloConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.master_seed < 0:
             raise ValueError(f"master seed must be >= 0, got {self.master_seed}")
-        if self.window_radius is not None and not 0 < self.window_radius < math.inf:
-            raise ValueError(f"window_radius must be positive and finite, got {self.window_radius}")
         if self.worker_hint < 1:
             raise ValueError(f"worker hint must be >= 1, got {self.worker_hint}")
         if not 0.0 < self.ci_level < 1.0:
@@ -334,8 +330,8 @@ def _side_law(cfg: ScenarioConfig, side: str) -> tuple:
 
 class _Shared(dict):
     """Store of one ``shared_draws`` scope, keyed on side laws: a stream's
-    read-only gains at (side law, explicit window radius or None, master
-    seed, trials), a capacity E[log2(1 + eta Z)] at (side law, eta).  The
+    read-only gains at (side law, master seed, trials), a capacity
+    E[log2(1 + eta Z)] at (side law, eta).  The
     owner keeps the side laws a later call reads (``Metric.side_laws``):
     dropping an entry can cost a recomputation, never change a value.  An
     empty store is falsy, so it is told from no store by ``is None``.
@@ -395,8 +391,7 @@ def _stream(cfg: ScenarioConfig, mc: MonteCarloConfig, side: str) -> np.ndarray:
     worker scheduling either.
     """
     ordering, k = cfg.ordering_of(side), cfg.order_index(side)
-    radius = (mc.window_radius if mc.window_radius is not None
-              else stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,)))
+    radius = stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,))
     # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
     code = (stochgeo.SIDES.index(side), ORDERINGS.index(ordering))
     z = np.empty(mc.trials)
@@ -424,7 +419,7 @@ def _gains(cfg: ScenarioConfig, mc: MonteCarloConfig, sides: tuple[str, ...]) ->
     """cfg's streams (``_stream``) on each of ``sides``; inside
     ``shared_draws`` a stream already drawn is returned as stored while its
     side law is kept (``_Shared.keep``)."""
-    return [_once((_side_law(cfg, side), mc.window_radius, mc.master_seed, mc.trials),
+    return [_once((_side_law(cfg, side), mc.master_seed, mc.trials),
                   partial(_stream, cfg, mc, side)) for side in sides]
 
 
@@ -437,7 +432,7 @@ def _case_gains(cfg: ScenarioConfig, mc: MonteCarloConfig) -> tuple[np.ndarray, 
 
 def _binomial_estimate(hits: int, n: int, trials: int, mc: MonteCarloConfig) -> MetricEstimate:
     if n == 0:
-        raise ConvergenceError("no valid realizations; window radius too small for the order index")
+        raise ConvergenceError("no valid realizations: none held as many points as the order index")
     p = hits / n
     z = mc.z_score
     half = z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -453,7 +448,7 @@ def _binomial_estimate(hits: int, n: int, trials: int, mc: MonteCarloConfig) -> 
 def _mean_estimate(samples: np.ndarray, trials: int, mc: MonteCarloConfig) -> MetricEstimate:
     n = samples.size
     if n == 0:
-        raise ConvergenceError("no valid realizations; window radius too small for the order index")
+        raise ConvergenceError("no valid realizations: none held as many points as the order index")
     mean = float(samples.mean())
     half = mc.z_score * float(samples.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
     return MetricEstimate(

@@ -122,7 +122,6 @@ def run_validation(
     seed: int = 20260810,
     workers: int = 1,
     figure_ids: tuple[str, ...] | None = None,
-    window_radius: float | None = None,
 ) -> list[ValidationRow]:
     """Run the full cross-validation matrix and return one row per check.
 
@@ -141,8 +140,7 @@ def run_validation(
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
     if not selected or not set(selected) <= set(VALIDATION_FIGURES):
         raise ValueError(f"figure_ids must name one or more of {VALIDATION_FIGURES}, got {selected}")
-    mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers,
-                               window_radius=window_radius, ci_level=CI_LEVEL)
+    mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers, ci_level=CI_LEVEL)
     mc_cap = replace(mc_prob, trials=capacity_trials)
     plan = [(fig, name, case, METRICS[name].at(cfg, case))
             for fig in selected

@@ -2,8 +2,10 @@
 emitted files, and exit codes."""
 
 import json
+import re
 import warnings
 
+import numpy as np
 import pytest
 
 from secnet import cli, figures, montecarlo, validation
@@ -130,14 +132,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 2.*lambda_b"):
             parse_config(doc, command="eval")
 
-    def test_unknown_key_is_line_anchored(self):
-        doc = "[geometry]\nd = 2\nbandwidth = 5\n"
-        with pytest.raises(ConfigError, match=r"line 3.*bandwidth"):
+    # Every simulation window is sized from its side law: [mc] has no window key.
+    @pytest.mark.parametrize("doc, message", [
+        ("[geometry]\nd = 2\nbandwidth = 5\n", "line 3: unknown key 'bandwidth' in [geometry]"),
+        ("[mc]\nwindow_radius = 12\n", "line 2: unknown key 'window_radius' in [mc]"),
+    ])
+    def test_unknown_key_is_line_anchored(self, doc, message):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             parse_config(doc, command="eval")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[antenna]\nn = 2\n", command="eval")
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+            parse_config(MINIMAL, command="bogus")
 
     def test_sweep_requires_axis(self):
         with pytest.raises(ConfigError, match="sweep_param"):
@@ -187,6 +197,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"line 3.*{param} = (-1|0)\b"):
             parse_config(doc, command="sweep")
 
+    def test_one_point_grid_is_anchored_config_error(self):
+        doc = "[run]\nsweep_param = lambda_b\nsweep_values = 1:4:1\n"
+        with pytest.raises(ConfigError, match=r"^line 3: .*grid needs at least 2 points"):
+            parse_config(doc, command="sweep")
+
     @pytest.mark.parametrize("values", [",", "", " , ,"])
     def test_empty_sweep_grid_is_anchored_config_error(self, values):
         doc = f"[run]\nsweep_param = lambda_b\nsweep_values = {values}\n"
@@ -203,13 +218,13 @@ class TestParseConfig:
         ("[scenario]\neta_k_db = 5000\n", 2, "eta_k"),
         ("[scenario]\neta_e = nan\n", 2, "eta_e"),
         ("[fading_e]\nmu = inf\n", 2, "mu_e"),
-        ("[mc]\ntrials = 10\nwindow_radius = nan\n", 3, "window_radius"),
-        ("[mc]\nwindow_radius = inf\n", 2, "window_radius"),
+        ("[mc]\ntrials = 10\nci_level = nan\n", 3, "ci_level"),
+        ("[mc]\nci_level = inf\n", 2, "ci_level"),
         ("[run]\nsweep_param = lambda_b\nsweep_values = 1, nan\n", 3, "lambda_b = nan"),
         ("[run]\nsweep_param = upsilon\nsweep_values = inf\n", 3, "upsilon = inf"),
         ("[run]\nsweep_param = eta_e_db\nsweep_values = 0, 4000\n", 3, "eta_e_db = 4000"),
     ], ids=["lambda_b-nan", "lambda_e-inf", "upsilon-inf", "rate-nan", "rate-inf", "eta_k_db-1e400",
-            "eta_k_db-5000", "eta_e-nan", "mu_e-inf", "window_radius-nan", "window_radius-inf",
+            "eta_k_db-5000", "eta_e-nan", "mu_e-inf", "ci_level-nan", "ci_level-inf",
             "sweep-nan", "sweep-inf", "sweep-eta_e_db-4000"])
     def test_non_finite_number_is_anchored_config_error(self, tmp_path, capsys, doc, line, field):
         command = "sweep" if "sweep_param" in doc else "eval"
@@ -289,6 +304,25 @@ class TestIniInput:
         code, captured = self.run_doc(tmp_path, capsys, "[geometry]\nd = 2\n\n[DEFAULT]\nd = 3\n")
         assert code == cli.EXIT_CONFIG_ERROR
         assert captured.err == "config error: line 4: unknown section [DEFAULT]\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ("d = 2\n[geometry]\n", "line 1: malformed config document: text before the first [section] header"),
+        ("[geometry]\nd = 2\nd = 3\n", "line 3: malformed config document: key 'd' repeats in [geometry]"),
+        ("[geometry]\nd = 2\n[mc]\n[geometry]\n", "line 4: malformed config document: section [geometry] repeats"),
+        ("[geometry]\nd = 2\nupsilon 3\n", "line 3: malformed config document: not a 'key = value' line"),
+    ], ids=["key-before-section", "duplicate-key", "duplicate-section", "no-equals"])
+    def test_malformed_document_is_one_anchored_line(self, tmp_path, capsys, doc, message):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
+            parse_config(doc, command="eval")
+        code, captured = self.run_doc(tmp_path, capsys, doc)
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert captured.err == f"config error: {message}\n"
+
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["eval", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config ")
+        assert err.count("\n") == 1
 
     def test_file_that_is_not_utf8_is_anchored_config_error(self, tmp_path, capsys):
         # a Latin-1 "été" in a comment on line 2
@@ -392,8 +426,7 @@ class TestEvalCommand:
         [(_, mc)] = evaluated
         assert mc == MonteCarloConfig(trials=7, master_seed=9, worker_hint=2, ci_level=0.9)
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
-        assert meta["mc"] == {"trials": 7, "seed": 9, "workers": 2, "ci_level": 0.9,
-                              "window_radius": None}
+        assert meta["mc"] == {"trials": 7, "seed": 9, "workers": 2, "ci_level": 0.9}
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", "0", "invalid mc section: trials must be >= 1, got 0"),
@@ -411,16 +444,18 @@ class TestEvalCommand:
         assert "config" in capsys.readouterr().err
 
     # A heavy-tailed best-ordering side on a line, whose window rule gives
-    # up, and a window too small to hold four users, which rejects every
-    # realization.
+    # up, and streams that reject every realization, for a probability and
+    # a mean metric.
     @pytest.mark.parametrize("doc, message", [
         ("[geometry]\nd = 1\nupsilon = 3\nlambda_b = 0.01\n[fading_b]\nalpha = 1\nmu = 0.5\n"
          "[scenario]\nk = 4\nordering = best\n[run]\nmethod = monte-carlo\n",
          "window radius rule diverged"),
-        ("[scenario]\nk = 4\n[run]\nmethod = monte-carlo\n[mc]\ntrials = 100\nwindow_radius = 0.01\n",
-         "no valid realizations"),
-    ], ids=["window-rule-diverges", "no-valid-realization"])
-    def test_simulation_that_cannot_estimate_is_numeric_error(self, tmp_path, capsys, doc, message):
+        ("[run]\nmetric = cop\nmethod = monte-carlo\n[mc]\ntrials = 100\n", "no valid realizations"),
+        ("[run]\nmetric = capacity\nmethod = monte-carlo\n[mc]\ntrials = 100\n", "no valid realizations"),
+    ], ids=["window-rule-diverges", "no-valid-realization-cop", "no-valid-realization-capacity"])
+    def test_simulation_that_cannot_estimate_is_numeric_error(self, tmp_path, capsys, monkeypatch, doc, message):
+        if message == "no valid realizations":
+            monkeypatch.setattr(montecarlo, "_stream", lambda cfg, mc, side: np.full(mc.trials, np.nan))
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(doc)
         assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR

@@ -3,7 +3,7 @@ confidence-interval behavior, reproducibility, and window-truncation
 insensitivity."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,9 +60,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             MonteCarloConfig(trials=0, master_seed=1)
         with pytest.raises(ValueError):
-            MonteCarloConfig(trials=10, master_seed=1, window_radius=0.0)
-        with pytest.raises(ValueError):
             MonteCarloConfig(trials=10, master_seed=1, ci_level=1.0)
+        # every window is sized from its side law: there is no radius to set
+        assert [f.name for f in fields(MonteCarloConfig)] == [
+            "trials", "master_seed", "worker_hint", "ci_level"]
+        with pytest.raises(TypeError, match="window_radius"):
+            MonteCarloConfig(trials=10, master_seed=1, window_radius=10.0)
 
     @pytest.mark.parametrize("value", [1000.5, 1000.0, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["trials", "master_seed", "worker_hint"])
@@ -94,17 +97,40 @@ class TestSimulateCop:
         assert est.provenance == "monte-carlo"
         assert est.half_width > 0.0
 
-    def test_window_doubling_within_one_interval(self):
-        cfg = figures.scenario("fig4", k=2, lambda_b=1.0)
-        base = simulate_cop(cfg, _mc(trials=2 * 10**5, window_radius=10.0))
-        wide = simulate_cop(cfg, _mc(trials=2 * 10**5, window_radius=20.0))
+    @pytest.mark.parametrize("ordering", ["nearest", "best"])
+    def test_window_doubling_within_one_interval(self, ordering):
+        # Truncation check: the window the side law sizes and one of twice its
+        # radius give the same outage frequency.
+        cfg = figures.scenario("fig4", k=2, lambda_b=1.0, ordering=ordering)
+        geo, k = cfg.geometry, cfg.order_index("legitimate")
+        sized = stochgeo.window_radius(geo, "legitimate", k, orderings=(ordering,))
+        trials = 2 * 10**5
+        estimates = []
+        for scale in (1, 2):
+            z = np.concatenate([_SAMPLERS[ordering](_gen(scale, j), geo, "legitimate", k, scale * sized, 8000)
+                                for j in range(trials // 8000)])
+            valid = z[~np.isnan(z)]
+            estimates.append(montecarlo._binomial_estimate(
+                int(np.count_nonzero(valid < cfg.outage_threshold)), valid.size, trials, _mc(trials=trials)))
+        base, wide = estimates
+        assert base.rejection_rate == wide.rejection_rate == 0.0
         assert abs(base.value - wide.value) <= max(base.half_width, wide.half_width)
 
-    def test_undersized_window_reports_rejections(self):
+    @pytest.mark.parametrize("simulate", [simulate_cop, simulate_ergodic_capacity])
+    def test_rejected_realizations_are_reported(self, simulate, monkeypatch):
+        # a quarter of the stream's realizations held fewer than k points
+        stream = montecarlo._stream
+
+        def thinned(cfg, mc, side):
+            z = stream(cfg, mc, side).copy()
+            z[::4] = np.nan
+            return z
+
+        monkeypatch.setattr(montecarlo, "_stream", thinned)
         cfg = figures.scenario("fig3", k=3, alpha=2.0, mu=2.0)
-        est = simulate_cop(cfg, _mc(trials=10**4, window_radius=1.0))
-        assert est.rejection_rate > 0.0
-        assert est.trials_used < 10**4
+        est = simulate(cfg, _mc(trials=10**4))
+        assert est.rejection_rate == 0.25
+        assert est.trials_used == 7500
 
 
 class TestSimulatePnz:
@@ -772,6 +798,23 @@ class TestSharedDraws:
             shared = [integrate_defining("capacity", c).value for c in (cfg, *others)]
         assert len(calls) == 1
         assert [repr(v) for v in shared] == [repr(v) for v in alone]
+
+
+class TestOracleGivesUp:
+    """A quadrature that does not settle, or a sample with no valid
+    realization, raises instead of returning a number."""
+
+    @pytest.mark.parametrize("integral", [lambda level: 1.0 + 2.0**-level, lambda level: math.nan],
+                             ids=["keeps-moving", "nan"])
+    def test_quadrature_that_never_settles_raises(self, integral):
+        with pytest.raises(specfun.ConvergenceError, match="quadrature did not converge"):
+            montecarlo._converged(integral)
+
+    def test_empty_sample_raises(self):
+        with pytest.raises(specfun.ConvergenceError, match="no valid realizations"):
+            montecarlo._mean_estimate(np.array([]), 100, _mc())
+        with pytest.raises(specfun.ConvergenceError, match="no valid realizations"):
+            montecarlo._binomial_estimate(0, 0, 100, _mc())
 
 
 class TestIntegrateDefining:
