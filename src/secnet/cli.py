@@ -354,15 +354,19 @@ def _emit(fmt: str, header: list[str], rows: list[tuple], meta: dict, out: str |
         _atomic_write(out + ".meta.json", _json(meta))
 
 
-def _metric_rows(spec: RunSpec, failed: list[str], swept=None) -> list[tuple]:
-    """One row per method; under ``all`` a route's numeric error is printed, its row NaN and its name
-    appended to failed."""
+def _metric_rows(spec: RunSpec, failed: list[str], swept=None) -> list[tuple[tuple, float | None]]:
+    """One row per method, each with its share of rejected realizations: None but for a
+    monte-carlo estimate.  Under ``all`` a route's numeric error is printed, its row NaN and its
+    name appended to failed."""
     cfg = spec.scenario
     case = METRICS[spec.metric].case_of(cfg)
     rows = []
     for method in tuple(_ROUTES) if spec.method == "all" else (spec.method,):
+        rate = None
         try:
             est = _ROUTES[method](spec.metric, cfg, spec.mc)
+            if method == "monte-carlo":
+                rate = est.rejection_rate
         except _NUMERIC_ERRORS as exc:
             if spec.method != "all":
                 raise
@@ -370,7 +374,7 @@ def _metric_rows(spec: RunSpec, failed: list[str], swept=None) -> list[tuple]:
             failed.append(method)
             est = MetricEstimate(math.nan, math.nan, method, 0)
         row = (spec.metric, case, cfg.user_index, est.value, est.half_width, method)
-        rows.append(row + ((swept,) if swept is not None else ()))
+        rows.append((row + ((swept,) if swept is not None else ()), rate))
     return rows
 
 
@@ -398,12 +402,15 @@ def run(spec: RunSpec) -> int:
         meta = _scenario_meta(spec)
         failed: list[str] = []
         if spec.command == "eval":
-            rows = _metric_rows(spec, failed)
+            rated = _metric_rows(spec, failed)
         else:
             header.append(spec.sweep_param)
             meta.update(sweep_param=spec.sweep_param, sweep_values=list(spec.sweep_values))
-            rows = [row for value in spec.sweep_values
-                    for row in _metric_rows(_rebuild(spec, value), failed, swept=value)]
+            rated = [pair for value in spec.sweep_values
+                     for pair in _metric_rows(_rebuild(spec, value), failed, swept=value)]
+        rows = [row for row, _ in rated]
+        # row i's share of rejected realizations; null for a row that simulated nothing
+        meta["rejection_rate"] = [rate for _, rate in rated]
         _emit(spec.output_format, header, rows, meta, spec.output_path)
         return EXIT_NUMERIC_ERROR if failed else EXIT_OK
 

@@ -106,8 +106,10 @@ def cdf_power_gain(p: AlphaMuParams, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("power-gain distribution is defined for x >= 0 only")
-    out = gammainc(p.mu, (x / p.omega) ** (0.5 * p.alpha))
-    return out if out.ndim else float(out)
+    # (x / omega)^(alpha / 2) and its regularized gamma, formed in place on one array
+    u = x / p.omega
+    u **= 0.5 * p.alpha
+    return gammainc(p.mu, u, out=u) if u.ndim else float(gammainc(p.mu, u))
 
 
 def moment_power_gain(p: AlphaMuParams, order: float) -> float:

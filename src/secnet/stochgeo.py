@@ -119,8 +119,18 @@ def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
         # Where u overflows the density is exp(-u) = 0; the cap keeps
         # -u + k log u from becoming -inf + inf.  Where u underflows to 0 the
         # density is exp(-inf) = 0.
-        u = np.minimum(coeff * y**delta, 1e300)
-        out = np.exp(-u + k * np.log(u) - gammaln(k)) * delta / y
+        # exp(-u + k log u - log Gamma(k)) * delta / y, formed in place on
+        # two arrays: a large grid costs two allocations, not eleven
+        u = np.asarray(y**delta)
+        u *= coeff
+        np.minimum(u, 1e300, out=u)
+        out = np.log(u, out=np.empty_like(u))
+        out *= k
+        out -= u
+        out -= gammaln(k)
+        np.exp(out, out=out)
+        out *= delta
+        out /= y
     return out if out.ndim else float(out)
 
 

@@ -428,6 +428,39 @@ class TestEvalCommand:
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["mc"] == {"trials": 7, "seed": 9, "workers": 2, "ci_level": 0.9}
 
+    @pytest.mark.parametrize("command, doc, rates", [
+        ("eval", "[run]\nmetric = cop\nmethod = all\n", [None, None, 0.25]),
+        ("eval", "[run]\nmetric = pnz\nmethod = closed-form\n", [None]),
+        ("sweep", "[run]\nmetric = pnz\nmethod = monte-carlo\nsweep_param = k\nsweep_values = 1,2\n", [0.25, 0.25]),
+    ], ids=["eval-all", "eval-closed-form", "sweep-monte-carlo"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejection_rate_of_each_row_is_in_the_meta(self, tmp_path, monkeypatch, command, doc, rates, fmt):
+        # every fourth realization of each stream held fewer than k points
+        stream = montecarlo._stream
+
+        def thinned(cfg, mc, side):
+            z = stream(cfg, mc, side).copy()
+            z[::4] = np.nan
+            return z
+
+        monkeypatch.setattr(montecarlo, "_stream", thinned)
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(doc + "[mc]\ntrials = 4000\n")
+        out = tmp_path / f"out.{fmt}"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out), "--format", fmt]) == cli.EXIT_OK
+        doc_out = json.loads(out.read_text()) if fmt == "json" else None
+        meta = doc_out["meta"] if doc_out else json.loads((tmp_path / "out.csv.meta.json").read_text())
+        assert meta["rejection_rate"] == rates
+
+    def test_failed_monte_carlo_row_has_no_rejection_rate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_stream", lambda cfg, mc, side: np.full(mc.trials, np.nan))
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[run]\nmetric = cop\nmethod = all\n[mc]\ntrials = 100\n")
+        out = tmp_path / "out.json"
+        assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out), "--format", "json"]) \
+            == cli.EXIT_NUMERIC_ERROR
+        assert json.loads(out.read_text())["meta"]["rejection_rate"] == [None, None, None]
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", "0", "invalid mc section: trials must be >= 1, got 0"),
         ("--seed", "x", "key 'seed' in [mc]: cannot parse 'x' as int"),

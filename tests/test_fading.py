@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammainc
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
@@ -140,6 +141,19 @@ class TestCdf:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             cdf_power_gain(RAYLEIGH, -0.1)
+
+    @pytest.mark.parametrize("alpha, mu", [(1.0, 3.0), (2.0, 4.0), (4.0, 0.5), (1.2, 1.0)])
+    def test_in_place_evaluation_is_the_textbook_expression(self, alpha, mu):
+        # exponents 1/2, 1 and 2 take numpy's fast power paths, on arrays as on the expression
+        p = AlphaMuParams.canonical(alpha, mu)
+        x = np.exp(np.random.default_rng(3).normal(size=(300, 7)) * 4.0)
+        kept = x.copy()
+        want = gammainc(p.mu, (x / p.omega) ** (0.5 * p.alpha))
+        np.testing.assert_array_equal(cdf_power_gain(p, x).view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(x, kept)
+        scalar = cdf_power_gain(p, 1.3)
+        assert type(scalar) is float
+        assert scalar == float(gammainc(p.mu, (np.float64(1.3) / p.omega) ** (0.5 * p.alpha)))
 
 
 class TestMoments:

@@ -1045,3 +1045,165 @@ class TestQuadratureNodes:
         assert len(calls) == 12
         for (key, c), got, want in zip(calls, pruned, unpruned):
             assert got == pytest.approx(want, rel=1e-14, abs=0.0), (key, c.ordering, c.eavesdropper_policy)
+
+
+class _FreshLaw:
+    """Stands in for ``montecarlo._law`` and builds a new law for every
+    ``cdf`` or ``expect`` call, so that no level reuses another's values."""
+
+    def __init__(self, law):
+        self.law = law
+
+    def cdf(self, z, level):
+        return replace(self.law).cdf(z, level)
+
+    def expect(self, h, level):
+        return replace(self.law).expect(h, level)
+
+
+def _level_values(calls, monkeypatch):
+    """Each call's quadrature value and the value of each level ``_converged`` saw."""
+    converged = montecarlo._converged
+    seen = []
+
+    def recording(integral):
+        levels = []
+        seen.append(levels)
+
+        def recorded(level):
+            levels.append(float(integral(level)))
+            return levels[-1]
+
+        return converged(recorded)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_converged", recording)
+        values = [integrate_defining(key, c).value for key, c in calls]
+    return values, seen
+
+
+class TestNestedLevels:
+    """A law keeps its 2D primitives' values from their last call, so a
+    finer level evaluates only the pairs the coarser one did not hold; every
+    level value is the one a fresh law gives, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [
+        figures.scenario("fig4", k=2, lambda_b=1.0), figures.scenario("fig6", k=1),
+        figures.scenario("fig6", k=4), figures.scenario("fig11", k=1), _dense_cfg(3, 4.0),
+    ], ids=["fig4", "fig6-k1", "fig6-k4", "fig11", "dense"])
+    def test_every_level_equals_a_fresh_evaluation(self, cfg, monkeypatch):
+        calls = [(key, metric.at(cfg, case))
+                 for key, metric in montecarlo.METRICS.items() for case in metric.cases]
+        nested, nested_levels = _level_values(calls, monkeypatch)
+        law = montecarlo._law
+        monkeypatch.setattr(montecarlo, "_law", lambda c, side: _FreshLaw(law(c, side)))
+        fresh, fresh_levels = _level_values(calls, monkeypatch)
+        assert len(calls) == 12
+        # every integral walks at least one level that reuses a coarser one
+        assert min(map(len, nested_levels)) >= 2
+        assert [repr(v) for v in nested] == [repr(v) for v in fresh]
+        assert [list(map(repr, v)) for v in nested_levels] == [list(map(repr, v)) for v in fresh_levels]
+
+    def test_one_law_serves_two_integrals_at_different_z(self):
+        law = montecarlo._law(figures.scenario("fig6", k=1).with_case("NN"), "eavesdropper")
+        best = montecarlo._law(figures.scenario("fig6", k=1).with_case("NB"), "eavesdropper")
+        z1 = np.geomspace(0.01, 100.0, 40)
+        # shares some values with z1, and walks the levels down as well as up
+        z2 = np.concatenate((z1[::3], np.geomspace(0.02, 50.0, 17)))
+        with np.errstate(over="ignore", divide="ignore"):
+            for served in (law, best):
+                for z, levels in ((z1, (3, 4, 5)), (z2, (6, 4, 7)), (z1[5], (3, 5)), (z1, (5,))):
+                    for level in levels:
+                        got = served.cdf(z, level)
+                        want = replace(served).cdf(z, level)
+                        np.testing.assert_array_equal(got, want)
+            for h in (np.log1p, np.sqrt):
+                for level in (3, 5, 5, 4, 6):
+                    assert repr(law.expect(h, level)) == repr(replace(law).expect(h, level))
+            # the law keeps its own copy of each key, and hands out values it owns
+            z = z1.copy()
+            law.cdf(z, 5)
+            z *= 3.0
+            np.testing.assert_array_equal(law.cdf(z, 5), replace(law).cdf(z, 5))
+            assert not law.tables["cdf"].values.flags.writeable
+
+    def test_an_integral_that_raises_midway_leaves_the_next_equal_to_a_fresh_one(self, monkeypatch):
+        cfg = figures.scenario("fig6", k=1).with_case("BN")
+        bob, eve = montecarlo._law(cfg, "legitimate"), montecarlo._law(cfg, "eavesdropper")
+
+        def pnz(level):
+            return bob.expect(lambda z: eve.cdf(cfg.varpi * z, level), level)
+
+        def failing(level):
+            def h(z):
+                value = eve.cdf(cfg.varpi * z, level)
+                if level == 5:
+                    raise ArithmeticError("planted")
+                return value
+            return bob.expect(h, level)
+
+        want = integrate_defining("pnz", cfg).value
+        # an h that raises once the eavesdropper law holds the grid of level 5
+        with pytest.raises(ArithmeticError):
+            montecarlo._converged(failing)
+        assert repr(montecarlo._converged(pnz)) == repr(want)
+        # a primitive that raises on its third call
+        cdf, calls = fading.cdf_power_gain, []
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("planted")
+            return cdf(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fading, "cdf_power_gain", flaky)
+            with pytest.raises(FloatingPointError):
+                montecarlo._converged(pnz)
+        assert repr(montecarlo._converged(pnz)) == repr(want)
+
+
+class _Counting:
+    """Wraps a primitive and counts its calls and the elements of its argument."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.elements = fn, 0, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        self.elements += np.size(args[-1])
+        return self.fn(*args)
+
+
+class TestElementCount:
+    """A 2D primitive sees each (row, column) pair of an integral once: the
+    union of its levels' kept pairs, not each level's full grid.  1D
+    primitives see every level's nodes."""
+
+    PRIMITIVES = ((fading, "cdf_power_gain"), (fading, "pdf_power_gain"), (stochgeo, "pdf_kth_distance_pow"))
+
+    def _count(self, monkeypatch, law):
+        counters = {}
+        with monkeypatch.context() as patch:
+            # installed as module attributes, where the callers look them up
+            for module, name in self.PRIMITIVES:
+                counters[name] = _Counting(getattr(module, name))
+                patch.setattr(module, name, counters[name])
+            patch.setattr(montecarlo, "_law", law)
+            for case in ("NN", "BN"):
+                integrate_defining("pnz", figures.scenario("fig6", k=1).with_case(case))
+        return counters
+
+    def test_fig6_pnz_elements(self, monkeypatch):
+        law = montecarlo._law
+        nested = self._count(monkeypatch, law)
+        fresh = self._count(monkeypatch, lambda c, side: _FreshLaw(law(c, side)))
+        total = sum(c.elements for c in nested.values())
+        # NN 635,821 and BN 227,204, against 844,547 and 301,134 level by level
+        assert total == 863_025
+        assert sum(c.elements for c in fresh.values()) == 1_145_681
+        assert total <= 0.8 * sum(c.elements for c in fresh.values())
+        # one call per matrix and level, as from scratch: NN converges at
+        # level 6 (4 levels x 4 calls), BN at level 6 (4 levels x 3 calls)
+        assert {name: c.calls for name, c in nested.items()} == {name: c.calls for name, c in fresh.items()}
+        assert sum(c.calls for c in nested.values()) == 28

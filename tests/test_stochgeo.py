@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma, gammainc, gammaincc, pdtr
+from scipy.special import gamma, gammainc, gammaincc, gammaln, pdtr
 from scipy.stats import kstest
 
 from secnet import stochgeo
@@ -108,6 +108,21 @@ class TestKthDistanceLaw:
         out = pdf_kth_distance_pow(2, 1.0, 1.5, np.array([1e-300, 1.0]))
         assert out[0] == 0.0
         assert out[1] == pytest.approx(math.exp(-1.0) * 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("k, coeff, delta", [(1, 0.3, 1.0), (3, 2.5, 0.5), (2, 1.0, 1.5), (8, 0.01, 2.0)])
+    def test_in_place_evaluation_is_the_textbook_expression(self, k, coeff, delta):
+        y = np.exp(np.random.default_rng(5).normal(size=(200, 9)) * 60.0)
+        kept = y.copy()
+        with np.errstate(over="ignore", divide="ignore"):
+            u = np.minimum(coeff * y**delta, 1e300)
+            want = np.exp(-u + k * np.log(u) - gammaln(k)) * delta / y
+            got = pdf_kth_distance_pow(k, coeff, delta, y)
+            scalar = pdf_kth_distance_pow(k, coeff, delta, 1.7)
+            u1 = np.minimum(coeff * np.asarray(1.7) ** delta, 1e300)
+            want1 = float(np.exp(-u1 + k * np.log(u1) - gammaln(k)) * delta / 1.7)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(y, kept)
+        assert type(scalar) is float and scalar == want1
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
