@@ -9,9 +9,11 @@
 
 The configuration document is an INI file with sections [geometry],
 [fading_b], [fading_e], [scenario], [mc] and [run], in any letter case;
-every key has a default, so the empty document is valid.  Keys with the
-suffix ``_db`` are converted from decibels to linear scale at parse time,
-``%`` is literal, and numbers must be finite.  The flags --seed, --trials,
+every key has a default, so the empty document is valid.  Each line stands
+alone: a whole-line ``[section]`` header, ``key = value`` or ``key: value``,
+blank, or a ``#``/``;`` comment; an inline comment starts at ``#`` or ``;``
+after whitespace.  Keys suffixed ``_db`` are converted from decibels, ``%``
+is literal, and numbers must be finite.  The flags --seed, --trials,
 --workers, --out, --format and the figure id replace the keys they name.
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numeric error.
@@ -20,7 +22,6 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
@@ -158,33 +159,12 @@ _KEYS.update({
     ("run", "format"): _Key(str.lower, "run", "output_format", default="csv", choices=("csv", "json")),
 })
 _SECTIONS = {section for section, _ in _KEYS}
-# configparser's errors on a document, as what each means at the line it names; the first match applies.
-_MALFORMED = {configparser.MissingSectionHeaderError: "text before the first [section] header",
-              configparser.ParsingError: "not a 'key = value' line",
-              configparser.DuplicateSectionError: "section [{section}] repeats",
-              configparser.DuplicateOptionError: "key {option!r} repeats in [{section}]"}
+# A key line: the key, its first delimiter and the value; an inline comment starts at # or ; after whitespace.
+_KEY_LINE = re.compile(r"([^=:]+)[=:]\s*(.*)")
+_INLINE_COMMENT = re.compile(r"\s[#;].*")
 # Each command-line flag (or positional argument) with the key it overrides.
 _FLAGS = {"--seed": ("mc", "seed"), "--trials": ("mc", "trials"), "--workers": ("mc", "workers"),
           "--out": ("run", "out"), "--format": ("run", "format"), "figure_id": ("run", "figure")}
-
-
-def _line_index(text: str) -> dict[tuple[str, str], str]:
-    """Map (section, key) to "line N", its 1-based line in the document."""
-    index: dict[tuple[str, str], str] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";")):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            index[(section, "")] = f"line {lineno}"
-            continue
-        if section is not None and ("=" in line or ":" in line):
-            sep = min((line.find(c) for c in "=:" if c in line))
-            key = line[:sep].strip().lower()
-            index[(section, key)] = f"line {lineno}"
-    return index
 
 
 def _anchored(where: dict, section: str, key: str, message: str) -> ConfigError:
@@ -228,34 +208,37 @@ def parse_config(text: str, command: str = "eval",
     """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {_COMMANDS}")
-    where = _line_index(text)
-    # No header can name the empty section, so [DEFAULT] is read as an
-    # ordinary (and unknown) section instead of being applied to every other.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None, default_section="")
-    try:
-        parser.read_string(text)
-    except tuple(_MALFORMED) as exc:
-        # configparser's own message spans lines and names the document '<string>'
-        what = next(text for kind, text in _MALFORMED.items() if isinstance(exc, kind))
-        line = getattr(exc, "lineno", None) or exc.errors[0][0]
-        raise ConfigError(f"line {line}: malformed config document: {what.format_map(vars(exc))}") from exc
-
+    # One pass, a line at a time; only "\n" ends a line, as in main's UTF-8 error ("\r" strips as space).
+    where: dict[tuple[str, str], str] = {}
     given: dict[tuple[str, str], object] = {}
-    spellings: dict[str, str] = {}
-    for section in parser.sections():
-        sec = section.strip().lower()
-        if sec not in _SECTIONS:
-            raise _anchored(where, sec, "", f"unknown section [{section}]")
-        if sec in spellings:
-            raise _anchored(where, sec, "", f"section [{section}] repeats [{spellings[sec]}]")
-        spellings[sec] = section
-        for key, raw in parser[section].items():
-            if (sec, key) not in _KEYS:
-                raise _anchored(where, sec, key, f"unknown key {key!r} in [{sec}]")
-            if key in ("sweep_param", "sweep_values") and command != "sweep":
-                raise _anchored(where, sec, key, f"{key} is only valid for the sweep command")
-            given[sec, key] = _parse_value(where, sec, key, raw)
+    section = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = _INLINE_COMMENT.sub("", raw).strip()
+        if not line or line.startswith(("#", ";")):
+            continue
+        at = f"line {lineno}"
+        malformed = f"{at}: malformed config document: "
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip().lower()
+            if section not in _SECTIONS:
+                raise ConfigError(f"{at}: unknown section {line}")
+            if (section, "") in where:
+                raise ConfigError(f"{malformed}section {line} repeats")
+            where[section, ""] = at
+            continue
+        if section is None:
+            raise ConfigError(f"{malformed}text before the first [section] header")
+        if not (match := _KEY_LINE.fullmatch(line)):
+            raise ConfigError(f"{malformed}not a 'key = value' line")
+        key = match[1].strip().lower()
+        if (section, key) in where:
+            raise ConfigError(f"{malformed}key {key!r} repeats in [{section}]")
+        where[section, key] = at
+        if (section, key) not in _KEYS:
+            raise ConfigError(f"{at}: unknown key {key!r} in [{section}]")
+        if key in ("sweep_param", "sweep_values") and command != "sweep":
+            raise ConfigError(f"{at}: {key} is only valid for the sweep command")
+        given[section, key] = _parse_value(where, section, key, match[2])
     overrides = overrides or {}
     for flag, raw in overrides.items():
         where[_FLAGS[flag]] = flag

@@ -89,7 +89,8 @@ def _canonical(alpha: float, mu: float) -> AlphaMuParams:
 def pdf_power_gain(p: AlphaMuParams, x):
     """Density of the alpha-mu power gain at x > 0 (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    # one NaN-skipping reduction: no boolean temporary, and NaN is not rejected
+    if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("power-gain density is defined for x > 0 only")
     half_alpha = 0.5 * p.alpha
     # in logs, so that a power of a far-tail x cannot overflow before the
@@ -104,7 +105,7 @@ def pdf_power_gain(p: AlphaMuParams, x):
 def cdf_power_gain(p: AlphaMuParams, x):
     """Distribution function of the power gain at x >= 0 (scalar or array)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
         raise ValueError("power-gain distribution is defined for x >= 0 only")
     # (x / omega)^(alpha / 2) and its regularized gamma, formed in place on one array
     u = x / p.omega

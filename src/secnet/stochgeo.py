@@ -113,7 +113,8 @@ def pdf_kth_distance_pow(k: int, coeff: float, delta: float, y):
     if k < 1:
         raise ValueError(f"order index must be >= 1, got {k}")
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
+    # one NaN-skipping reduction: no boolean temporary, and NaN is not rejected
+    if np.fmin.reduce(y, axis=None, initial=np.inf) <= 0:
         raise ValueError("density is defined for y > 0 only")
     with np.errstate(over="ignore", divide="ignore"):
         # Where u overflows the density is exp(-u) = 0; the cap keeps

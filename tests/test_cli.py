@@ -273,7 +273,8 @@ class TestParseConfig:
 
 class TestIniInput:
     """Section names in any case, literal percent signs and [DEFAULT] are
-    read as configuration, not as crashes or silent defaults."""
+    read as configuration, not as crashes or silent defaults; every line
+    stands alone, and only "\n" ends one."""
 
     def run_doc(self, tmp_path, capsys, doc, *flags):
         cfg_path = tmp_path / "cfg.ini"
@@ -310,13 +311,56 @@ class TestIniInput:
         ("[geometry]\nd = 2\nd = 3\n", "line 3: malformed config document: key 'd' repeats in [geometry]"),
         ("[geometry]\nd = 2\n[mc]\n[geometry]\n", "line 4: malformed config document: section [geometry] repeats"),
         ("[geometry]\nd = 2\nupsilon 3\n", "line 3: malformed config document: not a 'key = value' line"),
-    ], ids=["key-before-section", "duplicate-key", "duplicate-section", "no-equals"])
+        ("[geometry] x\nd = 2\n", "line 1: malformed config document: text before the first [section] header"),
+        ("[mc]\n[geometry] x\n", "line 2: malformed config document: not a 'key = value' line"),
+        ("[geometry]\n = 2\n", "line 2: malformed config document: not a 'key = value' line"),
+    ], ids=["key-before-section", "duplicate-key", "duplicate-section", "no-equals",
+            "first-header-with-text", "header-with-text", "no-key"])
     def test_malformed_document_is_one_anchored_line(self, tmp_path, capsys, doc, message):
         with pytest.raises(ConfigError, match=rf"^{re.escape(message)}$"):
             parse_config(doc, command="eval")
         code, captured = self.run_doc(tmp_path, capsys, doc)
         assert code == cli.EXIT_CONFIG_ERROR
         assert captured.err == f"config error: {message}\n"
+
+    def test_indented_line_is_a_key_of_its_own(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        code, _ = self.run_doc(tmp_path, capsys, f"[run]\nout = {out}\n  format = json\n")
+        assert code == cli.EXIT_OK
+        assert json.loads(out.read_text())["columns"][0] == "metric"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini", "res.csv"]
+
+    @pytest.mark.parametrize("doc, line", [
+        ("[geometry]\nd = 2\f\nupsilon = -1\n", 3),
+        ("[geometry]\nd = 2\x1c\nupsilon = -1\n", 3),
+        ("[geometry]\r\nd = 2\r\n\r\nupsilon = -1\r\n", 4),
+    ], ids=["form-feed", "file-separator", "crlf"])
+    def test_error_line_counts_newlines_only(self, tmp_path, capsys, doc, line):
+        with pytest.raises(ConfigError, match=rf"^line {line}: .*upsilon"):
+            parse_config(doc, command="eval")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_bytes(doc.encode())
+        assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+
+    # INI line rules: both delimiters, full-line and inline comments, key case, CRLF, blank lines
+    @pytest.mark.parametrize("doc", [
+        "[geometry]\nd: 3\nupsilon : 2.5\n",
+        "[geometry]\n  ; note\nd = 3\n\t# note\nupsilon = 2.5\n",
+        "[geometry]\nd = 3 ; note\nupsilon = 2.5\t# note\n",
+        "[geometry] ; note\nD = 3\nUpsilon=2.5\n",
+        "[geometry]\r\nd = 3\r\nupsilon = 2.5\r\n",
+        "\n[geometry]\n\nd = 3\n\n\nupsilon = 2.5\n\n",
+    ], ids=["colon", "indented-comments", "inline-comments", "header-comment-and-key-case", "crlf",
+            "blank-lines"])
+    def test_line_rules(self, doc):
+        geometry = parse_config(doc, command="eval").scenario.geometry
+        assert (geometry.d, geometry.upsilon) == (3, 2.5)
+
+    def test_comment_prefix_without_whitespace_stays_in_the_value(self):
+        assert parse_config("[run]\nout = a#b;c.csv ; note\n").output_path == "a#b;c.csv"
+        with pytest.raises(ConfigError, match=r"^line 2: key 'd' in \[geometry\]: cannot parse '3#x' as int$"):
+            parse_config("[geometry]\nd = 3#x\n")
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         assert cli.main(["eval", "--config", str(tmp_path / "missing.ini")]) == cli.EXIT_CONFIG_ERROR

@@ -121,9 +121,14 @@ class TestPdf:
         p = AlphaMuParams.canonical(2.0, 3.0)
         assert pdf_power_gain(p, 1e-12) < 1e-20
 
-    def test_domain_error(self):
+    @pytest.mark.parametrize("x", [0.0, -0.0, [1.0, 0.0], [np.nan, -1.0]])
+    def test_domain_error(self, x):
         with pytest.raises(ValueError):
-            pdf_power_gain(RAYLEIGH, 0.0)
+            pdf_power_gain(RAYLEIGH, x)
+
+    def test_nan_and_empty_inputs_pass_the_domain_check(self):
+        assert math.isnan(pdf_power_gain(RAYLEIGH, np.nan))
+        assert pdf_power_gain(RAYLEIGH, np.empty((0, 3))).shape == (0, 3)
 
 
 class TestCdf:
@@ -138,9 +143,15 @@ class TestCdf:
         p = AlphaMuParams.canonical(3.0, 2.0)
         assert cdf_power_gain(p, 0.8) == pytest.approx(0.38044121061141082, rel=1e-12)
 
-    def test_domain_error(self):
+    @pytest.mark.parametrize("x", [-0.1, [1.0, -0.1], [np.nan, -1.0]])
+    def test_domain_error(self, x):
         with pytest.raises(ValueError):
-            cdf_power_gain(RAYLEIGH, -0.1)
+            cdf_power_gain(RAYLEIGH, x)
+
+    def test_nan_and_empty_inputs_pass_the_domain_check(self):
+        assert math.isnan(cdf_power_gain(RAYLEIGH, np.nan))
+        assert cdf_power_gain(RAYLEIGH, -0.0) == 0.0
+        assert cdf_power_gain(RAYLEIGH, np.empty((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("alpha, mu", [(1.0, 3.0), (2.0, 4.0), (4.0, 0.5), (1.2, 1.0)])
     def test_in_place_evaluation_is_the_textbook_expression(self, alpha, mu):

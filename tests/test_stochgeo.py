@@ -127,8 +127,13 @@ class TestKthDistanceLaw:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             pdf_kth_distance_pow(0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            pdf_kth_distance_pow(1, 1.0, 1.0, 0.0)
+        for y in (0.0, -0.0, [1.0, 0.0], [np.nan, -1.0]):
+            with pytest.raises(ValueError):
+                pdf_kth_distance_pow(1, 1.0, 1.0, y)
+
+    def test_nan_and_empty_inputs_pass_the_domain_check(self):
+        assert math.isnan(pdf_kth_distance_pow(1, 1.0, 1.0, np.nan))
+        assert pdf_kth_distance_pow(1, 1.0, 1.0, np.empty((0, 3))).shape == (0, 3)
 
 
 class TestFadingWeightedIntensity:
