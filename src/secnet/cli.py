@@ -431,7 +431,8 @@ def run(spec: RunSpec) -> int:
               f"mc={row.mc_value:.6g}+-{row.mc_half_width:.2g} z={row.mc_z:+.2f}")
     meta = {"checks": len(rows_v), "failures": failures,
             "trials": spec.mc.trials, "seed": spec.mc.master_seed,
-            "gate_level": validation.GATE_LEVEL, "gate_z": gate_z, "ci_level": validation.CI_LEVEL}
+            "gate_level": validation.GATE_LEVEL, "gate_z": gate_z, "ci_level": validation.CI_LEVEL,
+            "rejection_rate": [rate for row in rows_v for rate in (None, None, row.mc_rejection_rate)]}
     if spec.output_path is not None:
         _emit(spec.output_format, header, rows, meta, spec.output_path)
     return EXIT_OK if failures == 0 else EXIT_VALIDATION_FAILURE

@@ -1,61 +1,48 @@
-"""Stochastic and quadrature oracles for every closed-form metric.
+"""The network-simulation oracle, its shared store and the metric registry.
 
-Two independent validation routes live here:
+Each closed-form metric is checked against two independent oracles: the
+defining-integral quadrature of ``secnet.quadrature`` and the network
+simulation here; ``tests/test_independence.py`` checks what each may read.
 
-* **Network simulation** — Poisson realizations of both receiver
-  populations inside an automatically sized window, reduced to the composite
-  gains of the ordered users, with confidence intervals.  The k-th nearest
-  receiver is drawn as one order statistic of the window's Poisson count:
-  the k-th smallest of N uniforms is Beta(k, N + 1 - k).  For the k-th
-  best one, each window is split into an inner ball, large enough to hold
-  k points except with probability under the rejection budget, which is
-  drawn in full, and a far ring, of which only the points that can still
-  reach the top k are drawn: an exact Poisson thinning on the gamma shape,
-  above a threshold set by the inner ball's k-th point.  A stream is one
-  side's gains under the side's ordered law (``_side_law``): the k-th
-  legitimate receiver at the scenario's ordering, the first eavesdropper at
-  its eavesdropper policy (``ScenarioConfig.ordering_of``).  One
-  ``_stream`` call draws one stream: it sizes the stream's window for its
-  ordering, then draws every batch, each from its own PCG64 generator
-  keyed by a SeedSequence on (master seed, batch, side, ordering).  So a
-  gain does not depend on which other streams were requested, and results
-  are bit-identical for a given master seed no matter how many workers
-  execute the batches.
+The simulation draws Poisson realizations of both receiver populations
+inside an automatically sized window, reduced to the composite gains of the
+ordered users, with confidence intervals.  The k-th nearest receiver is
+drawn as one order statistic of the window's Poisson count: the k-th
+smallest of N uniforms is Beta(k, N + 1 - k).  For the k-th best one, each
+window is split into an inner ball, large enough to hold k points except
+with probability under the rejection budget, which is drawn in full, and a
+far ring, of which only the points that can still reach the top k are drawn:
+an exact Poisson thinning on the gamma shape, above a threshold set by the
+inner ball's k-th point.  A stream is one side's gains under the side's
+ordered law (``_side_law``): the k-th legitimate receiver at the scenario's
+ordering, the first eavesdropper at its eavesdropper policy
+(``ScenarioConfig.ordering_of``).  One ``_stream`` call draws one stream: it
+sizes the stream's window for its ordering, then draws every batch, each
+from its own PCG64 generator keyed by a SeedSequence on (master seed, batch,
+side, ordering).  So a gain does not depend on which other streams were
+requested, and results are bit-identical for a given master seed no matter
+how many workers execute the batches.
 
-  For k = 1 (every eavesdropper draw) each part's best point is the row
-  minimum of its keys, read without a padded array; the draws and the
-  point selected are those of the padded selection k > 1 uses.
+For k = 1 (every eavesdropper draw) each part's best point is the row
+minimum of its keys, read without a padded array; the draws and the point
+selected are those of the padded selection k > 1 uses.
 
-  Within a ``shared_draws`` scope, which ``simulate_pnz_all`` and
-  ``validation.run_validation`` open, each distinct stream is drawn once
-  and each distinct capacity integral evaluated once, through one store
-  lookup (``_once``).  Both are stored under the side law they read: d,
-  upsilon, the side's density and composite fading, the side, its order
-  index and its ordering.  The law also sizes a stream's window, so a
-  stream adds only the master seed and the trial count; a capacity integral
-  adds its SNR scale.  Two calls that agree on a key draw the same PCG64
-  generators through the same sampler, or sum the same nodes, so handing the
-  first call's value to the second is bit-identical to computing it again.  Every
-  row's eavesdropper law is the first eavesdropper (k = 1), whatever the
-  user index, so check points of one figure that differ only in k share
-  the eavesdropper entries.  One keep rule governs the store: the scope's
-  owner keeps the entries of the side laws a later call reads
-  (``Metric.side_laws``, ``_Shared.keep``), so dropping one can cost a
-  recomputation but never changes a value, and nothing outlives the scope.
-
-* **Defining-integral quadrature** — direct integration of each metric's
-  probability/expectation integral over the side laws' composite-gain
-  laws (``_law``), using only gamma-family building blocks, deliberately
-  bypassing the Fox H route the closed forms take.  The exp-sinh nodes
-  whose weight underflows to exactly 0 are passed over before any 2D
-  primitive is evaluated on them, which changes a sum by rounding alone.
-  The rule's levels are nested (level L's nodes hold level L - 1's, as the
-  even ones), and each law ``_law`` builds for an integral keeps its 2D
-  primitives' values from their last call (``_Table``).  So a finer level
-  evaluates a 2D primitive only on the pairs of nodes the coarser one did
-  not hold, about 3/4 of its grid; values are matched bit for bit and
-  every sum is formed as on a fresh law, so each level value is
-  unchanged.
+Within a ``shared_draws`` scope, which ``simulate_pnz_all`` and
+``validation.run_validation`` open, each distinct stream is drawn once and
+each distinct capacity integral evaluated once, through one store lookup
+(``_once``).  Both are stored under the side law they read: d, upsilon, the
+side's density and composite fading, the side, its order index and its
+ordering.  The law also sizes a stream's window, so a stream adds only the
+master seed and the trial count; a capacity integral adds its SNR scale.
+Two calls that agree on a key draw the same PCG64 generators through the
+same sampler, or sum the same nodes, so handing the first call's value to
+the second is bit-identical to computing it again.  Every row's eavesdropper
+law is the first eavesdropper (k = 1), whatever the user index, so check
+points of one figure that differ only in k share the eavesdropper entries.
+One keep rule governs the store: the scope's owner keeps the entries of the
+side laws a later call reads (``Metric.side_laws``, ``_Shared.keep``), so
+dropping one can cost a recomputation but never changes a value, and nothing
+outlives the scope.
 
 ``METRICS``, the metric registry at the end, holds each metric id's cases
 and its three routes; the CLI, the validation matrix and the figures read it.
@@ -67,16 +54,15 @@ import contextlib
 import contextvars
 import math
 import os
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, TypeVar
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv, ndtri
 
-from . import fading, metrics, stochgeo
+from . import fading, metrics, quadrature, stochgeo
 from .metrics import CASES, ORDERINGS, QUAD_TOL_PROBABILITY, ScenarioConfig
 from .specfun import ConvergenceError
 
@@ -97,12 +83,6 @@ __all__ = [
 
 _BATCH = 8192
 _T = TypeVar("_T")
-# Quadrature: successive exp-sinh levels must agree to _QUAD_REL.  Nodes lie
-# within 150 e-folds of their scale: no gain law here holds mass beyond, and
-# powers of such nodes stay finite for delta < 2.3.
-_QUAD_REL = 1e-9
-_LEVELS = (3, 4, 5, 6, 7)
-_T_MAX = math.asinh(150.0 / (0.5 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -517,257 +497,12 @@ def simulate_ergodic_secrecy(cfg: ScenarioConfig, mc: MonteCarloConfig) -> Ergod
 
 
 # ---------------------------------------------------------------------------
-# Defining-integral quadrature, from gamma-family primitives only (never Fox
-# H).  By the mapping theorem the k-th nearest receiver is the k-th point Y
-# of {r^upsilon}, with gain G / Y, and the k-th best one the k-th point Y of
-# {r^upsilon / g}, with gain 1 / Y; both processes have mean measure
-# rate * y^delta.  One law per side law gives the CDF and the expectations
-# of that gain at each rule level, and each metric is a functional of the
-# two sides' laws.
+# The metric registry
 # ---------------------------------------------------------------------------
 
-
-def _exp_sinh(level: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the exp-sinh rule for an integral over (0, inf).
-
-    x = scale * exp(pi/2 sinh t) on t-steps of 2^-level, so that
-    log(x / scale) spans [-150, 150]: mass decades away from ``scale`` is
-    still sampled, and the trapezoid sum converges exponentially in the
-    level for analytic integrands.
-    """
-    step = 2.0**-level
-    n = int(_T_MAX / step)
-    t = step * np.arange(-n, n + 1)
-    x = scale * np.exp(0.5 * math.pi * np.sinh(t))
-    return x, step * 0.5 * math.pi * np.cosh(t) * x
-
-
-def _converged(integral) -> float:
-    """integral(level) at increasing levels until two successive values agree.
-
-    The levels are nested: level L's nodes t = 2^-L j hold level L - 1's
-    exactly, as the even j.  An integral whose laws come from ``_law``
-    therefore evaluates each 2D primitive at level L only on the pairs of
-    nodes level L - 1 did not hold (``_Table``), and every level value is
-    the one a fresh law gives, bit for bit.
-    """
-    # Far-tail powers overflow to inf where a density factor is 0, and a
-    # gain that underflows to 0 divides by zero in V's lower limit.
-    with np.errstate(over="ignore", divide="ignore"):
-        previous = integral(_LEVELS[0])
-        for level in _LEVELS[1:]:
-            value = float(integral(level))
-            if abs(value - previous) <= _QUAD_REL * abs(value):
-                return value
-            previous = value
-    raise ConvergenceError(
-        f"defining-integral quadrature did not converge: {previous:.12g} at step 2^-{_LEVELS[-1]}")
-
-
-def _bits(x) -> np.ndarray:
-    """A flat copy of x, as the bit patterns of its floats: a key that the
-    caller's later writes to x cannot change."""
-    return np.array(x, dtype=float).reshape(-1).view(np.int64)
-
-
-class _Table:
-    """One elementwise primitive's values on the grid of its last call, so
-    that the next call evaluates it only on the pairs the last did not.
-
-    The argument at (i, j) is ``op(a_i, b_j)`` of a row key a_i and a
-    column key b_j.  Keys are matched bit for bit, so a value taken over is
-    the one the primitive would return again, whatever the levels or z of
-    the two calls: a rule node recurs unchanged at every finer level, and
-    so do the rows a caller derives from such nodes.  The fresh arguments
-    go to the primitive in one call, and a first call, or one that shares
-    no row or no column, passes the full grid as it is.  The table is
-    replaced only after the primitive returns, and the values it returns
-    are its own, read-only.
-
-    1D primitives are called in full: a level holds at most 1,345 nodes,
-    and halving such a call saves less than matching its nodes costs.
-    """
-
-    def __init__(self) -> None:
-        self.keys: tuple[np.ndarray, ...] = ()
-        self.values: np.ndarray | None = None
-
-    def _held(self, axis: int, bits: np.ndarray):
-        """The positions of ``bits`` the last call did not hold, those it
-        held and where it held them; None where it held none."""
-        if self.values is None or not self.keys[axis].size:
-            return None
-        last = self.keys[axis]
-        order = last.argsort()
-        at = order.take(last.searchsorted(bits, sorter=order), mode="clip")
-        hit = last[at] == bits
-        old = hit.nonzero()[0]
-        return ((~hit).nonzero()[0], old, at[old]) if old.size else None
-
-    def outer(self, fn, op: np.ufunc, a, b: np.ndarray) -> np.ndarray:
-        """fn(op.outer(a, b)) for a key array a of any shape and 1D b; fn
-        returns a new array.
-
-        The grid is filled in three blocks: the rows not held, then the
-        columns not held on the rows held, then the pairs held.
-        """
-        a_bits, b_bits = _bits(a), _bits(b)
-        rows, cols = self._held(0, a_bits), self._held(1, b_bits)
-        if rows is None or cols is None:
-            out = fn(op.outer(a, b)).reshape(a_bits.size, b.size)
-        else:
-            a_flat = a_bits.view(float)
-            a_new, a_old, a_at = map(_stepped, rows)
-            b_new, b_old, b_at = map(_stepped, cols)
-            fresh_rows, held_rows, fresh_cols = a_flat[a_new], a_flat[a_old], b[b_new]
-            split = fresh_rows.size * b.size
-            out = np.empty((a_flat.size, b.size))
-            # the fresh arguments borrow the grid's leading memory until fn returns
-            args = out.reshape(-1)[:split + held_rows.size * fresh_cols.size]
-            op.outer(fresh_rows, b, out=args[:split].reshape(fresh_rows.size, b.size))
-            op.outer(held_rows, fresh_cols, out=args[split:].reshape(held_rows.size, fresh_cols.size))
-            fresh = fn(args)
-            out[a_new] = fresh[:split].reshape(fresh_rows.size, b.size)
-            out[_block(a_old, b_new)] = fresh[split:].reshape(held_rows.size, fresh_cols.size)
-            out[_block(a_old, b_old)] = self.values[_block(a_at, b_at)]
-        out.flags.writeable = False
-        self.keys, self.values = (a_bits, b_bits), out
-        return out.reshape(np.shape(a) + b.shape)
-
-
-def _stepped(index: np.ndarray):
-    """An index array as a slice where its positions step evenly, which
-    numpy copies faster than an index array; else the array.  Nested
-    levels hold every second node, so the positions a ``_Table`` copies
-    almost always step evenly."""
-    if index.size > 1:
-        start, step = index[0], index[1] - index[0]
-        stop = start + step * index.size
-        if step > 0 and (index == np.arange(start, stop, step)).all():
-            return slice(start, stop, step)
-    return index
-
-
-def _block(rows, cols):
-    """The index of the block rows x cols, each a slice or an index array."""
-    return np.ix_(rows, cols) if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray) else (rows, cols)
-
-
-@dataclass(frozen=True)
-class _Tabled:
-    """A law's ``_Table`` per primitive call site, made on first use.  The
-    tables live as long as the law, and ``_law`` builds a law per integral,
-    so nothing outlives ``integrate_defining``."""
-
-    tables: defaultdict[str, _Table] = field(
-        default_factory=lambda: defaultdict(_Table), init=False, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class _NearestLaw(_Tabled):
-    """Gain Z = G / Y of the k-th nearest receiver.
-
-    Each sum passes over the nodes whose 1D weight (density times rule
-    weight) is exactly 0, before the 2D primitive or ``h`` is called on
-    them: such a node adds 0 times a finite value, an exact 0, so the sum
-    changes only by the order in which the other terms are added.  The
-    exp-sinh rule spans 150 e-folds, so about a third of the nodes of a
-    typical law carry a density that underflows to 0.  Only exact zeros
-    are passed over: a relative cutoff would lose values as small as the
-    8x8 nearest COP (3e-40).
-
-    ``tables`` keeps the 2D primitive's values from the law's last call of
-    ``cdf`` and of ``expect`` (``_Table``): its columns are the rule nodes,
-    its rows the caller's z or the rule nodes w.  So at a finer level it
-    is evaluated on about 3/4 of its grid, and each sum is formed from the
-    same values in the same order as on a fresh law.
-    """
-
-    fad: fading.AlphaMuParams
-    rate: float
-    delta: float
-    k: int
-
-    def cdf(self, z, level: int):
-        """P(Z <= z) by the conditioning integral over the distance law."""
-        y, wy = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta))
-        weight = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
-        keep = weight != 0.0
-        return self.tables["cdf"].outer(
-            partial(fading.cdf_power_gain, self.fad), np.multiply, z, y[keep]) @ weight[keep]
-
-    def expect(self, h, level: int):
-        """E[h(Z)] over W = 1 / Z = Y / G, whose density is the integral
-        over g of g f_G(g) f_Y(w g)."""
-        mean_gain = self.fad.mean_power()
-        w, ww = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta) / mean_gain)
-        g, wg = _exp_sinh(level, mean_gain)
-        g_weight = g * fading.pdf_power_gain(self.fad, g) * wg
-        g_keep = g_weight != 0.0
-        pdf_y = self.tables["expect"].outer(
-            partial(stochgeo.pdf_kth_distance_pow, self.k, self.rate, self.delta), np.multiply, w, g[g_keep])
-        weight = (pdf_y @ g_weight[g_keep]) * ww
-        keep = weight != 0.0
-        return np.sum(h(1.0 / w[keep]) * weight[keep])
-
-
-@dataclass(frozen=True)
-class _BestLaw(_Tabled):
-    """Gain Z = 1 / Y of the k-th best receiver; V = rate * Y^delta is
-    Gamma(k, 1) in every scenario.
-
-    ``expect`` passes over the nodes whose weight is exactly 0, as
-    ``_NearestLaw`` does.  ``cdf`` shifts one set of offsets x by a lower
-    limit lo per z, so it drops an offset only where the Gamma(k) density
-    is exactly 0 at min(lo) + x and min(lo) + x lies past the mode k - 1:
-    the density falls past its mode, so it is 0 at every lo + x as well.
-    ``tables`` keeps ``cdf``'s 2D density values as ``_NearestLaw``'s
-    does: the grid's rows are the limits lo, its columns the offsets x.
-    """
-
-    rate: float
-    delta: float
-    k: int
-
-    def cdf(self, z, level: int):
-        """P(Z <= z) = P(V >= rate * z^-delta); the limit is capped where z underflowed to 0."""
-        lo = np.minimum(self.rate * np.asarray(z, dtype=float) ** -self.delta, 1e300)
-        x, wx = _exp_sinh(level, self.k)
-        v_min = np.min(lo, initial=np.inf) + x
-        keep = (v_min <= self.k - 1) | (stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v_min) != 0.0)
-        pdf_v = partial(stochgeo.pdf_kth_distance_pow, self.k, 1.0, 1.0)
-        return np.sum(self.tables["cdf"].outer(pdf_v, np.add, lo, x[keep]) * wx[keep], axis=-1)
-
-    def expect(self, h, level: int):
-        v, wv = _exp_sinh(level, self.k)
-        weight = stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wv
-        keep = weight != 0.0
-        return np.sum(h((self.rate / v[keep]) ** (1.0 / self.delta)) * weight[keep])
-
-
-def _law(cfg: ScenarioConfig, side: str):
-    """The composite-gain law of cfg's side law (``_side_law``), whose
-    ``cdf`` and ``expect`` take the rule level: one law serves every level
-    of an integral, and keeps its 2D primitives' values between levels
-    (``_Tabled``)."""
-    geo, k = cfg.geometry, cfg.order_index(side)
-    if cfg.ordering_of(side) == "nearest":
-        return _NearestLaw(geo.fading(side), geo.pathloss_rate(side), geo.delta, k)
-    return _BestLaw(geo.composite_rate(side), geo.delta, k)
-
-
 def _quad_capacity(cfg: ScenarioConfig, side: str) -> float:
-    """Mean capacity E[log2(1 + eta Z)] of the side's ordered receiver,
-    evaluated once per (side law, eta) inside ``shared_draws``."""
-    eta = cfg.snr_scale(side)
-    return _once((_side_law(cfg, side), eta), lambda: _converged(
-        partial(_law(cfg, side).expect, lambda z: np.log2(1.0 + eta * z))))
-
-
-def _pnz(cfg: ScenarioConfig) -> float:
-    """P(varpi Z_b > Z_e) = E_b[F_e(varpi Z_b)]."""
-    bob, eve = _law(cfg, "legitimate"), _law(cfg, "eavesdropper")
-    return _converged(lambda level: bob.expect(lambda z: eve.cdf(cfg.varpi * z, level), level))
+    """``quadrature.capacity``, evaluated once per (side law, eta) inside ``shared_draws``."""
+    return _once((_side_law(cfg, side), cfg.snr_scale(side)), partial(quadrature.capacity, cfg, side))
 
 
 def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
@@ -779,10 +514,6 @@ def integrate_defining(metric: str, cfg: ScenarioConfig) -> MetricEstimate:
     return MetricEstimate(value=float(entry.defining(cfg)), half_width=0.0,
                           provenance="quadrature", trials_used=0)
 
-
-# ---------------------------------------------------------------------------
-# The metric registry
-# ---------------------------------------------------------------------------
 
 QUAD_TOL_CAPACITY = 1e-4
 
@@ -827,20 +558,20 @@ class Metric:
         return {_side_law(cfg, side) for side in sides}
 
 
-# Entries resolve ``metrics.*`` and this module's simulators at call time,
+# Entries resolve ``metrics.*``, ``quadrature.*`` and this module's simulators at call time,
 # so a wrapper installed on those module attributes sees every call.
 METRICS: dict[str, Metric] = {
     "cop": Metric(
         cases=ORDERINGS, probability=True,
         closed_form=lambda cfg: metrics.cop(cfg),
         simulate=lambda cfg, mc: simulate_cop(cfg, mc),
-        defining=lambda cfg: _converged(partial(_law(cfg, "legitimate").cdf, cfg.outage_threshold)),
+        defining=lambda cfg: quadrature.cop(cfg),
     ),
     "pnz": Metric(
         cases=CASES, probability=True,
         closed_form=lambda cfg: metrics.pnz(cfg),
         simulate=lambda cfg, mc: simulate_pnz(cfg, None, mc),
-        defining=lambda cfg: _pnz(cfg),
+        defining=lambda cfg: quadrature.pnz(cfg),
     ),
     "capacity": Metric(
         cases=ORDERINGS, probability=False,

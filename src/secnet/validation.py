@@ -68,7 +68,8 @@ def family_gate_z(m: int) -> float:
 class ValidationRow:
     """One closed-form/quadrature/simulation triple with its two gates.
 
-    ``mc_half_width`` is the estimate's own ``CI_LEVEL`` half-width;
+    ``mc_half_width`` is the estimate's own ``CI_LEVEL`` half-width and
+    ``mc_rejection_rate`` its share of rejected realizations;
     ``mc_family_size`` is the number of simulation-gated rows the row was
     run with, which sets its gate ``mc_gate_z``.
     """
@@ -83,6 +84,7 @@ class ValidationRow:
     mc_value: float
     mc_half_width: float
     mc_family_size: int = 1
+    mc_rejection_rate: float = 0.0
 
     @property
     def quad_rel_err(self) -> float:
@@ -161,6 +163,7 @@ def run_validation(
                 closed_form=metric.closed_form(at),
                 quadrature=montecarlo.integrate_defining(name, at).value, quad_tol=metric.quad_tol,
                 mc_value=est.value, mc_half_width=est.half_width, mc_family_size=len(plan),
+                mc_rejection_rate=est.rejection_rate,
             ))
             shared.keep(keep)
     return rows

@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import kstest
 
-from secnet import figures, metrics, montecarlo, validation
+from secnet import figures, metrics, montecarlo, quadrature, validation
 from secnet.fading import (
     AlphaMuParams,
     cdf_power_gain,
@@ -121,7 +121,7 @@ def test_criterion_3_ordered_law_oracle_suite():
         cfg = figures.scenario("fig2", k=k)
         for z in (0.1, 0.4, 1.0, 2.5):
             closed = metrics.cdf_composite_nearest(cfg, z)
-            oracle = montecarlo._converged(lambda level: montecarlo._NearestLaw(
+            oracle = quadrature._converged(lambda level: quadrature._NearestLaw(
                 cfg.fading_b, cfg.geometry.pathloss_rate("legitimate"),
                 cfg.geometry.delta, k,
             ).cdf(z, level))

@@ -476,7 +476,8 @@ class TestEvalCommand:
         ("eval", "[run]\nmetric = cop\nmethod = all\n", [None, None, 0.25]),
         ("eval", "[run]\nmetric = pnz\nmethod = closed-form\n", [None]),
         ("sweep", "[run]\nmetric = pnz\nmethod = monte-carlo\nsweep_param = k\nsweep_values = 1,2\n", [0.25, 0.25]),
-    ], ids=["eval-all", "eval-closed-form", "sweep-monte-carlo"])
+        ("validate", "[run]\nfigures = fig3\n", [None, None, 0.25] * 2),
+    ], ids=["eval-all", "eval-closed-form", "sweep-monte-carlo", "validate"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rejection_rate_of_each_row_is_in_the_meta(self, tmp_path, monkeypatch, command, doc, rates, fmt):
         # every fourth realization of each stream held fewer than k points

@@ -3,11 +3,13 @@
 Every non-value column must match exactly (row order, metric, curve label,
 user index, half-width, provenance, x value); the value column must match
 at the validation suite's closed-form tolerances.  Every ``METRICS`` row
-also matches the quadrature oracle at its metric's tolerance.
+also matches the quadrature oracle at its metric's tolerance, and each of
+fig8's k* rows is the index at which the oracle's BB PNZ crosses its level.
 """
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -84,6 +86,27 @@ def test_every_metric_row_matches_the_quadrature_oracle():
                 misses.append(f"{fig_id} {metric} {label} k={k} x={x}: {row[3]!r} vs {oracle!r}")
     assert walked == 312
     assert not misses, (misses, {fig_id: f"{gap:.2g}" for fig_id, gap in worst.items()})
+
+
+def test_fig8_k_star_rows_match_the_quadrature_oracle():
+    # k* is the largest best-user index whose BB PNZ still meets tau: the
+    # oracle's PNZ is >= tau at k* (when k* >= 1) and < tau at k* + 1
+    fig = figures._FIGURES["fig8"]
+    rows = iter(figures.figure_table("fig8")[2])
+    misses, walked = [], 0
+    for group in fig.groups:
+        base, case = figures._resolve(fig, {a: v for a, v in group.items() if a in fig.axes})
+        for x in fig.grid:
+            metric, label, k_star, *_, row_x = next(rows)
+            assert (metric, row_x) == ("k_star", x)
+            at = METRICS["pnz"].at(figures._build({**base, **figures._axis(fig, fig.x, x)}, case), "BB")
+            for k, meets in ((k_star, True), (k_star + 1, False)):
+                if k >= 1 and (montecarlo.integrate_defining("pnz", replace(at, user_index=k)).value
+                               >= group["tau"]) != meets:
+                    misses.append(f"{label} x={x}: k*={k_star}, PNZ at k={k}")
+            walked += 1
+    assert walked == 126 and next(rows, None) is None
+    assert not misses, misses
 
 
 def _db(x: float) -> float:

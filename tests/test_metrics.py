@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from secnet import figures, metrics, montecarlo, specfun
+from secnet import figures, metrics, montecarlo, quadrature, specfun
 from secnet.fading import AlphaMuParams, moment_power_gain
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import METRICS
@@ -105,7 +105,7 @@ class TestCompositeNearest:
         cfg = figures.scenario("fig2", k=3)
         for z in (0.1, 0.5, 1.5):
             closed = metrics.cdf_composite_nearest(cfg, z)
-            oracle = montecarlo._converged(lambda level: montecarlo._NearestLaw(
+            oracle = quadrature._converged(lambda level: quadrature._NearestLaw(
                 cfg.fading_b, cfg.geometry.pathloss_rate("legitimate"),
                 cfg.geometry.delta, cfg.user_index,
             ).cdf(z, level))

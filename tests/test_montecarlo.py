@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaincc, pdtr
 from scipy.stats import kstest, ks_2samp
 
-from secnet import fading, figures, metrics, montecarlo, specfun, stochgeo
+from secnet import fading, figures, metrics, montecarlo, quadrature, specfun, stochgeo
 from secnet.fading import AlphaMuParams
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import (
@@ -773,8 +773,8 @@ class TestSharedDraws:
 
     def test_capacity_integrated_once_per_law(self, monkeypatch):
         calls = []
-        converged = montecarlo._converged
-        monkeypatch.setattr(montecarlo, "_converged", lambda f: calls.append(1) or converged(f))
+        converged = quadrature._converged
+        monkeypatch.setattr(quadrature, "_converged", lambda f: calls.append(1) or converged(f))
         cfg = figures.scenario("fig11", k=1)
         with montecarlo.shared_draws():
             values = {case: integrate_defining("esc", cfg.with_case(case)).value for case in metrics.CASES}
@@ -792,8 +792,8 @@ class TestSharedDraws:
                   replace(cfg, geometry=replace(cfg.geometry, fading_e=AlphaMuParams.canonical(3.0, 2.0))))
         alone = [integrate_defining("capacity", c).value for c in (cfg, *others)]
         calls = []
-        converged = montecarlo._converged
-        monkeypatch.setattr(montecarlo, "_converged", lambda f: calls.append(1) or converged(f))
+        converged = quadrature._converged
+        monkeypatch.setattr(quadrature, "_converged", lambda f: calls.append(1) or converged(f))
         with montecarlo.shared_draws():
             shared = [integrate_defining("capacity", c).value for c in (cfg, *others)]
         assert len(calls) == 1
@@ -808,7 +808,7 @@ class TestOracleGivesUp:
                              ids=["keeps-moving", "nan"])
     def test_quadrature_that_never_settles_raises(self, integral):
         with pytest.raises(specfun.ConvergenceError, match="quadrature did not converge"):
-            montecarlo._converged(integral)
+            quadrature._converged(integral)
 
     def test_empty_sample_raises(self):
         with pytest.raises(specfun.ConvergenceError, match="no valid realizations"):
@@ -883,6 +883,24 @@ class TestIntegrateDefining:
         for name, at, closed, tol in rows:
             assert montecarlo.integrate_defining(name, at).value == pytest.approx(closed, rel=tol)
 
+    def test_simulator_never_reaches_the_closed_forms(self, monkeypatch):
+        cfg, mc = figures.scenario("fig6", k=2), _mc(trials=4096)
+        calls = [(metric, metric.at(cfg, case)) for metric in montecarlo.METRICS.values() for case in metric.cases]
+        want = [metric.simulate(at, mc) for metric, at in calls]
+
+        def forbidden(name):
+            def stub(*args, **kwargs):
+                raise AssertionError(f"the simulator called {name}")
+            return stub
+
+        monkeypatch.setattr(specfun, "fox_h", forbidden("specfun.fox_h"))
+        monkeypatch.setattr(metrics, "fox_h", forbidden("metrics.fox_h"))
+        for name in metrics.__all__:
+            if name not in ("CASES", "ScenarioConfig"):
+                monkeypatch.setattr(metrics, name, forbidden(f"metrics.{name}"))
+        assert len(calls) == 12
+        assert [metric.simulate(at, mc) for metric, at in calls] == want
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
         d=st.sampled_from([1, 2, 3]),
@@ -909,15 +927,15 @@ class TestIntegrateDefining:
 
 
 def _unpruned_nearest_cdf(law, z, level):
-    y, wy = montecarlo._exp_sinh(level, (law.k / law.rate) ** (1.0 / law.delta))
+    y, wy = quadrature._exp_sinh(level, (law.k / law.rate) ** (1.0 / law.delta))
     pdf_y = stochgeo.pdf_kth_distance_pow(law.k, law.rate, law.delta, y)
     return fading.cdf_power_gain(law.fad, np.multiply.outer(z, y)) @ (pdf_y * wy)
 
 
 def _unpruned_nearest_expect(law, h, level):
     mean_gain = law.fad.mean_power()
-    w, ww = montecarlo._exp_sinh(level, (law.k / law.rate) ** (1.0 / law.delta) / mean_gain)
-    g, wg = montecarlo._exp_sinh(level, mean_gain)
+    w, ww = quadrature._exp_sinh(level, (law.k / law.rate) ** (1.0 / law.delta) / mean_gain)
+    g, wg = quadrature._exp_sinh(level, mean_gain)
     pdf_y = stochgeo.pdf_kth_distance_pow(law.k, law.rate, law.delta, np.multiply.outer(w, g))
     pdf_w = pdf_y @ (g * fading.pdf_power_gain(law.fad, g) * wg)
     return np.sum(h(1.0 / w) * pdf_w * ww)
@@ -925,21 +943,21 @@ def _unpruned_nearest_expect(law, h, level):
 
 def _unpruned_best_cdf(law, z, level):
     lo = np.minimum(law.rate * np.asarray(z, dtype=float) ** -law.delta, 1e300)
-    x, wx = montecarlo._exp_sinh(level, law.k)
+    x, wx = quadrature._exp_sinh(level, law.k)
     return np.sum(stochgeo.pdf_kth_distance_pow(law.k, 1.0, 1.0, lo[..., None] + x) * wx, axis=-1)
 
 
 def _unpruned_best_expect(law, h, level):
-    v, wv = montecarlo._exp_sinh(level, law.k)
+    v, wv = quadrature._exp_sinh(level, law.k)
     pdf_v = stochgeo.pdf_kth_distance_pow(law.k, 1.0, 1.0, v)
     return np.sum(h((law.rate / v) ** (1.0 / law.delta)) * pdf_v * wv)
 
 
 _UNPRUNED = {
-    (montecarlo._NearestLaw, "cdf"): _unpruned_nearest_cdf,
-    (montecarlo._NearestLaw, "expect"): _unpruned_nearest_expect,
-    (montecarlo._BestLaw, "cdf"): _unpruned_best_cdf,
-    (montecarlo._BestLaw, "expect"): _unpruned_best_expect,
+    (quadrature._NearestLaw, "cdf"): _unpruned_nearest_cdf,
+    (quadrature._NearestLaw, "expect"): _unpruned_nearest_expect,
+    (quadrature._BestLaw, "cdf"): _unpruned_best_cdf,
+    (quadrature._BestLaw, "expect"): _unpruned_best_expect,
 }
 
 
@@ -962,13 +980,13 @@ class TestQuadratureNodes:
     LEVEL = 5
 
     def test_nearest_law_evaluates_no_zero_weight_node(self, monkeypatch):
-        law = montecarlo._law(figures.scenario("fig6", k=1).with_case("BN"), "eavesdropper")
-        assert isinstance(law, montecarlo._NearestLaw)
+        law = quadrature._law(figures.scenario("fig6", k=1).with_case("BN"), "eavesdropper")
+        assert isinstance(law, quadrature._NearestLaw)
         pdf_y = stochgeo.pdf_kth_distance_pow
-        y, wy = montecarlo._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta))
+        y, wy = quadrature._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta))
         y_keep = pdf_y(law.k, law.rate, law.delta, y) * wy != 0.0
-        w, ww = montecarlo._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta) / law.fad.mean_power())
-        g, wg = montecarlo._exp_sinh(self.LEVEL, law.fad.mean_power())
+        w, ww = quadrature._exp_sinh(self.LEVEL, (law.k / law.rate) ** (1.0 / law.delta) / law.fad.mean_power())
+        g, wg = quadrature._exp_sinh(self.LEVEL, law.fad.mean_power())
         g_weight = g * fading.pdf_power_gain(law.fad, g) * wg
         g_keep = g_weight != 0.0
         w_keep = (pdf_y(law.k, law.rate, law.delta, np.multiply.outer(w, g)) @ g_weight) * ww != 0.0
@@ -991,10 +1009,10 @@ class TestQuadratureNodes:
         np.testing.assert_array_equal(h.seen[0], 1.0 / w[w_keep])
 
     def test_best_law_evaluates_no_zero_weight_node(self, monkeypatch):
-        law = montecarlo._law(figures.scenario("fig6", k=2).with_case("BN"), "legitimate")
-        assert isinstance(law, montecarlo._BestLaw)
+        law = quadrature._law(figures.scenario("fig6", k=2).with_case("BN"), "legitimate")
+        assert isinstance(law, quadrature._BestLaw)
         pdf_v = stochgeo.pdf_kth_distance_pow
-        x, wx = montecarlo._exp_sinh(self.LEVEL, law.k)
+        x, wx = quadrature._exp_sinh(self.LEVEL, law.k)
         v_keep = pdf_v(law.k, 1.0, 1.0, x) * wx != 0.0
         assert 0 < np.count_nonzero(~v_keep) < v_keep.size
 
@@ -1022,7 +1040,7 @@ class TestQuadratureNodes:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_capped_lower_limit_still_reads_zero(self, k):
-        law = montecarlo._BestLaw(rate=0.7, delta=0.8, k=k)
+        law = quadrature._BestLaw(rate=0.7, delta=0.8, k=k)
         with np.errstate(divide="ignore"):
             assert law.cdf(0.0, self.LEVEL) == 0.0
             both = law.cdf(np.array([0.0, 1.0]), self.LEVEL)
@@ -1048,7 +1066,7 @@ class TestQuadratureNodes:
 
 
 class _FreshLaw:
-    """Stands in for ``montecarlo._law`` and builds a new law for every
+    """Stands in for ``quadrature._law`` and builds a new law for every
     ``cdf`` or ``expect`` call, so that no level reuses another's values."""
 
     def __init__(self, law):
@@ -1063,7 +1081,7 @@ class _FreshLaw:
 
 def _level_values(calls, monkeypatch):
     """Each call's quadrature value and the value of each level ``_converged`` saw."""
-    converged = montecarlo._converged
+    converged = quadrature._converged
     seen = []
 
     def recording(integral):
@@ -1077,7 +1095,7 @@ def _level_values(calls, monkeypatch):
         return converged(recorded)
 
     with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "_converged", recording)
+        patch.setattr(quadrature, "_converged", recording)
         values = [integrate_defining(key, c).value for key, c in calls]
     return values, seen
 
@@ -1095,8 +1113,8 @@ class TestNestedLevels:
         calls = [(key, metric.at(cfg, case))
                  for key, metric in montecarlo.METRICS.items() for case in metric.cases]
         nested, nested_levels = _level_values(calls, monkeypatch)
-        law = montecarlo._law
-        monkeypatch.setattr(montecarlo, "_law", lambda c, side: _FreshLaw(law(c, side)))
+        law = quadrature._law
+        monkeypatch.setattr(quadrature, "_law", lambda c, side: _FreshLaw(law(c, side)))
         fresh, fresh_levels = _level_values(calls, monkeypatch)
         assert len(calls) == 12
         # every integral walks at least one level that reuses a coarser one
@@ -1105,8 +1123,8 @@ class TestNestedLevels:
         assert [list(map(repr, v)) for v in nested_levels] == [list(map(repr, v)) for v in fresh_levels]
 
     def test_one_law_serves_two_integrals_at_different_z(self):
-        law = montecarlo._law(figures.scenario("fig6", k=1).with_case("NN"), "eavesdropper")
-        best = montecarlo._law(figures.scenario("fig6", k=1).with_case("NB"), "eavesdropper")
+        law = quadrature._law(figures.scenario("fig6", k=1).with_case("NN"), "eavesdropper")
+        best = quadrature._law(figures.scenario("fig6", k=1).with_case("NB"), "eavesdropper")
         z1 = np.geomspace(0.01, 100.0, 40)
         # shares some values with z1, and walks the levels down as well as up
         z2 = np.concatenate((z1[::3], np.geomspace(0.02, 50.0, 17)))
@@ -1125,11 +1143,11 @@ class TestNestedLevels:
             law.cdf(z, 5)
             z *= 3.0
             np.testing.assert_array_equal(law.cdf(z, 5), replace(law).cdf(z, 5))
-            assert not law.tables["cdf"].values.flags.writeable
+            assert not law.cdf_table.values.flags.writeable
 
     def test_an_integral_that_raises_midway_leaves_the_next_equal_to_a_fresh_one(self, monkeypatch):
         cfg = figures.scenario("fig6", k=1).with_case("BN")
-        bob, eve = montecarlo._law(cfg, "legitimate"), montecarlo._law(cfg, "eavesdropper")
+        bob, eve = quadrature._law(cfg, "legitimate"), quadrature._law(cfg, "eavesdropper")
 
         def pnz(level):
             return bob.expect(lambda z: eve.cdf(cfg.varpi * z, level), level)
@@ -1145,8 +1163,8 @@ class TestNestedLevels:
         want = integrate_defining("pnz", cfg).value
         # an h that raises once the eavesdropper law holds the grid of level 5
         with pytest.raises(ArithmeticError):
-            montecarlo._converged(failing)
-        assert repr(montecarlo._converged(pnz)) == repr(want)
+            quadrature._converged(failing)
+        assert repr(quadrature._converged(pnz)) == repr(want)
         # a primitive that raises on its third call
         cdf, calls = fading.cdf_power_gain, []
 
@@ -1159,8 +1177,8 @@ class TestNestedLevels:
         with monkeypatch.context() as patch:
             patch.setattr(fading, "cdf_power_gain", flaky)
             with pytest.raises(FloatingPointError):
-                montecarlo._converged(pnz)
-        assert repr(montecarlo._converged(pnz)) == repr(want)
+                quadrature._converged(pnz)
+        assert repr(quadrature._converged(pnz)) == repr(want)
 
 
 class _Counting:
@@ -1189,13 +1207,13 @@ class TestElementCount:
             for module, name in self.PRIMITIVES:
                 counters[name] = _Counting(getattr(module, name))
                 patch.setattr(module, name, counters[name])
-            patch.setattr(montecarlo, "_law", law)
+            patch.setattr(quadrature, "_law", law)
             for case in ("NN", "BN"):
                 integrate_defining("pnz", figures.scenario("fig6", k=1).with_case(case))
         return counters
 
     def test_fig6_pnz_elements(self, monkeypatch):
-        law = montecarlo._law
+        law = quadrature._law
         nested = self._count(monkeypatch, law)
         fresh = self._count(monkeypatch, lambda c, side: _FreshLaw(law(c, side)))
         total = sum(c.elements for c in nested.values())

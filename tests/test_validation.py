@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from secnet import figures, montecarlo, validation
+from secnet import figures, montecarlo, quadrature, validation
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import METRICS, MonteCarloConfig
 from secnet.specfun import ConvergenceError
@@ -91,13 +91,13 @@ class _Counts:
         self.stores = []
         for ordering, sampler in list(montecarlo._SAMPLERS.items()):
             monkeypatch.setitem(montecarlo._SAMPLERS, ordering, self._draw(sampler))
-        converged = montecarlo._converged
+        converged = quadrature._converged
 
         def count_converged(integral):
             self.converged += 1
             return converged(integral)
 
-        monkeypatch.setattr(montecarlo, "_converged", count_converged)
+        monkeypatch.setattr(quadrature, "_converged", count_converged)
 
     def _draw(self, sampler):
         def draw(*args):
