@@ -157,8 +157,12 @@ class ScenarioConfig:
 
     @property
     def outage_threshold(self) -> float:
-        """Composite-gain level below which decoding at the configured rate fails."""
-        return (2.0**self.rate - 1.0) / self.eta_k
+        """Composite-gain level below which decoding at the configured rate
+        fails; +inf where it overflows, so that every route reads COP 1."""
+        try:
+            return (2.0**self.rate - 1.0) / self.eta_k
+        except OverflowError:
+            return math.inf
 
     @property
     def case(self) -> str:
@@ -367,11 +371,13 @@ def pdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
 
 
 def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
-    """Distribution of the k-th nearest receiver's composite gain."""
-    if not 0 <= z < math.inf:
-        raise ValueError(f"composite-gain distribution needs a finite z >= 0, got {z}")
+    """Distribution of the k-th nearest receiver's composite gain; 0 at z = 0, 1 at z = inf."""
+    if not 0 <= z <= math.inf:
+        raise ValueError(f"composite-gain distribution needs z in [0, inf], got {z}")
     if z == 0:
         return 0.0
+    if z == math.inf:
+        return 1.0
     return _closed_form(cfg, "cdf_nearest", z)
 
 
@@ -395,14 +401,13 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
 
 
 def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
-    """Distribution of the k-th best receiver's composite gain; 0 at z = 0."""
-    if not 0 <= z < math.inf:
-        raise ValueError(f"composite-gain distribution needs a finite z >= 0, got {z}")
-    if z == 0:
-        return 0.0
+    """Distribution of the k-th best receiver's composite gain: Q(k, rate * z^-delta)."""
+    if not 0 <= z <= math.inf:
+        raise ValueError(f"composite-gain distribution needs z in [0, inf], got {z}")
     geo = cfg.geometry
-    with np.errstate(over="ignore"):
-        # Where z^-delta overflows the limit is inf, and Q(k, inf) = 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        # Where z^-delta overflows, z = 0 included, the limit is inf and
+        # Q(k, inf) = 0; at z = inf it is 0 and Q(k, 0) = 1.
         limit = geo.composite_rate("legitimate") * np.float64(z) ** (-geo.delta)
     return float(gammaincc(cfg.user_index, limit))
 
@@ -485,6 +490,10 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
         raise ValueError(f"secrecy level must lie in (0, 1), got {tau}")
     geo = cfg.geometry
     ratio = geo.composite_rate("eavesdropper") * cfg.varpi ** (-geo.delta) / geo.composite_rate("legitimate")
+    if ratio == 0.0:
+        raise OverflowError(
+            "rate_e * varpi^-delta / rate_b underflows to 0: the non-zero-secrecy probability "
+            "rounds to 1 at every index, and no index within float range bounds k*")
     exact = math.log(tau) / -math.log1p(ratio)
     nearest = round(exact)
     if abs(exact - nearest) < 1e-9:

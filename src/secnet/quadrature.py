@@ -219,9 +219,7 @@ class _BestLaw:
 
     ``expect`` passes over the nodes whose weight is exactly 0, as
     ``_NearestLaw`` does.  ``cdf`` shifts one set of offsets x by a lower
-    limit lo per z, so it drops an offset only where the Gamma(k) density
-    is exactly 0 at min(lo) + x and min(lo) + x lies past the mode k - 1:
-    the density falls past its mode, so it is 0 at every lo + x as well.
+    limit lo per z, and no rule weight is 0, so it sums over every offset.
     ``cdf_table`` keeps ``cdf``'s 2D density values as ``_NearestLaw``'s
     does: the grid's rows are the limits lo, its columns the offsets x.
     """
@@ -232,13 +230,11 @@ class _BestLaw:
     cdf_table: _Table = field(default_factory=_Table, init=False, repr=False, compare=False)
 
     def cdf(self, z, level: int):
-        """P(Z <= z) = P(V >= rate * z^-delta); the limit is capped where z underflowed to 0."""
-        lo = np.minimum(self.rate * np.asarray(z, dtype=float) ** -self.delta, 1e300)
+        """P(Z <= z) = P(V >= rate * z^-delta); at z = 0 the limit is inf, where the density is 0."""
+        lo = self.rate * np.asarray(z, dtype=float) ** -self.delta
         x, wx = _exp_sinh(level, self.k)
-        v_min = np.min(lo, initial=np.inf) + x
-        keep = (v_min <= self.k - 1) | (stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v_min) != 0.0)
         pdf_v = partial(stochgeo.pdf_kth_distance_pow, self.k, 1.0, 1.0)
-        return np.sum(self.cdf_table.outer(pdf_v, np.add, lo, x[keep]) * wx[keep], axis=-1)
+        return self.cdf_table.outer(pdf_v, np.add, lo, x) @ wx
 
     def expect(self, h, level: int):
         v, wv = _exp_sinh(level, self.k)

@@ -618,6 +618,23 @@ class TestEvalCommand:
         assert captured.err == ""
         assert captured.out.splitlines()[1] == f"cop,best,1,0,0,{method}"
 
+    @pytest.mark.parametrize("ordering", ["nearest", "best"])
+    @pytest.mark.parametrize("document", ["eta_k_db = -3079\nrate = 2", "rate = 2000"],
+                             ids=["threshold-overflows", "two-to-the-rate-overflows"])
+    def test_cop_where_the_threshold_overflows_reads_one(self, tmp_path, capsys, ordering, document):
+        # (2^rate - 1) / eta_k is +inf: every route reads the outage F(inf) = 1.
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[scenario]\n{document}\nordering = {ordering}\n"
+                            "[run]\nmetric = cop\nmethod = all\n[mc]\ntrials = 1000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [row[5] for row in rows] == ["closed-form", "quadrature", "monte-carlo"]
+        assert all(row[:4] == ["cop", ordering, "1", "1"] for row in rows)
+
 
 class TestSweepCommand:
     def test_sweep_appends_axis_column(self, tmp_path):

@@ -37,6 +37,16 @@ class TestScenarioConfig:
     def test_zero_rate_means_zero_threshold(self):
         assert _unit_rate_scenario(rate=0.0).outage_threshold == 0.0
 
+    @pytest.mark.parametrize("over", [{"rate": 2000.0}, {"rate": 2.0, "eta_k": 10.0**-307.9}],
+                             ids=["two-to-the-rate", "quotient"])
+    def test_overflowing_threshold_is_infinite(self, over):
+        # 2^2000 raises OverflowError and 3 / 1.26e-308 rounds to inf: both
+        # read +inf, where both orderings' outage is 1
+        cfg = _unit_rate_scenario(**over)
+        assert cfg.outage_threshold == math.inf
+        assert metrics.cop_nearest(cfg) == 1.0
+        assert metrics.cop_best(cfg) == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _unit_rate_scenario(user_index=0)
@@ -176,21 +186,23 @@ _LAWS = (metrics.pdf_composite_nearest, metrics.cdf_composite_nearest,
          metrics.pdf_composite_best, metrics.cdf_composite_best)
 
 
-@pytest.mark.parametrize("z", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("law", _LAWS, ids=[law.__name__ for law in _LAWS])
+@pytest.mark.parametrize("law, z", [(law, z) for law in _LAWS for z in (math.nan, math.inf)
+                                     if law.__name__.startswith("pdf") or math.isnan(z)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
 def test_non_finite_gain_level_is_an_input_error(law, z, monkeypatch):
-    # Raised on the input itself, before any Fox H instance is evaluated.
+    # Raised on the input itself, before any Fox H instance is evaluated; a
+    # CDF reads 1 at z = inf (TestHugeGainLevel).
     monkeypatch.setattr(metrics, "fox_h", None)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite" if law.__name__.startswith("pdf") else r"\[0, inf\]"):
         law(figures.scenario("fig2", k=2), z)
 
 
 class TestHugeGainLevel:
-    """At a huge finite gain level both CDFs read 1.  At 1e300 the nearest
-    form's whole contour integrand underflows from a finite log, and Fox H
-    returns 0 with a bound of the smallest normal float."""
+    """At a huge gain level, and at +inf, both CDFs read 1.  At 1e300 the
+    nearest form's whole contour integrand underflows from a finite log, and
+    Fox H returns 0 with a bound of the smallest normal float."""
 
-    @pytest.mark.parametrize("z", [1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("z", [1e100, 1e200, 1e300, math.inf])
     def test_both_cdfs_read_one(self, z):
         cfg = figures.scenario("fig7", k=2, upsilon=2.0)
         assert metrics.cdf_composite_nearest(cfg, z) == 1.0
@@ -508,6 +520,15 @@ class TestMaxSecureBestUsers:
         # its log read 230258509, 23025849023 and 2302636031262
         cfg = ScenarioConfig.build(eta_k=varpi, ordering="best", eavesdropper_policy="best")
         assert metrics.max_secure_best_users(cfg, 0.1) == users
+
+    def test_underflowing_ratio_is_a_named_overflow(self):
+        # rate_e * varpi^-delta / rate_b underflows to 0, so log1p of it is 0
+        # and the BB probability is 1 at every index
+        cfg = ScenarioConfig.build(d=2, upsilon=1.0, lambda_b=0.2, lambda_e=0.1, eta_k=1e200,
+                                   ordering="best", eavesdropper_policy="best")
+        assert metrics.pnz_bb(cfg) == 1.0
+        with pytest.raises(OverflowError, match="underflows to 0.*no index within float range bounds k"):
+            metrics.max_secure_best_users(cfg, 0.3)
 
     def test_consistent_with_bb_probability(self):
         # requesting exactly the secrecy level the k-th user achieves must
