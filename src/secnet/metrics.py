@@ -381,35 +381,39 @@ def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     return _closed_form(cfg, "cdf_nearest", z)
 
 
+def _mean_measure(cfg: ScenarioConfig, side: str, v: float) -> float:
+    """rate * v^-delta: the mean number of the side's points whose
+    fading-weighted path loss lies below 1/v, in Python floats.  +inf where
+    v^-delta overflows, v = 0 included; 0 at v = inf."""
+    geo = cfg.geometry
+    try:
+        return float(geo.composite_rate(side)) * float(v) ** -geo.delta
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     """Density of the k-th best receiver's composite gain.
 
     The k-th best receiver holds the k-th smallest fading-weighted path loss
     xi; its composite gain is 1/xi with density
-    exp(-rate * z^-delta) * delta * (rate * z^-delta)^k / (z * Gamma(k)).
+    exp(-u) * delta * u^k / (z * Gamma(k)), u = rate * z^-delta.
     """
     if not 0 < z < math.inf:
         raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
-    geo = cfg.geometry
     k = cfg.user_index
-    with np.errstate(over="ignore", divide="ignore"):
-        # Where u overflows the density is exp(-u) = 0; the cap keeps
-        # -u + k log u from becoming -inf + inf.  Where u underflows to 0 the
-        # density is exp(-inf) = 0.
-        u = np.minimum(geo.composite_rate("legitimate") * np.float64(z) ** (-geo.delta), 1e300)
-        return float(np.exp(-u + k * np.log(u) - gammaln(k)) * geo.delta / z)
+    # Where u is huge the density is exp(-u) = 0; the cap keeps -u + k log u
+    # from becoming -inf + inf.  Where u underflows to 0 it is exp(-inf) = 0.
+    u = min(_mean_measure(cfg, "legitimate", z), 1e300)
+    with np.errstate(divide="ignore"):
+        return float(np.exp(-u + k * np.log(u) - gammaln(k)) * cfg.geometry.delta / z)
 
 
 def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     """Distribution of the k-th best receiver's composite gain: Q(k, rate * z^-delta)."""
     if not 0 <= z <= math.inf:
         raise ValueError(f"composite-gain distribution needs z in [0, inf], got {z}")
-    geo = cfg.geometry
-    with np.errstate(over="ignore", divide="ignore"):
-        # Where z^-delta overflows, z = 0 included, the limit is inf and
-        # Q(k, inf) = 0; at z = inf it is 0 and Q(k, 0) = 1.
-        limit = geo.composite_rate("legitimate") * np.float64(z) ** (-geo.delta)
-    return float(gammaincc(cfg.user_index, limit))
+    return float(gammaincc(cfg.user_index, _mean_measure(cfg, "legitimate", z)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,33 +442,35 @@ def cop(cfg: ScenarioConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _pnz_closed_form(cfg: ScenarioConfig, name: str) -> float:
+    """A Fox H pairing's PNZ; 1 where varpi = eta_k / eta_e overflows to
+    inf and 0 where it underflows to 0, before the builder forms its
+    argument from varpi."""
+    if not 0 < cfg.varpi < math.inf:
+        return float(cfg.varpi > 0)
+    return _closed_form(cfg, name)
+
+
 def pnz_nn(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first nearest eavesdropper."""
-    return _closed_form(cfg, "pnz_nn")
-
-
-def _best_pnz_base(cfg: ScenarioConfig) -> float:
-    """rate_b / (rate_b + rate_e * varpi^-delta), the base in which the
-    best/best non-zero-secrecy probability decays with the user index."""
-    geo = cfg.geometry
-    rb = geo.composite_rate("legitimate")
-    re = geo.composite_rate("eavesdropper")
-    return rb / (rb + re * cfg.varpi ** (-geo.delta))
+    return _pnz_closed_form(cfg, "pnz_nn")
 
 
 def pnz_bb(cfg: ScenarioConfig) -> float:
-    """k-th best receiver against the first best eavesdropper."""
-    return _best_pnz_base(cfg) ** cfg.user_index
+    """k-th best receiver against the first best eavesdropper:
+    (rate_b / (rate_b + rate_e * varpi^-delta))^k."""
+    rb = float(cfg.geometry.composite_rate("legitimate"))
+    return (rb / (rb + _mean_measure(cfg, "eavesdropper", cfg.varpi))) ** cfg.user_index
 
 
 def pnz_nb(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first best eavesdropper."""
-    return _closed_form(cfg, "pnz_nb")
+    return _pnz_closed_form(cfg, "pnz_nb")
 
 
 def pnz_bn(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first nearest eavesdropper."""
-    return _closed_form(cfg, "pnz_bn")
+    return _pnz_closed_form(cfg, "pnz_bn")
 
 
 _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}
@@ -488,8 +494,7 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"secrecy level must lie in (0, 1), got {tau}")
-    geo = cfg.geometry
-    ratio = geo.composite_rate("eavesdropper") * cfg.varpi ** (-geo.delta) / geo.composite_rate("legitimate")
+    ratio = _mean_measure(cfg, "eavesdropper", cfg.varpi) / float(cfg.geometry.composite_rate("legitimate"))
     if ratio == 0.0:
         raise OverflowError(
             "rate_e * varpi^-delta / rate_b underflows to 0: the non-zero-secrecy probability "

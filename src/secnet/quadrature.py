@@ -5,9 +5,10 @@ deliberately bypassing the Fox H route the closed forms take.
 By the mapping theorem the k-th nearest receiver is the k-th point Y of
 {r^upsilon}, with gain G / Y, and the k-th best one the k-th point Y of
 {r^upsilon / g}, with gain 1 / Y; both processes have mean measure
-rate * y^delta.  One law per side law (``_law``) gives the CDF and the
-expectations of that gain at each rule level, and each metric is a
-functional of the two sides' laws (``cop``, ``pnz``, ``capacity``).  The
+rate * y^delta.  One law per side law (``_law``) gives the density, the
+CDF and the expectations of that gain at each rule level, and each metric
+is a functional of the two sides' laws (``cop``, ``pnz``, ``capacity``);
+``pdf`` is the legitimate law's density, which the figures plot.  The
 exp-sinh nodes whose weight underflows to exactly 0 are passed over before
 any 2D primitive is evaluated on them, which changes a sum by rounding
 alone.  The rule's levels are nested (level L's nodes hold level L - 1's,
@@ -31,7 +32,7 @@ from . import fading, stochgeo
 from .metrics import ScenarioConfig
 from .specfun import ConvergenceError
 
-__all__ = ["capacity", "cop", "pnz"]
+__all__ = ["capacity", "cop", "pdf", "pnz"]
 
 # Successive exp-sinh levels must agree to _QUAD_REL.  Nodes lie within 150
 # e-folds of their scale: no gain law here holds mass beyond, and powers of
@@ -197,6 +198,13 @@ class _NearestLaw:
         return self.cdf_table.outer(
             partial(fading.cdf_power_gain, self.fad), np.multiply, z, y[keep]) @ weight[keep]
 
+    def pdf(self, z: float, level: int):
+        """Density of Z at z by the conditioning integral of y f_G(z y) f_Y(y)."""
+        y, wy = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta))
+        weight = y * stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
+        keep = weight != 0.0
+        return fading.pdf_power_gain(self.fad, z * y[keep]) @ weight[keep]
+
     def expect(self, h, level: int):
         """E[h(Z)] over W = 1 / Z = Y / G, whose density is the integral
         over g of g f_G(g) f_Y(w g)."""
@@ -236,6 +244,10 @@ class _BestLaw:
         pdf_v = partial(stochgeo.pdf_kth_distance_pow, self.k, 1.0, 1.0)
         return self.cdf_table.outer(pdf_v, np.add, lo, x) @ wx
 
+    def pdf(self, z: float, level: int):
+        """Density of Z at z, f_Y(1 / z) / z^2: no rule, so every level agrees."""
+        return stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, 1.0 / z) / z**2
+
     def expect(self, h, level: int):
         v, wv = _exp_sinh(level, self.k)
         weight = stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, v) * wv
@@ -252,6 +264,11 @@ def _law(cfg: ScenarioConfig, side: str):
     if cfg.ordering_of(side) == "nearest":
         return _NearestLaw(geo.fading(side), geo.pathloss_rate(side), geo.delta, k)
     return _BestLaw(geo.composite_rate(side), geo.delta, k)
+
+
+def pdf(cfg: ScenarioConfig, z: float) -> float:
+    """Density of the legitimate side law's composite gain at z > 0."""
+    return _converged(partial(_law(cfg, "legitimate").pdf, z))
 
 
 def cop(cfg: ScenarioConfig) -> float:

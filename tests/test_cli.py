@@ -635,6 +635,30 @@ class TestEvalCommand:
         assert [row[5] for row in rows] == ["closed-form", "quadrature", "monte-carlo"]
         assert all(row[:4] == ["cop", ordering, "1", "1"] for row in rows)
 
+    @pytest.mark.parametrize("document, case, value", [
+        *(pytest.param(doc, case, value, id=f"varpi-{end}-{case}")
+          for end, doc, value in (("inf", "eta_k_db = 3000\neta_e_db = -3000", "1"),
+                                  ("zero", "eta_k_db = -3000\neta_e_db = 3000", "0"))
+          for case in ("NN", "NB", "BN", "BB")),
+        pytest.param("eta_k_db = -2500", "BB", "0", id="bb-eavesdropper-term-overflows"),
+    ])
+    def test_pnz_where_varpi_leaves_float_range_reads_its_limit(self, tmp_path, capsys, document, case, value):
+        # eta_k / eta_e rounds to inf or 0, or rate_e * varpi^-delta overflows
+        # (d = 3): every route reads the PNZ limit, 1 or 0
+        policies = ["nearest" if c == "N" else "best" for c in case]
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"[geometry]\nd = 3\n[scenario]\n{document}\nordering = {policies[0]}\n"
+                            f"eavesdropper_policy = {policies[1]}\n"
+                            "[run]\nmetric = pnz\nmethod = all\n[mc]\ntrials = 1000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [row[5] for row in rows] == ["closed-form", "quadrature", "monte-carlo"]
+        assert all(row[:4] == ["pnz", case, "1", value] for row in rows)
+
 
 class TestSweepCommand:
     def test_sweep_appends_axis_column(self, tmp_path):

@@ -3,8 +3,9 @@
 Every non-value column must match exactly (row order, metric, curve label,
 user index, half-width, provenance, x value); the value column must match
 at the validation suite's closed-form tolerances.  Every ``METRICS`` row
-also matches the quadrature oracle at its metric's tolerance, and each of
-fig8's k* rows is the index at which the oracle's BB PNZ crosses its level.
+also matches the quadrature oracle at its metric's tolerance, each of
+fig8's k* rows is the index at which the oracle's BB PNZ crosses its level,
+and each of fig2's density rows matches the oracle's density.
 """
 
 import json
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from secnet import figures, montecarlo
+from secnet import figures, montecarlo, quadrature
 from secnet.metrics import ScenarioConfig
 from secnet.montecarlo import METRICS
 from secnet.validation import QUAD_TOL_CAPACITY, QUAD_TOL_PROBABILITY
@@ -105,6 +106,25 @@ def test_fig8_k_star_rows_match_the_quadrature_oracle():
                                >= group["tau"]) != meets:
                     misses.append(f"{label} x={x}: k*={k_star}, PNZ at k={k}")
             walked += 1
+    assert walked == 126 and next(rows, None) is None
+    assert not misses, misses
+
+
+def test_fig2_density_rows_match_the_quadrature_oracle():
+    # both orderings' densities of the legitimate gain, at every k and z
+    fig = figures._FIGURES["fig2"]
+    rows = iter(figures.figure_table("fig2")[2])
+    misses, walked = [], 0
+    for group in fig.groups:
+        cfg = figures._build(*figures._resolve(fig, group))
+        for x in fig.grid:
+            for _, ordering in fig.curves:
+                metric, label, k, value, *_, row_x = next(rows)
+                assert (metric, label, k, row_x) == ("pdf", figures._label(ordering, group), group["k"], x)
+                oracle = quadrature.pdf(replace(cfg, ordering=ordering), x)
+                if abs(value - oracle) > QUAD_TOL_PROBABILITY * oracle:
+                    misses.append(f"{label} z={x}: {value!r} vs {oracle!r}")
+                walked += 1
     assert walked == 126 and next(rows, None) is None
     assert not misses, misses
 

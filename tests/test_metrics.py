@@ -331,6 +331,30 @@ class TestPnz:
                 value = metrics.pnz(cfg, case)
                 assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("eta_k, eta_e, want", [(1e300, 1e-300, 1.0), (1e-300, 1e300, 0.0)],
+                             ids=["varpi-inf", "varpi-zero"])
+    @pytest.mark.parametrize("pnz", [metrics.pnz_nn, metrics.pnz_nb, metrics.pnz_bn],
+                             ids=lambda f: f.__name__)
+    def test_fox_h_pairings_read_their_limit_where_varpi_leaves_float_range(
+            self, pnz, eta_k, eta_e, want, monkeypatch):
+        # eta_k / eta_e of two finite SNR scales rounds to inf or 0; the limit
+        # is read before a Fox H argument is formed from it
+        cfg = ScenarioConfig.build(d=3, eta_k=eta_k, eta_e=eta_e)
+        assert cfg.varpi == (math.inf if want else 0.0)
+        monkeypatch.setattr(metrics, "fox_h", None)
+        assert pnz(cfg) == want
+
+    @pytest.mark.parametrize("eta_k, eta_e, want", [(1e-250, 1.0, 0.0), (1e-300, 1e300, 0.0),
+                                                    (1e300, 1e-300, 1.0), (1.0, 1.0, 0.5)],
+                             ids=["eavesdropper-term-overflows", "varpi-zero", "varpi-inf", "symmetric"])
+    def test_bb_is_a_float_at_both_ends_of_varpi(self, eta_k, eta_e, want):
+        # d = 3, so delta = 1.5: 1e-250^-delta overflows and 0^-delta divides
+        # by zero, and rate_e * varpi^-delta reads inf; at varpi = inf it is 0
+        cfg = ScenarioConfig.build(d=3, eta_k=eta_k, eta_e=eta_e, ordering="best", eavesdropper_policy="best")
+        value = metrics.pnz_bb(cfg)
+        assert type(value) is float
+        assert value == pytest.approx(want, rel=1e-14)
+
 
 # Every Fox H instance by its ``metrics._FOX_H`` name, as the closed form a
 # caller reads (a law of a gain level at z = 0.5).
@@ -529,6 +553,14 @@ class TestMaxSecureBestUsers:
         assert metrics.pnz_bb(cfg) == 1.0
         with pytest.raises(OverflowError, match="underflows to 0.*no index within float range bounds k"):
             metrics.max_secure_best_users(cfg, 0.3)
+
+    @pytest.mark.parametrize("eta_k, eta_e", [(1e-250, 1.0), (1e-300, 1e300)],
+                             ids=["eavesdropper-term-overflows", "varpi-zero"])
+    def test_no_user_where_the_eavesdropper_term_is_infinite(self, eta_k, eta_e):
+        # rate_e * varpi^-delta reads inf (d = 3): the BB probability is 0 at
+        # every index, so no index meets any level
+        cfg = ScenarioConfig.build(d=3, eta_k=eta_k, eta_e=eta_e, ordering="best", eavesdropper_policy="best")
+        assert metrics.max_secure_best_users(cfg, 1e-300) == 0
 
     def test_consistent_with_bb_probability(self):
         # requesting exactly the secrecy level the k-th user achieves must
