@@ -83,7 +83,7 @@ class AlphaMuParams:
 def _canonical(alpha: float, mu: float) -> AlphaMuParams:
     """:meth:`AlphaMuParams.canonical` for float alpha and mu: an int key
     would hand its own types to a later caller of the equal float pair."""
-    return AlphaMuParams(alpha, mu, np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha)))
+    return AlphaMuParams(alpha, mu, float(np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha))))
 
 
 def pdf_power_gain(p: AlphaMuParams, x):

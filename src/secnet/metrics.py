@@ -313,9 +313,17 @@ _FOX_H = {
 }
 
 
+def _end_value(cfg: ScenarioConfig, name: str, z: float) -> float | None:
+    """A probability's limit, 0 or 1, where z (a law) or varpi (a pairing) is 0 or +inf; else None."""
+    _, _, per_z, _, hi = _FOX_H[name]
+    drive = z if per_z else cfg.varpi
+    return float(drive > 0) if hi == 1.0 and not 0 < drive < math.inf else None
+
+
 def _closed_form(cfg: ScenarioConfig, name: str, z: float = 1.0) -> float:
     """One listed instance's closed form at the side's order index:
-    exp(log prefactor) * H(scale * z), or one minus that.
+    exp(log prefactor) * H(scale * z), or one minus that.  An argument
+    outside (0, +inf) raises, unless ``_end_value`` reads a limit first.
 
     Every closed form is positive.  A value that the Fox H error bound plus
     rounding reaches, whatever its sign, has lost its relative accuracy, as
@@ -326,9 +334,13 @@ def _closed_form(cfg: ScenarioConfig, name: str, z: float = 1.0) -> float:
     checked against the quadrature oracle.  A value past its upper end by
     less than bound plus rounding is clipped to it; farther out it raises.
     """
+    if (end := _end_value(cfg, name, z)) is not None:
+        return end
     build, side, _, complement, hi = _FOX_H[name]
     log_pref, params, scale = build(cfg, side, cfg.order_index(side))
-    h = fox_h(params, scale * z, log_prefactor=log_pref)
+    if not 0 < (arg := scale * z) < math.inf:
+        raise ConvergenceError(f"{name}: Fox H argument {arg:g} lies outside the float range")
+    h = fox_h(params, arg, log_prefactor=log_pref)
     value = 1.0 - h.value if complement else h.value
     rounding = _ROUNDING * max(abs(value), 1.0 if complement else 0.0)
     label = "1 - H" if complement else "prefactor * H"
@@ -353,8 +365,9 @@ def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
     z_ref = max(cfg.outage_threshold, 0.25)
     out: dict[str, tuple[FoxHParams, float]] = {}
     for name, (build, side, per_z, _, _) in _FOX_H.items():
-        _, params, scale = build(cfg, side, cfg.order_index(side))
-        out[name] = (params, scale * z_ref if per_z else scale)
+        if _end_value(cfg, name, z_ref) is None:
+            _, params, scale = build(cfg, side, cfg.order_index(side))
+            out[name] = (params, scale * z_ref if per_z else scale)
     return out
 
 
@@ -374,10 +387,6 @@ def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Distribution of the k-th nearest receiver's composite gain; 0 at z = 0, 1 at z = inf."""
     if not 0 <= z <= math.inf:
         raise ValueError(f"composite-gain distribution needs z in [0, inf], got {z}")
-    if z == 0:
-        return 0.0
-    if z == math.inf:
-        return 1.0
     return _closed_form(cfg, "cdf_nearest", z)
 
 
@@ -402,11 +411,10 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     if not 0 < z < math.inf:
         raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     k = cfg.user_index
-    # Where u is huge the density is exp(-u) = 0; the cap keeps -u + k log u
-    # from becoming -inf + inf.  Where u underflows to 0 it is exp(-inf) = 0.
-    u = min(_mean_measure(cfg, "legitimate", z), 1e300)
-    with np.errstate(divide="ignore"):
-        return float(np.exp(-u + k * np.log(u) - gammaln(k)) * cfg.geometry.delta / z)
+    u = _mean_measure(cfg, "legitimate", z)
+    if not 0 < u < math.inf:
+        return 0.0
+    return float(np.exp(-u + k * np.log(u) - gammaln(k)) * cfg.geometry.delta / z)
 
 
 def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
@@ -442,18 +450,9 @@ def cop(cfg: ScenarioConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pnz_closed_form(cfg: ScenarioConfig, name: str) -> float:
-    """A Fox H pairing's PNZ; 1 where varpi = eta_k / eta_e overflows to
-    inf and 0 where it underflows to 0, before the builder forms its
-    argument from varpi."""
-    if not 0 < cfg.varpi < math.inf:
-        return float(cfg.varpi > 0)
-    return _closed_form(cfg, name)
-
-
 def pnz_nn(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first nearest eavesdropper."""
-    return _pnz_closed_form(cfg, "pnz_nn")
+    return _closed_form(cfg, "pnz_nn")
 
 
 def pnz_bb(cfg: ScenarioConfig) -> float:
@@ -465,12 +464,12 @@ def pnz_bb(cfg: ScenarioConfig) -> float:
 
 def pnz_nb(cfg: ScenarioConfig) -> float:
     """k-th nearest receiver against the first best eavesdropper."""
-    return _pnz_closed_form(cfg, "pnz_nb")
+    return _closed_form(cfg, "pnz_nb")
 
 
 def pnz_bn(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first nearest eavesdropper."""
-    return _pnz_closed_form(cfg, "pnz_bn")
+    return _closed_form(cfg, "pnz_bn")
 
 
 _PNZ_DISPATCH = {"NN": pnz_nn, "BB": pnz_bb, "NB": pnz_nb, "BN": pnz_bn}

@@ -438,6 +438,8 @@ def _mean_estimate(samples: np.ndarray, trials: int, mc: MonteCarloConfig) -> Me
     if n == 0:
         raise ConvergenceError("no valid realizations: none held as many points as the order index")
     mean = float(samples.mean())
+    if not math.isfinite(mean):
+        raise ConvergenceError(f"sample mean {mean} is not finite: a realization passes the float range")
     half = mc.z_score * float(samples.std(ddof=1)) / math.sqrt(n) if n > 1 else math.inf
     return MetricEstimate(
         value=mean, half_width=half,
@@ -459,7 +461,9 @@ def simulate_cop(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
 
 def _pnz_estimate(cfg: ScenarioConfig, mc: MonteCarloConfig) -> MetricEstimate:
     zb, ze = _case_gains(cfg, mc)
-    return _binomial_estimate(int(np.count_nonzero(zb * cfg.varpi > ze)), zb.size, mc.trials, mc)
+    with np.errstate(over="ignore"):  # a product past the float range is inf, and compares right
+        hits = int(np.count_nonzero(zb * cfg.varpi > ze))
+    return _binomial_estimate(hits, zb.size, mc.trials, mc)
 
 
 def simulate_pnz(cfg: ScenarioConfig, case: str | None, mc: MonteCarloConfig) -> MetricEstimate:
@@ -477,7 +481,9 @@ def simulate_ergodic_capacity(cfg: ScenarioConfig, mc: MonteCarloConfig) -> Metr
     """Sample mean of the legitimate link capacity log2(1 + eta_k * Z) of
     the k-th receiver under cfg.ordering."""
     z, = _gains(cfg, mc, ("legitimate",))
-    return _mean_estimate(np.log2(1.0 + cfg.eta_k * z[~np.isnan(z)]), mc.trials, mc)
+    with np.errstate(over="ignore"):  # an infinite capacity makes the mean raise
+        capacity = np.log2(1.0 + cfg.eta_k * z[~np.isnan(z)])
+    return _mean_estimate(capacity, mc.trials, mc)
 
 
 def simulate_ergodic_secrecy(cfg: ScenarioConfig, mc: MonteCarloConfig) -> ErgodicSecrecyEstimate:
@@ -489,8 +495,10 @@ def simulate_ergodic_secrecy(cfg: ScenarioConfig, mc: MonteCarloConfig) -> Ergod
     is generally larger.
     """
     zb, ze = _case_gains(cfg, mc)
-    diff = np.log2(1.0 + cfg.eta_k * zb) - np.log2(1.0 + cfg.eta_e * ze)
-    diff_est = _mean_estimate(diff, mc.trials, mc)
+    # an infinite capacity makes the mean inf or nan (inf - inf), and raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.log2(1.0 + cfg.eta_k * zb) - np.log2(1.0 + cfg.eta_e * ze)
+        diff_est = _mean_estimate(diff, mc.trials, mc)
     clipped_difference = replace(diff_est, value=max(diff_est.value, 0.0))
     mean_clipped = _mean_estimate(np.maximum(diff, 0.0), mc.trials, mc)
     return ErgodicSecrecyEstimate(clipped_difference=clipped_difference, mean_clipped=mean_clipped)

@@ -65,7 +65,7 @@ def _converged(integral) -> float:
     # Far-tail powers overflow to inf where a density factor is 0, and a
     # gain that underflows to 0 divides by zero in V's lower limit.
     with np.errstate(over="ignore", divide="ignore"):
-        previous = integral(_LEVELS[0])
+        previous = float(integral(_LEVELS[0]))
         for level in _LEVELS[1:]:
             value = float(integral(level))
             if abs(value - previous) <= _QUAD_REL * abs(value):

@@ -60,7 +60,7 @@ class NetworkGeometry:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"density {name} must be positive and finite, got {getattr(self, name)}")
         object.__setattr__(self, "_unit_ball_volume",
-                           math.pi ** (self.d / 2.0) / _gamma(1.0 + self.d / 2.0))
+                           float(math.pi ** (self.d / 2.0) / _gamma(1.0 + self.d / 2.0)))
 
     @property
     def delta(self) -> float:

@@ -659,6 +659,29 @@ class TestEvalCommand:
         assert [row[5] for row in rows] == ["closed-form", "quadrature", "monte-carlo"]
         assert all(row[:4] == ["pnz", case, "1", value] for row in rows)
 
+    @pytest.mark.parametrize("document, metric, others", [
+        pytest.param("[geometry]\nlambda_b = 1e-10\n[scenario]\neta_k_db = -3000\n", "cop", ["1", "1"], id="cop"),
+        pytest.param("[geometry]\nlambda_b = 10\n[scenario]\neta_k_db = 3080\n", "pnz", None, id="pnz"),
+        pytest.param("[geometry]\nlambda_b = 10\n[scenario]\neta_k_db = 3080\n", "capacity", ["nan", "nan"],
+                     id="capacity"),
+    ])
+    def test_fox_h_argument_past_float_range_is_a_numeric_error(self, tmp_path, capsys, document, metric, others):
+        # Finite inputs whose product passes the float range: the closed form
+        # raises a ConvergenceError, printed as a numeric error, not a traceback
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(f"{document}[run]\nmetric = {metric}\nmethod = all\n[mc]\ntrials = 1000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.err and all(line.startswith("numeric error:") for line in captured.err.splitlines())
+        assert "Fox H argument inf lies outside the float range" in captured.err
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [row[5] for row in rows] == ["closed-form", "quadrature", "monte-carlo"]
+        assert rows[0][3] == "nan"
+        if others is not None:
+            assert [row[3] for row in rows[1:]] == others
+
 
 class TestSweepCommand:
     def test_sweep_appends_axis_column(self, tmp_path):

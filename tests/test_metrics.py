@@ -2,6 +2,7 @@
 with the defining-integral oracles, and the analytic monotonicity properties."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -425,6 +426,62 @@ class TestClipsWithinError:
                 self._evaluate_at(monkeypatch, name, 1e-12, 1e-20)
         else:
             assert self._evaluate_at(monkeypatch, name, 1e-12, 1e-20) == 1e-12
+
+
+class TestArgumentOutsideFloatRange:
+    """A Fox H argument outside (0, +inf) from finite inputs raises a
+    ConvergenceError naming the instance, with no numpy warning; only a
+    probability whose z or varpi is itself 0 or +inf reads a limit."""
+
+    @pytest.mark.parametrize("scale", [0.0, math.inf], ids=["zero", "inf"])
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_forced_argument_raises(self, monkeypatch, name, scale):
+        build, *rest = metrics._FOX_H[name]
+
+        def forced(cfg, side, k):
+            log_pref, params, _ = build(cfg, side, k)
+            return log_pref, params, scale
+
+        monkeypatch.setitem(metrics._FOX_H, name, (forced, *rest))
+        monkeypatch.setattr(metrics, "fox_h", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.ConvergenceError, match=f"^{name}: Fox H argument"):
+                _CLOSED_FORMS[name](figures.scenario("fig6", k=2))
+
+    @pytest.mark.parametrize("evaluate, over", [
+        pytest.param(metrics.cop_nearest, {"lambda_b": 1e-10, "eta_k": 1e-300}, id="cop_nearest"),
+        pytest.param(metrics.pnz_nn, {"lambda_b": 10.0, "eta_k": 1e308}, id="pnz_nn"),
+        pytest.param(metrics.pnz_nb, {"lambda_b": 10.0, "eta_k": 1e308}, id="pnz_nb"),
+        pytest.param(metrics.pnz_bn, {"lambda_e": 10.0, "eta_e": 1e308}, id="pnz_bn"),
+        pytest.param(metrics.ergodic_capacity_nearest, {"lambda_b": 10.0, "eta_k": 1e308},
+                     id="capacity_nearest"),
+        pytest.param(metrics.ergodic_capacity_best, {"lambda_b": 10.0, "eta_k": 1e308}, id="capacity_best"),
+        pytest.param(lambda cfg: metrics.pdf_composite_nearest(cfg, 1e300), {"lambda_b": 1e-10},
+                     id="pdf_nearest-inf"),
+        pytest.param(lambda cfg: metrics.pdf_composite_nearest(cfg, 1e-320), {"lambda_b": 1e10},
+                     id="pdf_nearest-zero"),
+    ])
+    def test_finite_inputs_past_float_range_raise(self, evaluate, over):
+        cfg = ScenarioConfig.build(**over)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.ConvergenceError, match="lies outside the float range"):
+                evaluate(cfg)
+
+    def test_builder_scalars_are_python_floats(self):
+        # numpy scalars would warn where a product passes the float range
+        assert type(AlphaMuParams.canonical(2, 1).omega) is float
+        assert type(ScenarioConfig.build().geometry.composite_rate("legitimate")) is float
+
+    def test_instance_list_leaves_out_the_limits_at_varpi_zero(self):
+        # eta_k / eta_e rounds to 0: the pairings read PNZ 0 and evaluate no instance
+        cfg = ScenarioConfig.build(eta_k=1e-200, eta_e=1e200)
+        assert cfg.varpi == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            listed = metrics.fox_h_instances(cfg)
+        assert set(listed) == set(metrics._FOX_H) - {"pnz_nn", "pnz_nb", "pnz_bn"}
 
 
 class TestComplementRelativeAccuracy:

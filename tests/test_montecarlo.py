@@ -3,6 +3,7 @@ confidence-interval behavior, reproducibility, and window-truncation
 insensitivity."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -166,6 +167,14 @@ class TestSimulatePnz:
         with pytest.raises(ValueError):
             simulate_pnz(_symmetric_cfg(), "XX", _mc(trials=10))
 
+    def test_ratio_past_float_range_compares_as_inf(self):
+        # zb * varpi overflows to inf on most realizations, which beats every ze
+        cfg = ScenarioConfig.build(lambda_b=10.0, eta_k=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_pnz(cfg, "NN", _mc(trials=10**4))
+        assert est.value >= 0.999
+
 
 class TestSimulateErgodic:
     def test_capacity_matches_closed_form(self):
@@ -196,6 +205,17 @@ class TestSimulateErgodic:
         large = simulate_ergodic_capacity(cfg, _mc(trials=10**6))
         ratio = small.half_width / large.half_width
         assert 6.0 < ratio < 14.0
+
+    def test_capacity_past_float_range_raises(self):
+        # eta_k * Z overflows on some realization: the sample mean is inf or
+        # nan (inf - inf), not a capacity
+        cfg = ScenarioConfig.build(lambda_b=10.0, lambda_e=10.0, eta_k=1e305, eta_e=1e305)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.ConvergenceError, match="sample mean .* is not finite"):
+                simulate_ergodic_capacity(cfg, _mc(trials=10**4))
+            with pytest.raises(specfun.ConvergenceError, match="sample mean .* is not finite"):
+                simulate_ergodic_secrecy(cfg.with_case("NN"), _mc(trials=10**4))
 
 
 class TestDeterminism:
@@ -809,6 +829,14 @@ class TestOracleGivesUp:
     def test_quadrature_that_never_settles_raises(self, integral):
         with pytest.raises(specfun.ConvergenceError, match="quadrature did not converge"):
             quadrature._converged(integral)
+
+    def test_infinite_first_level_raises_without_warning(self):
+        # eta_k * z overflows on the first level already: inf - inf is no agreement
+        cfg = ScenarioConfig.build(eta_k=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.ConvergenceError, match="quadrature did not converge"):
+                quadrature.capacity(cfg, "legitimate")
 
     def test_empty_sample_raises(self):
         with pytest.raises(specfun.ConvergenceError, match="no valid realizations"):
