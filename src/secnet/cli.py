@@ -182,7 +182,7 @@ def _named_key(exc: Exception, keys) -> tuple[str, str] | None:
 
 
 def _parse_value(where: dict, section: str, key: str, raw: str):
-    """raw parsed by its key's parser and checked against the key's choices."""
+    """raw parsed by its key's parser and checked against the key's choices, each named once."""
     entry = _KEYS[section, key]
     try:
         value = entry.parse(raw.strip())
@@ -193,6 +193,8 @@ def _parse_value(where: dict, section: str, key: str, raw: str):
     names = value if isinstance(value, tuple) else (value,)
     if entry.choices is not None and (not names or not set(names) <= set(entry.choices)):
         raise _anchored(where, section, key, f"{key} must be one of {entry.choices}, got {raw.strip()!r}")
+    if entry.choices is not None and len(set(names)) < len(names):
+        raise _anchored(where, section, key, f"{key} names a choice more than once, got {raw.strip()!r}")
     return value
 
 

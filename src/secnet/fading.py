@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +40,40 @@ class MomentFitError(RuntimeError):
         self.residuals = residuals
 
 
+def python_scalar(value, kind: type = float):
+    """``value`` as a Python ``kind``, float or int: the scalars the closed
+    forms compute in, where a product past the float range reads inf with no
+    numpy RuntimeWarning.  nan where ``kind`` cannot hold it (a non-number or
+    an int past the float range; a non-integer for int), so that a range
+    check on the result fails."""
+    if type(value) is kind:
+        return value
+    try:
+        if kind is int:
+            return operator.index(value)
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except (TypeError, OverflowError):
+        return math.nan
+
+
+def hold_python_scalar(obj, name: str, kind: type = float):
+    """Field ``name`` of the frozen dataclass ``obj`` as :func:`python_scalar`
+    reads it, stored in its place; a nan is returned, not stored, so that the
+    range check that rejects it names the value given."""
+    held = python_scalar(getattr(obj, name), kind)
+    if held == held:
+        object.__setattr__(obj, name, held)
+    return held
+
+
 @dataclass(frozen=True)
 class AlphaMuParams:
     """Fading triple (alpha, mu, omega) with the derived scale constants.
 
     alpha > 0 is the medium non-linearity exponent, mu > 0 the multipath
     cluster count, omega > 0 the gain scale.  theta = 1/omega recurs in
-    every closed form built on this family.
+    every closed form built on this family.  Each is held as a Python
+    float (:func:`python_scalar`).
     """
 
     alpha: float
@@ -52,7 +81,7 @@ class AlphaMuParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if not all(0 < v < math.inf for v in (self.alpha, self.mu, self.omega)):
+        if not all(0 < hold_python_scalar(self, name) < math.inf for name in ("alpha", "mu", "omega")):
             raise ValueError(
                 f"alpha-mu parameters must be positive and finite, got "
                 f"(alpha={self.alpha}, mu={self.mu}, omega={self.omega})"
@@ -63,12 +92,12 @@ class AlphaMuParams:
         """Unit-mean normalization: omega = Gamma(mu) / Gamma(mu + 2/alpha),
         in logs, so that it stays finite where both gammas overflow (mu > 171).
 
-        alpha and mu are taken as floats, and the last 256 distinct pairs are
-        kept: every scenario build asks for the same few links again.
+        The last 256 distinct pairs are kept: every scenario build asks for
+        the same few links again.
         """
         if alpha <= 0 or mu <= 0:
             raise ValueError(f"alpha and mu must be positive, got ({alpha}, {mu})")
-        return _canonical(float(alpha), float(mu))
+        return _canonical(alpha, mu)
 
     @property
     def theta(self) -> float:
@@ -81,9 +110,8 @@ class AlphaMuParams:
 
 @functools.lru_cache(maxsize=256)
 def _canonical(alpha: float, mu: float) -> AlphaMuParams:
-    """:meth:`AlphaMuParams.canonical` for float alpha and mu: an int key
-    would hand its own types to a later caller of the equal float pair."""
-    return AlphaMuParams(alpha, mu, float(np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha))))
+    """:meth:`AlphaMuParams.canonical` past its check, memoised."""
+    return AlphaMuParams(alpha, mu, np.exp(gammaln(mu) - gammaln(mu + 2.0 / alpha)))
 
 
 def pdf_power_gain(p: AlphaMuParams, x):
@@ -208,7 +236,7 @@ def fit_sum_params(link: AlphaMuParams, count: int) -> AlphaMuParams:
                 (float(res[0]), float(res[1])),
             )
         x = polished
-    alpha_hat = float(np.exp(x[0]))
-    mu_hat = float(np.exp(x[1]))
+    alpha_hat = np.exp(x[0])
+    mu_hat = np.exp(x[1])
     omega_hat = s1 * np.exp(gammaln(mu_hat) - gammaln(mu_hat + 2.0 / alpha_hat))
-    return AlphaMuParams(alpha_hat, mu_hat, float(omega_hat))
+    return AlphaMuParams(alpha_hat, mu_hat, omega_hat)

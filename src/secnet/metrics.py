@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from .fading import AlphaMuParams, fit_sum_params
+from .fading import AlphaMuParams, fit_sum_params, hold_python_scalar, python_scalar
 from .specfun import ConvergenceError, FoxHParams, fox_h
 from .stochgeo import NetworkGeometry
 
@@ -64,7 +64,8 @@ class ScenarioConfig:
 
     The geometry embeds the composite (post branch-sum fit) fading of both
     sides.  SNR scale factors are linear; dB conversion happens at config
-    parse time, never here.
+    parse time, never here.  Counts and the user index are held as Python
+    ints, the other scalars as Python floats (:func:`fading.python_scalar`).
     """
 
     geometry: NetworkGeometry
@@ -80,16 +81,17 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         # Each message names the offending field, which is also its keyword in build.
-        # A plain int is tested first: every figure point builds scenarios, and the
-        # tuple form of isinstance costs twice as much.
+        # The type is tested before any call: every figure point builds scenarios,
+        # and a call per field cost figures_grid 2% of its rows/s.
         for name in ("n_a", "n_b", "n_e", "user_index"):
             value = getattr(self, name)
-            if not (isinstance(value, int) or isinstance(value, np.integer)) or value < 1:
+            if not (value if type(value) is int else hold_python_scalar(self, name, int)) >= 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
         for name in ("eta_k", "eta_e"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"SNR scale {name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.rate < math.inf:
+            value = getattr(self, name)
+            if not 0 < (value if type(value) is float else hold_python_scalar(self, name)) < math.inf:
+                raise ValueError(f"SNR scale {name} must be positive and finite, got {value}")
+        if not 0 <= (self.rate if type(self.rate) is float else hold_python_scalar(self, "rate")) < math.inf:
             raise ValueError(f"transmission rate must be non-negative and finite, got rate={self.rate}")
         for name in ("ordering", "eavesdropper_policy"):
             if getattr(self, name) not in ORDERINGS:
@@ -125,7 +127,7 @@ class ScenarioConfig:
         """
         # Named here, before the branch-sum fit sees them as one link or one count.
         for name, value in (("alpha_b", alpha_b), ("mu_b", mu_b), ("alpha_e", alpha_e), ("mu_e", mu_e)):
-            if not 0 < value < math.inf:
+            if not 0 < (value if type(value) is float else python_scalar(value)) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name, value in (("n_a", n_a), ("n_b", n_b), ("n_e", n_e)):
             if not (isinstance(value, int) or isinstance(value, np.integer)) or value < 1:
@@ -236,7 +238,7 @@ def _pnz_nn(cfg: ScenarioConfig, side: str, k: int):
     params = FoxHParams(
         m=3, n=2,
         upper_coeffs=((1.0 - fb.mu, 2.0 / fb.alpha), (0.0, inv_delta), (1.0, 1.0)),
-        lower_coeffs=((0.0, 1.0), (fe.mu, 2.0 / fe.alpha), (float(k), inv_delta)),
+        lower_coeffs=((0.0, 1.0), (fe.mu, 2.0 / fe.alpha), (k, inv_delta)),
     )
     arg = (fe.theta * cfg.varpi / fb.theta) * (
         geo.pathloss_rate("legitimate") / geo.pathloss_rate("eavesdropper")
@@ -251,7 +253,7 @@ def _pnz_nb(cfg: ScenarioConfig, side: str, k: int):
     params = FoxHParams(
         m=1, n=3,
         upper_coeffs=((1.0, 1.0), (1.0 - fb.mu, 2.0 / fb.alpha), (0.0, inv_delta)),
-        lower_coeffs=((float(k), inv_delta), (0.0, 1.0)),
+        lower_coeffs=((k, inv_delta), (0.0, 1.0)),
     )
     arg = (cfg.varpi / fb.theta) * (
         geo.pathloss_rate("legitimate") / geo.composite_rate("eavesdropper")
@@ -280,7 +282,7 @@ def _capacity_nearest(cfg: ScenarioConfig, side: str, k: int):
     params = FoxHParams(
         m=2, n=3,
         upper_coeffs=((1.0, 1.0), (1.0, 1.0), (1.0 - fad.mu, 2.0 / fad.alpha)),
-        lower_coeffs=((1.0, 1.0), (float(k), inv_delta), (0.0, 1.0)),
+        lower_coeffs=((1.0, 1.0), (k, inv_delta), (0.0, 1.0)),
     )
     arg = cfg.snr_scale(side) * geo.pathloss_rate(side)**inv_delta / fad.theta
     return -gammaln(fad.mu) - gammaln(k) - _LOG_LN2, params, arg
@@ -291,7 +293,7 @@ def _capacity_best(cfg: ScenarioConfig, side: str, k: int):
     params = FoxHParams(
         m=2, n=2,
         upper_coeffs=((1.0, delta), (1.0, delta)),
-        lower_coeffs=((float(k), 1.0), (1.0, delta), (0.0, delta)),
+        lower_coeffs=((k, 1.0), (1.0, delta), (0.0, delta)),
     )
     arg = cfg.geometry.composite_rate(side) * cfg.snr_scale(side)**delta
     return math.log(delta) - gammaln(k) - _LOG_LN2, params, arg
@@ -378,14 +380,14 @@ def fox_h_instances(cfg: ScenarioConfig) -> dict[str, tuple[FoxHParams, float]]:
 
 def pdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Density of the k-th nearest receiver's composite gain g / r^upsilon."""
-    if not 0 < z < math.inf:
+    if not 0 < (z := python_scalar(z)) < math.inf:
         raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     return _closed_form(cfg, "pdf_nearest", z)
 
 
 def cdf_composite_nearest(cfg: ScenarioConfig, z: float) -> float:
     """Distribution of the k-th nearest receiver's composite gain; 0 at z = 0, 1 at z = inf."""
-    if not 0 <= z <= math.inf:
+    if not 0 <= (z := python_scalar(z)) <= math.inf:
         raise ValueError(f"composite-gain distribution needs z in [0, inf], got {z}")
     return _closed_form(cfg, "cdf_nearest", z)
 
@@ -396,7 +398,7 @@ def _mean_measure(cfg: ScenarioConfig, side: str, v: float) -> float:
     v^-delta overflows, v = 0 included; 0 at v = inf."""
     geo = cfg.geometry
     try:
-        return float(geo.composite_rate(side)) * float(v) ** -geo.delta
+        return geo.composite_rate(side) * v ** -geo.delta
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
@@ -408,7 +410,7 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     xi; its composite gain is 1/xi with density
     exp(-u) * delta * u^k / (z * Gamma(k)), u = rate * z^-delta.
     """
-    if not 0 < z < math.inf:
+    if not 0 < (z := python_scalar(z)) < math.inf:
         raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     k = cfg.user_index
     u = _mean_measure(cfg, "legitimate", z)
@@ -419,7 +421,7 @@ def pdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
 
 def cdf_composite_best(cfg: ScenarioConfig, z: float) -> float:
     """Distribution of the k-th best receiver's composite gain: Q(k, rate * z^-delta)."""
-    if not 0 <= z <= math.inf:
+    if not 0 <= (z := python_scalar(z)) <= math.inf:
         raise ValueError(f"composite-gain distribution needs z in [0, inf], got {z}")
     return float(gammaincc(cfg.user_index, _mean_measure(cfg, "legitimate", z)))
 
@@ -458,7 +460,7 @@ def pnz_nn(cfg: ScenarioConfig) -> float:
 def pnz_bb(cfg: ScenarioConfig) -> float:
     """k-th best receiver against the first best eavesdropper:
     (rate_b / (rate_b + rate_e * varpi^-delta))^k."""
-    rb = float(cfg.geometry.composite_rate("legitimate"))
+    rb = cfg.geometry.composite_rate("legitimate")
     return (rb / (rb + _mean_measure(cfg, "eavesdropper", cfg.varpi))) ** cfg.user_index
 
 
@@ -493,7 +495,7 @@ def max_secure_best_users(cfg: ScenarioConfig, tau: float) -> int:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"secrecy level must lie in (0, 1), got {tau}")
-    ratio = _mean_measure(cfg, "eavesdropper", cfg.varpi) / float(cfg.geometry.composite_rate("legitimate"))
+    ratio = _mean_measure(cfg, "eavesdropper", cfg.varpi) / cfg.geometry.composite_rate("legitimate")
     if ratio == 0.0:
         raise OverflowError(
             "rate_e * varpi^-delta / rate_b underflows to 0: the non-zero-secrecy probability "

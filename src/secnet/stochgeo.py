@@ -10,13 +10,13 @@ Both have power-law mean measures: rate * x^delta with delta = d / upsilon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import gammaincc, gammainccinv, gammaln, pdtri
 
-from .fading import AlphaMuParams
+from .fading import AlphaMuParams, hold_python_scalar
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -41,7 +41,9 @@ class NetworkGeometry:
     """Network dimension, path loss, densities, and derived rate constants.
 
     The fading entries are the composite-gain (post branch-sum fit)
-    parameters of each side.
+    parameters of each side.  d is held as a Python int, the other scalars
+    as Python floats (:func:`fading.python_scalar`).  ``unit_ball_volume``,
+    pi^(d/2) / Gamma(1 + d/2), is worked out once, at construction.
     """
 
     d: int
@@ -50,27 +52,25 @@ class NetworkGeometry:
     lambda_e: float
     fading_b: AlphaMuParams
     fading_e: AlphaMuParams
+    unit_ball_volume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.d, int) or isinstance(self.d, np.integer)) or self.d < 1:
+        # The type is tested first, as in ScenarioConfig.__post_init__.
+        if not (self.d if type(self.d) is int else hold_python_scalar(self, "d", int)) >= 1:
             raise ValueError(f"dimension must be a positive integer, got d={self.d}")
-        if not 0 < self.upsilon < math.inf:
+        upsilon = self.upsilon if type(self.upsilon) is float else hold_python_scalar(self, "upsilon")
+        if not 0 < upsilon < math.inf:
             raise ValueError(f"path-loss exponent must be positive and finite, got upsilon={self.upsilon}")
         for name in ("lambda_b", "lambda_e"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"density {name} must be positive and finite, got {getattr(self, name)}")
-        object.__setattr__(self, "_unit_ball_volume",
+            value = getattr(self, name)
+            if not 0 < (value if type(value) is float else hold_python_scalar(self, name)) < math.inf:
+                raise ValueError(f"density {name} must be positive and finite, got {value}")
+        object.__setattr__(self, "unit_ball_volume",
                            float(math.pi ** (self.d / 2.0) / _gamma(1.0 + self.d / 2.0)))
 
     @property
     def delta(self) -> float:
         return self.d / self.upsilon
-
-    @property
-    def unit_ball_volume(self) -> float:
-        """Volume coefficient of the d-ball: pi^(d/2) / Gamma(1 + d/2),
-        worked out once, at construction."""
-        return self._unit_ball_volume
 
     def density(self, side: str) -> float:
         _check_side(side)

@@ -129,7 +129,8 @@ def run_validation(
 
     Every row is simulation-gated, so the family size of each returned row
     is the number of rows of the run.  An empty ``figure_ids`` is an error,
-    not a run of zero checks.
+    not a run of zero checks, and so is a repeated id, whose rows would run
+    twice and widen every row's gate.
 
     The run is one ``montecarlo.shared_draws`` scope over a flat plan of
     (figure, metric, case, scenario) rows; each row calls the three routes
@@ -140,8 +141,8 @@ def run_validation(
     when it raises.
     """
     selected = VALIDATION_FIGURES if figure_ids is None else tuple(figure_ids)
-    if not selected or not set(selected) <= set(VALIDATION_FIGURES):
-        raise ValueError(f"figure_ids must name one or more of {VALIDATION_FIGURES}, got {selected}")
+    if not selected or not set(selected) <= set(VALIDATION_FIGURES) or len(set(selected)) < len(selected):
+        raise ValueError(f"figure_ids must name one or more of {VALIDATION_FIGURES}, each once, got {selected}")
     mc_prob = MonteCarloConfig(trials=trials, master_seed=seed, worker_hint=workers, ci_level=CI_LEVEL)
     mc_cap = replace(mc_prob, trials=capacity_trials)
     plan = [(fig, name, case, METRICS[name].at(cfg, case))

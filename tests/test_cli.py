@@ -185,6 +185,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="figures"):
             parse_config("[run]\nfigures = fig99\n", command="validate")
 
+    def test_repeated_validate_figure_is_config_error(self, tmp_path, capsys):
+        # run twice, each row of fig3 would be gated as one of a family of 4, not 2
+        with pytest.raises(ConfigError, match=r"^line 2: figures names a choice more than once, got 'fig3, fig3'"):
+            parse_config("[run]\nfigures = fig3, fig3\n", command="validate")
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[run]\nfigures = fig6, fig3, fig6\n")
+        assert cli.main(["validate", "--config", str(cfg_path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: line 2: figures names a choice more than once")
+        with pytest.raises(ValueError, match="each once"):
+            validation.run_validation(trials=16, capacity_trials=16, figure_ids=("fig3", "fig3"))
+
     def test_empty_validate_subset_is_config_error(self):
         with pytest.raises(ConfigError, match=r"line 2.*figures"):
             parse_config("[run]\nfigures =\n", command="validate")

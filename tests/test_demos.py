@@ -13,8 +13,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # cwd is a scratch directory: demo 05 writes ./figure_tables
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # cwd is a scratch directory: demo 05 writes ./figure_tables.  A numpy
+    # RuntimeWarning is an error, as in the in-process tests (pyproject.toml).
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]

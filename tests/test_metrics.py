@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from secnet import figures, metrics, montecarlo, quadrature, specfun
 from secnet.fading import AlphaMuParams, moment_power_gain
-from secnet.metrics import ScenarioConfig
+from secnet.metrics import CASES, ScenarioConfig
 from secnet.montecarlo import METRICS
 from secnet.validation import QUAD_TOL_PROBABILITY
 
@@ -55,6 +55,10 @@ class TestScenarioConfig:
             _unit_rate_scenario(eta_k=-1.0)
         with pytest.raises(ValueError):
             _unit_rate_scenario(ordering="middle")
+        # past the float range: the value's own error (COP read 1.0 at eta_k = 10**400)
+        for name, label in (("eta_k", "SNR scale eta_k"), ("lambda_b", "density lambda_b"), ("mu_e", "mu_e")):
+            with pytest.raises(ValueError, match=f"^{label} must be positive and finite"):
+                _unit_rate_scenario(**{name: 10**400})
 
     @pytest.mark.parametrize("value", [1.5, 2.0, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["n_a", "n_b", "n_e", "user_index"])
@@ -461,6 +465,12 @@ class TestArgumentOutsideFloatRange:
                      id="pdf_nearest-inf"),
         pytest.param(lambda cfg: metrics.pdf_composite_nearest(cfg, 1e-320), {"lambda_b": 1e10},
                      id="pdf_nearest-zero"),
+        # numpy scalars would warn where the product passes the float range
+        pytest.param(metrics.pnz_nn, {"lambda_b": np.float64(10.0), "eta_k": 1e308}, id="pnz_nn-numpy"),
+        pytest.param(lambda cfg: metrics.pnz_nn(replace(cfg, eta_k=np.float64(1e308))), {"lambda_b": 10.0},
+                     id="pnz_nn-replaced-numpy"),
+        pytest.param(lambda cfg: metrics.cdf_composite_nearest(cfg, np.float64(1e300)), {"lambda_b": 1e-10},
+                     id="cdf_nearest-numpy-inf"),
     ])
     def test_finite_inputs_past_float_range_raise(self, evaluate, over):
         cfg = ScenarioConfig.build(**over)
@@ -468,11 +478,6 @@ class TestArgumentOutsideFloatRange:
             warnings.simplefilter("error")
             with pytest.raises(specfun.ConvergenceError, match="lies outside the float range"):
                 evaluate(cfg)
-
-    def test_builder_scalars_are_python_floats(self):
-        # numpy scalars would warn where a product passes the float range
-        assert type(AlphaMuParams.canonical(2, 1).omega) is float
-        assert type(ScenarioConfig.build().geometry.composite_rate("legitimate")) is float
 
     def test_instance_list_leaves_out_the_limits_at_varpi_zero(self):
         # eta_k / eta_e rounds to 0: the pairings read PNZ 0 and evaluate no instance
@@ -482,6 +487,71 @@ class TestArgumentOutsideFloatRange:
             warnings.simplefilter("error")
             listed = metrics.fox_h_instances(cfg)
         assert set(listed) == set(metrics._FOX_H) - {"pnz_nn", "pnz_nb", "pnz_bn"}
+
+
+# Extra arguments of the closed forms in metrics.__all__ that take more than
+# the scenario: a gain level, or a secrecy level.
+_CLOSED_FORM_ARGS = {
+    "pdf_composite_nearest": 0.5, "cdf_composite_nearest": 0.5,
+    "pdf_composite_best": 0.5, "cdf_composite_best": 0.5,
+    "max_secure_best_users": 0.5,
+}
+
+
+def _assert_python_scalars(cfg: ScenarioConfig) -> None:
+    geo = cfg.geometry
+    held = {name: getattr(cfg, name) for name in ("n_a", "n_b", "n_e", "user_index", "eta_k", "eta_e", "rate")}
+    held |= {name: getattr(geo, name) for name in ("d", "upsilon", "lambda_b", "lambda_e", "unit_ball_volume")}
+    held |= {f"{side}.{name}": getattr(geo.fading(side), name)
+             for side in ("legitimate", "eavesdropper") for name in ("alpha", "mu", "omega")}
+    held["composite_rate"] = geo.composite_rate("legitimate")
+    ints = {"n_a", "n_b", "n_e", "user_index", "d"}
+    assert {name: type(v) for name, v in held.items()} == {name: int if name in ints else float for name in held}
+
+
+def _readings(cfg: ScenarioConfig, as_level) -> str:
+    """repr of every closed form of metrics.__all__ at each case of cfg, an
+    error read as its type and message: equal reprs are bit-identical floats."""
+    out = []
+    for case in CASES:
+        for name in metrics.__all__:
+            form = getattr(metrics, name)
+            if not callable(form) or form is ScenarioConfig:
+                continue
+            args = (as_level(_CLOSED_FORM_ARGS[name]),) if name in _CLOSED_FORM_ARGS else ()
+            try:
+                out.append((case, name, form(cfg.with_case(case), *args)))
+            except (ArithmeticError, ValueError) as exc:
+                out.append((case, name, type(exc).__name__, str(exc)))
+    return repr(out)
+
+
+class TestPythonScalars:
+    """The scenario types hold Python ints and floats whatever numeric type
+    they are given as, and the closed forms read the same bits."""
+
+    @pytest.mark.parametrize("given", ["numpy", "int"])
+    @pytest.mark.parametrize("fig_id", ["fig3", "fig6", "fig11"])
+    def test_builder_scalars_are_python_floats(self, fig_id, given):
+        kw, case = figures._resolve(figures._FIGURES[fig_id], {})
+        if given == "numpy":
+            convert, as_level = (lambda v: np.int64(v) if type(v) is int else np.float64(v)), np.float64
+        else:
+            convert, as_level = (lambda v: int(v) if type(v) is float and v.is_integer() else v), float
+        other = {k: convert(v) for k, v in kw.items()}
+        assert any(type(other[k]) is not type(v) for k, v in kw.items())
+        cfg, cfg_other = figures._build(kw, case), figures._build(other, case)
+        _assert_python_scalars(cfg)
+        _assert_python_scalars(cfg_other)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _readings(cfg_other, as_level) == _readings(cfg, float)
+
+    def test_fitted_and_replaced_fields_are_python_scalars(self):
+        # alpha != 2 takes the moment fit; replace reruns the scenario's own conversion
+        cfg = ScenarioConfig.build(alpha_b=np.float64(1.5), n_a=np.int64(2), d=np.int64(3))
+        _assert_python_scalars(replace(cfg, eta_k=np.float32(2.0), user_index=np.int8(2), rate=1))
+        assert type(AlphaMuParams.canonical(2, 1).omega) is float
 
 
 class TestComplementRelativeAccuracy:
