@@ -68,11 +68,10 @@ def hold_python_scalar(obj, name: str, kind: type = float):
 
 @dataclass(frozen=True)
 class AlphaMuParams:
-    """Fading triple (alpha, mu, omega) with the derived scale constants.
+    """Fading triple (alpha, mu, omega).
 
     alpha > 0 is the medium non-linearity exponent, mu > 0 the multipath
-    cluster count, omega > 0 the gain scale.  theta = 1/omega recurs in
-    every closed form built on this family.  Each is held as a Python
+    cluster count, omega > 0 the gain scale.  Each is held as a Python
     float (:func:`python_scalar`).
     """
 
@@ -95,13 +94,9 @@ class AlphaMuParams:
         The last 256 distinct pairs are kept: every scenario build asks for
         the same few links again.
         """
-        if alpha <= 0 or mu <= 0:
-            raise ValueError(f"alpha and mu must be positive, got ({alpha}, {mu})")
+        if not (0 < python_scalar(alpha) < math.inf and 0 < python_scalar(mu) < math.inf):
+            raise ValueError(f"alpha and mu must be positive and finite, got ({alpha}, {mu})")
         return _canonical(alpha, mu)
-
-    @property
-    def theta(self) -> float:
-        return 1.0 / self.omega
 
     def mean_power(self) -> float:
         """First moment of the power gain; 1 for canonical parameters."""

@@ -4,15 +4,17 @@ Every quantity here is an exact expression built from gamma-family functions
 and Fox H-function instances: the composite-gain laws of both orderings, the
 connection outage probability, the probability of non-zero secrecy capacity
 for the four receiver/eavesdropper pairings, the largest securely served
-best-user index, and the ergodic (secrecy) capacities.  Independent
-validation routes (direct quadrature of the defining integrals and full
-network simulation) live in :mod:`secnet.montecarlo`.
+best-user index, and the ergodic (secrecy) capacities.  The independent
+validation routes live in :mod:`secnet.quadrature` (direct quadrature of the
+defining integrals) and :mod:`secnet.montecarlo` (full network simulation).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
@@ -198,121 +200,109 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Fox H instances.  Each builder takes (cfg, side, k), where side and k name
-# the order statistic the instance is indexed by, and returns (log prefactor,
-# params, scale) such that the quantity is exp(log prefactor) * H(scale * z),
-# or one minus that; z = 1 unless the instance is a law evaluated at a gain
-# level z.  Prefactors are taken in logs, so that Gamma(mu) may overflow.
-# The PNZ instances pair the k-th legitimate receiver with the first
-# eavesdropper and read only k.
+# Fox H instances, composed from Mellin transforms (Mathai, Saxena & Haubold,
+# *The H-Function*, 2010, ch. 1-2).  A _Law, exp(log_const + s log_scale)
+# prod Gamma(b + B s)^e over its factors (rank, b, B, e), is E[Z^s] of a
+# variable Z > 0 or a kernel's transform; products multiply them.  The k-th
+# nearest gain is G / Y: E[G^s] = omega^s Gamma(mu + 2s/alpha) / Gamma(mu),
+# and Y is the k-th point of mean measure rate * y^delta, E[Y^-s] =
+# rate^(s/delta) Gamma(k - s/delta) / Gamma(k).  The k-th best gain is 1 / Y
+# at the composite rate.  The kernels: 1 / s = Gamma(s) / Gamma(1 + s) for a
+# survival function, -1 / s for a distribution function, pi / (s sin(pi s))
+# / ln 2 over E[Z^-s] for E[log2(1 + x Z)]; a density is E[Z^(s-1)].  Each
+# builder takes (cfg, side, k), the order statistic indexing the instance,
+# and returns (log prefactor, params, scale): the quantity is exp(log
+# prefactor) * H(scale * z), or one minus that, with z = 1 unless it is a
+# law at a gain level z.
 # ---------------------------------------------------------------------------
 
-
-def _pdf_nearest(cfg: ScenarioConfig, side: str, k: int):
-    geo = cfg.geometry
-    fad, rate, inv_delta = geo.fading(side), geo.pathloss_rate(side), 1.0 / geo.delta
-    params = FoxHParams(
-        m=1, n=1,
-        upper_coeffs=((1.0 - k - inv_delta, inv_delta),),
-        lower_coeffs=((fad.mu - 2.0 / fad.alpha, 2.0 / fad.alpha),),
-    )
-    log_pref = math.log(fad.theta) - inv_delta * math.log(rate) - gammaln(fad.mu) - gammaln(k)
-    return log_pref, params, fad.theta / rate**inv_delta
+_Law = namedtuple("_Law", "log_const log_scale factors")
+# Factor ranks: the order of the factors within a FoxHParams group.
+_KERNEL, _GAIN, _POINT = range(3)
+_SURVIVAL = _Law(0.0, 0.0, ((_KERNEL, 0.0, 1.0, 1), (_KERNEL, 1.0, 1.0, -1)))
+_CDF = _Law(0.0, 0.0, ((_KERNEL, 0.0, -1.0, 1), (_KERNEL, 1.0, -1.0, -1)))
 
 
-def _cdf_nearest(cfg: ScenarioConfig, side: str, k: int):
-    geo = cfg.geometry
-    fad, rate, inv_delta = geo.fading(side), geo.pathloss_rate(side), 1.0 / geo.delta
-    params = FoxHParams(
-        m=2, n=1,
-        upper_coeffs=((1.0 - k, inv_delta), (1.0, 1.0)),
-        lower_coeffs=((0.0, 1.0), (fad.mu, 2.0 / fad.alpha)),
-    )
-    return -gammaln(fad.mu) - gammaln(k), params, fad.theta / rate**inv_delta
+def _product(x: _Law, y: _Law, sign: int = 1) -> _Law:
+    """The transform of X Y^sign, for independent X and Y."""
+    return _Law(x.log_const + y.log_const, x.log_scale + sign * y.log_scale,
+                x.factors + tuple((r, b, sign * B, e) for r, b, B, e in y.factors))
 
 
-def _pnz_nn(cfg: ScenarioConfig, side: str, k: int):
-    geo = cfg.geometry
-    fb, fe = cfg.fading_b, cfg.fading_e
-    inv_delta = 1.0 / geo.delta
-    params = FoxHParams(
-        m=3, n=2,
-        upper_coeffs=((1.0 - fb.mu, 2.0 / fb.alpha), (0.0, inv_delta), (1.0, 1.0)),
-        lower_coeffs=((0.0, 1.0), (fe.mu, 2.0 / fe.alpha), (k, inv_delta)),
-    )
-    arg = (fe.theta * cfg.varpi / fb.theta) * (
-        geo.pathloss_rate("legitimate") / geo.pathloss_rate("eavesdropper")
-    ) ** inv_delta
-    return -gammaln(fb.mu) - gammaln(fe.mu) - gammaln(k), params, arg
+def _point(rate: float, k: int, delta: float, power: float = 1.0) -> _Law:
+    """The law of Y^-power, Y the k-th point of mean measure rate * y^delta."""
+    slope = power / delta
+    return _Law(-gammaln(k), slope * (math.log(rate) if rate > 0.0 else -math.inf), ((_POINT, k, -slope, 1),))
 
 
-def _pnz_nb(cfg: ScenarioConfig, side: str, k: int):
-    geo = cfg.geometry
-    fb = cfg.fading_b
-    inv_delta = 1.0 / geo.delta
-    params = FoxHParams(
-        m=1, n=3,
-        upper_coeffs=((1.0, 1.0), (1.0 - fb.mu, 2.0 / fb.alpha), (0.0, inv_delta)),
-        lower_coeffs=((k, inv_delta), (0.0, 1.0)),
-    )
-    arg = (cfg.varpi / fb.theta) * (
-        geo.pathloss_rate("legitimate") / geo.composite_rate("eavesdropper")
-    ) ** inv_delta
-    return -gammaln(fb.mu) - gammaln(k), params, arg
+def _nearest(cfg: ScenarioConfig, side: str = "eavesdropper", k: int = 1) -> _Law:
+    geo, fad = cfg.geometry, cfg.geometry.fading(side)
+    gain = _Law(-gammaln(fad.mu), math.log(fad.omega), ((_GAIN, fad.mu, 2.0 / fad.alpha, 1),))
+    return _product(gain, _point(geo.pathloss_rate(side), k, geo.delta))
 
 
-def _pnz_bn(cfg: ScenarioConfig, side: str, k: int):
-    geo = cfg.geometry
-    fe = cfg.fading_e
-    inv_delta = 1.0 / geo.delta
-    params = FoxHParams(
-        m=1, n=3,
-        upper_coeffs=((1.0, 1.0), (1.0 - fe.mu, 2.0 / fe.alpha), (1.0 - k, inv_delta)),
-        lower_coeffs=((1.0, inv_delta), (0.0, 1.0)),
-    )
-    arg = (1.0 / (fe.theta * cfg.varpi)) * (
-        geo.pathloss_rate("eavesdropper") / geo.composite_rate("legitimate")
-    ) ** inv_delta
-    return -gammaln(fe.mu) - gammaln(k), params, arg
+def _best(cfg: ScenarioConfig, side: str = "eavesdropper", k: int = 1, power: float = 1.0) -> _Law:
+    return _point(cfg.geometry.composite_rate(side), k, cfg.geometry.delta, power)
 
 
-def _capacity_nearest(cfg: ScenarioConfig, side: str, k: int):
-    geo = cfg.geometry
-    fad, inv_delta = geo.fading(side), 1.0 / geo.delta
-    params = FoxHParams(
-        m=2, n=3,
-        upper_coeffs=((1.0, 1.0), (1.0, 1.0), (1.0 - fad.mu, 2.0 / fad.alpha)),
-        lower_coeffs=((1.0, 1.0), (k, inv_delta), (0.0, 1.0)),
-    )
-    arg = cfg.snr_scale(side) * geo.pathloss_rate(side)**inv_delta / fad.theta
-    return -gammaln(fad.mu) - gammaln(k) - _LOG_LN2, params, arg
+def _density(x: _Law) -> _Law:
+    return _Law(x.log_const - x.log_scale, x.log_scale, tuple((r, b - B, B, e) for r, b, B, e in x.factors))
 
 
-def _capacity_best(cfg: ScenarioConfig, side: str, k: int):
-    delta = cfg.geometry.delta
-    params = FoxHParams(
-        m=2, n=2,
-        upper_coeffs=((1.0, delta), (1.0, delta)),
-        lower_coeffs=((k, 1.0), (1.0, delta), (0.0, delta)),
-    )
-    arg = cfg.geometry.composite_rate(side) * cfg.snr_scale(side)**delta
-    return math.log(delta) - gammaln(k) - _LOG_LN2, params, arg
+@lru_cache(maxsize=256)
+def _params(factors: tuple) -> FoxHParams:
+    """The H function of kernel prod Gamma(b + B s)^e.  A factor's pair is
+    (b, B) where B > 0, else (1 - b, -B); it is a lower pair where B and e
+    share their sign, one of the first m (n) where e = 1; sorted, so by rank."""
+    lower, upper = ([], []), ([], [])
+    for _, b, B, e in sorted(factors):
+        (lower if (B > 0) == (e > 0) else upper)[e < 0].append((b, B) if B > 0 else (1.0 - b, -B))
+    return FoxHParams(m=len(lower[0]), n=len(upper[0]),
+                      upper_coeffs=tuple(upper[0] + upper[1]), lower_coeffs=tuple(lower[0] + lower[1]))
+
+
+def _at(transform: _Law, log_x: float = 0.0):
+    """The instance at the variable exp(log_x); a scale past the float range reads +inf or 0."""
+    try:
+        scale = math.exp(log_x - transform.log_scale)
+    except OverflowError:
+        scale = math.inf
+    return transform.log_const, _params(transform.factors), scale
+
+
+def _capacity(x: _Law, eta: float, power: float = 1.0):
+    """E[log2(1 + eta Z)] from the law x of Z^power, as an H function of eta^power."""
+    kernel = _Law(math.log(power), 0.0, ((_KERNEL, 1.0, power, 1), (_KERNEL, 0.0, -power, 1),
+                                         (_KERNEL, 0.0, -power, 1), (_KERNEL, 1.0, -power, -1)))
+    log_pref, params, scale = _at(_product(kernel, x, -1), power * math.log(eta))
+    return log_pref - _LOG_LN2, params, scale
 
 
 # Every Fox H instance the closed forms evaluate: name -> (builder, side,
 # whether it is a law evaluated at a gain level z, whether the closed form
-# is 1 - term, the upper end of its range).
+# is 1 - term, the upper end of its range).  _nearest(cfg) and _best(cfg)
+# are the first eavesdropper's laws, and 1 - PNZ is P(Z_e / Z_b >= varpi)
+# = P(Z_b / Z_e <= 1 / varpi).
 _FOX_H = {
-    "pdf_nearest": (_pdf_nearest, "legitimate", True, False, math.inf),
-    "cdf_nearest": (_cdf_nearest, "legitimate", True, True, 1.0),
-    "pnz_nn": (_pnz_nn, "legitimate", False, True, 1.0),
-    "pnz_nb": (_pnz_nb, "legitimate", False, False, 1.0),
-    "pnz_bn": (_pnz_bn, "legitimate", False, True, 1.0),
-    "capacity_nearest": (_capacity_nearest, "legitimate", False, False, math.inf),
-    "capacity_best": (_capacity_best, "legitimate", False, False, math.inf),
-    "wiretap_nearest": (_capacity_nearest, "eavesdropper", False, False, math.inf),
-    "wiretap_best": (_capacity_best, "eavesdropper", False, False, math.inf),
+    "pdf_nearest": (lambda cfg, side, k: _at(_density(_nearest(cfg, side, k))),
+                    "legitimate", True, False, math.inf),
+    "cdf_nearest": (lambda cfg, side, k: _at(_product(_SURVIVAL, _nearest(cfg, side, k))),
+                    "legitimate", True, True, 1.0),
+    "pnz_nn": (lambda cfg, side, k: _at(_product(_SURVIVAL, _product(_nearest(cfg), _nearest(cfg, side, k), -1)),
+                                        math.log(cfg.varpi)), "legitimate", False, True, 1.0),
+    "pnz_nb": (lambda cfg, side, k: _at(_product(_CDF, _product(_best(cfg), _nearest(cfg, side, k), -1)),
+                                        math.log(cfg.varpi)), "legitimate", False, False, 1.0),
+    "pnz_bn": (lambda cfg, side, k: _at(_product(_CDF, _product(_best(cfg, side, k), _nearest(cfg), -1)),
+                                        -math.log(cfg.varpi)), "legitimate", False, True, 1.0),
+    "capacity_nearest": (lambda cfg, side, k: _capacity(_nearest(cfg, side, k), cfg.snr_scale(side)),
+                         "legitimate", False, False, math.inf),
+    # Z^delta, whose point factor has unit slope
+    "capacity_best": (lambda cfg, side, k: _capacity(_best(cfg, side, k, cfg.geometry.delta),
+                                                     cfg.snr_scale(side), cfg.geometry.delta),
+                      "legitimate", False, False, math.inf),
 }
+_FOX_H["wiretap_nearest"] = (_FOX_H["capacity_nearest"][0], "eavesdropper", False, False, math.inf)
+_FOX_H["wiretap_best"] = (_FOX_H["capacity_best"][0], "eavesdropper", False, False, math.inf)
 
 
 def _end_value(cfg: ScenarioConfig, name: str, z: float) -> float | None:

@@ -82,6 +82,8 @@ __all__ = [
 ]
 
 _BATCH = 8192
+# The largest mean numpy's Poisson sampler draws from (its POISSON_LAM_MAX).
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 _T = TypeVar("_T")
 
 
@@ -380,6 +382,8 @@ def _stream(cfg: ScenarioConfig, mc: MonteCarloConfig, side: str) -> np.ndarray:
     """
     ordering, k = cfg.ordering_of(side), cfg.order_index(side)
     radius = stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,))
+    if not _window_mean(cfg.geometry, side, radius) <= _POISSON_MAX:
+        raise ConvergenceError(f"the window of radius {radius:g} holds more points than a Poisson draw can count")
     # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
     code = (stochgeo.SIDES.index(side), ORDERINGS.index(ordering))
     z = np.empty(mc.trials)

@@ -50,6 +50,8 @@ def _exp_sinh(level: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
     still sampled, and the trapezoid sum converges exponentially in the
     level for analytic integrands.
     """
+    if not 0.0 < scale < math.inf:
+        raise ConvergenceError(f"exp-sinh scale {scale:g} lies outside the float range")
     step = 2.0**-level
     n = int(_T_MAX / step)
     t = step * np.arange(-n, n + 1)

@@ -533,15 +533,22 @@ class TestEvalCommand:
         assert "config" in capsys.readouterr().err
 
     # A heavy-tailed best-ordering side on a line, whose window rule gives
-    # up, and streams that reject every realization, for a probability and
-    # a mean metric.
+    # up, streams that reject every realization, for a probability and a
+    # mean metric, and a window past numpy's Poisson sampler (about 3.1e20
+    # points in radius 10); and a quadrature whose exp-sinh scale
+    # (k / rate)^(1/delta) underflows to 0.
     @pytest.mark.parametrize("doc, message", [
         ("[geometry]\nd = 1\nupsilon = 3\nlambda_b = 0.01\n[fading_b]\nalpha = 1\nmu = 0.5\n"
          "[scenario]\nk = 4\nordering = best\n[run]\nmethod = monte-carlo\n",
          "window radius rule diverged"),
         ("[run]\nmetric = cop\nmethod = monte-carlo\n[mc]\ntrials = 100\n", "no valid realizations"),
         ("[run]\nmetric = capacity\nmethod = monte-carlo\n[mc]\ntrials = 100\n", "no valid realizations"),
-    ], ids=["window-rule-diverges", "no-valid-realization-cop", "no-valid-realization-capacity"])
+        ("[geometry]\nlambda_b = 1e18\n[run]\nmetric = cop\nmethod = monte-carlo\n",
+         "more points than a Poisson draw can count"),
+        ("[geometry]\nlambda_b = 1e300\nupsilon = 8\n[run]\nmethod = quadrature\n",
+         "exp-sinh scale 0 lies outside the float range"),
+    ], ids=["window-rule-diverges", "no-valid-realization-cop", "no-valid-realization-capacity",
+            "window-past-poisson-sampler", "quadrature-scale-underflows"])
     def test_simulation_that_cannot_estimate_is_numeric_error(self, tmp_path, capsys, monkeypatch, doc, message):
         if message == "no valid realizations":
             monkeypatch.setattr(montecarlo, "_stream", lambda cfg, mc, side: np.full(mc.trials, np.nan))
@@ -675,6 +682,9 @@ class TestEvalCommand:
         pytest.param("[geometry]\nlambda_b = 10\n[scenario]\neta_k_db = 3080\n", "pnz", None, id="pnz"),
         pytest.param("[geometry]\nlambda_b = 10\n[scenario]\neta_k_db = 3080\n", "capacity", ["nan", "nan"],
                      id="capacity"),
+        # rate_b^(1/delta) overflows: neither oracle has a window or a scale to work in
+        pytest.param("[geometry]\nlambda_b = 1e300\nupsilon = 8\n", "capacity", ["nan", "nan"],
+                     id="capacity-dense"),
     ])
     def test_fox_h_argument_past_float_range_is_a_numeric_error(self, tmp_path, capsys, document, metric, others):
         # Finite inputs whose product passes the float range: the closed form

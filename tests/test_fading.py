@@ -89,6 +89,12 @@ class TestParams:
             ScenarioConfig.build(n_a=2, n_b=3, n_e=4)
         assert counts == [6, 8, 6, 8]
 
+    @pytest.mark.parametrize("alpha, mu", [(10**400, 1), (1, 10**400)], ids=["alpha", "mu"])
+    def test_canonical_rejects_an_int_past_the_float_range(self, alpha, mu):
+        # no float holds it: the check's ValueError, not an OverflowError or a TypeError
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            AlphaMuParams.canonical(alpha, mu)
+
     def test_canonical_still_rejects_each_bad_pair(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="finite"):
@@ -102,10 +108,6 @@ class TestParams:
         values = {"alpha": 2.0, "mu": 1.0, "omega": 1.0, field: value}
         with pytest.raises(ValueError, match="finite"):
             AlphaMuParams(**values)
-
-    def test_derived_constants_consistent(self):
-        p = AlphaMuParams(2.5, 1.7, 0.4)
-        assert p.theta * p.omega == pytest.approx(1.0, rel=1e-15)
 
 
 class TestPdf:

@@ -11,10 +11,15 @@ Two layers stay shared with the closed forms, on purpose: the mean measure
 (``NetworkGeometry.pathloss_rate``/``composite_rate``), which the quadrature
 integrates against and the simulator reaches only through ``window_radius``,
 and the branch-sum fit (``NetworkGeometry.fading``), which every route uses.
+
+The Mellin test (``tests/test_mellin.py``) derives each instance's
+transform from the laws a second time, so it may read from ``metrics`` only
+the instances and the scenario type, never the algebra that composes them.
 """
 
 import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -143,4 +148,61 @@ def test_the_registry_is_all_the_simulator_walk_leaves_out():
 ])
 def test_planted_reads_are_reported(oracle, snippet, reported):
     found = violations([ast.parse(snippet)], oracle)
+    assert [line.split(": ", 1)[1] for line in found] == reported
+
+
+# what tests/test_mellin.py may read from metrics: the instances it checks and
+# the scenario type it builds them on
+MELLIN_READS = {"_FOX_H", "ScenarioConfig"}
+
+
+def metrics_reads(tree: ast.AST) -> tuple[set[str], list[str]]:
+    """The names ``tree`` reads from metrics, and every read outside
+    ``MELLIN_READS``: an attribute of the module, a name imported from it,
+    or the module used other than through an attribute."""
+    aliases, reads, found = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("secnet", "secnet.metrics"):
+            for alias in node.names:
+                if node.module == "secnet.metrics":
+                    reads.add(alias.name)
+                    if alias.name not in MELLIN_READS:
+                        found.append(f"line {node.lineno}: from secnet.metrics import {alias.name}")
+                elif alias.name == "metrics":
+                    aliases.add(alias.asname or "metrics")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "secnet.metrics" and alias.asname:
+                    aliases.add(alias.asname)
+                elif alias.name.startswith("secnet.metrics"):
+                    found.append(f"line {node.lineno}: import {alias.name}")
+    attribute_values = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            attribute_values.add(id(node.value))
+            reads.add(node.attr)
+            if node.attr not in MELLIN_READS:
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    found += [f"line {node.lineno}: {node.id}" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in aliases and id(node) not in attribute_values]
+    return reads, found
+
+
+def test_the_mellin_test_reads_only_the_instances_from_metrics():
+    tree = ast.parse(pathlib.Path(__file__).with_name("test_mellin.py").read_text())
+    reads, found = metrics_reads(tree)
+    assert found == []
+    assert reads == MELLIN_READS
+
+
+@pytest.mark.parametrize("snippet, reported", [
+    ("from secnet import metrics\nmetrics._nearest(cfg, 'legitimate', 1)\n", ["metrics._nearest"]),
+    ("from secnet import metrics as m\nm._params(())\n", ["m._params"]),
+    ("from secnet.metrics import _product, ScenarioConfig\n", ["from secnet.metrics import _product"]),
+    ("import secnet.metrics as m\nm._FOX_H['pnz_nn']\n", []),
+    ("import secnet.metrics\n", ["import secnet.metrics"]),
+    ("from secnet import metrics\ngetattr(metrics, '_at')\n", ["metrics"]),
+])
+def test_planted_mellin_reads_are_reported(snippet, reported):
+    _, found = metrics_reads(ast.parse(snippet))
     assert [line.split(": ", 1)[1] for line in found] == reported

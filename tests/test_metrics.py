@@ -471,6 +471,16 @@ class TestArgumentOutsideFloatRange:
                      id="pnz_nn-replaced-numpy"),
         pytest.param(lambda cfg: metrics.cdf_composite_nearest(cfg, np.float64(1e300)), {"lambda_b": 1e-10},
                      id="cdf_nearest-numpy-inf"),
+        # lambda_b c_d underflows to a path-loss rate of 0
+        pytest.param(metrics.cop_nearest, {"d": 20, "lambda_b": 5e-324}, id="cop_nearest-rate-zero"),
+        # a density whose rate^(1/delta) = rate^4 passes the float range, up or down
+        *(pytest.param(_CLOSED_FORMS[name], {lam: value, "upsilon": 8.0}, id=f"{name}-{lam}={value:g}")
+          for lam, value, names in (
+              ("lambda_b", 1e300, ("cdf_nearest", "pdf_nearest", "pnz_nn", "pnz_nb", "capacity_nearest")),
+              ("lambda_b", 1e-300, ("cdf_nearest", "pdf_nearest", "pnz_bn")),
+              ("lambda_e", 1e300, ("pnz_bn", "wiretap_nearest")),
+              ("lambda_e", 1e-300, ("pnz_nn", "pnz_nb")))
+          for name in names),
     ])
     def test_finite_inputs_past_float_range_raise(self, evaluate, over):
         cfg = ScenarioConfig.build(**over)
