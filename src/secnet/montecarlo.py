@@ -384,6 +384,13 @@ def _stream(cfg: ScenarioConfig, mc: MonteCarloConfig, side: str) -> np.ndarray:
     radius = stochgeo.window_radius(cfg.geometry, side, k, orderings=(ordering,))
     if not _window_mean(cfg.geometry, side, radius) <= _POISSON_MAX:
         raise ConvergenceError(f"the window of radius {radius:g} holds more points than a Poisson draw can count")
+    # Both samplers divide by R^upsilon, a Python float power that raises
+    # OverflowError past the float range: raise the typed error before drawing.
+    try:
+        radius**cfg.geometry.upsilon
+    except OverflowError:
+        raise ConvergenceError(f"R^upsilon of the window of radius {radius:g} at upsilon = "
+                               f"{cfg.geometry.upsilon:g} lies outside the float range") from None
     # Positions in SIDES and ORDERINGS are stream keys: reordering either changes realizations.
     code = (stochgeo.SIDES.index(side), ORDERINGS.index(ordering))
     z = np.empty(mc.trials)

@@ -192,9 +192,18 @@ class _NearestLaw:
     cdf_table: _Table = field(default_factory=_Table, init=False, repr=False, compare=False)
     expect_table: _Table = field(default_factory=_Table, init=False, repr=False, compare=False)
 
+    @property
+    def scale(self) -> float:
+        """(k / rate)^(1/delta), the scale of Y; +inf where it passes the
+        float range, a scale that ``_exp_sinh`` rejects."""
+        try:
+            return (self.k / self.rate) ** (1.0 / self.delta)
+        except OverflowError:
+            return math.inf
+
     def cdf(self, z, level: int):
         """P(Z <= z) by the conditioning integral over the distance law."""
-        y, wy = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta))
+        y, wy = _exp_sinh(level, self.scale)
         weight = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
         keep = weight != 0.0
         return self.cdf_table.outer(
@@ -202,7 +211,7 @@ class _NearestLaw:
 
     def pdf(self, z: float, level: int):
         """Density of Z at z by the conditioning integral of y f_G(z y) f_Y(y)."""
-        y, wy = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta))
+        y, wy = _exp_sinh(level, self.scale)
         weight = y * stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
         keep = weight != 0.0
         return fading.pdf_power_gain(self.fad, z * y[keep]) @ weight[keep]
@@ -211,7 +220,7 @@ class _NearestLaw:
         """E[h(Z)] over W = 1 / Z = Y / G, whose density is the integral
         over g of g f_G(g) f_Y(w g)."""
         mean_gain = self.fad.mean_power()
-        w, ww = _exp_sinh(level, (self.k / self.rate) ** (1.0 / self.delta) / mean_gain)
+        w, ww = _exp_sinh(level, self.scale / mean_gain)
         g, wg = _exp_sinh(level, mean_gain)
         g_weight = g * fading.pdf_power_gain(self.fad, g) * wg
         g_keep = g_weight != 0.0

@@ -58,14 +58,30 @@ scaled @ hypot(shift, t ln z) to that scalar.  The peak, the tail, the
 finiteness and underflow checks and the residue are scalar arithmetic on
 the level-0 sets.  The level sums are kept in units of the peak, which
 multiplies them once at the end; a value or bound that is not finite
-raises.  A set takes one ``loggamma`` call, on the (p + q, nodes) array of
-every gamma argument; the terms are signed and added row by row in their
-order, so each sum is the one a term-by-term loop gives.  A
-``functools.lru_cache`` keeps the last ``_CACHE_SIZE`` (64) node sets of
-at most ``_CACHE_NODES`` (512) nodes: at 24 bytes a node (t, phase and
-scaled weight) that is under 1 MiB.  A larger node set is computed and not
-kept, so the largest lattice an evaluation may reach (``_MAX_NODES``) lives
-only as long as that call.  A warm call equals a cold one bit for bit.
+raises.  A ``functools.lru_cache`` keeps the last ``_CACHE_SIZE`` (64)
+node sets of at most ``_CACHE_NODES`` (512) nodes: at 24 bytes a node (t,
+phase and scaled weight) that is under 1 MiB.  A larger node set is
+computed and not kept, so the largest lattice an evaluation may reach
+(``_MAX_NODES``) lives only as long as that call.
+
+Each gamma term is +-loggamma(b + B s) for a pair (b, B) of its own:
+(b_j, B_j), (1 - b_j, -B_j), (1 - a_j, -A_j) or (a_j, A_j).  Over a set's
+nodes it contributes one log-gamma row, loggamma(b + B (c + i t)), which
+depends on the pair and the lattice (c, step, first index, stop, stride)
+alone.  A figure curve over the user index k or an antenna count holds
+the fading and the densities fixed, so its consecutive instances share
+their abscissa, their lattices and all but one or two gamma terms: most
+rows of a new instance's node sets were evaluated for the instance before.  A row store
+keeps the rows of the last ``_CACHE_SIZE`` (64) distinct terms evaluated on
+a lattice of at most ``_CACHE_NODES`` nodes, keyed on (b, B, c, step,
+first, stop, stride), least recently used first out: at 16 bytes a node
+that is at most 0.5 MiB.  A node set that misses reads the rows its terms
+find there and makes one ``loggamma`` call, on the (rows, nodes) array of
+the distinct terms that are not held; an instance's equal terms share a
+row.  Its terms are then signed and added row by row in their order, so
+each sum is the one a term-by-term loop gives, and since log-gamma is
+elementwise, a set built from held rows equals a cold one bit for bit, as a
+warm call equals a cold one.
 
 A call that repeats an earlier one exactly, in parameters, argument,
 abscissa and log prefactor, returns the earlier :class:`FoxHValue`: the
@@ -79,6 +95,7 @@ not outlive the figure table that repeats it.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -116,6 +133,11 @@ _TINY = float(np.finfo(float).tiny)
 # and scaled weight) that is under 1 MiB in all.
 _CACHE_SIZE = 64
 _CACHE_NODES = 512
+# The log-gamma rows of the last _CACHE_SIZE distinct gamma terms evaluated
+# on a lattice of at most _CACHE_NODES nodes, least recently used first out:
+# (constant, slope, c, step, first, stop, stride) -> loggamma row.  At 16
+# bytes a node that is 0.5 MiB at most.
+_ROWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
 # Fox H values kept across calls, least recently used first out.  The bound
 # is a count, kept small: a figure table repeats an instance within fewer
 # distinct ones (fig11 at most 17), and a value is gone once that many others
@@ -169,16 +191,20 @@ class FoxHParams:
         return self._hash
 
     @cached_property
-    def _terms(self) -> np.ndarray:
-        """The columns constant, slope and sign of the gamma terms, one row
-        per term, lower pairs first: each term is
+    def _terms(self) -> tuple[tuple[tuple[float, float], ...], np.ndarray, list[int], np.ndarray]:
+        """The gamma terms, lower pairs first.  Each term is
         sign * loggamma(constant + slope * s), and the log-gamma sums add
-        them in this order."""
+        them in this order.  Given as the distinct pairs (constant, slope),
+        which key the log-gamma rows, their columns constant and slope, the
+        index of each term's pair and the column of the terms' signs."""
         terms = [(b, B, 1.0) if j < self.m else (1.0 - b, -B, -1.0)
                  for j, (b, B) in enumerate(self.lower_coeffs)]
         terms += [(1.0 - a, -A, 1.0) if j < self.n else (a, A, -1.0)
                   for j, (a, A) in enumerate(self.upper_coeffs)]
-        return np.array(terms, dtype=float).reshape(-1, 3).T[..., None]
+        pairs = tuple(dict.fromkeys(term[:2] for term in terms))
+        return (pairs, np.array(pairs, dtype=float).reshape(-1, 2).T[..., None],
+                [pairs.index(term[:2]) for term in terms],
+                np.array([term[2] for term in terms], dtype=float).reshape(-1, 1))
 
     @property
     def p(self) -> int:
@@ -260,11 +286,30 @@ def _node_set(params: FoxHParams, c: float, step: float, first: int, stop: int,
 @lru_cache(maxsize=_CACHE_SIZE)
 def _kept_node_set(params: FoxHParams, c: float, step: float, first: int, stop: int,
                    stride: int) -> _NodeSet:
-    """The node set of :func:`_node_set`.  One ``loggamma`` call takes every
-    term at every node; the terms are added row by row, in their order."""
+    """The node set of :func:`_node_set`.  Each term's log-gamma row is read
+    from the row store where it is held, and one ``loggamma`` call takes
+    the rows that are not; the terms are signed and added row by row, in
+    their order."""
     t = step * np.arange(first, stop, stride)
-    constant, slope, sign = params._terms
-    terms = loggamma(constant + slope * (c + 1j * t))
+    pairs, (constant, slope), where, sign = params._terms
+    keys = [pair + (c, step, first, stop, stride) for pair in pairs]
+    rows = [_ROWS.pop(key, None) for key in keys]
+    fresh = [j for j, row in enumerate(rows) if row is None]
+    # A lattice of more than _CACHE_NODES nodes is kept nowhere, so none of
+    # its rows was held, and none is kept.
+    kept = t.size <= _CACHE_NODES
+    if fresh:
+        if len(fresh) < len(rows):
+            constant, slope = constant[fresh], slope[fresh]
+        for j, row in zip(fresh, loggamma(constant + slope * (c + 1j * t))):
+            # A kept row holds its own nodes, not the whole call's.
+            rows[j] = row.copy() if kept else row
+    if kept:
+        # Held rows and new ones go in as the most recently used.
+        _ROWS.update(zip(keys, rows))
+        while len(_ROWS) > _CACHE_SIZE:
+            _ROWS.popitem(last=False)
+    terms = np.array([rows[j] for j in where])
     terms *= sign
     log_gamma, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
     top = float(log_gamma.real.max())
@@ -305,9 +350,10 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     and real z the integrand at c - i t is the conjugate of that at c + i t,
     so only the nodes t >= 0 are evaluated, plus the node -step of level 0
     that measures the symmetry's residue and is left out of its sums.  Each
-    node set takes one ``loggamma`` call for all of its gamma terms, and is
-    kept apart from z, so that a level at another argument is one
-    cosine-weighted sum over the kept arrays.
+    node set takes at most one ``loggamma`` call, on the gamma terms whose
+    log-gamma rows the row store does not hold, and is kept apart from z,
+    so that a level at another argument is one cosine-weighted sum over the
+    kept arrays.
 
     The last ``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept,
     keyed on (params, z, abscissa, log_prefactor), and a repeated call

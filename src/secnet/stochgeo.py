@@ -143,9 +143,18 @@ def min_count_mean(k: int) -> float:
 
 def _far_cutoff(geometry: NetworkGeometry, side: str, k: int) -> float:
     """Fading-weighted loss that the k-th order statistic exceeds with
-    probability one tenth of the far-point budget."""
+    probability one tenth of the far-point budget.
+
+    Raises ConvergenceError where it underflows to 0 or overflows, as a
+    density of the order of 1e300 or 1e-300 makes it at upsilon = 8: the
+    window rule divides by it.
+    """
     rate = geometry.composite_rate(side)
-    return (gammainccinv(k, _FAR_POINT_BUDGET / 10.0) / rate) ** (1.0 / geometry.delta)
+    with np.errstate(over="ignore"):
+        xi = (gammainccinv(k, _FAR_POINT_BUDGET / 10.0) / rate) ** (1.0 / geometry.delta)
+    if not 0.0 < xi < math.inf:
+        raise ConvergenceError(f"far-point cutoff {xi:g} of the {side} window lies outside the float range")
+    return xi
 
 
 def _far_count(geometry: NetworkGeometry, side: str, xi: float, radius: float) -> float:

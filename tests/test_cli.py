@@ -547,14 +547,23 @@ class TestEvalCommand:
          "more points than a Poisson draw can count"),
         ("[geometry]\nlambda_b = 1e300\nupsilon = 8\n[run]\nmethod = quadrature\n",
          "exp-sinh scale 0 lies outside the float range"),
+        ("[geometry]\nlambda_b = 1e-300\nupsilon = 8\n[run]\nmetric = pnz\nmethod = quadrature\n",
+         "exp-sinh scale inf lies outside the float range"),
+        ("[geometry]\nlambda_b = 1e-300\nupsilon = 8\n[run]\nmetric = pnz\nmethod = monte-carlo\n",
+         "R^upsilon of the window of radius 2.56835e+150 at upsilon = 8 lies outside the float range"),
+        ("[geometry]\nlambda_b = 1e300\nupsilon = 8\n[scenario]\nordering = best\n[run]\nmethod = monte-carlo\n",
+         "far-point cutoff 0 of the legitimate window lies outside the float range"),
     ], ids=["window-rule-diverges", "no-valid-realization-cop", "no-valid-realization-capacity",
-            "window-past-poisson-sampler", "quadrature-scale-underflows"])
+            "window-past-poisson-sampler", "quadrature-scale-underflows", "quadrature-scale-overflows",
+            "window-r-upsilon-overflows", "far-point-cutoff-underflows"])
     def test_simulation_that_cannot_estimate_is_numeric_error(self, tmp_path, capsys, monkeypatch, doc, message):
         if message == "no valid realizations":
             monkeypatch.setattr(montecarlo, "_stream", lambda cfg, mc, side: np.full(mc.trials, np.nan))
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(doc)
-        assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numeric error: ")
@@ -685,6 +694,11 @@ class TestEvalCommand:
         # rate_b^(1/delta) overflows: neither oracle has a window or a scale to work in
         pytest.param("[geometry]\nlambda_b = 1e300\nupsilon = 8\n", "capacity", ["nan", "nan"],
                      id="capacity-dense"),
+
+        # rate_b^(1/delta) underflows: the closed form's argument is 0, and the
+        # quadrature's scale and the simulator's R^upsilon pass the float range
+        pytest.param("[geometry]\nlambda_b = 1e-300\nupsilon = 8\n", "pnz", ["nan", "nan"],
+                     id="pnz-sparse"),
     ])
     def test_fox_h_argument_past_float_range_is_a_numeric_error(self, tmp_path, capsys, document, metric, others):
         # Finite inputs whose product passes the float range: the closed form
@@ -696,7 +710,9 @@ class TestEvalCommand:
             assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
         captured = capsys.readouterr()
         assert captured.err and all(line.startswith("numeric error:") for line in captured.err.splitlines())
-        assert "Fox H argument inf lies outside the float range" in captured.err
+        assert re.search("Fox H argument (inf|0) lies outside the float range", captured.err)
+        # Every line names the quantity, none is a bare OverflowError's.
+        assert "Numerical result out of range" not in captured.err
         rows = [line.split(",") for line in captured.out.splitlines()[1:]]
         assert [row[5] for row in rows] == ["closed-form", "quadrature", "monte-carlo"]
         assert rows[0][3] == "nan"

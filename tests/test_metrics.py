@@ -477,7 +477,7 @@ class TestArgumentOutsideFloatRange:
         *(pytest.param(_CLOSED_FORMS[name], {lam: value, "upsilon": 8.0}, id=f"{name}-{lam}={value:g}")
           for lam, value, names in (
               ("lambda_b", 1e300, ("cdf_nearest", "pdf_nearest", "pnz_nn", "pnz_nb", "capacity_nearest")),
-              ("lambda_b", 1e-300, ("cdf_nearest", "pdf_nearest", "pnz_bn")),
+              ("lambda_b", 1e-300, ("cdf_nearest", "pdf_nearest", "pnz_nn", "pnz_nb", "pnz_bn")),
               ("lambda_e", 1e300, ("pnz_bn", "wiretap_nearest")),
               ("lambda_e", 1e-300, ("pnz_nn", "pnz_nb")))
           for name in names),
@@ -487,6 +487,30 @@ class TestArgumentOutsideFloatRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(specfun.ConvergenceError, match="lies outside the float range"):
+                evaluate(cfg)
+
+    # The oracles at the same densities: the quadrature's scale
+    # (k / rate)^(1/delta) and the simulator's R^upsilon pass the float range
+    # at lambda_b = 1e-300, and the best-ordering window's far-point cutoff
+    # underflows at 1e300.  Each raises a ConvergenceError naming the
+    # quantity, not a bare OverflowError or a numpy warning.
+    @pytest.mark.parametrize("evaluate, over, message", [
+        pytest.param(quadrature.pnz, {"lambda_b": 1e-300}, "exp-sinh scale inf lies outside",
+                     id="quadrature-pnz"),
+        pytest.param(quadrature.cop, {"lambda_b": 1e-300}, "exp-sinh scale inf lies outside",
+                     id="quadrature-cop"),
+        pytest.param(lambda cfg: montecarlo.simulate_pnz(cfg, None, montecarlo.MonteCarloConfig(100, 1)),
+                     {"lambda_b": 1e-300}, r"R\^upsilon of the window of radius 2.56835e\+150 at upsilon = 8",
+                     id="simulator-pnz"),
+        pytest.param(lambda cfg: montecarlo.simulate_cop(cfg, montecarlo.MonteCarloConfig(100, 1)),
+                     {"lambda_b": 1e300, "ordering": "best"}, "far-point cutoff 0 of the legitimate window",
+                     id="simulator-cop-best"),
+    ])
+    def test_oracles_past_float_range_raise(self, evaluate, over, message):
+        cfg = ScenarioConfig.build(upsilon=8.0, **over)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.ConvergenceError, match=message):
                 evaluate(cfg)
 
     def test_instance_list_leaves_out_the_limits_at_varpi_zero(self):

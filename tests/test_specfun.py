@@ -5,6 +5,7 @@ Frozen reference values were produced with 40-digit mpmath arithmetic
 independent Mellin-Barnes integration along a different contour abscissa).
 """
 
+import functools
 import math
 from dataclasses import astuple, replace
 
@@ -243,10 +244,11 @@ class TestFoxHErrorEstimate:
 
 @pytest.fixture
 def cold_cache():
-    """An empty node-set cache and no kept values for the test; calling the
-    fixture's value empties both again."""
+    """An empty node-set cache, an empty row store and no kept values for
+    the test; calling the fixture's value empties all three again."""
     def clear():
         specfun._kept_node_set.cache_clear()
+        specfun._ROWS.clear()
         specfun._evaluate.cache_clear()
     clear()
     return clear
@@ -538,8 +540,9 @@ class TestOneLogGammaCallPerNodeArray:
         assert (nodes.top, nodes.edge, nodes.residue) == (top, log_gamma.real[-1], residue)
 
     @pytest.mark.parametrize("params,arg", _inscope_instances())
-    def test_each_node_array_that_misses_takes_one_call(self, params, arg, node_sets, cold_cache,
-                                                        monkeypatch):
+    def test_each_node_set_that_misses_takes_one_call_on_the_rows_not_held(self, params, arg,
+                                                                          node_sets, cold_cache,
+                                                                          monkeypatch):
         shapes = []
 
         def counting(x):
@@ -548,13 +551,114 @@ class TestOneLogGammaCallPerNodeArray:
 
         monkeypatch.setattr(specfun, "loggamma", counting)
         fox_h(params, arg)
-        # Cold, every node set misses, and one call takes all p + q terms.
-        assert shapes == [(params.p + params.q, t.size) for t in node_sets]
+        # Cold, every node set misses, and one call takes each distinct
+        # gamma term once: the lattices of one evaluation share no row.
+        distinct = len(set(_gamma_pairs(params)))
+        assert shapes == [(distinct, t.size) for t in node_sets]
         # At another argument the same node sets are read back: no call.
         shapes.clear()
         node_sets.clear()
         fox_h(params, 2.0 * arg)
         assert node_sets and not shapes
+
+
+def _gamma_pairs(params: FoxHParams) -> list[tuple[float, float]]:
+    """The (constant, slope) of each gamma term, in the order of
+    :func:`_gamma_terms`: the term is +-loggamma(constant + slope * s)."""
+    return [*((b, big_b) if j < params.m else (1.0 - b, -big_b)
+              for j, (b, big_b) in enumerate(params.lower_coeffs)),
+            *((1.0 - a, -big_a) if j < params.n else (a, big_a)
+              for j, (a, big_a) in enumerate(params.upper_coeffs))]
+
+
+def _bits(nodes: specfun._NodeSet) -> tuple:
+    """A node set's arrays and scalars as bytes and hex: equal only bit for bit."""
+    return tuple(x.tobytes() if isinstance(x, np.ndarray) else float(x).hex() for x in nodes)
+
+
+class TestRowStore:
+    """A node set that misses reads the log-gamma rows of its terms from a
+    bounded store and evaluates only the rows the store does not hold."""
+
+    # Log-gamma values per figure table from cold caches: the count before
+    # the store, and with it.  A curve over k or the antenna count changes
+    # one or two gamma terms of an instance and keeps its lattice.
+    @pytest.mark.parametrize("fig, without_store, with_store", [
+        ("fig5", 28044, 5068), ("fig6", 18822, 6696), ("fig7", 20832, 5498),
+        ("fig9", 4640, 3336), ("fig10", 20408, 6236), ("fig11", 16304, 4330),
+    ])
+    def test_figure_tables_evaluate_fewer_log_gamma_values(self, fig, without_store, with_store,
+                                                           cold_cache, monkeypatch):
+        evaluated = []
+
+        def counting(x):
+            evaluated.append(x.size)
+            return loggamma(x)
+
+        monkeypatch.setattr(specfun, "loggamma", counting)
+        figures.figure_table(fig)
+        assert sum(evaluated) == with_store < without_store
+
+    @pytest.mark.parametrize("fig", ["fig5", "fig6", "fig7", "fig10", "fig11"])
+    def test_node_sets_from_held_rows_equal_cold_ones(self, fig, cold_cache, monkeypatch):
+        built = []
+        original = specfun._kept_node_set.__wrapped__
+
+        def recording(*args):
+            nodes = original(*args)
+            built.append((args, nodes))
+            return nodes
+
+        monkeypatch.setattr(specfun, "_kept_node_set",
+                            functools.lru_cache(maxsize=specfun._CACHE_SIZE)(recording))
+        figures.figure_table(fig)
+        assert built
+        for args, nodes in built:
+            specfun._ROWS.clear()
+            assert _bits(original(*args)) == _bits(nodes), args[1:]
+
+    def test_a_set_missing_one_row_evaluates_that_row_alone(self, cold_cache, monkeypatch):
+        params, _ = metrics.fox_h_instances(figures.scenario("fig6", k=2))["pnz_nn"]
+        c = params.default_abscissa()
+        lattice = (c, 0.05, -1, 200, 1)
+        arguments = []
+
+        def recording(x):
+            arguments.append(x.copy())
+            return loggamma(x)
+
+        monkeypatch.setattr(specfun, "loggamma", recording)
+        cold = specfun._node_set(params, *lattice)
+        pairs = list(dict.fromkeys(_gamma_pairs(params)))
+        assert [x.shape for x in arguments] == [(len(pairs), 201)]
+        assert list(specfun._ROWS) == [pair + lattice for pair in pairs]
+        # The set is gone but its rows are held: no call.
+        specfun._kept_node_set.cache_clear()
+        assert _bits(specfun._node_set(params, *lattice)) == _bits(cold)
+        assert len(arguments) == 1
+        # One row dropped: one call, on that row's arguments alone.
+        specfun._kept_node_set.cache_clear()
+        constant, slope = pairs[1]
+        del specfun._ROWS[pairs[1] + lattice]
+        assert _bits(specfun._node_set(params, *lattice)) == _bits(cold)
+        assert len(arguments) == 2
+        np.testing.assert_array_equal(
+            arguments[1], constant + slope * (c + 1j * (0.05 * np.arange(-1, 200)))[None, :])
+
+    def test_store_keeps_the_last_64_rows_of_at_most_512_nodes(self, cold_cache):
+        for fig in ("fig6", "fig11"):
+            figures.figure_table(fig)
+        rows = list(specfun._ROWS.values())
+        assert len(rows) == specfun._CACHE_SIZE == 64
+        # Each row owns its nodes: 64 rows of 512 complex nodes are 0.5 MiB.
+        assert all(row.base is None and row.size <= specfun._CACHE_NODES for row in rows)
+        assert sum(row.nbytes for row in rows) <= 64 * 512 * 16
+        # A set of more than 512 nodes leaves no row behind.
+        specfun._ROWS.clear()
+        specfun._node_set(_exp_reduction_params(), 0.5, 0.01, 0, 513, 1)
+        assert not specfun._ROWS
+        specfun._node_set(_exp_reduction_params(), 0.5, 0.01, 0, 512, 1)
+        assert len(specfun._ROWS) == 1
 
 
 class TestFiniteValues:

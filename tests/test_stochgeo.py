@@ -2,6 +2,7 @@
 path-loss process, and the simulation window rule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,3 +271,16 @@ class TestWindowRadius:
             assert smaller < 10.0 or breaks_a_budget(smaller, orderings), orderings
             for r in (10.0, smaller, radius):
                 assert stochgeo._far_count(geo, side, xi, r) == pytest.approx(far_reference(r), rel=1e-6, abs=1e-300)
+
+    @pytest.mark.parametrize("lam, cutoff", [(1e300, "0"), (1e-300, "inf")])
+    def test_far_cutoff_outside_float_range_raises_before_dividing(self, lam, cutoff):
+        # At upsilon = 8 the cutoff (Q^-1(k, 1e-7) / rate)^4 underflows at
+        # lambda = 1e300 and overflows at 1e-300; the window rule divides by it.
+        geo = _geometry(upsilon=8.0, lambda_b=lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(stochgeo.ConvergenceError,
+                               match=f"far-point cutoff {cutoff} of the legitimate window lies outside"):
+                window_radius(geo, "legitimate", 1, orderings=("best",))
+            # The nearest ordering reads no cutoff.
+            assert window_radius(geo, "legitimate", 1, orderings=("nearest",)) > 0.0
