@@ -338,11 +338,11 @@ def _closed_form(cfg: ScenarioConfig, name: str, z: float = 1.0) -> float:
     label = "1 - H" if complement else "prefactor * H"
     if value <= h.error + rounding or rounding > QUAD_TOL_PROBABILITY * value:
         raise ConvergenceError(
-            f"{label} = {value:.6g} has lost its relative accuracy "
+            f"{name}: {label} = {value:.6g} has lost its relative accuracy "
             f"(error bound {h.error:.3g}, rounding {rounding:.3g})")
     if value > hi + h.error + rounding:
         raise ConvergenceError(
-            f"{label} = {value:.12g} (error bound {h.error:.3g}) lies above its upper end {hi}")
+            f"{name}: {label} = {value:.12g} (error bound {h.error:.3g}) lies above its upper end {hi}")
     return min(value, hi)
 
 

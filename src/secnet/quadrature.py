@@ -11,19 +11,15 @@ is a functional of the two sides' laws (``cop``, ``pnz``, ``capacity``);
 ``pdf`` is the legitimate law's density, which the figures plot.  The
 exp-sinh nodes whose weight underflows to exactly 0 are passed over before
 any 2D primitive is evaluated on them, which changes a sum by rounding
-alone.  The rule's levels are nested (level L's nodes hold level L - 1's,
-as the even ones), and each law keeps its 2D primitives' values from their
-last call (``_Table``).  So a finer level evaluates a 2D primitive only on
-the pairs of nodes the coarser one did not hold, about 3/4 of its grid;
-values are matched bit for bit and every sum is formed as on a fresh law,
-so each level value is unchanged.  The primitives are looked up as
-``fading.*``/``stochgeo.*`` attributes at call time, never imported by name.
+alone; each level evaluates a 2D primitive on its full grid of kept nodes,
+in one call.  The primitives are looked up as ``fading.*``/``stochgeo.*``
+attributes at call time, never imported by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -61,109 +57,24 @@ def _exp_sinh(level: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _converged(integral) -> float:
     """integral(level) at increasing levels until two successive values
-    agree.  Level L's nodes t = 2^-L j hold level L - 1's as the even j, so
-    a law from ``_law`` evaluates its 2D primitives at level L only on the
-    pairs of nodes level L - 1 did not hold (``_Table``), bit for bit."""
+    agree.  A level that reads inf or nan raises at once: level L's nodes
+    t = 2^-L j hold level L - 1's as the even j, so every finer level
+    holds the same non-finite term."""
     # Far-tail powers overflow to inf where a density factor is 0, and a
     # gain that underflows to 0 divides by zero in V's lower limit.
     with np.errstate(over="ignore", divide="ignore"):
-        previous = float(integral(_LEVELS[0]))
-        for level in _LEVELS[1:]:
+        previous = math.nan  # agrees with no level
+        for level in _LEVELS:
             value = float(integral(level))
+            if not math.isfinite(value):
+                raise ConvergenceError(
+                    f"defining-integral quadrature did not converge: step 2^-{level} reads {value}, "
+                    "which lies outside the float range")
             if abs(value - previous) <= _QUAD_REL * abs(value):
                 return value
             previous = value
     raise ConvergenceError(
         f"defining-integral quadrature did not converge: {previous:.12g} at step 2^-{_LEVELS[-1]}")
-
-
-def _bits(x) -> np.ndarray:
-    """A flat copy of x, as the bit patterns of its floats: a key that the
-    caller's later writes to x cannot change."""
-    return np.array(x, dtype=float).reshape(-1).view(np.int64)
-
-
-class _Table:
-    """One elementwise primitive's values on the grid of its last call, so
-    that the next call evaluates it only on the pairs the last did not.
-
-    The argument at (i, j) is ``op(a_i, b_j)`` of a row key a_i and a
-    column key b_j.  Keys are matched bit for bit, so a value taken over is
-    the one the primitive would return again, whatever the levels or z of
-    the two calls: a rule node recurs unchanged at every finer level, and
-    so do the rows a caller derives from such nodes.  The fresh arguments
-    go to the primitive in one call, and a first call, or one that shares
-    no row or no column, passes the full grid as it is.  The table is
-    replaced only after the primitive returns, and the values it returns
-    are its own, read-only.
-
-    1D primitives are called in full: a level holds at most 1,345 nodes,
-    and halving such a call saves less than matching its nodes costs.
-    """
-
-    def __init__(self) -> None:
-        self.keys: tuple[np.ndarray, ...] = ()
-        self.values: np.ndarray | None = None
-
-    def _held(self, axis: int, bits: np.ndarray):
-        """The positions of ``bits`` the last call did not hold, those it
-        held and where it held them; None where it held none."""
-        if self.values is None or not self.keys[axis].size:
-            return None
-        last = self.keys[axis]
-        order = last.argsort()
-        at = order.take(last.searchsorted(bits, sorter=order), mode="clip")
-        hit = last[at] == bits
-        old = hit.nonzero()[0]
-        return ((~hit).nonzero()[0], old, at[old]) if old.size else None
-
-    def outer(self, fn, op: np.ufunc, a, b: np.ndarray) -> np.ndarray:
-        """fn(op.outer(a, b)) for a key array a of any shape and 1D b; fn
-        returns a new array.
-
-        The grid is filled in three blocks: the rows not held, then the
-        columns not held on the rows held, then the pairs held.
-        """
-        a_bits, b_bits = _bits(a), _bits(b)
-        rows, cols = self._held(0, a_bits), self._held(1, b_bits)
-        if rows is None or cols is None:
-            out = fn(op.outer(a, b)).reshape(a_bits.size, b.size)
-        else:
-            a_flat = a_bits.view(float)
-            a_new, a_old, a_at = map(_stepped, rows)
-            b_new, b_old, b_at = map(_stepped, cols)
-            fresh_rows, held_rows, fresh_cols = a_flat[a_new], a_flat[a_old], b[b_new]
-            split = fresh_rows.size * b.size
-            out = np.empty((a_flat.size, b.size))
-            # the fresh arguments borrow the grid's leading memory until fn returns
-            args = out.reshape(-1)[:split + held_rows.size * fresh_cols.size]
-            op.outer(fresh_rows, b, out=args[:split].reshape(fresh_rows.size, b.size))
-            op.outer(held_rows, fresh_cols, out=args[split:].reshape(held_rows.size, fresh_cols.size))
-            fresh = fn(args)
-            out[a_new] = fresh[:split].reshape(fresh_rows.size, b.size)
-            out[_block(a_old, b_new)] = fresh[split:].reshape(held_rows.size, fresh_cols.size)
-            out[_block(a_old, b_old)] = self.values[_block(a_at, b_at)]
-        out.flags.writeable = False
-        self.keys, self.values = (a_bits, b_bits), out
-        return out.reshape(np.shape(a) + b.shape)
-
-
-def _stepped(index: np.ndarray):
-    """An index array as a slice where its positions step evenly, which
-    numpy copies faster than an index array; else the array.  Nested
-    levels hold every second node, so the positions a ``_Table`` copies
-    almost always step evenly."""
-    if index.size > 1:
-        start, step = index[0], index[1] - index[0]
-        stop = start + step * index.size
-        if step > 0 and (index == np.arange(start, stop, step)).all():
-            return slice(start, stop, step)
-    return index
-
-
-def _block(rows, cols):
-    """The index of the block rows x cols, each a slice or an index array."""
-    return np.ix_(rows, cols) if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray) else (rows, cols)
 
 
 @dataclass(frozen=True)
@@ -178,19 +89,12 @@ class _NearestLaw:
     typical law carry a density that underflows to 0.  Only exact zeros
     are passed over: a relative cutoff would lose values as small as the
     8x8 nearest COP (3e-40).
-
-    ``cdf_table`` and ``expect_table`` keep the 2D primitive's values from
-    the last ``cdf`` and ``expect`` call (``_Table``), with the rule nodes as
-    columns and the caller's z or the nodes w as rows, so a sum reads the
-    values a fresh law would, in the same order.
     """
 
     fad: fading.AlphaMuParams
     rate: float
     delta: float
     k: int
-    cdf_table: _Table = field(default_factory=_Table, init=False, repr=False, compare=False)
-    expect_table: _Table = field(default_factory=_Table, init=False, repr=False, compare=False)
 
     @property
     def scale(self) -> float:
@@ -206,8 +110,7 @@ class _NearestLaw:
         y, wy = _exp_sinh(level, self.scale)
         weight = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, y) * wy
         keep = weight != 0.0
-        return self.cdf_table.outer(
-            partial(fading.cdf_power_gain, self.fad), np.multiply, z, y[keep]) @ weight[keep]
+        return fading.cdf_power_gain(self.fad, np.multiply.outer(z, y[keep])) @ weight[keep]
 
     def pdf(self, z: float, level: int):
         """Density of Z at z by the conditioning integral of y f_G(z y) f_Y(y)."""
@@ -224,8 +127,7 @@ class _NearestLaw:
         g, wg = _exp_sinh(level, mean_gain)
         g_weight = g * fading.pdf_power_gain(self.fad, g) * wg
         g_keep = g_weight != 0.0
-        pdf_y = self.expect_table.outer(
-            partial(stochgeo.pdf_kth_distance_pow, self.k, self.rate, self.delta), np.multiply, w, g[g_keep])
+        pdf_y = stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, np.multiply.outer(w, g[g_keep]))
         weight = (pdf_y @ g_weight[g_keep]) * ww
         keep = weight != 0.0
         return np.sum(h(1.0 / w[keep]) * weight[keep])
@@ -239,21 +141,17 @@ class _BestLaw:
     ``expect`` passes over the nodes whose weight is exactly 0, as
     ``_NearestLaw`` does.  ``cdf`` shifts one set of offsets x by a lower
     limit lo per z, and no rule weight is 0, so it sums over every offset.
-    ``cdf_table`` keeps ``cdf``'s 2D density values as ``_NearestLaw``'s
-    does: the grid's rows are the limits lo, its columns the offsets x.
     """
 
     rate: float
     delta: float
     k: int
-    cdf_table: _Table = field(default_factory=_Table, init=False, repr=False, compare=False)
 
     def cdf(self, z, level: int):
         """P(Z <= z) = P(V >= rate * z^-delta); at z = 0 the limit is inf, where the density is 0."""
         lo = self.rate * np.asarray(z, dtype=float) ** -self.delta
         x, wx = _exp_sinh(level, self.k)
-        pdf_v = partial(stochgeo.pdf_kth_distance_pow, self.k, 1.0, 1.0)
-        return self.cdf_table.outer(pdf_v, np.add, lo, x) @ wx
+        return stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, np.add.outer(lo, x)) @ wx
 
     def pdf(self, z: float, level: int):
         """Density of Z at z, f_Y(1 / z) / z^2: no rule, so every level agrees."""
@@ -270,7 +168,7 @@ def _law(cfg: ScenarioConfig, side: str):
     """The composite-gain law of cfg's side law (the side, its order index
     and its ordering, with the geometry and fading they read), whose ``cdf``
     and ``expect`` take the rule level: one law serves every level of an
-    integral, and keeps its 2D primitives' values between levels (``_Table``)."""
+    integral."""
     geo, k = cfg.geometry, cfg.order_index(side)
     if cfg.ordering_of(side) == "nearest":
         return _NearestLaw(geo.fading(side), geo.pathloss_rate(side), geo.delta, k)

@@ -607,7 +607,7 @@ class TestEvalCommand:
         assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("numeric error: 1 - H = ")
+        assert captured.err.startswith("numeric error: cdf_nearest: 1 - H = ")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -620,7 +620,7 @@ class TestEvalCommand:
         args = ["eval", "--config", str(cfg_path), "--out", str(out), "--format", fmt]
         assert cli.main(args) == cli.EXIT_NUMERIC_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("numeric error: closed-form: 1 - H = ")
+        assert err.startswith("numeric error: closed-form: cdf_nearest: 1 - H = ")
         assert err.count("\n") == 1
         if fmt == "csv":
             rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -718,6 +718,23 @@ class TestEvalCommand:
         assert rows[0][3] == "nan"
         if others is not None:
             assert [row[3] for row in rows[1:]] == others
+
+    def test_dense_best_capacity_names_each_route_s_quantity(self, tmp_path, capsys):
+        # rate_b^(1/delta) is past the float range: the Fox H sum cancels
+        # beyond its bound, the quadrature's first level reads inf and the
+        # far-point cutoff underflows; each line names what failed
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text("[geometry]\nlambda_b = 1e300\nupsilon = 8\n[scenario]\nordering = best\n"
+                            "[run]\nmetric = capacity\nmethod = all\n[mc]\ntrials = 1000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eval", "--config", str(cfg_path)]) == cli.EXIT_NUMERIC_ERROR
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("numeric error: closed-form: capacity_best: prefactor * H = ")
+        assert lines[1] == ("numeric error: quadrature: defining-integral quadrature did not converge: "
+                            "step 2^-3 reads inf, which lies outside the float range")
+        assert lines[2].startswith("numeric error: monte-carlo: far-point cutoff 0 of the legitimate window")
 
 
 class TestSweepCommand:

@@ -415,6 +415,16 @@ class TestClipsWithinError:
                 self._evaluate_at(monkeypatch, name, reading, 1e-12)
 
     @pytest.mark.parametrize("name", _CLOSED_FORMS)
+    def test_every_raise_names_its_instance(self, monkeypatch, name):
+        *_, hi = metrics._FOX_H[name]
+        raises = [(1e-3, 2e-3, "has lost its relative accuracy")]
+        if hi == 1.0:
+            raises.append((1.0 + 1e-3, 1e-12, "lies above its upper end"))
+        for reading, error, message in raises:
+            with pytest.raises(specfun.ConvergenceError, match=f"^{name}: .* {message}"):
+                self._evaluate_at(monkeypatch, name, reading, error)
+
+    @pytest.mark.parametrize("name", _CLOSED_FORMS)
     def test_small_value_without_relative_accuracy_raises(self, monkeypatch, name):
         *_, complement, _ = metrics._FOX_H[name]
         assert self._evaluate_at(monkeypatch, name, 1e-3, 1e-12) == pytest.approx(1e-3, rel=1e-9)
@@ -499,6 +509,10 @@ class TestArgumentOutsideFloatRange:
                      id="quadrature-pnz"),
         pytest.param(quadrature.cop, {"lambda_b": 1e-300}, "exp-sinh scale inf lies outside",
                      id="quadrature-cop"),
+        # the first exp-sinh level of log2(1 + eta Z) reads inf, and so would every finer one
+        pytest.param(lambda cfg: quadrature.capacity(cfg, "legitimate"), {"lambda_b": 1e300, "ordering": "best"},
+                     r"did not converge: step 2\^-3 reads inf, which lies outside the float range",
+                     id="quadrature-capacity-best"),
         pytest.param(lambda cfg: montecarlo.simulate_pnz(cfg, None, montecarlo.MonteCarloConfig(100, 1)),
                      {"lambda_b": 1e-300}, r"R\^upsilon of the window of radius 2.56835e\+150 at upsilon = 8",
                      id="simulator-pnz"),
