@@ -154,8 +154,18 @@ class _BestLaw:
         return stochgeo.pdf_kth_distance_pow(self.k, 1.0, 1.0, np.add.outer(lo, x)) @ wx
 
     def pdf(self, z: float, level: int):
-        """Density of Z at z, f_Y(1 / z) / z^2: no rule, so every level agrees."""
-        return stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, 1.0 / z) / z**2
+        """Density of Z at z, f_Y(1 / z) / z^2: no rule, so every level
+        agrees.  0 where f_Y(1 / z) is, also where z^2 leaves the float
+        range; any other density there raises."""
+        if (density := stochgeo.pdf_kth_distance_pow(self.k, self.rate, self.delta, 1.0 / z)) == 0.0:
+            return 0.0
+        try:
+            square = z**2
+        except OverflowError:
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ConvergenceError(f"best-ordering density: z^2 at z = {z:g} lies outside the float range")
+        return density / square
 
     def expect(self, h, level: int):
         v, wv = _exp_sinh(level, self.k)
@@ -177,6 +187,8 @@ def _law(cfg: ScenarioConfig, side: str):
 
 def pdf(cfg: ScenarioConfig, z: float) -> float:
     """Density of the legitimate side law's composite gain at z > 0."""
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"composite-gain density needs a finite z > 0, got {z}")
     return _converged(partial(_law(cfg, "legitimate").pdf, z))
 
 

@@ -70,24 +70,20 @@ nodes it contributes one log-gamma row, loggamma(b + B (c + i t)), which
 depends on the pair and the lattice (c, step, first index, stop, stride)
 alone.  A figure curve over the user index k or an antenna count holds
 the fading and the densities fixed, so its consecutive instances share
-their abscissa, their lattices and all but one or two gamma terms: most
-rows of a new instance's node sets were evaluated for the instance before.  A row store
-keeps the rows of the last ``_CACHE_SIZE`` (64) distinct terms evaluated on
-a lattice of at most ``_CACHE_NODES`` nodes, keyed on (b, B, c, step,
-first, stop, stride), least recently used first out: at 16 bytes a node
-that is at most 0.5 MiB.  A node set that misses reads the rows its terms
-find there and makes one ``loggamma`` call, on the (rows, nodes) array of
-the distinct terms that are not held; an instance's equal terms share a
-row.  Its terms are then signed and added row by row in their order, so
-each sum is the one a term-by-term loop gives, and since log-gamma is
-elementwise, a set built from held rows equals a cold one bit for bit, as a
-warm call equals a cold one.
+their abscissa, their lattices and all but one or two gamma terms.  A
+second ``functools.lru_cache`` keeps the last ``_CACHE_SIZE`` (64) rows
+evaluated on a lattice of at most ``_CACHE_NODES`` nodes, keyed on (b, B,
+c, step, first, stop, stride): at 16 bytes a node that is at most 0.5 MiB.
+A node set that misses makes one ``loggamma`` call per row not held, so
+an instance's equal terms share a kept row.  Its terms are then signed and added
+row by row in their order, so each sum is the one a term-by-term loop
+gives, and a set built from held rows equals a cold one bit for bit.
 
 A call that repeats an earlier one exactly, in parameters, argument,
 abscissa and log prefactor, returns the earlier :class:`FoxHValue`: the
 closed forms share instances (the four ergodic secrecy capacities of a
 scenario share its legitimate and wiretap capacities).  The evaluation is a
-second ``functools.lru_cache``, of the last ``_VALUE_CACHE_SIZE`` (64)
+third ``functools.lru_cache``, of the last ``_VALUE_CACHE_SIZE`` (64)
 distinct evaluations; the bound is a count, small enough that a value does
 not outlive the figure table that repeats it.
 """
@@ -95,7 +91,6 @@ not outlive the figure table that repeats it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -128,16 +123,12 @@ _MAX_NODES = 2**17
 # normal float bounds an integrand that underflows at every node.
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# The last _CACHE_SIZE node sets of at most _CACHE_NODES nodes are kept
-# across calls, least recently used first out.  At 24 bytes a node (t, phase
-# and scaled weight) that is under 1 MiB in all.
+# The last _CACHE_SIZE node sets, and the last _CACHE_SIZE log-gamma rows, of
+# lattices of at most _CACHE_NODES nodes are kept across calls, least
+# recently used first out.  At 24 bytes a node (t, phase and scaled weight)
+# the sets take under 1 MiB, and at 16 bytes a node the rows 0.5 MiB at most.
 _CACHE_SIZE = 64
 _CACHE_NODES = 512
-# The log-gamma rows of the last _CACHE_SIZE distinct gamma terms evaluated
-# on a lattice of at most _CACHE_NODES nodes, least recently used first out:
-# (constant, slope, c, step, first, stop, stride) -> loggamma row.  At 16
-# bytes a node that is 0.5 MiB at most.
-_ROWS: OrderedDict[tuple, np.ndarray] = OrderedDict()
 # Fox H values kept across calls, least recently used first out.  The bound
 # is a count, kept small: a figure table repeats an instance within fewer
 # distinct ones (fig11 at most 17), and a value is gone once that many others
@@ -157,8 +148,9 @@ class FoxHParams:
     ``upper_coeffs`` holds the p pairs (a_j, A_j) with the first n of them
     contributing ascending-type gammas; ``lower_coeffs`` holds the q pairs
     (b_j, B_j) with the first m contributing descending-type gammas.  The
-    contour interval and the hash are worked out once, at construction, and
-    the gamma terms' coefficient arrays at the first node set evaluated.
+    contour interval, the convergence exponent and the hash are worked out
+    once, at construction, and the gamma terms at the first node set
+    evaluated.
     """
 
     m: int
@@ -185,25 +177,25 @@ class FoxHParams:
                 f"(left poles reach {lo}, right poles start at {hi})"
             )
         object.__setattr__(self, "_interval", (lo, hi))
+        a_up = sum(A for _, A in upper[: self.n]) - sum(A for _, A in upper[self.n :])
+        b_low = sum(B for _, B in lower[: self.m]) - sum(B for _, B in lower[self.m :])
+        object.__setattr__(self, "_exponent", a_up + b_low)
         object.__setattr__(self, "_hash", hash((self.m, self.n, upper, lower)))
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
-    def _terms(self) -> tuple[tuple[tuple[float, float], ...], np.ndarray, list[int], np.ndarray]:
+    def _terms(self) -> tuple[tuple[tuple[float, float], ...], np.ndarray]:
         """The gamma terms, lower pairs first.  Each term is
         sign * loggamma(constant + slope * s), and the log-gamma sums add
-        them in this order.  Given as the distinct pairs (constant, slope),
-        which key the log-gamma rows, their columns constant and slope, the
-        index of each term's pair and the column of the terms' signs."""
+        them in this order.  Given as the pairs (constant, slope), which key
+        the log-gamma rows, and the column of the terms' signs."""
         terms = [(b, B, 1.0) if j < self.m else (1.0 - b, -B, -1.0)
                  for j, (b, B) in enumerate(self.lower_coeffs)]
         terms += [(1.0 - a, -A, 1.0) if j < self.n else (a, A, -1.0)
                   for j, (a, A) in enumerate(self.upper_coeffs)]
-        pairs = tuple(dict.fromkeys(term[:2] for term in terms))
-        return (pairs, np.array(pairs, dtype=float).reshape(-1, 2).T[..., None],
-                [pairs.index(term[:2]) for term in terms],
+        return (tuple(term[:2] for term in terms),
                 np.array([term[2] for term in terms], dtype=float).reshape(-1, 1))
 
     @property
@@ -231,9 +223,7 @@ class FoxHParams:
     def convergence_exponent(self) -> float:
         """Decay-rate exponent of the contour integrand; positive means the
         vertical-line integral converges for positive real arguments."""
-        a_up = sum(A for _, A in self.upper_coeffs[: self.n]) - sum(A for _, A in self.upper_coeffs[self.n :])
-        b_low = sum(B for _, B in self.lower_coeffs[: self.m]) - sum(B for _, B in self.lower_coeffs[self.m :])
-        return a_up + b_low
+        return self._exponent
 
 
 @dataclass(frozen=True)
@@ -284,32 +274,26 @@ def _node_set(params: FoxHParams, c: float, step: float, first: int, stop: int,
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _kept_row(constant: float, slope: float, c: float, step: float, first: int, stop: int,
+              stride: int) -> np.ndarray:
+    """The read-only log-gamma row loggamma(constant + slope * (c + i t)) of
+    one gamma term over the nodes t = ``step * arange(first, stop, stride)``."""
+    row = loggamma(constant + slope * (c + 1j * (step * np.arange(first, stop, stride))))
+    row.flags.writeable = False
+    return row
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _kept_node_set(params: FoxHParams, c: float, step: float, first: int, stop: int,
                    stride: int) -> _NodeSet:
-    """The node set of :func:`_node_set`.  Each term's log-gamma row is read
-    from the row store where it is held, and one ``loggamma`` call takes
-    the rows that are not; the terms are signed and added row by row, in
+    """The node set of :func:`_node_set`.  Each term's log-gamma row is
+    read from the row cache, which keeps the rows of lattices of at most
+    ``_CACHE_NODES`` nodes; the terms are signed and added row by row, in
     their order."""
     t = step * np.arange(first, stop, stride)
-    pairs, (constant, slope), where, sign = params._terms
-    keys = [pair + (c, step, first, stop, stride) for pair in pairs]
-    rows = [_ROWS.pop(key, None) for key in keys]
-    fresh = [j for j, row in enumerate(rows) if row is None]
-    # A lattice of more than _CACHE_NODES nodes is kept nowhere, so none of
-    # its rows was held, and none is kept.
-    kept = t.size <= _CACHE_NODES
-    if fresh:
-        if len(fresh) < len(rows):
-            constant, slope = constant[fresh], slope[fresh]
-        for j, row in zip(fresh, loggamma(constant + slope * (c + 1j * t))):
-            # A kept row holds its own nodes, not the whole call's.
-            rows[j] = row.copy() if kept else row
-    if kept:
-        # Held rows and new ones go in as the most recently used.
-        _ROWS.update(zip(keys, rows))
-        while len(_ROWS) > _CACHE_SIZE:
-            _ROWS.popitem(last=False)
-    terms = np.array([rows[j] for j in where])
+    pairs, sign = params._terms
+    row = _kept_row if t.size <= _CACHE_NODES else _kept_row.__wrapped__
+    terms = np.array([row(*pair, c, step, first, stop, stride) for pair in pairs])
     terms *= sign
     log_gamma, size = terms.sum(axis=0), np.abs(terms).sum(axis=0)
     top = float(log_gamma.real.max())
@@ -350,10 +334,9 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     and real z the integrand at c - i t is the conjugate of that at c + i t,
     so only the nodes t >= 0 are evaluated, plus the node -step of level 0
     that measures the symmetry's residue and is left out of its sums.  Each
-    node set takes at most one ``loggamma`` call, on the gamma terms whose
-    log-gamma rows the row store does not hold, and is kept apart from z,
-    so that a level at another argument is one cosine-weighted sum over the
-    kept arrays.
+    node set takes one ``loggamma`` call per log-gamma row not held, and is
+    kept apart from z, so that a level at another argument is one
+    cosine-weighted sum over the kept arrays.
 
     The last ``_VALUE_CACHE_SIZE`` (64) distinct evaluations are kept,
     keyed on (params, z, abscissa, log_prefactor), and a repeated call
@@ -389,8 +372,7 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     """
     if not 0.0 < z < math.inf:
         raise ValueError(f"Fox H argument must be positive and finite, got z={z}")
-    exponent = params.convergence_exponent()
-    if exponent <= 0:
+    if (exponent := params.convergence_exponent()) <= 0:
         raise ConvergenceError(
             f"contour integral does not converge: decay exponent {exponent:.6g} <= 0 "
             f"for orders (m,n,p,q)=({params.m},{params.n},{params.p},{params.q})"
@@ -399,15 +381,14 @@ def fox_h(params: FoxHParams, z: float, abscissa: float | None = None,
     c = params.default_abscissa() if abscissa is None else float(abscissa)
     if not lo < c < hi:
         raise ValueError(f"contour abscissa {c} outside admissible interval ({lo}, {hi})")
-    return _evaluate(params, float(z), c, float(log_prefactor), exponent)
+    return _evaluate(params, float(z), c, float(log_prefactor))
 
 
 @lru_cache(maxsize=_VALUE_CACHE_SIZE)
-def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float,
-              exponent: float) -> FoxHValue:
-    """The contour integral of :func:`fox_h`, for arguments it has checked;
-    ``exponent`` is the instance's convergence exponent."""
+def _evaluate(params: FoxHParams, z: float, c: float, log_prefactor: float) -> FoxHValue:
+    """The contour integral of :func:`fox_h`, for arguments it has checked."""
     lo, hi = params.contour_interval()
+    exponent = params.convergence_exponent()
     ln_z = math.log(z)
     # log f = G + shift - i t ln z at the node c + i t: z moves |f| by one
     # real factor, the same at every node, and its phase by -t ln z.

@@ -527,6 +527,33 @@ class TestArgumentOutsideFloatRange:
             with pytest.raises(specfun.ConvergenceError, match=message):
                 evaluate(cfg)
 
+    # The oracle's best-ordering density f_Y(1 / z) / z^2, where z^2 leaves
+    # the float range: 0 where f_Y(1 / z) is, as the closed form reads, and
+    # a ConvergenceError naming the float range where it is not.
+    @pytest.mark.parametrize("z", [1e-200, 1e-300, 1e300])
+    def test_oracle_density_reads_zero_where_z_squared_leaves_the_float_range(self, z):
+        cfg = figures.scenario("fig2", k=2, ordering="best")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quadrature.pdf(cfg, z) == metrics.pdf_composite_best(cfg, z) == 0.0
+
+    def test_oracle_density_past_the_float_range_raises(self):
+        # At k = 1, f_Y(1e-300) is the rate, 2 pi, and 1e300^2 overflows.
+        cfg = figures.scenario("fig2", k=1, ordering="best")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(specfun.ConvergenceError,
+                               match=r"z\^2 at z = 1e\+300 lies outside the float range"):
+                quadrature.pdf(cfg, 1e300)
+
+    @pytest.mark.parametrize("ordering", metrics.ORDERINGS)
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.inf, math.nan])
+    def test_oracle_density_outside_its_domain_raises_the_closed_forms_error(self, z, ordering):
+        cfg = figures.scenario("fig2", k=2, ordering=ordering)
+        for density in (quadrature.pdf, metrics.pdf_composite_best, metrics.pdf_composite_nearest):
+            with pytest.raises(ValueError, match="composite-gain density needs a finite z > 0"):
+                density(cfg, z)
+
     def test_instance_list_leaves_out_the_limits_at_varpi_zero(self):
         # eta_k / eta_e rounds to 0: the pairings read PNZ 0 and evaluate no instance
         cfg = ScenarioConfig.build(eta_k=1e-200, eta_e=1e200)
@@ -624,6 +651,21 @@ class TestComplementRelativeAccuracy:
         cfg = ScenarioConfig.build(n_a=n, n_b=n)
         with pytest.raises(specfun.ConvergenceError, match="lost its relative accuracy"):
             metrics.cdf_composite_nearest(cfg, 1.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "1 - H at the midpoint abscissa is 0.62% off while its bound is 0.84 of the value, "
+        "which 'bound < value' lets through; ROADMAP direction 1 (the saddle abscissa) mends it"))
+    def test_nearest_cop_at_30_db_returns_the_oracles_value_or_raises(self):
+        # secrecy eval on [geometry] lambda_b = 2, [fading_b] mu = 3 and
+        # [scenario] eta_k_db = 30, k = 3 prints a closed form of
+        # 1.07939657e-09 against the oracle's 1.08615369e-09, and exits 0.
+        cfg = ScenarioConfig.build(lambda_b=2.0, mu_b=3.0, eta_k=1e3, user_index=3)
+        oracle = quadrature.cop(cfg)
+        try:
+            closed = metrics.cop(cfg)
+        except specfun.ConvergenceError:
+            return
+        assert closed == pytest.approx(oracle, rel=QUAD_TOL_PROBABILITY)
 
 
 # The closed forms with a defining-integral oracle, by (metric id, case); each

@@ -244,11 +244,11 @@ class TestFoxHErrorEstimate:
 
 @pytest.fixture
 def cold_cache():
-    """An empty node-set cache, an empty row store and no kept values for
+    """An empty node-set cache, an empty row cache and no kept values for
     the test; calling the fixture's value empties all three again."""
     def clear():
         specfun._kept_node_set.cache_clear()
-        specfun._ROWS.clear()
+        specfun._kept_row.cache_clear()
         specfun._evaluate.cache_clear()
     clear()
     return clear
@@ -505,15 +505,19 @@ class TestHalfContour:
     @pytest.mark.parametrize("params,arg", _inscope_instances())
     def test_imaginary_residue_flags_an_asymmetric_integrand(self, params, arg, monkeypatch,
                                                             cold_cache):
-        # A real term odd in t, on the first gamma term, breaks
+        # A real term odd in t, on the first gamma term's row, breaks
         # f(c - it) = conj f(c + it), which the half contour takes for granted.
-        def skewed(x):
-            terms = loggamma(x)
-            terms[0] += 1e-5 * x[0].imag
+        pair, row = _gamma_pairs(params)[0], specfun._kept_row.__wrapped__
+
+        def skewed(constant, slope, c, step, first, stop, stride):
+            terms = row(constant, slope, c, step, first, stop, stride)
+            if (constant, slope) == pair:
+                terms = terms + 1e-5 * slope * step * np.arange(first, stop, stride)
             return terms
 
         assert fox_h(params, arg).imag_ratio <= 1e-8
-        monkeypatch.setattr(specfun, "loggamma", skewed)
+        monkeypatch.setattr(specfun, "_kept_row",
+                            functools.lru_cache(maxsize=specfun._CACHE_SIZE)(skewed))
         # The same call again, evaluated and not read back.
         cold_cache()
         assert fox_h(params, arg).imag_ratio > 1e-8
@@ -540,9 +544,9 @@ class TestOneLogGammaCallPerNodeArray:
         assert (nodes.top, nodes.edge, nodes.residue) == (top, log_gamma.real[-1], residue)
 
     @pytest.mark.parametrize("params,arg", _inscope_instances())
-    def test_each_node_set_that_misses_takes_one_call_on_the_rows_not_held(self, params, arg,
-                                                                          node_sets, cold_cache,
-                                                                          monkeypatch):
+    def test_each_node_set_that_misses_takes_one_call_per_row_not_held(self, params, arg,
+                                                                      node_sets, cold_cache,
+                                                                      monkeypatch):
         shapes = []
 
         def counting(x):
@@ -551,10 +555,10 @@ class TestOneLogGammaCallPerNodeArray:
 
         monkeypatch.setattr(specfun, "loggamma", counting)
         fox_h(params, arg)
-        # Cold, every node set misses, and one call takes each distinct
-        # gamma term once: the lattices of one evaluation share no row.
+        # Cold, every node set misses and makes one call per distinct gamma
+        # term, on its row: the lattices of one evaluation share no row.
         distinct = len(set(_gamma_pairs(params)))
-        assert shapes == [(distinct, t.size) for t in node_sets]
+        assert shapes == [(t.size,) for t in node_sets for _ in range(distinct)]
         # At another argument the same node sets are read back: no call.
         shapes.clear()
         node_sets.clear()
@@ -578,10 +582,10 @@ def _bits(nodes: specfun._NodeSet) -> tuple:
 
 class TestRowStore:
     """A node set that misses reads the log-gamma rows of its terms from a
-    bounded store and evaluates only the rows the store does not hold."""
+    bounded cache and evaluates only the rows the cache does not hold."""
 
     # Log-gamma values per figure table from cold caches: the count before
-    # the store, and with it.  A curve over k or the antenna count changes
+    # the row cache, and with it.  A curve over k or the antenna count changes
     # one or two gamma terms of an instance and keeps its lattice.
     @pytest.mark.parametrize("fig, without_store, with_store", [
         ("fig5", 28044, 5068), ("fig6", 18822, 6696), ("fig7", 20832, 5498),
@@ -614,12 +618,35 @@ class TestRowStore:
         figures.figure_table(fig)
         assert built
         for args, nodes in built:
-            specfun._ROWS.clear()
+            specfun._kept_row.cache_clear()
             assert _bits(original(*args)) == _bits(nodes), args[1:]
 
-    def test_a_set_missing_one_row_evaluates_that_row_alone(self, cold_cache, monkeypatch):
-        params, _ = metrics.fox_h_instances(figures.scenario("fig6", k=2))["pnz_nn"]
-        c = params.default_abscissa()
+    def test_a_warm_figures_scan_cycle_evaluates_50824_log_gamma_values(self, cold_cache,
+                                                                       monkeypatch):
+        # The figures of the benchmark's figures_scan workload, whose cycle
+        # repeats them: after a cold round, each round evaluates as many values.
+        scan = ("fig3", "fig5", "fig6", "fig7", "fig10", "fig11")
+        for fig in scan:
+            figures.figure_table(fig)
+        evaluated = []
+
+        def counting(x):
+            evaluated.append(x.size)
+            return loggamma(x)
+
+        monkeypatch.setattr(specfun, "loggamma", counting)
+        for fig in scan:
+            figures.figure_table(fig)
+        assert sum(evaluated) == 50824
+
+    def test_the_next_k_on_a_lattice_evaluates_its_changed_term_alone(self, cold_cache,
+                                                                      monkeypatch):
+        # fig6's curves run over k: pnz_nn at k = 3 keeps the abscissa of
+        # k = 2 and every gamma term but one.
+        first, then = (metrics.fox_h_instances(figures.scenario("fig6", k=k))["pnz_nn"][0]
+                       for k in (2, 3))
+        c = first.default_abscissa()
+        assert then.default_abscissa() == c
         lattice = (c, 0.05, -1, 200, 1)
         arguments = []
 
@@ -628,37 +655,37 @@ class TestRowStore:
             return loggamma(x)
 
         monkeypatch.setattr(specfun, "loggamma", recording)
-        cold = specfun._node_set(params, *lattice)
-        pairs = list(dict.fromkeys(_gamma_pairs(params)))
-        assert [x.shape for x in arguments] == [(len(pairs), 201)]
-        assert list(specfun._ROWS) == [pair + lattice for pair in pairs]
-        # The set is gone but its rows are held: no call.
-        specfun._kept_node_set.cache_clear()
-        assert _bits(specfun._node_set(params, *lattice)) == _bits(cold)
+        specfun._node_set(first, *lattice)
+        assert len(arguments) == len(set(_gamma_pairs(first)))
+        arguments.clear()
+        warm = specfun._node_set(then, *lattice)
+        changed = [pair for pair in _gamma_pairs(then) if pair not in _gamma_pairs(first)]
+        assert len(changed) == 1
+        constant, slope = changed[0]
         assert len(arguments) == 1
-        # One row dropped: one call, on that row's arguments alone.
-        specfun._kept_node_set.cache_clear()
-        constant, slope = pairs[1]
-        del specfun._ROWS[pairs[1] + lattice]
-        assert _bits(specfun._node_set(params, *lattice)) == _bits(cold)
-        assert len(arguments) == 2
-        np.testing.assert_array_equal(
-            arguments[1], constant + slope * (c + 1j * (0.05 * np.arange(-1, 200)))[None, :])
+        np.testing.assert_array_equal(arguments[0],
+                                      constant + slope * (c + 1j * (0.05 * np.arange(-1, 200))))
+        # The set built from held rows is the cold one, bit for bit.
+        cold_cache()
+        assert _bits(specfun._node_set(then, *lattice)) == _bits(warm)
 
-    def test_store_keeps_the_last_64_rows_of_at_most_512_nodes(self, cold_cache):
+    def test_cache_keeps_the_last_64_rows_of_at_most_512_nodes(self, cold_cache):
         for fig in ("fig6", "fig11"):
             figures.figure_table(fig)
-        rows = list(specfun._ROWS.values())
-        assert len(rows) == specfun._CACHE_SIZE == 64
-        # Each row owns its nodes: 64 rows of 512 complex nodes are 0.5 MiB.
-        assert all(row.base is None and row.size <= specfun._CACHE_NODES for row in rows)
-        assert sum(row.nbytes for row in rows) <= 64 * 512 * 16
+        info = specfun._kept_row.cache_info()
+        assert info.currsize == info.maxsize == specfun._CACHE_SIZE == 64 < info.misses
+        # A row is read-only and owns its nodes: 64 rows of 512 complex
+        # nodes are 0.5 MiB.
+        row = specfun._kept_row(0.0, 1.0, 0.5, 0.01, 0, 512, 1)
+        assert not row.flags.writeable and row.base is None and row.nbytes == 512 * 16
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
         # A set of more than 512 nodes leaves no row behind.
-        specfun._ROWS.clear()
+        cold_cache()
         specfun._node_set(_exp_reduction_params(), 0.5, 0.01, 0, 513, 1)
-        assert not specfun._ROWS
+        assert specfun._kept_row.cache_info().currsize == 0
         specfun._node_set(_exp_reduction_params(), 0.5, 0.01, 0, 512, 1)
-        assert len(specfun._ROWS) == 1
+        assert specfun._kept_row.cache_info().currsize == 1
 
 
 class TestFiniteValues:
